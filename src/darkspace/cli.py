@@ -24,10 +24,10 @@ from .experiment import clearance_band, exclusion_records, plan_experiment, \
 from .geofence import (availability, dark_intervals, write_schedule_csv,
                        write_schedule_jsonl)
 from .linkbudget import evaluate, fspl_db, required_tx_power, total_loss_db
-from .orbit import GroundPoint, propagate_many, state_from_geodetic, \
-    topocentric, frames, load_tle_file
-from .propagation import (DeploymentArrays, GeoBox, PathModel,
-                          TransmitterKind, TransmitterSpec,
+from . import radiometer
+from .orbit import GroundPoint, SatelliteState, propagate_many, \
+    state_from_geodetic, topocentric, frames, load_tle_file
+from .propagation import (GeoBox, PathModel, TransmitterKind, TransmitterSpec,
                           aggregate_interference, compliance,
                           generate_deployment, read_deployment_jsonl,
                           write_deployment_jsonl,
@@ -56,6 +56,17 @@ def _out_dir(args) -> Path:
 
 def _finite_or_none(value: float):
     return None if value in (float("inf"), float("-inf")) else value
+
+
+def _sole_entry(entries, key, command, label):
+    """The one config entry a subcommand supports; more is a ConfigError
+    that names the entries it would otherwise ignore."""
+    if len(entries) > 1:
+        ignored = ", ".join(f"{key}[{i}] ({label(entry)})"
+                            for i, entry in enumerate(entries[1:], 1))
+        raise ConfigError(f"{command} supports exactly one entry in {key}, "
+                          f"got {len(entries)}; it would ignore {ignored}")
+    return entries[0]
 
 
 # --- subcommands --------------------------------------------------------------
@@ -211,18 +222,102 @@ def cmd_linkbudget(args) -> int:
     return 0
 
 
-def _itu_pixels(config, max_pixels, bbox):
-    """Radiometer pixels over the window whose centers fall in the box."""
-    elements, spec = config.satellites()[0]
+#: Relative allowance on a line's edge reach for how the swath changes
+#: within one scan period.  The reach follows the altitude, which changes by
+#: tens of metres per second; a ~1,000 km reach gets 10 km here, and the
+#: ground-motion term adds |v| T, about 7 km per second of scan period.
+_REACH_SLACK = 0.01
+
+
+def _lines_near_box(elements, spec, start, line_offsets, bbox,
+                    ground_altitude):
+    """True for each scan line that can have a footprint centre in the box.
+
+    line_offsets are each line's first-sample time, seconds after start;
+    the bound is derived in _itu_pixels.
+    """
+    r, v = propagate_many(elements, start, line_offsets)
+    omega = np.array([0.0, 0.0, frames.OMEGA_EARTH]).reshape(3, 1)
+    v_inertial = v + np.cross(omega, r, axis=0)
+    n = line_offsets.size
+    edges = spec.boresight_of(np.tile([0, spec.samples_per_scan - 1], n))
+    edge = radiometer._footprint_arrays(
+        np.repeat(r, 2, axis=1), np.repeat(v_inertial, 2, axis=1), edges,
+        spec, ground_altitude)
+
+    lat, lon, _ = frames.ecef_to_geodetic(r)
+    ground = np.repeat(frames.geodetic_to_ecef(lat, lon, ground_altitude),
+                       2, axis=1)
+    reach = np.linalg.norm(edge["center"] - ground, axis=0).reshape(n, 2)
+    reach = np.where(edge["miss"].reshape(n, 2).any(axis=1), np.inf,
+                     reach.max(axis=1))
+    rho = (1.0 + _REACH_SLACK) * reach + (np.linalg.norm(v, axis=0)
+                                          * spec.scan_period)
+
+    big_a = frames.WGS84_A + ground_altitude
+    big_m = (frames.WGS84_B + ground_altitude) ** 2 / big_a
+    path = 2.0 * big_m * np.arcsin(np.minimum(rho / (2.0 * big_m), 1.0))
+    dlat = np.degrees(path / big_m)
+    phi_far = np.maximum(np.abs(bbox.lat_min - dlat),
+                         np.abs(bbox.lat_max + dlat))
+    # cos(90 deg) is a tiny positive number, so dlon waives the test there.
+    dlon = np.degrees(path / (big_a * np.cos(np.radians(
+        np.minimum(phi_far, 90.0)))))
+    lon_mid = 0.5 * (bbox.lon_min + bbox.lon_max)
+    lon_off = np.abs((lon - lon_mid + 180.0) % 360.0 - 180.0)
+    return ((lat >= bbox.lat_min - dlat) & (lat <= bbox.lat_max + dlat)
+            & (lon_off <= 0.5 * (bbox.lon_max - bbox.lon_min) + dlon))
+
+
+def _itu_pixels(config, satellite, max_pixels, bbox):
+    """Radiometer pixels over the window whose centers fall in the box.
+
+    Only scan lines within swath reach of the box are footprinted
+    (_lines_near_box).  Take one state per line, at its first sample: G
+    the ground point beneath the satellite, c_first and c_last the
+    footprint centres of the line's edge samples, v the satellite's
+    Earth-fixed velocity, T the scan period.  Every footprint centre c of
+    the line then satisfies
+
+        |c - G| <= rho = (1 + _REACH_SLACK) * max(|c_first - G|,
+                                                  |c_last - G|) + |v| T
+
+    because at one state the centre moves away from G monotonically with
+    |boresight| (the scan plane cuts the ellipsoid in a convex curve), the
+    line's last sample starts less than T later, in which time G moves less
+    than |v| T, and the edge reach changes by far less than _REACH_SLACK
+    of itself.  On the ground-altitude ellipsoid (semi-axes A, B) no
+    radius of curvature is below M = B**2 / A, so the shortest surface
+    path between points a chord rho apart is at most s = 2 M asin(rho / 2M)
+    long; along it latitude changes by at most s / M and, at latitudes up
+    to phi_far, longitude by at most s / (A cos phi_far).  A line can thus
+    only have a centre in the box when G's geodetic latitude and longitude
+    satisfy
+
+        lat_min - s/M <= lat_G <= lat_max + s/M
+        |lon_G - lon_mid| <= (lon_max - lon_min) / 2 + s / (A cos phi_far)
+
+    with phi_far = min(90, max(|lat_min - s/M|, |lat_max + s/M|)) and the
+    longitude difference wrapped into [-180, 180].  A line whose edge rays
+    miss the Earth gets rho = inf.  Every line that fails the test has no
+    sample centred in the box, and footprints do not depend on which other
+    samples are computed with them, so the in-box samples, and the stride
+    down to max_pixels, are those of footprinting every sample.
+    """
+    elements, spec = satellite
     start, end = config.window()
     duration = (end - start).total_seconds()
     base = (start - elements.epoch).total_seconds()
+    ground_altitude = config.ground_altitude()
 
     n_lines = int(np.ceil(duration / spec.scan_period)) + 2
     line0 = int(np.floor(base / spec.scan_period))
-    lines = np.repeat(np.arange(line0, line0 + n_lines),
-                      spec.samples_per_scan)
-    idx = np.tile(np.arange(spec.samples_per_scan), n_lines)
+    line_ids = np.arange(line0, line0 + n_lines)
+    line_ids = line_ids[_lines_near_box(
+        elements, spec, start, line_ids * spec.scan_period - base, bbox,
+        ground_altitude)]
+    lines = np.repeat(line_ids, spec.samples_per_scan)
+    idx = np.tile(np.arange(spec.samples_per_scan), line_ids.size)
     tau = lines * spec.scan_period + idx * spec.sample_dwell
     offsets = tau - base
     keep = (offsets >= 0) & (offsets <= duration)
@@ -232,10 +327,9 @@ def _itu_pixels(config, max_pixels, bbox):
     omega = np.array([0.0, 0.0, frames.OMEGA_EARTH]).reshape(3, 1)
     v_inertial = v + np.cross(omega, r, axis=0)
 
-    from .radiometer import _footprint_arrays
     boresight = spec.boresight_of(idx)
-    arrays = _footprint_arrays(r, v_inertial, boresight, spec,
-                               config.ground_altitude())
+    arrays = radiometer._footprint_arrays(r, v_inertial, boresight, spec,
+                                          ground_altitude)
     in_box = ((arrays["center_lat"] >= bbox.lat_min)
               & (arrays["center_lat"] <= bbox.lat_max)
               & (arrays["center_lon"] >= bbox.lon_min)
@@ -250,9 +344,8 @@ def _itu_pixels(config, max_pixels, bbox):
                           add_seconds(start, float(offsets[i])),
                           float(boresight[i])) for i in sel]
     footprints = footprints_batch(r[:, sel], v_inertial[:, sel], samples,
-                                  spec, config.ground_altitude(),
+                                  spec, ground_altitude,
                                   elements.satellite_id)
-    from .orbit import SatelliteState
     lat, lon, alt = frames.ecef_to_geodetic(r[:, sel])
     states = [SatelliteState(
         t=samples[k].t,
@@ -269,6 +362,8 @@ def cmd_itu_sim(args) -> int:
     config.apply_overrides(seed=args.seed, model=args.model,
                            gamma=args.gamma, threshold=args.threshold,
                            quantile=args.quantile)
+    satellite = _sole_entry(config.satellites(), "satellites", "itu-sim",
+                            lambda sat: sat[0].satellite_id)
     out = _out_dir(args)
     prov = config.provenance("itu-sim")
     itu = config.itu_params()
@@ -307,15 +402,15 @@ def cmd_itu_sim(args) -> int:
         write_deployment_jsonl(deployment, out / "deployment.jsonl")
     bbox = GeoBox(*[float(x) for x in bbox_node])
 
-    spec, footprints, states = _itu_pixels(config, itu["max_pixels"], bbox)
+    spec, footprints, states = _itu_pixels(config, satellite,
+                                           itu["max_pixels"], bbox)
     if not footprints:
         raise ComputeError("no radiometer pixels fall inside the area "
                            "during the window")
 
-    arrays = DeploymentArrays(deployment)
     atmosphere = config.atmosphere("itu")
     samples = [
-        aggregate_interference(fp, st, arrays, model, spec,
+        aggregate_interference(fp, st, deployment, model, spec,
                                atmosphere=atmosphere,
                                reflection_coeff=complex(itu["gamma"]),
                                two_ray_floor_db=itu["two_ray_floor_db"],
@@ -355,11 +450,11 @@ def cmd_experiment(args) -> int:
 
     exp = config.experiment_params()
     lb = config.linkbudget_params()
-    sats = config.satellites()
-    elements, spec = sats[0]
+    elements, spec = _sole_entry(config.satellites(), "satellites",
+                                 "experiment", lambda sat: sat[0].satellite_id)
+    tx_id, point, raw = _sole_entry(config.transmitters(), "transmitters",
+                                    "experiment", lambda tx: tx[0])
     window = config.window()
-
-    tx_id, point, raw = config.transmitters()[0]
     tx = TransmitterSpec(
         id=tx_id,
         location=point,

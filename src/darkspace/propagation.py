@@ -14,6 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -163,17 +164,24 @@ SCENARIOS = {
 }
 
 
+def _wrap_longitude(lon):
+    """Longitudes into (-180, 180], elementwise; GroundPoint's rule."""
+    lon = (np.asarray(lon, dtype=float) + 180.0) % 360.0 - 180.0
+    return np.where(lon == -180.0, 180.0, lon)
+
+
 def generate_deployment(scenario, area: GeoBox, seed: int,
                         center_frequency: float = 24.0e9,
                         emission_bandwidth: float = 200.0e6,
-                        classes=None) -> list[TransmitterSpec]:
-    """Seeded Monte Carlo deployment inside a bounding box.
+                        classes=None) -> "DeploymentArrays":
+    """Seeded Monte Carlo deployment inside a bounding box, as columns.
 
     scenario names one of SCENARIOS unless explicit emitter classes are
     given.  Placement is uniform per unit area (longitude uniform, sine of
     latitude uniform); the emitter count is floor(density*area + u) with u
     the first uniform draw of each class's stream, so expectations match the
     configured density exactly while staying integer and deterministic.
+    Emitter ids are "<scenario>-<kind>-<index within the class>".
     """
     if classes is None:
         try:
@@ -182,6 +190,13 @@ def generate_deployment(scenario, area: GeoBox, seed: int,
             raise ConfigError(
                 f"unknown scenario {scenario!r}; expected one of "
                 f"{sorted(SCENARIOS)}") from None
+    if not emission_bandwidth > 0:
+        raise ConfigError(f"deployment emission_bandwidth must be > 0, got "
+                          f"{emission_bandwidth!r}")
+    for cls in classes:
+        if not cls.antenna_height_m >= 0:
+            raise ConfigError(f"{cls.kind.value} antenna_height_m must be "
+                              f">= 0, got {cls.antenna_height_m!r}")
     area_km2 = area.area_km2
     if area_km2 <= 0:
         raise EmptyArea("bounding box has zero area")
@@ -190,62 +205,96 @@ def generate_deployment(scenario, area: GeoBox, seed: int,
     sin_lo = math.sin(math.radians(area.lat_min))
     sin_hi = math.sin(math.radians(area.lat_max))
 
-    out = []
+    ids, kinds = [], []
+    lat, lon, eirp, height = ([np.zeros(0)] for _ in range(4))
     for cls in classes:
         count = int(math.floor(cls.density_per_km2 * area_km2
                                + rng.uniform()))
-        lats = np.degrees(np.arcsin(rng.uniform(sin_lo, sin_hi, count)))
-        lons = rng.uniform(area.lon_min, area.lon_max, count)
+        lat.append(np.degrees(np.arcsin(rng.uniform(sin_lo, sin_hi, count))))
+        lon.append(rng.uniform(area.lon_min, area.lon_max, count))
         if cls.eirp_std_db > 0:
-            eirps = rng.normal(cls.eirp_mean_dbm_mhz, cls.eirp_std_db, count)
+            eirp.append(rng.normal(cls.eirp_mean_dbm_mhz, cls.eirp_std_db,
+                                   count))
         else:
-            eirps = np.full(count, cls.eirp_mean_dbm_mhz)
-        for i in range(count):
-            out.append(TransmitterSpec(
-                id=f"{scenario}-{cls.kind.value}-{i:06d}",
-                location=GroundPoint(float(lats[i]), float(lons[i]), 0.0),
-                antenna_height=cls.antenna_height_m,
-                eirp_density=float(eirps[i]),
-                center_frequency=center_frequency,
-                emission_bandwidth=emission_bandwidth,
-                kind=cls.kind,
-            ))
-    return out
+            eirp.append(np.full(count, cls.eirp_mean_dbm_mhz))
+        height.append(np.full(count, cls.antenna_height_m))
+        prefix = f"{scenario}-{cls.kind.value}-"
+        ids.extend([f"{prefix}{i:06d}" for i in range(count)])
+        kinds.extend([cls.kind.value] * count)
+
+    n = len(ids)
+    return DeploymentArrays.from_columns(
+        ids=ids, kinds=kinds, lat=np.concatenate(lat),
+        lon=_wrap_longitude(np.concatenate(lon)), alt=np.zeros(n),
+        antenna_height=np.concatenate(height), eirp=np.concatenate(eirp),
+        center_frequency=np.full(n, float(center_frequency)),
+        emission_bandwidth=np.full(n, float(emission_bandwidth)),
+        pointing_az=np.zeros(n), pointing_el=np.zeros(n))
 
 
 # --- aggregation ---------------------------------------------------------------
 
 
 class DeploymentArrays:
-    """Deployment fields unpacked into arrays for fast per-pixel evaluation.
+    """A deployment as columns, one entry per emitter.
 
-    Build once and reuse across pixels; the geometry per transmitter never
-    changes between pixels.
+    generate_deployment and read_deployment_jsonl return one; a sequence of
+    hand-built TransmitterSpec unpacks into one.  The ECEF geometry is
+    computed once, so build it once and reuse it across pixels.  Columns:
+    ids and kinds (lists of str, kinds as TransmitterKind values) and the
+    float arrays lat, lon, alt, antenna_height, eirp, center_frequency,
+    emission_bandwidth, pointing_az and pointing_el.
     """
 
+    _FLOAT_COLUMNS = ("lat", "lon", "alt", "antenna_height", "eirp",
+                      "center_frequency", "emission_bandwidth",
+                      "pointing_az", "pointing_el")
+
     def __init__(self, deployment):
-        self.transmitters = tuple(deployment)
-        n = len(self.transmitters)
-        self.ids = [tx.id for tx in self.transmitters]
-        self.lat = np.array([tx.location.latitude for tx in deployment])
-        self.lon = np.array([tx.location.longitude for tx in deployment])
-        self.ground_ecef = (
-            frames.geodetic_to_ecef(
-                self.lat, self.lon,
-                np.array([tx.location.altitude for tx in deployment]))
-            if n else np.zeros((3, 0)))
+        txs = tuple(deployment)
+        self._fill(
+            ids=[tx.id for tx in txs],
+            kinds=[tx.kind.value for tx in txs],
+            lat=[tx.location.latitude for tx in txs],
+            lon=[tx.location.longitude for tx in txs],
+            alt=[tx.location.altitude for tx in txs],
+            antenna_height=[tx.antenna_height for tx in txs],
+            eirp=[tx.eirp_density for tx in txs],
+            center_frequency=[tx.center_frequency for tx in txs],
+            emission_bandwidth=[tx.emission_bandwidth for tx in txs],
+            pointing_az=[tx.pointing[0] for tx in txs],
+            pointing_el=[tx.pointing[1] for tx in txs])
+
+    @classmethod
+    def from_columns(cls, **columns) -> "DeploymentArrays":
+        """Wrap columns of equal length (see the class docstring)."""
+        self = cls.__new__(cls)
+        self._fill(**columns)
+        return self
+
+    def _fill(self, ids, kinds, **floats):
+        self.ids = list(ids)
+        self.kinds = list(kinds)
+        for name in self._FLOAT_COLUMNS:
+            setattr(self, name, np.asarray(floats[name], dtype=float))
+        n = len(self.ids)
+        self.ground_ecef = (frames.geodetic_to_ecef(self.lat, self.lon,
+                                                    self.alt)
+                            if n else np.zeros((3, 0)))
         self.antenna_ecef = (
-            frames.geodetic_to_ecef(
-                self.lat, self.lon,
-                np.array([tx.location.altitude + tx.antenna_height
-                          for tx in deployment]))
+            frames.geodetic_to_ecef(self.lat, self.lon,
+                                    self.alt + self.antenna_height)
             if n else np.zeros((3, 0)))
-        self.antenna_height = np.array([tx.antenna_height
-                                        for tx in deployment])
-        self.eirp = np.array([tx.eirp_density for tx in deployment])
 
     def __len__(self):
-        return len(self.transmitters)
+        return len(self.ids)
+
+    def __eq__(self, other):
+        if not isinstance(other, DeploymentArrays):
+            return NotImplemented
+        return (self.ids == other.ids and self.kinds == other.kinds
+                and all(np.array_equal(getattr(self, c), getattr(other, c))
+                        for c in self._FLOAT_COLUMNS))
 
 
 def aggregate_interference(pixel: PixelFootprint, sat: SatelliteState,
@@ -278,7 +327,15 @@ def aggregate_interference(pixel: PixelFootprint, sat: SatelliteState,
     delta = arrays.ground_ecef - center
     x = np.array(geom.u_major) @ delta
     y = np.array(geom.u_minor) @ delta
-    inside = (x / pixel.semi_major) ** 2 + (y / pixel.semi_minor) ** 2 <= 1.0
+    del delta
+    # (x / a)**2 + (y / b)**2 <= 1, in place: the same operations without
+    # five more N-sized temporaries per pixel.
+    x /= pixel.semi_major
+    x *= x
+    y /= pixel.semi_minor
+    y *= y
+    x += y
+    inside = x <= 1.0
     if not np.any(inside):
         return InterferenceSample(pixel=pixel, aggregate=float("-inf"),
                                   contributors=())
@@ -377,21 +434,75 @@ def transmitter_from_dict(data: dict) -> TransmitterSpec:
         raise ConfigError(f"bad transmitter record: {exc}") from exc
 
 
+#: deployment.jsonl record layout: transmitter_to_dict's keys in sorted
+#: order, each with the DeploymentArrays column that fills it.
+_JSONL_FIELDS = (
+    ("alt_m", "alt"), ("antenna_height_m", "antenna_height"),
+    ("center_frequency_hz", "center_frequency"),
+    ("eirp_density_dbm_mhz", "eirp"),
+    ("emission_bandwidth_hz", "emission_bandwidth"), ("id", "ids"),
+    ("kind", "kinds"), ("lat", "lat"), ("lon", "lon"),
+    ("pointing_az_deg", "pointing_az"), ("pointing_el_deg", "pointing_el"),
+)
+_JSONL_CHUNK = 1 << 14
+
+
+def _json_texts(column):
+    """JSON text of each value, as json.dumps writes it; a single str when
+    the whole (non-empty) column holds one value, bit for bit."""
+    if isinstance(column, list):
+        if len(set(column)) == 1:
+            return encode_basestring_ascii(column[0])
+        return list(map(encode_basestring_ascii, column))
+    bits = column.view(np.int64)
+    if np.all(bits == bits[0]):
+        return json.dumps(float(column[0]))
+    if np.all(np.isfinite(column)):
+        return list(map(float.__repr__, column.tolist()))
+    return list(map(json.dumps, column.tolist()))
+
+
 def write_deployment_jsonl(deployment, path) -> None:
+    """One JSON object per emitter, keys sorted, as transmitter_to_dict.
+
+    Each line equals json.dumps(transmitter_to_dict(tx), sort_keys=True).
+    Columns are formatted _JSONL_CHUNK emitters at a time, so memory does
+    not grow with the file.  Within a chunk, a column that holds one value
+    joins the literal text around it; the record is then literal runs and
+    per-emitter columns in turn, interleaved into one list and joined.
+    """
+    arrays = (deployment if isinstance(deployment, DeploymentArrays)
+              else DeploymentArrays(deployment))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for tx in deployment:
-            fh.write(json.dumps(transmitter_to_dict(tx), sort_keys=True)
-                     + "\n")
+        for lo in range(0, len(arrays), _JSONL_CHUNK):
+            hi = min(lo + _JSONL_CHUNK, len(arrays))
+            pieces, literal = [], "{"
+            for i, (key, attr) in enumerate(_JSONL_FIELDS):
+                literal += f'{", " if i else ""}"{key}": '
+                texts = _json_texts(getattr(arrays, attr)[lo:hi])
+                if isinstance(texts, str):
+                    literal += texts
+                else:
+                    pieces += [literal, texts]
+                    literal = ""
+            pieces.append(literal + "}\n")
+            step = len(pieces)
+            flat = [None] * ((hi - lo) * step)
+            for j, piece in enumerate(pieces):
+                flat[j::step] = ([piece] * (hi - lo) if isinstance(piece, str)
+                                 else piece)
+            fh.write("".join(flat))
 
 
-def read_deployment_jsonl(path) -> list[TransmitterSpec]:
+def read_deployment_jsonl(path) -> DeploymentArrays:
+    """Read deployment.jsonl; a malformed record raises ConfigError."""
     out = []
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if line:
                 out.append(transmitter_from_dict(json.loads(line)))
-    return out
+    return DeploymentArrays(out)
 
 
 GRID_CSV_HEADER = "pixel_lat,pixel_lon,aggregate_dbm_mhz,model,n_contributors"

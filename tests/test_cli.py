@@ -1,15 +1,22 @@
 """End-to-end CLI: subcommands, exit codes, file formats, determinism."""
+import hashlib
 import json
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from darkspace.cli import main
-from darkspace.orbit import propagate
+from darkspace.cli import _itu_pixels, main
+from darkspace.config import ScenarioConfig
+from darkspace.orbit import GroundPoint, frames, propagate, propagate_many
+from darkspace.propagation import GeoBox
+from darkspace.radiometer import _footprint_arrays
 from darkspace.timeutil import add_seconds
 
 FIXTURES = Path(__file__).parent / "fixtures"
+EXAMPLE_CONFIG = Path(__file__).parent.parent / "configs" / \
+    "example_scenario.json"
 
 
 def _window(leo_tle, start_min, end_min):
@@ -193,6 +200,11 @@ def test_itu_sim_seed_reproducible(scenario):
             == (out2 / "compliance.json").read_bytes())
     assert ((out1 / "deployment.jsonl").read_bytes()
             == (out2 / "deployment.jsonl").read_bytes())
+    # ... and equal to the recorded bytes (fixtures/README.md).
+    recorded = json.loads((FIXTURES / "itu_sim_digests.json").read_text())
+    for name, digest in recorded.items():
+        assert hashlib.sha256((out1 / name).read_bytes()).hexdigest() == \
+            digest, name
 
 
 def test_experiment_outputs(scenario):
@@ -258,3 +270,121 @@ def test_unknown_config_key(tmp_path):
 def test_missing_config_file(tmp_path):
     assert main(["darkspaces", "--config", str(tmp_path / "nope.json"),
                  "--out-dir", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("command,key,entry,named", [
+    ("itu-sim", "satellites", {"tle": "second.tle", "preset": "amsua"},
+     "satellites[1] (CAT5)"),
+    ("experiment", "satellites", {"tle": "second.tle", "preset": "atms"},
+     "satellites[1] (CAT5)"),
+    ("experiment", "transmitters",
+     {"id": "second-site", "lat": 10.0, "lon": 20.0},
+     "transmitters[1] (second-site)"),
+], ids=["itu-sim-satellite", "experiment-satellite", "experiment-transmitter"])
+def test_extra_entries_fail_loudly(scenario, capsys, command, key, entry,
+                                   named):
+    path, _, tmp = scenario
+    shutil.copy(FIXTURES / "sgp4_00005.tle", tmp / "second.tle")
+    config = json.loads(Path(path).read_text())
+    config[key].append(entry)
+    two = tmp / "two.json"
+    two.write_text(json.dumps(config))
+    out = tmp / "out_two"
+    assert main([command, "--config", str(two), "--out-dir", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not any(out.glob("*"))
+
+
+def test_itu_sim_zero_emission_bandwidth(scenario, capsys):
+    path, config, tmp = scenario
+    config = json.loads(Path(path).read_text())
+    config["itu"]["deployment"]["emission_bandwidth_hz"] = 0
+    bad = tmp / "zero_bw.json"
+    bad.write_text(json.dumps(config))
+    assert main(["itu-sim", "--config", str(bad),
+                 "--out-dir", str(tmp / "itu_bw")]) == 2
+    assert "emission_bandwidth" in capsys.readouterr().err
+
+
+# --- itu-sim pixel search -------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def every_example_sample():
+    """Every radiometer sample of the example window, footprinted, with no
+    screening of scan lines: the reference _itu_pixels must reproduce."""
+    config = ScenarioConfig.load(EXAMPLE_CONFIG)
+    elements, spec = config.satellites()[0]
+    start, end = config.window()
+    duration = (end - start).total_seconds()
+    base = (start - elements.epoch).total_seconds()
+    n_lines = int(np.ceil(duration / spec.scan_period)) + 2
+    line0 = int(np.floor(base / spec.scan_period))
+    lines = np.repeat(np.arange(line0, line0 + n_lines),
+                      spec.samples_per_scan)
+    idx = np.tile(np.arange(spec.samples_per_scan), n_lines)
+    offsets = lines * spec.scan_period + idx * spec.sample_dwell - base
+    keep = (offsets >= 0) & (offsets <= duration)
+    lines, idx, offsets = lines[keep], idx[keep], offsets[keep]
+    omega = np.array([0.0, 0.0, frames.OMEGA_EARTH]).reshape(3, 1)
+    parts = []
+    for chunk in np.array_split(np.arange(lines.size), 16):
+        r, v = propagate_many(elements, start, offsets[chunk])
+        arrays = _footprint_arrays(r, v + np.cross(omega, r, axis=0),
+                                   spec.boresight_of(idx[chunk]), spec,
+                                   config.ground_altitude())
+        parts.append((arrays["center_lat"], arrays["center_lon"],
+                      arrays["miss"]))
+    lat, lon, miss = (np.concatenate(col) for col in zip(*parts))
+    return config, lines, idx, lat, lon, miss
+
+
+def _reference_selection(every, bbox, max_pixels):
+    _, lines, idx, lat, lon, miss = every
+    sel = np.flatnonzero((lat >= bbox.lat_min) & (lat <= bbox.lat_max)
+                         & (lon >= bbox.lon_min) & (lon <= bbox.lon_max)
+                         & ~miss)
+    if sel.size > max_pixels:
+        sel = sel[::int(np.ceil(sel.size / max_pixels))]
+    centers = [GroundPoint(float(lat[i]), float(lon[i])) for i in sel]
+    return [(int(lines[i]), int(idx[i]), c.latitude, c.longitude)
+            for i, c in zip(sel, centers)]
+
+
+def _selection(config, bbox, max_pixels):
+    _, footprints, states = _itu_pixels(config, config.satellites()[0],
+                                        max_pixels, bbox)
+    assert len(states) == len(footprints)
+    return [(fp.source[1].scan_line_index, fp.source[1].sample_index,
+             fp.center.latitude, fp.center.longitude) for fp in footprints]
+
+
+def test_itu_pixels_screening_keeps_example_selection(every_example_sample):
+    config = every_example_sample[0]
+    bbox = GeoBox(*config.itu_params()["deployment"]["bbox"])
+    for max_pixels in (1000, 40):
+        expected = _reference_selection(every_example_sample, bbox,
+                                        max_pixels)
+        assert expected
+        assert _selection(config, bbox, max_pixels) == expected
+
+
+@pytest.mark.parametrize("where", ["near-site", "track-turn"])
+def test_itu_pixels_screening_keeps_swath_edge(every_example_sample, where):
+    # A box centred on one footprint of the last sample of a line, so half
+    # of it lies beyond the swath edge and only samples near that edge fall
+    # inside.  Near the example site the swath runs east-west; where the
+    # track turns north of 80 degrees it runs north-south, so the screen's
+    # latitude and longitude allowances are each exercised.
+    config, lines, idx, lat, lon, miss = every_example_sample
+    last = np.flatnonzero((idx == idx.max()) & ~miss)
+    if where == "near-site":
+        k = last[np.argmin(np.hypot(lat[last] - 40.817, lon[last] + 121.47))]
+    else:
+        mid = np.flatnonzero(idx == idx.max() // 2)
+        turn = lines[mid[np.argmax(lat[mid])]]
+        k = last[lines[last] == turn][0]
+    bbox = GeoBox(lat[k] - 0.2, lat[k] + 0.2, lon[k] - 0.2, lon[k] + 0.2)
+    expected = _reference_selection(every_example_sample, bbox, 1000)
+    assert expected and min(s for _, s, _, _ in expected) > idx.max() - 4
+    assert _selection(config, bbox, 1000) == expected

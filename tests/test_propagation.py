@@ -1,4 +1,5 @@
 """Two-ray model, Monte Carlo deployments, aggregation, compliance."""
+import json
 import math
 from datetime import datetime, timezone
 
@@ -96,9 +97,58 @@ def test_deployment_determinism():
 
 def test_deployment_inside_box():
     box = GeoBox(39.5, 40.5, -106.0, -104.0)
-    for tx in generate_deployment("suburban", box, seed=3):
-        assert box.lat_min <= tx.location.latitude <= box.lat_max
-        assert box.lon_min <= tx.location.longitude <= box.lon_max
+    dep = generate_deployment("suburban", box, seed=3)
+    assert len(dep) > 0
+    assert np.all((box.lat_min <= dep.lat) & (dep.lat <= box.lat_max))
+    assert np.all((box.lon_min <= dep.lon) & (dep.lon <= box.lon_max))
+
+
+def _reference_deployment(scenario, area, seed):
+    """One TransmitterSpec per emitter from the same draws, in the same
+    order, as generate_deployment documents them."""
+    from darkspace.propagation import SCENARIOS
+    rng = np.random.default_rng(seed)
+    sin_lo = math.sin(math.radians(area.lat_min))
+    sin_hi = math.sin(math.radians(area.lat_max))
+    out = []
+    for cls in SCENARIOS[scenario]:
+        count = int(math.floor(cls.density_per_km2 * area.area_km2
+                               + rng.uniform()))
+        lats = np.degrees(np.arcsin(rng.uniform(sin_lo, sin_hi, count)))
+        lons = rng.uniform(area.lon_min, area.lon_max, count)
+        eirps = rng.normal(cls.eirp_mean_dbm_mhz, cls.eirp_std_db, count)
+        out += [TransmitterSpec(
+            id=f"{scenario}-{cls.kind.value}-{i:06d}",
+            location=GroundPoint(float(lats[i]), float(lons[i]), 0.0),
+            antenna_height=cls.antenna_height_m,
+            eirp_density=float(eirps[i]), center_frequency=24.0e9,
+            emission_bandwidth=200.0e6, kind=cls.kind)
+            for i in range(count)]
+    return out
+
+
+def test_deployment_columns_match_transmitter_specs(tmp_path):
+    # The box crosses the antimeridian, so GroundPoint's longitude
+    # normalisation has to be applied to the columns as well.
+    box = GeoBox(-10.0, -9.0, 179.5, 180.5)
+    dep = generate_deployment("rural", box, seed=21)
+    ref = _reference_deployment("rural", box, seed=21)
+    assert np.any(dep.lon < 0) and np.any(dep.lon > 179.5)
+    assert dep == DeploymentArrays(ref)
+    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    write_deployment_jsonl(dep, a)
+    write_deployment_jsonl(ref, b)
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_deployment_rejects_bad_emission_parameters():
+    box = GeoBox(39.5, 40.5, -106.0, -104.0)
+    with pytest.raises(ConfigError, match="emission_bandwidth"):
+        generate_deployment("rural", box, seed=1, emission_bandwidth=0.0)
+    from darkspace.propagation import EmitterClass
+    cls = (EmitterClass(TransmitterKind.UE, 1.0, -20.0, 0.0, -1.0),)
+    with pytest.raises(ConfigError, match="antenna_height"):
+        generate_deployment("custom", box, seed=1, classes=cls)
 
 
 def test_unknown_scenario():
@@ -118,6 +168,56 @@ def test_deployment_jsonl_round_trip(tmp_path):
     write_deployment_jsonl(dep, path)
     again = read_deployment_jsonl(path)
     assert again == dep
+
+
+def test_deployment_jsonl_lines_match_json_dumps(tmp_path):
+    # Quote, backslash and non-ASCII ids; floats whose repr is exponential,
+    # a negative zero and non-finite values; a kind shared by two records.
+    txs = [
+        TransmitterSpec(id='q"uote\\back é ☃ 100%',
+                        location=GroundPoint(-0.0, 1e-05, 1e16),
+                        antenna_height=1e16, eirp_density=-0.0,
+                        center_frequency=1e-05, emission_bandwidth=1e16,
+                        pointing=(float("nan"), float("-inf")),
+                        kind=TransmitterKind.UE),
+        TransmitterSpec(id="plain", location=GroundPoint(12.5, -180.0, 0.0),
+                        antenna_height=0.0, eirp_density=0.1 + 0.2,
+                        center_frequency=24.0e9, emission_bandwidth=2.0e8,
+                        kind=TransmitterKind.UE),
+        _tx(2, 40.0, -105.0),
+    ]
+    for dep in (txs, txs[:1], txs[1:2] * 3):
+        path = tmp_path / "dep.jsonl"
+        write_deployment_jsonl(dep, path)
+        expected = "".join(json.dumps(transmitter_to_dict(tx), sort_keys=True)
+                           + "\n" for tx in dep)
+        assert path.read_text(encoding="utf-8") == expected
+        write_deployment_jsonl(DeploymentArrays(dep), path)
+        assert path.read_text(encoding="utf-8") == expected
+
+
+def test_deployment_jsonl_spans_chunks(tmp_path, monkeypatch):
+    import darkspace.propagation as propagation
+    monkeypatch.setattr(propagation, "_JSONL_CHUNK", 7)
+    box = GeoBox(39.5, 39.7, -106.0, -105.7)
+    dep = generate_deployment("rural", box, seed=4)
+    path = tmp_path / "dep.jsonl"
+    write_deployment_jsonl(dep, path)
+    ref = _reference_deployment("rural", box, seed=4)
+    assert len(ref) > 7
+    assert path.read_text() == "".join(
+        json.dumps(transmitter_to_dict(tx), sort_keys=True) + "\n"
+        for tx in ref)
+    assert read_deployment_jsonl(path) == dep
+
+
+def test_read_deployment_jsonl_bad_record(tmp_path):
+    path = tmp_path / "dep.jsonl"
+    record = transmitter_to_dict(_tx(0, 40.0, -105.0))
+    record["emission_bandwidth_hz"] = 0.0
+    path.write_text(json.dumps(record) + "\n")
+    with pytest.raises(ConfigError, match="bad transmitter record"):
+        read_deployment_jsonl(path)
 
 
 def test_transmitter_dict_round_trip():
