@@ -33,11 +33,7 @@ from .propagation import (GeoBox, PathModel, TransmitterKind, TransmitterSpec,
                           write_deployment_jsonl,
                           write_interference_grid_csv)
 from .radiometer import ScanSample, footprints_batch
-from .timeutil import add_seconds
-
-
-def _iso(t):
-    return t.isoformat(timespec="microseconds").replace("+00:00", "Z")
+from .timeutil import add_seconds, iso_utc
 
 
 def _provenance_lines(prov: dict):
@@ -89,31 +85,9 @@ def cmd_darkspaces(args) -> int:
                                         tx_id=tx_id,
                                         ground_altitude=ground_alt))
 
-    csv_path = out / "schedule.csv"
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in _provenance_lines(prov):
-            fh.write(f"# {line}\n")
-        fh.write("tx_id,satellite_id,scan_line_index,start_utc,end_utc,"
-                 "policy_kind\n")
-        for sched in schedules:
-            for iv in sched.intervals:
-                fh.write(",".join([
-                    sched.tx_id, iv.satellite_id, str(iv.scan_line_index),
-                    _iso(iv.start), _iso(iv.end), policy.kind.value]) + "\n")
-
-    with open(out / "schedule.jsonl", "w", encoding="utf-8",
-              newline="\n") as fh:
-        fh.write(json.dumps({"provenance": prov}, sort_keys=True) + "\n")
-        for sched in schedules:
-            for iv in sched.intervals:
-                fh.write(json.dumps({
-                    "tx_id": sched.tx_id,
-                    "satellite_id": iv.satellite_id,
-                    "scan_line_index": iv.scan_line_index,
-                    "start_utc": _iso(iv.start),
-                    "end_utc": _iso(iv.end),
-                    "policy_kind": policy.kind.value,
-                }, sort_keys=True) + "\n")
+    write_schedule_csv(schedules, out / "schedule.csv",
+                       _provenance_lines(prov))
+    write_schedule_jsonl(schedules, out / "schedule.jsonl", prov)
 
     reports = {}
     for sched in schedules:
@@ -133,7 +107,7 @@ def cmd_darkspaces(args) -> int:
         "policy": {"kind": policy.kind.value,
                    "buffer_multiplier": policy.buffer_multiplier,
                    "temporal_pad_s": policy.temporal_pad},
-        "window": {"start": _iso(window[0]), "end": _iso(window[1])},
+        "window": {"start": iso_utc(window[0]), "end": iso_utc(window[1])},
         "transmitters": reports,
     })
     total = sum(len(s.intervals) for s in schedules)
@@ -484,7 +458,7 @@ def cmd_experiment(args) -> int:
     def sample_dict(s):
         return {"scan_line_index": s.scan_line_index,
                 "sample_index": s.sample_index,
-                "t": _iso(s.t),
+                "t": iso_utc(s.t),
                 "boresight_deg": s.boresight_angle}
 
     _write_json(out / "plan.json", {
@@ -496,14 +470,14 @@ def cmd_experiment(args) -> int:
         "satellite_id": plan.satellite_id,
         "radiometer": spec.name,
         "mode": plan.mode,
-        "window": {"start": _iso(plan.window[0]),
-                   "end": _iso(plan.window[1])},
+        "window": {"start": iso_utc(plan.window[0]),
+                   "end": iso_utc(plan.window[1])},
         "max_pulse_s": plan.max_pulse,
         "overlap_threshold": plan.overlap_threshold,
         "clearance_band_hz": list(band),
         "pulses": [{
-            "on_start": _iso(p.on_start),
-            "on_end": _iso(p.on_end),
+            "on_start": iso_utc(p.on_start),
+            "on_end": iso_utc(p.on_end),
             "duration_s": p.duration,
             "target": sample_dict(p.target),
             "off_reference": sample_dict(p.off_reference),
@@ -527,7 +501,8 @@ def cmd_experiment(args) -> int:
                  "overlap_fraction\n")
         for p in plan.pulses:
             fh.write(",".join([
-                tx.id, plan.satellite_id, _iso(p.on_start), _iso(p.on_end),
+                tx.id, plan.satellite_id, iso_utc(p.on_start),
+                iso_utc(p.on_end),
                 f"{p.duration:.6f}", str(p.target.scan_line_index),
                 str(p.target.sample_index),
                 str(p.off_reference.scan_line_index),
@@ -543,7 +518,7 @@ def cmd_experiment(args) -> int:
         for rec in records:
             fh.write(",".join([
                 rec.satellite_id, str(rec.scan_line_index),
-                str(rec.sample_index), _iso(rec.start), _iso(rec.end),
+                str(rec.sample_index), iso_utc(rec.start), iso_utc(rec.end),
                 rec.reason]) + "\n")
 
     print(f"experiment: {len(plan.pulses)} pulses, audit pass={audit.passed}"
@@ -559,7 +534,7 @@ def cmd_validate_tle(args) -> int:
     print(f"{args.tle}: OK")
     print(f"  satellite  {elements.satellite_id} "
           f"(catalog {elements.catalog_number})")
-    print(f"  epoch      {_iso(elements.epoch)}")
+    print(f"  epoch      {iso_utc(elements.epoch)}")
     print(f"  inclination {elements.inclination:.4f} deg, "
           f"raan {elements.raan:.4f} deg, e {elements.eccentricity:.7f}")
     print(f"  mean motion {elements.mean_motion:.8f} rev/day")

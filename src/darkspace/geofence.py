@@ -2,13 +2,24 @@
 
 The engine finds, for one ground transmitter against a constellation of
 (TLE, radiometer) pairs, every interval during which a (buffered) pixel
-footprint or scan-line strip subtends the transmitter.  It runs a coarse
-horizon-visibility prefilter (a satellite below the horizon cannot subtend
-anything), evaluates the subtension margin on the scanner's own sample
-grid, and refines interval boundaries by bisection to well under 10 ms.
+footprint or scan-line strip subtends the transmitter.  For each
+satellite it runs four stages:
+
+1. Prefilter: visibility_windows keeps the times, on a COARSE_STEP_S
+   grid, when the satellite is above HORIZON_GUARD_DEG at the transmitter
+   (a satellite below the horizon cannot subtend anything).
+2. Screen: _lines_near_tx keeps the scan lines of those windows whose
+   scan plane passes close enough to the transmitter for a sample to
+   subtend it, from one state and two edge footprints per line.
+3. Sample margins: the subtension margin at the start and end of every
+   sample dwell of the kept lines, on the scanner's own sample grid,
+   MARGIN_CHUNK samples at a time.
+4. Bisection: where the margin changes sign within a dwell, the boundary
+   is refined to BISECT_TOL_S, well under 10 ms.
 
 brute_force_oracle implements the same subtension predicate by dense time
-sampling; it is the reference semantics the engine is tested against.
+sampling, without the screen; it is the reference semantics the engine is
+tested against.
 """
 from __future__ import annotations
 
@@ -22,15 +33,33 @@ import numpy as np
 from .errors import EmptyConstellation, NotPhaseLocked, WindowTooLarge
 from .orbit import GroundPoint, OrbitalElements, propagate_many, frames
 from .radiometer import (BufferPolicy, PolicyKind, RadiometerSpec,
-                         _ellipse_margins, _footprint_arrays)
-from .timeutil import add_seconds, ensure_utc
+                         _ellipse_margins, _footprint_arrays, _scan_axis)
+from .timeutil import add_seconds, ensure_utc, iso_utc
 
-#: Coarse prefilter: step (s) and below-horizon guard (deg).
+#: Coarse prefilter: step (s) and below-horizon guard (deg).  The
+#: prefilter is exact only while every buffered footprint that contains
+#: the transmitter is seen from a satellite above HORIZON_GUARD_DEG at the
+#: transmitter.  BufferPolicy puts no upper bound on buffer_multiplier,
+#: and a large enough multiplier inflates an edge footprint past the
+#: transmitter's horizon: the margin predicate then holds at times the
+#: prefilter drops, and the engine and the oracle both miss them.  The
+#: screen's near-side argument (_lines_near_tx) relies on the same windows.
 COARSE_STEP_S = 30.0
 HORIZON_GUARD_DEG = -2.0
 
 #: Boundary bisection stops when the bracket is this small (s).
 BISECT_TOL_S = 0.002
+
+#: Margins are evaluated this many samples at a time, which bounds the
+#: footprint temporaries (a few dozen 3 x n float arrays) to a few MB.
+MARGIN_CHUNK = 4096
+
+#: Scan-plane screen (_lines_near_tx): relative allowance on the edge
+#: semi-major for how it changes within one scan period, and a bound on
+#: the Earth-fixed acceleration of a LEO satellite (m/s^2): gravity at the
+#: surface, 9.8, plus Coriolis, 2 w |v| < 1.2, plus centrifugal, < 0.04.
+_SCREEN_SLACK = 0.01
+_ACCEL_BOUND = 12.0
 
 MAX_WINDOW_DAYS = 30.0
 
@@ -135,15 +164,22 @@ class _SatGeometry:
         return r, v_inertial
 
     def margins(self, offsets, boresight_deg):
-        """Inflated-ellipse margin of the transmitter for given samples."""
+        """Inflated-ellipse margin of the transmitter for given samples.
+
+        Evaluated MARGIN_CHUNK samples at a time; footprints do not depend
+        on which other samples are computed with them.
+        """
         offsets = np.asarray(offsets, dtype=float)
-        if offsets.size == 0:
-            return np.empty(0)
-        r, v = self.states(offsets)
-        arrays = _footprint_arrays(r, v, boresight_deg, self.spec,
-                                   self.ground_altitude)
-        return _ellipse_margins(arrays, self.tx_ecef,
-                                self.policy.buffer_multiplier)
+        boresight_deg = np.asarray(boresight_deg, dtype=float)
+        out = np.empty(offsets.shape)
+        for i in range(0, offsets.size, MARGIN_CHUNK):
+            part = slice(i, i + MARGIN_CHUNK)
+            r, v = self.states(offsets[part])
+            arrays = _footprint_arrays(r, v, boresight_deg[part], self.spec,
+                                       self.ground_altitude)
+            out[part] = _ellipse_margins(arrays, self.tx_ecef,
+                                         self.policy.buffer_multiplier)
+        return out
 
     def margins_at(self, offsets):
         """Margin of the sample active at each offset (its own pixel)."""
@@ -215,19 +251,120 @@ def _bisect_boundary(geom: _SatGeometry, boresight: np.ndarray,
     return 0.5 * (lo + hi)
 
 
+def _lines_near_tx(geom: _SatGeometry, lines: np.ndarray) -> np.ndarray:
+    """Keep-mask: True for each scan line that can subtend the transmitter.
+
+    Take one state per line, at its first sample (time t0): r the
+    satellite position, v the velocity that _SatGeometry.states returns
+    (the inertial velocity in Earth-fixed axes), a = unit(v_perp) the scan
+    axis as _footprint_arrays computes it (radiometer._scan_axis), tx the
+    transmitter and T the scan period.  A sample of the line can have
+    margin <= 0 only if
+
+        |a . (tx - r)| <= R = (1 + s) A + zeta
+                              + T (V + Omega (|tx - r| + V T))
+
+    with A = buffer_multiplier * the larger semi_major of the two edge
+    samples, s = _SCREEN_SLACK, V = |v| + w |r| + G T (w the Earth's
+    rotation rate, G = _ACCEL_BOUND), M = B'**2 / A' the smallest radius
+    of curvature of the ground-altitude ellipsoid (semi-axes A', B') and
+
+        zeta  = |h_tx - h_ground| + ((1 + s) A)**2 / M
+        Omega = 1.5 (n (1 + e)**2 / (1 - e**2)**1.5 + w)
+
+    n the mean motion and e the eccentricity of the element set.  Why:
+
+    - Every boresight is nadir rotated about a, and a is orthogonal to
+      nadir, so every footprint centre c(t) lies in the scan plane through
+      r(t) with normal a(t): a(t) . (tx - r(t)) = a(t) . (tx - c(t)).
+    - margin <= 0 puts tx - c within m * semi_major of c in the tangent
+      plane at c (m the buffer multiplier, the minor axis is shorter).
+      semi_major is largest at the scan edges; s covers how it changes
+      within one scan period as the altitude changes.
+    - zeta bounds the offset of tx from that tangent plane along the
+      surface normal at c.  The ellipsoid's curvature is at most 1 / M, so
+      the ball of radius M tangent inside it at c lies inside it, and a
+      surface point a tangent distance rho <= (1 + s) A from c lies at
+      most M - sqrt(M**2 - rho**2) <= rho**2 / M below the plane; tx sits
+      |h_tx - h_ground| off that surface.  This holds on the near side of
+      the Earth only (the point where the normal line meets the surface
+      first); a transmitter on the far side has the same tangent-plane
+      offset.  The visibility windows guarantee the near side: the
+      satellite is above HORIZON_GUARD_DEG at tx (a few degrees lower in
+      the COARSE_STEP_S margins) and c is in its view, so the central
+      angle between c and tx stays below 90 degrees for satellites below
+      about 2,500 km.
+    - The last term bounds how far the plane moves and turns within one
+      scan period, through the last sample's end at t0 + T.  The
+      Earth-fixed velocity is at most |v| + w |r| at t0 and changes by at
+      most G per second (gravity plus Coriolis and centrifugal terms), so
+      V bounds the speed and |tx - r| + V T the distance over the line.
+      The scan axis turns no faster than the velocity direction of a
+      Keplerian orbit at perigee plus the Earth's rotation; Omega adds
+      half of that again for perturbations and the projection off nadir.
+
+    A line whose edge rays miss the Earth gets R = inf.
+    """
+    spec = geom.spec
+    period = spec.scan_period
+    r, v = geom.states(lines * period - geom.base)
+    _, axis = _scan_axis(r, v)
+    n = lines.size
+    edges = spec.boresight_of(np.tile([0, spec.samples_per_scan - 1], n))
+    edge = _footprint_arrays(np.repeat(r, 2, axis=1),
+                             np.repeat(v, 2, axis=1), edges, spec,
+                             geom.ground_altitude)
+    reach = ((1.0 + _SCREEN_SLACK) * geom.policy.buffer_multiplier
+             * edge["semi_major"].reshape(n, 2).max(axis=1))
+    reach = np.where(edge["miss"].reshape(n, 2).any(axis=1), np.inf, reach)
+
+    big_m = ((frames.WGS84_B + geom.ground_altitude) ** 2
+             / (frames.WGS84_A + geom.ground_altitude))
+    zeta = abs(geom.tx.altitude - geom.ground_altitude) + reach ** 2 / big_m
+    mean_motion = geom.elements.mean_motion * 2.0 * np.pi / 86400.0
+    ecc = geom.elements.eccentricity
+    turn_rate = 1.5 * (mean_motion * (1.0 + ecc) ** 2
+                       / (1.0 - ecc ** 2) ** 1.5 + frames.OMEGA_EARTH)
+    speed = (np.linalg.norm(v, axis=0)
+             + frames.OMEGA_EARTH * np.linalg.norm(r, axis=0)
+             + _ACCEL_BOUND * period)
+    to_tx = geom.tx_ecef.reshape(3, 1) - r
+    bound = reach + zeta + period * (
+        speed + turn_rate * (np.linalg.norm(to_tx, axis=0) + speed * period))
+    return np.abs(np.sum(axis * to_tx, axis=0)) <= bound
+
+
+def _screen_windows(geom: _SatGeometry, ranges):
+    """Kept scan lines of each visibility window.
+
+    ranges holds (w0, w1, first line, last line) per window; the lines of
+    all windows are screened by _lines_near_tx in one call.  Returns
+    (w0, w1, kept line ids) per window.
+    """
+    lines = [np.arange(first, last + 1) for _, _, first, last in ranges]
+    if not lines:
+        return []
+    keep = np.split(_lines_near_tx(geom, np.concatenate(lines)),
+                    np.cumsum([ids.size for ids in lines])[:-1])
+    return [(w0, w1, ids[k])
+            for (w0, w1, _, _), ids, k in zip(ranges, lines, keep)]
+
+
 def _pixel_level_spans(geom: _SatGeometry, duration_s: float):
     """Dark (start, end, line) spans in window offsets, pixel granularity."""
     spec = geom.spec
+    n = spec.samples_per_scan
     dwell = spec.sample_dwell
-    spans = []
+    ranges = []
     for w0, w1 in geom.visibility_windows(duration_s):
-        tau0 = geom.tau(w0)
-        line_lo = int(np.floor(tau0 / spec.scan_period))
-        n_samples = int(np.ceil((w1 - w0) / dwell)) + spec.samples_per_scan
-        lines = line_lo + (np.arange(n_samples) // spec.samples_per_scan)
-        idx = np.arange(n_samples) % spec.samples_per_scan
-        tau_start = lines * spec.scan_period + idx * dwell
-        starts = tau_start - geom.base
+        first = int(np.floor(geom.tau(w0) / spec.scan_period))
+        n_samples = int(np.ceil((w1 - w0) / dwell)) + n
+        ranges.append((w0, w1, first, first + (n_samples - 1) // n))
+    spans = []
+    for w0, w1, kept in _screen_windows(geom, ranges):
+        lines = np.repeat(kept, n)
+        idx = np.tile(np.arange(n), kept.size)
+        starts = lines * spec.scan_period + idx * dwell - geom.base
         keep = (starts + dwell > w0) & (starts < w1)
         lines, idx, starts = lines[keep], idx[keep], starts[keep]
         if starts.size == 0:
@@ -290,11 +427,11 @@ def _line_dark_flags(geom: _SatGeometry, lines: np.ndarray):
 def _scan_line_spans(geom: _SatGeometry, duration_s: float):
     """Dark (start, end, line) spans at scan-line granularity."""
     spec = geom.spec
+    ranges = [(w0, w1, int(np.floor(geom.tau(w0) / spec.scan_period)),
+               int(np.floor(geom.tau(w1) / spec.scan_period)))
+              for w0, w1 in geom.visibility_windows(duration_s)]
     spans = []
-    for w0, w1 in geom.visibility_windows(duration_s):
-        line_lo = int(np.floor(geom.tau(w0) / spec.scan_period))
-        line_hi = int(np.floor(geom.tau(w1) / spec.scan_period))
-        lines = np.arange(line_lo, line_hi + 1)
+    for _, _, lines in _screen_windows(geom, ranges):
         dark = _line_dark_flags(geom, lines)
         for ln in lines[dark]:
             s = ln * spec.scan_period - geom.base
@@ -393,6 +530,12 @@ def brute_force_oracle(tx: GroundPoint,
     subtend), which leaves the result identical to exhaustive sampling.
     Cost is O(window / dt); intervals shorter than dt can be missed, so
     tests must choose dt well below the expected interval durations.
+
+    The oracle does not use the engine's scan-plane screen
+    (_lines_near_tx): it evaluates every dt sample of every visibility
+    window.  It does share visibility_windows (the horizon prefilter),
+    _footprint_arrays and _ellipse_margins with the engine, so engine and
+    oracle agree on a defect in those.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -477,41 +620,40 @@ def availability(schedule: DarkSchedule,
 SCHEDULE_CSV_HEADER = "tx_id,satellite_id,scan_line_index,start_utc,end_utc,policy_kind"
 
 
-def _iso(t: datetime) -> str:
-    return t.isoformat(timespec="microseconds").replace("+00:00", "Z")
-
-
-def write_schedule_csv(schedule: DarkSchedule, path,
+def write_schedule_csv(schedules: Sequence[DarkSchedule], path,
                        provenance: Sequence[str] = ()) -> None:
-    """CSV schedule; provenance lines become leading '#' comments."""
+    """CSV of the schedules' intervals, one schedule after the other;
+    provenance lines become leading '#' comments."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for line in provenance:
             fh.write(f"# {line}\n")
         fh.write(SCHEDULE_CSV_HEADER + "\n")
-        for iv in schedule.intervals:
-            fh.write(",".join([
-                schedule.tx_id,
-                iv.satellite_id,
-                str(iv.scan_line_index),
-                _iso(iv.start),
-                _iso(iv.end),
-                schedule.policy.kind.value,
-            ]) + "\n")
+        for schedule in schedules:
+            for iv in schedule.intervals:
+                fh.write(",".join([
+                    schedule.tx_id,
+                    iv.satellite_id,
+                    str(iv.scan_line_index),
+                    iso_utc(iv.start),
+                    iso_utc(iv.end),
+                    schedule.policy.kind.value,
+                ]) + "\n")
 
 
-def write_schedule_jsonl(schedule: DarkSchedule, path,
+def write_schedule_jsonl(schedules: Sequence[DarkSchedule], path,
                          provenance: dict = None) -> None:
     """JSONL mirror of the CSV; an optional provenance record leads."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         if provenance is not None:
             fh.write(json.dumps({"provenance": provenance},
                                 sort_keys=True) + "\n")
-        for iv in schedule.intervals:
-            fh.write(json.dumps({
-                "tx_id": schedule.tx_id,
-                "satellite_id": iv.satellite_id,
-                "scan_line_index": iv.scan_line_index,
-                "start_utc": _iso(iv.start),
-                "end_utc": _iso(iv.end),
-                "policy_kind": schedule.policy.kind.value,
-            }, sort_keys=True) + "\n")
+        for schedule in schedules:
+            for iv in schedule.intervals:
+                fh.write(json.dumps({
+                    "tx_id": schedule.tx_id,
+                    "satellite_id": iv.satellite_id,
+                    "scan_line_index": iv.scan_line_index,
+                    "start_utc": iso_utc(iv.start),
+                    "end_utc": iso_utc(iv.end),
+                    "policy_kind": schedule.policy.kind.value,
+                }, sort_keys=True) + "\n")

@@ -205,6 +205,19 @@ def _unit(vec):
     return vec / np.linalg.norm(vec, axis=0)
 
 
+def _scan_axis(sat_r, sat_v_inertial):
+    """Geodetic up at the sub-satellite point and the scan rotation axis.
+
+    The axis is the along-track direction made exactly orthogonal to nadir,
+    so a boresight rotation of theta subtends exactly theta.  Both are
+    shaped (3, n) like the inputs.
+    """
+    lat, lon, _ = frames.ecef_to_geodetic(sat_r)
+    _, _, up = frames.enu_basis(lat, lon)
+    v_perp = sat_v_inertial - up * np.sum(sat_v_inertial * up, axis=0)
+    return up, _unit(v_perp)
+
+
 def _footprint_arrays(sat_r, sat_v_inertial, boresight_deg, spec,
                       ground_altitude):
     """Build footprint ellipses for many samples at once.
@@ -222,13 +235,8 @@ def _footprint_arrays(sat_r, sat_v_inertial, boresight_deg, spec,
     theta = np.radians(np.atleast_1d(np.asarray(boresight_deg, dtype=float)))
     half_beam = math.radians(spec.beamwidth_3db / 2.0)
 
-    lat, lon, _ = frames.ecef_to_geodetic(sat_r)
-    _, _, up = frames.enu_basis(lat, lon)
+    up, axis = _scan_axis(sat_r, sat_v)
     nadir = -up
-    # Scan rotation axis: along-track direction made exactly orthogonal to
-    # nadir, so a boresight rotation of theta subtends exactly theta.
-    v_perp = sat_v - up * np.sum(sat_v * up, axis=0)
-    axis = _unit(v_perp)
 
     d0 = _rotate(nadir, axis, theta)
     center, miss = _ray_ellipsoid(sat_r, d0, ground_altitude)
@@ -332,17 +340,6 @@ def pixel_footprint(sat: SatelliteState, sample: ScanSample,
     )
 
 
-def _pixel_margin(fp: PixelFootprint, tx: GroundPoint,
-                  buffer_multiplier: float) -> float:
-    geom = fp._geom
-    delta = tx.ecef() - np.array(geom.center_ecef)
-    x = float(np.dot(delta, geom.u_major))
-    y = float(np.dot(delta, geom.u_minor))
-    a = fp.semi_major * buffer_multiplier
-    b = fp.semi_minor * buffer_multiplier
-    return (x / a) ** 2 + (y / b) ** 2 - 1.0
-
-
 def subtends(fp: PixelFootprint, tx: GroundPoint,
              policy: BufferPolicy) -> bool:
     """Does this footprint (under the given policy) subtend the transmitter?
@@ -352,9 +349,16 @@ def subtends(fp: PixelFootprint, tx: GroundPoint,
     inflated swath strip of the footprint's scan line, evaluated with the
     satellite geometry the footprint was built from.
     """
-    if policy.kind is PolicyKind.PIXEL_LEVEL:
-        return _pixel_margin(fp, tx, policy.buffer_multiplier) <= 0.0
     geom = fp._geom
+    if policy.kind is PolicyKind.PIXEL_LEVEL:
+        frame = {"center": np.reshape(geom.center_ecef, (3, 1)),
+                 "u_major": np.reshape(geom.u_major, (3, 1)),
+                 "u_minor": np.reshape(geom.u_minor, (3, 1)),
+                 "semi_major": fp.semi_major,
+                 "semi_minor": fp.semi_minor,
+                 "miss": False}
+        margin = _ellipse_margins(frame, tx.ecef(), policy.buffer_multiplier)
+        return bool(margin[0] <= 0.0)
     spec = geom.spec
     n = spec.samples_per_scan
     boresights = spec.boresight_of(np.arange(n))

@@ -101,6 +101,11 @@ def add_seconds(t: datetime, seconds: float) -> datetime:
     return ensure_utc(t) + timedelta(seconds=seconds)
 
 
+def iso_utc(t: datetime) -> str:
+    """ISO 8601 with microseconds and a 'Z' suffix, as outputs print it."""
+    return t.isoformat(timespec="microseconds").replace("+00:00", "Z")
+
+
 def tle_epoch_to_datetime(two_digit_year: int, day_of_year: float) -> datetime:
     """Decode the TLE epoch fields (YY, DDD.DDDDDDDD) to a UTC datetime.
 

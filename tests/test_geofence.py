@@ -1,9 +1,11 @@
 """Dark-interval engine vs oracle, scheduling properties, availability."""
+from dataclasses import replace
 from datetime import timedelta
 
 import numpy as np
 import pytest
 
+from darkspace import geofence
 from darkspace.errors import (EmptyConstellation, NotPhaseLocked,
                               WindowTooLarge)
 from darkspace.geofence import (SCHEDULE_CSV_HEADER, availability,
@@ -209,7 +211,7 @@ def test_schedule_serialization(tmp_path, pass_setup):
     tx, sats, window = pass_setup
     sched = dark_intervals(tx, sats, window, PIXEL)
     csv_path = tmp_path / "sched.csv"
-    write_schedule_csv(sched, csv_path, provenance=["seed=1"])
+    write_schedule_csv([sched], csv_path, provenance=["seed=1"])
     lines = csv_path.read_text().splitlines()
     data_lines = [l for l in lines if not l.startswith("#")]
     assert data_lines[0] == SCHEDULE_CSV_HEADER
@@ -217,9 +219,93 @@ def test_schedule_serialization(tmp_path, pass_setup):
     assert data_lines[1].startswith("tx,")
 
     jsonl_path = tmp_path / "sched.jsonl"
-    write_schedule_jsonl(sched, jsonl_path, provenance={"seed": 1})
+    write_schedule_jsonl([sched], jsonl_path, provenance={"seed": 1})
     import json
     rows = [json.loads(l) for l in jsonl_path.read_text().splitlines()]
     assert "provenance" in rows[0]
     assert len(rows) == 1 + len(sched.intervals)
     assert rows[1]["policy_kind"] == "pixel"
+
+
+# --- scan-plane screen ---------------------------------------------------
+
+
+def _screen_specs(atms, amsua):
+    """ATMS, a phase-locked AMSU-A and a long-dwell nadir scanner, each
+    with the cross-track offset (km) up to which transmitters are placed:
+    about its buffered swath, so that some of them are dark."""
+    return [(atms, 1600.0), (replace(amsua, phase_locked=True), 1600.0),
+            (replace(atms, name="long-dwell", samples_per_scan=1,
+                     scan_period=8.0, beamwidth_3db=1.0), 10.0)]
+
+
+def _screen_fixture(rng, kind, max_cross_km):
+    """A 2 h window over an eccentric orbit, a transmitter up to
+    max_cross_km off the track at an altitude other than the ground's."""
+    elements = replace(random_leo_elements(rng, 91000),
+                       eccentricity=float(rng.uniform(0.0, 0.08)),
+                       mean_motion=float(rng.uniform(13.8, 14.3)))
+    window = (EPOCH, add_seconds(EPOCH, 2 * 3600))
+    near = transmitter_near_track(rng, elements, window, max_cross_km)
+    tx = GroundPoint(near.latitude, near.longitude,
+                     float(rng.uniform(0.0, 3000.0)))
+    policy = BufferPolicy(kind, float(rng.uniform(1.0, 8.0)))
+    return tx, elements, window, policy, float(rng.uniform(-100.0, 2000.0))
+
+
+def test_screen_matches_unscreened_engine(atms, amsua, monkeypatch):
+    """The screened engine equals the engine that keeps every scan line."""
+    rng = np.random.default_rng(20231018)
+    specs = _screen_specs(atms, amsua)
+    fixtures = [_screen_fixture(rng, (PolicyKind.PIXEL_LEVEL,
+                                      PolicyKind.SCAN_LINE)[i // 3 % 2],
+                                specs[i % 3][1])
+                + (specs[i % 3][0],) for i in range(12)]
+
+    def run():
+        return [dark_intervals(tx, [(els, spec)], window, policy,
+                               ground_altitude=ground)
+                for tx, els, window, policy, ground, spec in fixtures]
+
+    screened = run()
+    monkeypatch.setattr(geofence, "_lines_near_tx",
+                        lambda geom, lines: np.ones(len(lines), dtype=bool))
+    unscreened = run()
+    for i, (a, b) in enumerate(zip(screened, unscreened)):
+        assert a == b, f"fixture {i}"
+    assert sum(bool(s.intervals) for s in screened) >= 6
+
+
+@pytest.mark.parametrize("which", [0, 1, 2])
+def test_screen_keeps_every_dark_line(atms, amsua, which):
+    """Every sample with margin <= 0, at instants spread over its dwell,
+    lies on a line that _lines_near_tx keeps."""
+    spec, max_cross_km = _screen_specs(atms, amsua)[which]
+    n = spec.samples_per_scan
+    steps = max(2, int(np.ceil(spec.sample_dwell / 0.05)))
+    frac = np.arange(steps + 1) / steps
+    idx = np.repeat(np.arange(n), frac.size)
+    within = (idx + np.tile(frac, n)) * spec.sample_dwell
+    period = spec.scan_period
+    n_dark = n_kept = n_lines = 0
+    for seed in range(10):
+        rng = np.random.default_rng(100 * which + seed)
+        tx, elements, window, policy, ground = _screen_fixture(
+            rng, PolicyKind.PIXEL_LEVEL, max_cross_km)
+        geom = geofence._SatGeometry(elements, spec, window[0], tx, policy,
+                                     ground)
+        lines = np.concatenate([
+            np.arange(np.floor(geom.tau(w0) / period),
+                      np.floor(geom.tau(w1) / period) + 1, dtype=np.int64)
+            for w0, w1 in geom.visibility_windows(7200.0)])
+        keep = geofence._lines_near_tx(geom, lines)
+        offsets = (lines[:, None] * period - geom.base + within).ravel()
+        boresight = np.tile(spec.boresight_of(idx), lines.size)
+        dark = (geom.margins(offsets, boresight) <= 0.0).reshape(
+            lines.size, -1).any(axis=1)
+        assert not np.any(dark & ~keep), (seed, lines[dark & ~keep])
+        n_dark += int(dark.sum())
+        n_kept += int(keep.sum())
+        n_lines += lines.size
+    assert n_dark > 0
+    assert n_kept < 0.5 * n_lines
