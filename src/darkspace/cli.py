@@ -32,7 +32,7 @@ from .propagation import (GeoBox, PathModel, TransmitterKind, TransmitterSpec,
                           generate_deployment, read_deployment_jsonl,
                           write_deployment_jsonl,
                           write_interference_grid_csv)
-from .radiometer import ScanSample, footprints_batch
+from .radiometer import ScanLattice, ScanSample, footprints_batch
 from .timeutil import add_seconds, iso_utc
 
 
@@ -279,21 +279,21 @@ def _itu_pixels(config, satellite, max_pixels, bbox):
     down to max_pixels, are those of footprinting every sample.
     """
     elements, spec = satellite
+    lattice = ScanLattice(spec, elements.epoch)
     start, end = config.window()
     duration = (end - start).total_seconds()
-    base = (start - elements.epoch).total_seconds()
+    base = lattice.offset(start)
     ground_altitude = config.ground_altitude()
 
     n_lines = int(np.ceil(duration / spec.scan_period)) + 2
-    line0 = int(np.floor(base / spec.scan_period))
+    line0 = int(lattice.line_at(base))
     line_ids = np.arange(line0, line0 + n_lines)
     line_ids = line_ids[_lines_near_box(
-        elements, spec, start, line_ids * spec.scan_period - base, bbox,
+        elements, spec, start, lattice.tau(line_ids) - base, bbox,
         ground_altitude)]
     lines = np.repeat(line_ids, spec.samples_per_scan)
     idx = np.tile(np.arange(spec.samples_per_scan), line_ids.size)
-    tau = lines * spec.scan_period + idx * spec.sample_dwell
-    offsets = tau - base
+    offsets = lattice.tau(lines, idx) - base
     keep = (offsets >= 0) & (offsets <= duration)
     lines, idx, offsets = lines[keep], idx[keep], offsets[keep]
 

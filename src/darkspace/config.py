@@ -144,7 +144,7 @@ class ScenarioConfig:
                 point = GroundPoint(float(entry["lat"]),
                                     float(entry["lon"]),
                                     float(entry.get("alt_m", 0.0)))
-            except (KeyError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"{key}: {exc}") from exc
             out.append((str(entry.get("id", f"tx{i}")), point, entry))
         return out
@@ -172,7 +172,7 @@ class ScenarioConfig:
                 buffer_multiplier=float(node.get("buffer_multiplier", 2.0)),
                 temporal_pad=float(node.get("temporal_pad_s", 0.0)),
             )
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"policy: {exc}") from exc
 
     def ground_altitude(self) -> float:

@@ -21,7 +21,8 @@ from .linkbudget import LossChain, fspl_db
 from .orbit import (GroundPoint, OrbitalElements, propagate, topocentric)
 from .propagation import TransmitterSpec
 from .radiometer import (BufferPolicy, PolicyKind, RadiometerSpec,
-                         ScanSample, pixel_footprint, scan_phase)
+                         ScanLattice, ScanSample, pixel_footprint,
+                         scan_phase)
 from .timeutil import add_seconds, ensure_utc
 
 
@@ -169,29 +170,25 @@ def ellipse_overlap_fraction(fp_on, fp_off, n_radial: int = 24,
     return float(np.mean(inside))
 
 
-def _off_reference(sample: ScanSample, spec: RadiometerSpec) -> ScanSample:
+def _off_reference(sample: ScanSample, lattice: ScanLattice) -> ScanSample:
     """The overlapping pixel one scan line later (same sample slot)."""
-    return ScanSample(
-        scan_line_index=sample.scan_line_index + 1,
-        sample_index=sample.sample_index,
-        t=add_seconds(sample.t, spec.scan_period),
-        boresight_angle=sample.boresight_angle,
-    )
+    return lattice.scan_sample(sample.scan_line_index + 1,
+                               sample.sample_index)
 
 
-def _pulse_dwells(spec: RadiometerSpec, t0, on_start, on_end):
-    """(line, sample) keys of every dwell the pulse would transmit into."""
-    dwell = spec.sample_dwell
-    keys = []
-    tau = (on_start - t0).total_seconds()
-    tau_end = (on_end - t0).total_seconds()
-    while tau < tau_end:
-        line = math.floor(tau / spec.scan_period)
-        frac = tau - line * spec.scan_period
-        idx = min(int(frac / dwell), spec.samples_per_scan - 1)
-        keys.append((line, idx))
-        tau = line * spec.scan_period + (idx + 1) * dwell + 1.0e-9
-    return keys
+def _contaminated(plan_mode: str, lattice: ScanLattice, line: int,
+                  on_start: datetime, on_end: datetime):
+    """(line, sample) keys of every dwell an ON pulse contaminates.
+
+    A pixel-mode pulse contaminates the dwells it transmits into.  In
+    scan-line mode the scan phase within the line is not predictable, so
+    every sample of the pulse's line is suspect.
+    """
+    if plan_mode == "scanline":
+        return [(line, i) for i in range(lattice.spec.samples_per_scan)]
+    lines, samples = lattice.dwells(lattice.offset(on_start),
+                                    lattice.offset(on_end))
+    return list(zip(lines.tolist(), samples.tolist()))
 
 
 def plan_experiment(tx: TransmitterSpec,
@@ -220,6 +217,7 @@ def plan_experiment(tx: TransmitterSpec,
 
     schedule = dark_intervals(tx.location, [sat], window, policy,
                               tx_id=tx.id, ground_altitude=ground_altitude)
+    lattice = ScanLattice(spec, elements.epoch)
     pulses = []
     discarded_overlap = 0
     discarded_off_conflict = 0
@@ -232,15 +230,11 @@ def plan_experiment(tx: TransmitterSpec,
             mid = add_seconds(on_start, (on_end - on_start).total_seconds()
                               / 2.0)
             target = scan_phase(spec, mid, elements.epoch)
-            dwells = _pulse_dwells(spec, elements.epoch, on_start, on_end)
         else:
-            line_start = add_seconds(
-                elements.epoch, iv.scan_line_index * spec.scan_period)
-            target = ScanSample(iv.scan_line_index, 0, line_start,
-                                float(spec.boresight_of(0)))
-            dwells = [(iv.scan_line_index, i)
-                      for i in range(spec.samples_per_scan)]
-        off_ref = _off_reference(target, spec)
+            target = lattice.scan_sample(iv.scan_line_index, 0)
+        dwells = _contaminated(mode, lattice, target.scan_line_index,
+                               on_start, on_end)
+        off_ref = _off_reference(target, lattice)
         off_key = (off_ref.scan_line_index, off_ref.sample_index)
         off_keys = ({off_key} if mode == "pixel" else
                     {(off_ref.scan_line_index, i)
@@ -384,58 +378,32 @@ def safety_audit(plan: FlashlightPlan, p_on_dbm: float,
 
 
 def exclusion_records(plan: FlashlightPlan) -> list[ExclusionRecord]:
-    """One record per pixel whose dwell overlaps an ON pulse.
+    """One record per pixel an ON pulse contaminates.
 
     Every instant inside a pulse is subtension time by construction, so the
-    active pixels are exactly the contaminated ones.  OFF-reference pixels
-    are one scan line later than any pulse and are never excluded.
+    dwells a pulse transmits into (ScanLattice.dwells) are exactly the
+    contaminated ones.  OFF-reference pixels are one scan line later than
+    any pulse and are never excluded.
     """
-    spec = plan.spec
-    dwell = spec.sample_dwell
-    t0 = plan.elements.epoch
+    lattice = ScanLattice(plan.spec, plan.elements.epoch)
+    reason = ("rf-flashlight ON (scan-line mode)" if plan.mode == "scanline"
+              else "rf-flashlight ON")
     records = []
     seen = set()
     for pulse in plan.pulses:
-        if plan.mode == "scanline":
-            # Whole-line exclusion: the scan phase within the line is not
-            # predictable, so every pixel of the line is suspect.
-            line = pulse.target.scan_line_index
-            for idx in range(spec.samples_per_scan):
-                key = (line, idx)
-                if key in seen:
-                    continue
-                seen.add(key)
-                start = add_seconds(t0, line * spec.scan_period
-                                    + idx * dwell)
-                records.append(ExclusionRecord(
-                    satellite_id=plan.satellite_id,
-                    scan_line_index=line,
-                    sample_index=idx,
-                    start=start,
-                    end=add_seconds(start, dwell),
-                    reason="rf-flashlight ON (scan-line mode)",
-                ))
-            continue
-        tau = (pulse.on_start - t0).total_seconds()
-        tau_end = (pulse.on_end - t0).total_seconds()
-        while tau < tau_end:
-            line = math.floor(tau / spec.scan_period)
-            frac = tau - line * spec.scan_period
-            idx = min(int(frac / dwell), spec.samples_per_scan - 1)
-            key = (line, idx)
-            if key not in seen:
-                seen.add(key)
-                start = add_seconds(t0, line * spec.scan_period
-                                    + idx * dwell)
-                records.append(ExclusionRecord(
-                    satellite_id=plan.satellite_id,
-                    scan_line_index=line,
-                    sample_index=idx,
-                    start=start,
-                    end=add_seconds(start, dwell),
-                    reason="rf-flashlight ON",
-                ))
-            # Step just past this dwell's end; the nanosecond nudge defeats
-            # float ties at the boundary.
-            tau = line * spec.scan_period + (idx + 1) * dwell + 1.0e-9
+        for key in _contaminated(plan.mode, lattice,
+                                 pulse.target.scan_line_index,
+                                 pulse.on_start, pulse.on_end):
+            if key in seen:
+                continue
+            seen.add(key)
+            start = lattice.scan_sample(*key).t
+            records.append(ExclusionRecord(
+                satellite_id=plan.satellite_id,
+                scan_line_index=key[0],
+                sample_index=key[1],
+                start=start,
+                end=add_seconds(start, plan.spec.sample_dwell),
+                reason=reason,
+            ))
     return records

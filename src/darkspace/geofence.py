@@ -33,7 +33,8 @@ import numpy as np
 from .errors import EmptyConstellation, NotPhaseLocked, WindowTooLarge
 from .orbit import GroundPoint, OrbitalElements, propagate_many, frames
 from .radiometer import (BufferPolicy, PolicyKind, RadiometerSpec,
-                         _ellipse_margins, _footprint_arrays, _scan_axis)
+                         ScanLattice, _ellipse_margins, _footprint_arrays,
+                         _scan_axis)
 from .timeutil import add_seconds, ensure_utc, iso_utc
 
 #: Coarse prefilter: step (s) and below-horizon guard (deg).  The
@@ -118,25 +119,11 @@ class AvailabilityReport:
 # --- internal machinery ------------------------------------------------------
 
 
-def _sample_indices(spec: RadiometerSpec, tau):
-    """Scan line and sample index for offsets tau (s) from the phase origin.
-
-    Identical arithmetic to radiometer.scan_phase, vectorized, including
-    the half-microsecond boundary snap.
-    """
-    tau = np.asarray(tau, dtype=float) + 5.0e-7
-    line = np.floor(tau / spec.scan_period)
-    frac = tau - line * spec.scan_period
-    idx = np.floor(frac / spec.sample_dwell).astype(np.int64)
-    idx = np.clip(idx, 0, spec.samples_per_scan - 1)
-    return line.astype(np.int64), idx
-
-
 class _SatGeometry:
     """Vectorized margin evaluation for one satellite/radiometer pair.
 
-    Offsets are seconds from the window start; the scan phase origin is the
-    element set epoch.
+    Offsets are seconds from the window start; the scan lattice counts
+    from the element set epoch, base seconds before the window start.
     """
 
     def __init__(self, elements: OrbitalElements, spec: RadiometerSpec,
@@ -149,8 +136,8 @@ class _SatGeometry:
         self.tx_ecef = tx.ecef()
         self.policy = policy
         self.ground_altitude = ground_altitude
-        self.base = (ensure_utc(window_start)
-                     - ensure_utc(elements.epoch)).total_seconds()
+        self.lattice = ScanLattice(spec, elements.epoch)
+        self.base = self.lattice.offset(window_start)
 
     def tau(self, offsets):
         """Window offsets (s) -> scan-phase offsets from the epoch."""
@@ -184,7 +171,7 @@ class _SatGeometry:
     def margins_at(self, offsets):
         """Margin of the sample active at each offset (its own pixel)."""
         offsets = np.asarray(offsets, dtype=float)
-        _, idx = _sample_indices(self.spec, self.tau(offsets))
+        _, idx = self.lattice.index(self.tau(offsets))
         return self.margins(offsets, self.spec.boresight_of(idx))
 
     def visibility_windows(self, duration_s: float):
@@ -307,7 +294,7 @@ def _lines_near_tx(geom: _SatGeometry, lines: np.ndarray) -> np.ndarray:
     """
     spec = geom.spec
     period = spec.scan_period
-    r, v = geom.states(lines * period - geom.base)
+    r, v = geom.states(geom.lattice.tau(lines) - geom.base)
     _, axis = _scan_axis(r, v)
     n = lines.size
     edges = spec.boresight_of(np.tile([0, spec.samples_per_scan - 1], n))
@@ -357,14 +344,14 @@ def _pixel_level_spans(geom: _SatGeometry, duration_s: float):
     dwell = spec.sample_dwell
     ranges = []
     for w0, w1 in geom.visibility_windows(duration_s):
-        first = int(np.floor(geom.tau(w0) / spec.scan_period))
+        first = int(geom.lattice.line_at(geom.tau(w0)))
         n_samples = int(np.ceil((w1 - w0) / dwell)) + n
         ranges.append((w0, w1, first, first + (n_samples - 1) // n))
     spans = []
     for w0, w1, kept in _screen_windows(geom, ranges):
         lines = np.repeat(kept, n)
         idx = np.tile(np.arange(n), kept.size)
-        starts = lines * spec.scan_period + idx * dwell - geom.base
+        starts = geom.lattice.tau(lines, idx) - geom.base
         keep = (starts + dwell > w0) & (starts < w1)
         lines, idx, starts = lines[keep], idx[keep], starts[keep]
         if starts.size == 0:
@@ -414,9 +401,7 @@ def _line_dark_flags(geom: _SatGeometry, lines: np.ndarray):
     if lines.size == 0:
         return np.zeros(0, dtype=bool)
     idx = np.tile(np.arange(n), lines.size)
-    line_rep = np.repeat(lines, n)
-    tau_start = line_rep * spec.scan_period + idx * spec.sample_dwell
-    offsets = tau_start - geom.base
+    offsets = geom.lattice.tau(np.repeat(lines, n), idx) - geom.base
     boresight = spec.boresight_of(idx)
     m_start = geom.margins(offsets, boresight)
     m_end = geom.margins(offsets + spec.sample_dwell, boresight)
@@ -426,16 +411,16 @@ def _line_dark_flags(geom: _SatGeometry, lines: np.ndarray):
 
 def _scan_line_spans(geom: _SatGeometry, duration_s: float):
     """Dark (start, end, line) spans at scan-line granularity."""
-    spec = geom.spec
-    ranges = [(w0, w1, int(np.floor(geom.tau(w0) / spec.scan_period)),
-               int(np.floor(geom.tau(w1) / spec.scan_period)))
+    period = geom.spec.scan_period
+    ranges = [(w0, w1, int(geom.lattice.line_at(geom.tau(w0))),
+               int(geom.lattice.line_at(geom.tau(w1))))
               for w0, w1 in geom.visibility_windows(duration_s)]
     spans = []
     for _, _, lines in _screen_windows(geom, ranges):
         dark = _line_dark_flags(geom, lines)
         for ln in lines[dark]:
-            s = ln * spec.scan_period - geom.base
-            spans.append((float(s), float(s + spec.scan_period), int(ln)))
+            s = geom.lattice.tau(ln) - geom.base
+            spans.append((float(s), float(s + period), int(ln)))
     return spans
 
 
@@ -566,7 +551,7 @@ def brute_force_oracle(tx: GroundPoint,
                 if policy.kind is PolicyKind.PIXEL_LEVEL:
                     dark = geom.margins_at(offsets) <= 0.0
                 else:
-                    lines, _ = _sample_indices(spec, geom.tau(offsets))
+                    lines, _ = geom.lattice.index(geom.tau(offsets))
                     uniq, inverse = np.unique(lines, return_inverse=True)
                     dark = _line_dark_flags(geom, uniq)[inverse]
                 # Assemble runs of consecutive dark samples.
@@ -575,8 +560,7 @@ def brute_force_oracle(tx: GroundPoint,
                 for a, b in zip(edges[::2], edges[1::2]):
                     s = offsets[a]
                     e = offsets[b - 1]
-                    tau_s = geom.tau(s)
-                    line = int(np.floor(tau_s / spec.scan_period))
+                    line = int(geom.lattice.index(geom.tau(s))[0])
                     if sub is not None and s - sub[1] <= dt * 1.5:
                         sub = (sub[0], e, sub[2])
                     else:

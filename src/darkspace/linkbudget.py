@@ -22,16 +22,8 @@ def db_to_linear(db):
     return 10.0 ** (np.asarray(db, dtype=float) / 10.0)
 
 
-def linear_to_db(linear):
-    return 10.0 * np.log10(np.asarray(linear, dtype=float))
-
-
 def dbm_to_watts(dbm):
     return 10.0 ** (np.asarray(dbm, dtype=float) / 10.0) * 1.0e-3
-
-
-def watts_to_dbm(watts):
-    return 10.0 * np.log10(np.asarray(watts, dtype=float) / 1.0e-3)
 
 
 @dataclass(frozen=True)
@@ -128,11 +120,6 @@ class TableModel:
                 f"elevation outside table range "
                 f"[{self.elevations[0]}, {self.elevations[-1]}] deg")
         return np.interp(el, self.elevations, self.losses)[()]
-
-
-def atmospheric_loss_db(elevation_deg, model):
-    """Atmospheric loss (negative dB) at an elevation, per the given model."""
-    return model.loss_db(elevation_deg)
 
 
 def total_loss_db(fspl: float, atmosphere: float, polarization: float,

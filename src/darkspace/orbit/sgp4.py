@@ -209,11 +209,6 @@ class SGP4Model:
         # Evaluate at epoch so unusable element sets fail here, not later.
         self.position_velocity(0.0)
 
-    @property
-    def period_minutes(self) -> float:
-        """Anomalistic period implied by the un-kozaied mean motion."""
-        return TWOPI / self.no_unkozai
-
     def position_velocity(self, tsince_minutes):
         """TEME position (km) and velocity (km/s) at minutes past epoch.
 

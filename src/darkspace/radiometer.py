@@ -46,9 +46,10 @@ class BufferPolicy:
     temporal_pad: float = 0.0
 
     def __post_init__(self):
-        if self.buffer_multiplier < 1.0:
+        # Written as "not >=" so that NaN fails too.
+        if not self.buffer_multiplier >= 1.0:
             raise ValueError("buffer_multiplier must be >= 1")
-        if self.temporal_pad < 0.0:
+        if not self.temporal_pad >= 0.0:
             raise ValueError("temporal_pad must be >= 0")
 
 
@@ -141,10 +142,86 @@ class _FootprintGeometry:
     u_minor: tuple
 
 
+#: Timestamps are whole microseconds, so an instant that lands within half
+#: a microsecond of a dwell boundary stands for the boundary itself.
+_HALF_US = 5.0e-7
+
+
+class ScanLattice:
+    """The scan grid of one radiometer, counted from a phase origin.
+
+    The phase origin is the element set's epoch.  Offsets tau are seconds
+    after it; dwell (line, sample) spans [tau(line, sample),
+    tau(line, sample) + sample_dwell).  This is the only code that maps
+    time to scan line and sample, so schedules, pulses and exclusion
+    records name the same dwells.  offset and dwells take one instant or
+    pulse; tau, line_at and index work elementwise on arrays.
+    """
+
+    def __init__(self, spec: RadiometerSpec, epoch: datetime):
+        self.spec = spec
+        self.epoch = ensure_utc(epoch)
+
+    def offset(self, t: datetime) -> float:
+        """Seconds from the phase origin to t."""
+        return (ensure_utc(t) - self.epoch).total_seconds()
+
+    def tau(self, line, sample=0):
+        """Start offset of dwell (line, sample)."""
+        return line * self.spec.scan_period + sample * self.spec.sample_dwell
+
+    def line_at(self, tau):
+        """The line whose span holds tau, without the boundary snap.
+
+        Only for covering a window with whole lines: the line that holds
+        the window's first instant must not be dropped.  Use index to name
+        the dwell active at an instant.
+        """
+        return np.floor(np.asarray(tau, dtype=float)
+                        / self.spec.scan_period).astype(np.int64)
+
+    def _locate(self, tau):
+        line = np.floor(tau / self.spec.scan_period)
+        frac = tau - line * self.spec.scan_period
+        idx = np.clip(np.floor(frac / self.spec.sample_dwell), 0,
+                      self.spec.samples_per_scan - 1)
+        return line.astype(np.int64), idx.astype(np.int64)
+
+    def index(self, tau):
+        """(line, sample) of the dwell active at tau.
+
+        An instant within half a microsecond before a dwell boundary
+        belongs to the later dwell.
+        """
+        return self._locate(np.asarray(tau, dtype=float) + _HALF_US)
+
+    def dwells(self, a, b):
+        """(lines, samples) of the dwells a pulse [a, b) transmits into.
+
+        They run from the dwell active at a + 0.5 us through the one
+        active at b - 0.5 us; an empty pulse transmits into none.
+        """
+        n = self.spec.samples_per_scan
+        line0, idx0 = self.index(a)
+        line1, idx1 = self._locate(np.asarray(b, dtype=float) - _HALF_US)
+        keys = np.arange(line0 * n + idx0, line1 * n + idx1 + 1)
+        return keys // n, keys % n
+
+    def scan_sample(self, line, sample) -> ScanSample:
+        """The ScanSample of dwell (line, sample), its start in whole us."""
+        line, sample = int(line), int(sample)
+        return ScanSample(
+            scan_line_index=line,
+            sample_index=sample,
+            t=add_seconds(self.epoch, self.tau(line, sample)),
+            boresight_angle=float(self.spec.boresight_of(sample)),
+        )
+
+
 def scan_phase(spec: RadiometerSpec, t: datetime, t0: datetime) -> ScanSample:
     """Predict the scan sample active at time t given phase origin t0.
 
-    The scan line index is floor((t - t0)/scan_period); the boresight sweeps
+    The sample is ScanLattice(spec, t0).index of t; the boresight sweeps
     linearly from -scan_half_angle to +scan_half_angle over the line's
     samples.  Raises NotPhaseLocked for scanners whose phase cannot be
     predicted; callers must then geofence whole scan lines.
@@ -153,19 +230,8 @@ def scan_phase(spec: RadiometerSpec, t: datetime, t0: datetime) -> ScanSample:
         raise NotPhaseLocked(
             f"radiometer {spec.name} scan phase is not predictable; use "
             "scan-line granularity geofencing")
-    # Timestamps quantize to microseconds; snapping half a microsecond keeps
-    # times that land exactly on a sample boundary in the later sample.
-    dt = (ensure_utc(t) - ensure_utc(t0)).total_seconds() + 5.0e-7
-    line = math.floor(dt / spec.scan_period)
-    frac = dt - line * spec.scan_period
-    idx = min(int(frac / spec.sample_dwell), spec.samples_per_scan - 1)
-    start = add_seconds(t0, line * spec.scan_period + idx * spec.sample_dwell)
-    return ScanSample(
-        scan_line_index=line,
-        sample_index=idx,
-        t=start,
-        boresight_angle=float(spec.boresight_of(idx)),
-    )
+    lattice = ScanLattice(spec, t0)
+    return lattice.scan_sample(*lattice.index(lattice.offset(t)))
 
 
 # --- vectorized footprint core ----------------------------------------------
@@ -312,32 +378,8 @@ def pixel_footprint(sat: SatelliteState, sample: ScanSample,
     Raises NoIntersection when the boresight (or a 3 dB cone edge ray)
     misses the Earth, which indicates a malformed scan configuration.
     """
-    arrays = _footprint_arrays(
-        sat.r.reshape(3, 1), sat.v_inertial.reshape(3, 1),
-        [sample.boresight_angle], spec, ground_altitude)
-    if bool(arrays["miss"][0]):
-        raise NoIntersection(
-            f"boresight {sample.boresight_angle:.2f} deg misses the Earth "
-            "ellipsoid")
-    geom = _FootprintGeometry(
-        sat_r=tuple(map(float, sat.r)),
-        sat_v_inertial=tuple(map(float, sat.v_inertial)),
-        spec=spec,
-        ground_altitude=ground_altitude,
-        center_ecef=tuple(float(v) for v in arrays["center"][:, 0]),
-        u_major=tuple(float(v) for v in arrays["u_major"][:, 0]),
-        u_minor=tuple(float(v) for v in arrays["u_minor"][:, 0]),
-    )
-    return PixelFootprint(
-        center=GroundPoint(float(arrays["center_lat"][0]),
-                           float(arrays["center_lon"][0]),
-                           ground_altitude),
-        semi_major=float(arrays["semi_major"][0]),
-        semi_minor=float(arrays["semi_minor"][0]),
-        orientation=float(arrays["orientation"][0]),
-        source=("", sample),
-        _geom=geom,
-    )
+    return footprints_batch(sat.r[:, None], sat.v_inertial[:, None],
+                            [sample], spec, ground_altitude)[0]
 
 
 def subtends(fp: PixelFootprint, tx: GroundPoint,

@@ -295,6 +295,35 @@ def test_extra_entries_fail_loudly(scenario, capsys, command, key, entry,
     assert not any(out.glob("*"))
 
 
+@pytest.mark.parametrize("key", ["buffer_multiplier", "temporal_pad_s"])
+def test_nan_policy_fails(scenario, capsys, key):
+    """JSON readers accept NaN; a NaN buffer must not read as no buffer."""
+    path, config, tmp = scenario
+    config["policy"][key] = float("nan")
+    bad = tmp / "nan_buffer.json"
+    bad.write_text(json.dumps(config))
+    assert "NaN" in bad.read_text()
+    assert main(["darkspaces", "--config", str(bad),
+                 "--out-dir", str(tmp / "nan")]) == 2
+    assert "policy" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section,key", [
+    ("transmitters", "lat"), ("transmitters", "lon"),
+    ("transmitters", "alt_m"), ("policy", "buffer_multiplier"),
+    ("policy", "temporal_pad_s")])
+def test_null_config_number_fails(scenario, capsys, section, key):
+    path, config, tmp = scenario
+    node = config[section]
+    (node[0] if section == "transmitters" else node)[key] = None
+    bad = tmp / "null.json"
+    bad.write_text(json.dumps(config))
+    assert main(["darkspaces", "--config", str(bad),
+                 "--out-dir", str(tmp / "null")]) == 2
+    named = "transmitters[0]" if section == "transmitters" else "policy"
+    assert named in capsys.readouterr().err
+
+
 def test_itu_sim_zero_emission_bandwidth(scenario, capsys):
     path, config, tmp = scenario
     config = json.loads(Path(path).read_text())

@@ -1,11 +1,13 @@
 """Flashlight planning, pairing, safety audit, exclusions."""
+import dataclasses
+import math
 from datetime import timedelta
 
 import numpy as np
 import pytest
 
 from darkspace.errors import ConfigError, NegativeLowEdge
-from darkspace.experiment import (MeasuredSample, PairingMode,
+from darkspace.experiment import (MeasuredSample, PairingMode, Pulse,
                                   clearance_band, ellipse_overlap_fraction,
                                   exclusion_records, pair_measurements,
                                   plan_experiment, safety_audit)
@@ -13,7 +15,7 @@ from darkspace.geofence import dark_intervals
 from darkspace.linkbudget import LossChain, total_loss_db
 from darkspace.orbit import GroundPoint, propagate
 from darkspace.propagation import TransmitterKind, TransmitterSpec
-from darkspace.radiometer import BufferPolicy, PolicyKind
+from darkspace.radiometer import BufferPolicy, PolicyKind, scan_phase
 from darkspace.timeutil import add_seconds
 
 
@@ -188,6 +190,70 @@ def test_exclusions_never_touch_off_pixels(plan):
         off = (p.off_reference.scan_line_index,
                p.off_reference.sample_index)
         assert off not in records
+
+
+@pytest.fixture
+def boundary_plan(plan, atms):
+    """The plan with its pulses replaced by pulses that start and end at
+    the whole microsecond just before or just after a dwell boundary.
+    ATMS dwell boundaries are 1/36 s apart, so their microsecond phases
+    run through the nine ninths; k steps through all of them."""
+    epoch = plan.elements.epoch
+    line = plan.pulses[0].target.scan_line_index
+    pulses = []
+    for k in range(18):
+        start = (line + 2 * k) * atms.scan_period + k * atms.sample_dwell
+        end = start + (1 + k % 4) * atms.sample_dwell
+        on_start = epoch + timedelta(microseconds=math.floor(start * 1e6)
+                                     + (k // 9))
+        on_end = epoch + timedelta(microseconds=math.floor(end * 1e6)
+                                   + (k % 2))
+        target = scan_phase(atms, on_start, epoch)
+        pulses.append(Pulse(on_start=on_start, on_end=on_end, target=target,
+                            off_reference=target, overlap_fraction=1.0))
+    return dataclasses.replace(plan, pulses=tuple(pulses))
+
+
+def test_exclusions_overlap_pulses(plan):
+    """No exclusion record is a dwell the pulse only grazes: quantising
+    a pulse start to the microsecond must not put it in the previous
+    dwell."""
+    for r in exclusion_records(plan):
+        overlap = max((min(r.end, p.on_end) - max(r.start, p.on_start))
+                      for p in plan.pulses)
+        assert overlap > timedelta(microseconds=1)
+
+
+@pytest.mark.parametrize("which", ["plan", "boundary_plan"])
+def test_exclusions_are_the_dwells_pulses_touch(which, request, atms):
+    """Every dwell a pulse's interior touches is excluded, and no other.
+
+    A pulse [a, b) transmits during the whole microseconds a, ..., b - 1
+    us, and scan_phase names the dwell active in each; those dwells are
+    consecutive, so they run from scan_phase(a) to scan_phase(b - 1 us).
+    """
+    plan = request.getfixturevalue(which)
+    epoch = plan.elements.epoch
+    n = atms.samples_per_scan
+    touched = set()
+    for p in plan.pulses:
+        first = scan_phase(atms, p.on_start, epoch)
+        last = scan_phase(atms, p.on_end - timedelta(microseconds=1), epoch)
+        for key in range(first.scan_line_index * n + first.sample_index,
+                         last.scan_line_index * n + last.sample_index + 1):
+            touched.add(divmod(key, n))
+    excluded = [(r.scan_line_index, r.sample_index)
+                for r in exclusion_records(plan)]
+    assert len(excluded) == len(set(excluded))
+    assert set(excluded) == touched
+
+
+def test_pulse_samples_start_at_their_dwell(plan, atms):
+    """ON and OFF samples carry the start of the dwell they name, counted
+    from the epoch (the OFF one is not the ON start plus a scan period)."""
+    for p in plan.pulses:
+        for s in (p.target, p.off_reference):
+            assert scan_phase(atms, s.t, plan.elements.epoch) == s
 
 
 def test_exclusion_count_matches_single_pixel_pulses(leo_tle, atms):

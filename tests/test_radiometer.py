@@ -1,5 +1,8 @@
 """Scan phase, footprints, and subtension."""
+import dataclasses
+import math
 from datetime import datetime, timedelta, timezone
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,8 +10,9 @@ import pytest
 from darkspace.errors import ConfigError, NoIntersection, NotPhaseLocked
 from darkspace.orbit import GroundPoint, frames, propagate, state_from_geodetic, topocentric
 from darkspace.radiometer import (BufferPolicy, PolicyKind, RadiometerSpec,
-                                  ScanSample, load_preset, pixel_footprint,
-                                  scan_phase, spec_from_dict, subtends)
+                                  ScanLattice, ScanSample, load_preset,
+                                  pixel_footprint, scan_phase, spec_from_dict,
+                                  subtends)
 
 T0 = datetime(2023, 4, 23, 12, 0, tzinfo=timezone.utc)
 
@@ -49,6 +53,33 @@ def test_scan_phase_line_offsets(atms):
         assert s.scan_line_index == base.scan_line_index + k
         assert s.sample_index == base.sample_index
         assert s.boresight_angle == base.boresight_angle
+
+
+@pytest.mark.parametrize("preset", ["atms", "amsua"])
+def test_scan_phase_matches_lattice(preset):
+    """scan_phase, ScanLattice.index and exact rational arithmetic name the
+    same dwell at random instants and within a microsecond of dwell
+    boundaries.  Exactly, dwell k spans [k d, (k + 1) d) with d the exact
+    value of scan_period / samples_per_scan, and a whole-microsecond
+    instant t belongs to the dwell holding t + 0.5 us."""
+    spec = dataclasses.replace(load_preset(preset), phase_locked=True)
+    n = spec.samples_per_scan
+    d_us = Fraction(spec.scan_period) * 10 ** 6 / n
+    rng = np.random.default_rng(20230423)
+    us = [int(u) for u in rng.integers(-2 * 10 ** 12, 2 * 10 ** 12, 300)]
+    for k in rng.integers(-10 ** 7, 10 ** 7, 300):
+        edge = math.floor(int(k) * d_us)
+        us += [edge - 1, edge, edge + 1]
+    instants = [T0 + timedelta(microseconds=u) for u in us]
+    lattice = ScanLattice(spec, T0)
+    lines, idx = lattice.index([lattice.offset(t) for t in instants])
+    for u, t, line, sample in zip(us, instants, lines, idx):
+        s = scan_phase(spec, t, T0)
+        assert (s.scan_line_index, s.sample_index) == (line, sample)
+        k = math.floor((u + Fraction(1, 2)) / d_us)
+        assert (s.scan_line_index, s.sample_index) == divmod(k, n)
+        start_us = (s.t - T0) // timedelta(microseconds=1)
+        assert abs(start_us - k * d_us) <= Fraction(51, 100)
 
 
 def test_scan_phase_requires_lock(amsua):
