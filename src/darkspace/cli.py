@@ -21,7 +21,10 @@ from .config import ScenarioConfig
 from .errors import ComputeError, ConfigError, DarkspaceError
 from .experiment import clearance_band, exclusion_records, plan_experiment, \
     safety_audit
-from .geofence import (availability, dark_intervals, write_schedule_csv,
+# dark_intervals is not called here, but bench/tracing.py patches it under
+# this module's name, so it stays importable from darkspace.cli.
+from .geofence import (availability, dark_intervals,  # noqa: F401
+                       dark_intervals_many, write_schedule_csv,
                        write_schedule_jsonl)
 from .linkbudget import evaluate, fspl_db, required_tx_power, total_loss_db
 from . import radiometer
@@ -79,11 +82,9 @@ def cmd_darkspaces(args) -> int:
     window = config.window()
     ground_alt = config.ground_altitude()
 
-    schedules = []
-    for tx_id, point, _ in config.transmitters():
-        schedules.append(dark_intervals(point, sats, window, policy,
-                                        tx_id=tx_id,
-                                        ground_altitude=ground_alt))
+    schedules = dark_intervals_many(
+        [(tx_id, point) for tx_id, point, _ in config.transmitters()],
+        sats, window, policy, ground_altitude=ground_alt)
 
     write_schedule_csv(schedules, out / "schedule.csv",
                        _provenance_lines(prov))
@@ -212,7 +213,7 @@ def _lines_near_box(elements, spec, start, line_offsets, bbox,
     """
     r, v = propagate_many(elements, start, line_offsets)
     omega = np.array([0.0, 0.0, frames.OMEGA_EARTH]).reshape(3, 1)
-    v_inertial = v + np.cross(omega, r, axis=0)
+    v_inertial = v + radiometer._cross(omega, r)
     n = line_offsets.size
     edges = spec.boresight_of(np.tile([0, spec.samples_per_scan - 1], n))
     edge = radiometer._footprint_arrays(
@@ -299,7 +300,7 @@ def _itu_pixels(config, satellite, max_pixels, bbox):
 
     r, v = propagate_many(elements, start, offsets)
     omega = np.array([0.0, 0.0, frames.OMEGA_EARTH]).reshape(3, 1)
-    v_inertial = v + np.cross(omega, r, axis=0)
+    v_inertial = v + radiometer._cross(omega, r)
 
     boresight = spec.boresight_of(idx)
     arrays = radiometer._footprint_arrays(r, v_inertial, boresight, spec,

@@ -67,7 +67,8 @@ class ScenarioConfig:
         if overrides.get("seed") is not None:
             self.data["seed"] = overrides["seed"]
         if overrides.get("policy") is not None:
-            self.data.setdefault("policy", {})["kind"] = overrides["policy"]
+            self.data.setdefault("policy", {})
+            self._policy_node()["kind"] = overrides["policy"]
         itu_keys = {"model": "model", "gamma": "gamma",
                     "threshold": "threshold_dbm_mhz",
                     "quantile": "quantile"}
@@ -138,6 +139,7 @@ class ScenarioConfig:
         if not isinstance(entries, list) or not entries:
             raise ConfigError("transmitters: need a non-empty list")
         out = []
+        first_of = {}
         for i, entry in enumerate(entries):
             key = f"transmitters[{i}]"
             try:
@@ -146,7 +148,13 @@ class ScenarioConfig:
                                     float(entry.get("alt_m", 0.0)))
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"{key}: {exc}") from exc
-            out.append((str(entry.get("id", f"tx{i}")), point, entry))
+            tx_id = str(entry.get("id", f"tx{i}"))
+            if tx_id in first_of:
+                raise ConfigError(
+                    f"{key}.id: {tx_id!r} is already the id of "
+                    f"transmitters[{first_of[tx_id]}]; ids must be unique")
+            first_of[tx_id] = i
+            out.append((tx_id, point, entry))
         return out
 
     def window(self):
@@ -157,8 +165,14 @@ class ScenarioConfig:
             raise ConfigError("window: end must be after start")
         return start, end
 
-    def policy(self) -> BufferPolicy:
+    def _policy_node(self) -> dict:
         node = self.data.get("policy", {})
+        if not isinstance(node, dict):
+            raise ConfigError(f"policy: expected an object, got {node!r}")
+        return node
+
+    def policy(self) -> BufferPolicy:
+        node = self._policy_node()
         kind_text = str(node.get("kind", "pixel")).lower()
         try:
             kind = PolicyKind(kind_text)

@@ -1,21 +1,32 @@
 """Dark-space scheduling: when must a transmitter pause for a radiometer.
 
-The engine finds, for one ground transmitter against a constellation of
+The engine (dark_intervals_many; dark_intervals is its one-site case)
+finds, for a network of ground transmitters against a constellation of
 (TLE, radiometer) pairs, every interval during which a (buffered) pixel
-footprint or scan-line strip subtends the transmitter.  For each
-satellite it runs four stages:
+footprint or scan-line strip subtends each transmitter.  For each
+satellite it runs four stages.  What does not depend on the site is
+computed once per satellite (_SharedGeometry) and shared by every site;
+the rest runs per site (_SatGeometry):
 
-1. Prefilter: visibility_windows keeps the times, on a COARSE_STEP_S
-   grid, when the satellite is above HORIZON_GUARD_DEG at the transmitter
-   (a satellite below the horizon cannot subtend anything).
-2. Screen: _lines_near_tx keeps the scan lines of those windows whose
-   scan plane passes close enough to the transmitter for a sample to
-   subtend it, from one state and two edge footprints per line.
-3. Sample margins: the subtension margin at the start and end of every
-   sample dwell of the kept lines, on the scanner's own sample grid,
-   MARGIN_CHUNK samples at a time.
-4. Bisection: where the margin changes sign within a dwell, the boundary
-   is refined to BISECT_TOL_S, well under 10 ms.
+1. Prefilter.  Shared: one propagation on a COARSE_STEP_S grid.  Per
+   site: visibility_windows keeps the times when the satellite is above
+   HORIZON_GUARD_DEG at the transmitter (a satellite below the horizon
+   cannot subtend anything).
+2. Screen.  Shared: one state, scan axis and edge-footprint reach per
+   scan line, for the union of the sites' window lines.  Per site:
+   _lines_near_tx keeps the lines whose scan plane passes close enough to
+   the transmitter for a sample to subtend it.
+3. Sample margins.  Shared, a few passes at a time (_pass_batches):
+   footprints at the start and end of every sample dwell that any site
+   keeps (every sample of the kept lines in scan-line mode), on the
+   scanner's own sample grid, MARGIN_CHUNK samples at a time.  Per site:
+   the subtension margins of the samples it kept.
+4. Bisection, per site: where the margin changes sign within a dwell,
+   the boundary is refined to BISECT_TOL_S, well under 10 ms.
+
+Padding, merging and attribution (_finalize_schedule) run per site.
+Propagation, frames and footprints are elementwise in the samples, so a
+site's schedule does not depend on which other sites share the work.
 
 brute_force_oracle implements the same subtension predicate by dense time
 sampling, without the screen; it is the reference semantics the engine is
@@ -33,8 +44,8 @@ import numpy as np
 from .errors import EmptyConstellation, NotPhaseLocked, WindowTooLarge
 from .orbit import GroundPoint, OrbitalElements, propagate_many, frames
 from .radiometer import (BufferPolicy, PolicyKind, RadiometerSpec,
-                         ScanLattice, _ellipse_margins, _footprint_arrays,
-                         _scan_axis)
+                         ScanLattice, _cross, _ellipse_margins,
+                         _footprint_arrays, _scan_axis)
 from .timeutil import add_seconds, ensure_utc, iso_utc
 
 #: Coarse prefilter: step (s) and below-horizon guard (deg).  The
@@ -54,6 +65,12 @@ BISECT_TOL_S = 0.002
 #: Margins are evaluated this many samples at a time, which bounds the
 #: footprint temporaries (a few dozen 3 x n float arrays) to a few MB.
 MARGIN_CHUNK = 4096
+
+#: A batch of sites' windows (_pass_batches) closes once it holds this
+#: many samples of kept lines, summed over sites, even within a pass.  The
+#: sites' dwell arrays and margins take under 100 bytes per sample, so
+#: this bounds them to about 10 MB however many sites share a pass.
+BATCH_SAMPLES = 32 * MARGIN_CHUNK
 
 #: Scan-plane screen (_lines_near_tx): relative allowance on the edge
 #: semi-major for how it changes within one scan period, and a bound on
@@ -119,25 +136,31 @@ class AvailabilityReport:
 # --- internal machinery ------------------------------------------------------
 
 
-class _SatGeometry:
-    """Vectorized margin evaluation for one satellite/radiometer pair.
+class _SharedGeometry:
+    """The site-independent geometry of one satellite/radiometer pair.
 
-    Offsets are seconds from the window start; the scan lattice counts
-    from the element set epoch, base seconds before the window start.
+    Every site of a network reads the same instance: the coarse
+    propagation behind the visibility windows, the per-line state, scan
+    axis and edge reach behind the screen, and the footprints behind the
+    margins.  Offsets are seconds from the window start; the scan lattice
+    counts from the element set epoch, base seconds before the window
+    start.
     """
 
     def __init__(self, elements: OrbitalElements, spec: RadiometerSpec,
-                 window_start: datetime, tx: GroundPoint,
-                 policy: BufferPolicy, ground_altitude: float):
+                 window_start: datetime, policy: BufferPolicy,
+                 ground_altitude: float):
         self.elements = elements
         self.spec = spec
         self.window_start = window_start
-        self.tx = tx
-        self.tx_ecef = tx.ecef()
         self.policy = policy
         self.ground_altitude = ground_altitude
         self.lattice = ScanLattice(spec, elements.epoch)
         self.base = self.lattice.offset(window_start)
+        self._coarse = {}
+        self._line_ids = np.zeros(0, dtype=np.int64)
+        self._lines = {"r": np.zeros((3, 0)), "axis": np.zeros((3, 0)),
+                       "speed": np.zeros(0), "reach": np.zeros(0)}
 
     def tau(self, offsets):
         """Window offsets (s) -> scan-phase offsets from the epoch."""
@@ -147,59 +170,153 @@ class _SatGeometry:
         r, v = propagate_many(self.elements, self.window_start,
                               np.asarray(offsets, dtype=float))
         omega = np.array([0.0, 0.0, frames.OMEGA_EARTH]).reshape(3, 1)
-        v_inertial = v + np.cross(omega, r, axis=0)
-        return r, v_inertial
+        return r, v + _cross(omega, r)
+
+    def coarse(self, duration_s: float):
+        """The COARSE_STEP_S grid over the window and the positions on it."""
+        if duration_s not in self._coarse:
+            n = int(np.ceil(duration_s / COARSE_STEP_S)) + 1
+            offsets = np.minimum(np.arange(n + 1) * COARSE_STEP_S,
+                                 duration_s)
+            self._coarse[duration_s] = (offsets, self.states(offsets)[0])
+        return self._coarse[duration_s]
+
+    def footprints(self, offsets, boresight_deg):
+        r, v = self.states(offsets)
+        return _footprint_arrays(r, v, boresight_deg, self.spec,
+                                 self.ground_altitude)
+
+    def cache_lines(self, lines) -> None:
+        """Compute the screen geometry of the lines not yet cached.
+
+        Per line, at its first sample: the position r, the scan axis, the
+        speed bound V and the edge reach (1 + s) A of _lines_near_tx.
+        """
+        new = _unique_ids(np.asarray(lines, dtype=np.int64))
+        if self._line_ids.size:
+            at = np.minimum(np.searchsorted(self._line_ids, new),
+                            self._line_ids.size - 1)
+            new = new[self._line_ids[at] != new]
+        if new.size == 0:
+            return
+        spec = self.spec
+        r, v = self.states(self.lattice.tau(new) - self.base)
+        _, axis = _scan_axis(r, v)
+        n = new.size
+        edges = spec.boresight_of(np.tile([0, spec.samples_per_scan - 1], n))
+        edge = _footprint_arrays(np.repeat(r, 2, axis=1),
+                                 np.repeat(v, 2, axis=1), edges, spec,
+                                 self.ground_altitude)
+        reach = ((1.0 + _SCREEN_SLACK) * self.policy.buffer_multiplier
+                 * edge["semi_major"].reshape(n, 2).max(axis=1))
+        reach = np.where(edge["miss"].reshape(n, 2).any(axis=1), np.inf,
+                         reach)
+        speed = (np.linalg.norm(v, axis=0)
+                 + frames.OMEGA_EARTH * np.linalg.norm(r, axis=0)
+                 + _ACCEL_BOUND * spec.scan_period)
+        computed = {"r": r, "axis": axis, "speed": speed, "reach": reach}
+        ids = np.concatenate((self._line_ids, new))
+        order = np.argsort(ids)
+        self._line_ids = ids[order]
+        self._lines = {key: np.concatenate((self._lines[key], value),
+                                           axis=-1)[..., order]
+                       for key, value in computed.items()}
+
+    def line_geometry(self, lines) -> dict:
+        """The screen geometry of each of the given lines (cache_lines)."""
+        self.cache_lines(lines)
+        at = np.searchsorted(self._line_ids, lines)
+        return {key: value[..., at] for key, value in self._lines.items()}
+
+
+class _SatGeometry:
+    """One transmitter's view of a satellite/radiometer pair.
+
+    The site-independent work lives in shared; sites of one network pass
+    the same _SharedGeometry, and a site built alone makes its own.
+    """
+
+    def __init__(self, elements: OrbitalElements, spec: RadiometerSpec,
+                 window_start: datetime, tx: GroundPoint,
+                 policy: BufferPolicy, ground_altitude: float,
+                 shared: _SharedGeometry = None):
+        if shared is None:
+            shared = _SharedGeometry(elements, spec, window_start, policy,
+                                     ground_altitude)
+        self.shared = shared
+        self.lattice = shared.lattice
+        self.base = shared.base
+        self.tx = tx
+        self.tx_ecef = tx.ecef()
+
+    def tau(self, offsets):
+        """Window offsets (s) -> scan-phase offsets from the epoch."""
+        return self.shared.tau(offsets)
 
     def margins(self, offsets, boresight_deg):
-        """Inflated-ellipse margin of the transmitter for given samples.
-
-        Evaluated MARGIN_CHUNK samples at a time; footprints do not depend
-        on which other samples are computed with them.
-        """
+        """Inflated-ellipse margin of the transmitter for given samples."""
         offsets = np.asarray(offsets, dtype=float)
-        boresight_deg = np.asarray(boresight_deg, dtype=float)
-        out = np.empty(offsets.shape)
-        for i in range(0, offsets.size, MARGIN_CHUNK):
-            part = slice(i, i + MARGIN_CHUNK)
-            r, v = self.states(offsets[part])
-            arrays = _footprint_arrays(r, v, boresight_deg[part], self.spec,
-                                       self.ground_altitude)
-            out[part] = _ellipse_margins(arrays, self.tx_ecef,
-                                         self.policy.buffer_multiplier)
-        return out
+        return _margins_many(self.shared, [self], [np.arange(offsets.size)],
+                             offsets, np.asarray(boresight_deg,
+                                                 dtype=float))[0]
 
     def margins_at(self, offsets):
         """Margin of the sample active at each offset (its own pixel)."""
         offsets = np.asarray(offsets, dtype=float)
         _, idx = self.lattice.index(self.tau(offsets))
-        return self.margins(offsets, self.spec.boresight_of(idx))
+        return self.margins(offsets, self.shared.spec.boresight_of(idx))
 
     def visibility_windows(self, duration_s: float):
         """Coarse intervals (s offsets) when the satellite may be in view."""
-        n = int(np.ceil(duration_s / COARSE_STEP_S)) + 1
-        offsets = np.minimum(np.arange(n + 1) * COARSE_STEP_S, duration_s)
-        r, _ = self.states(offsets)
+        offsets, r = self.shared.coarse(duration_s)
         el, _, _ = frames.look_angles_from_ecef(
             r, self.tx_ecef.reshape(3, 1), self.tx.latitude,
             self.tx.longitude)
-        mask = np.atleast_1d(el) > HORIZON_GUARD_DEG
-        windows = []
-        i = 0
-        while i < len(mask):
-            if mask[i]:
-                j = i
-                while j + 1 < len(mask) and mask[j + 1]:
-                    j += 1
-                lo = max(0.0, offsets[i] - COARSE_STEP_S)
-                hi = min(duration_s, offsets[j] + COARSE_STEP_S)
-                if windows and lo <= windows[-1][1]:
-                    windows[-1] = (windows[-1][0], hi)
-                else:
-                    windows.append((lo, hi))
-                i = j + 1
-            else:
-                i += 1
-        return windows
+        # Each run of grid points above the guard, widened by one step on
+        # both sides; runs whose widened spans touch are merged.
+        mask = np.concatenate(([False], np.atleast_1d(el) > HORIZON_GUARD_DEG,
+                               [False]))
+        edges = np.flatnonzero(mask[1:] != mask[:-1])
+        if edges.size == 0:
+            return []
+        lo = np.maximum(0.0, offsets[edges[::2]] - COARSE_STEP_S)
+        hi = np.minimum(duration_s, offsets[edges[1::2] - 1] + COARSE_STEP_S)
+        apart = np.flatnonzero(lo[1:] > hi[:-1])
+        return list(zip(lo[np.concatenate(([0], apart + 1))].tolist(),
+                        hi[np.concatenate((apart, [hi.size - 1]))].tolist()))
+
+
+#: The footprint fields _ellipse_margins reads.
+_MARGIN_FIELDS = ("center", "u_major", "u_minor", "semi_major", "semi_minor",
+                  "miss")
+
+
+def _margins_many(shared: _SharedGeometry, geoms, columns, offsets,
+                  boresight_deg):
+    """Margins of several sites over one set of samples of a satellite.
+
+    offsets and boresight_deg give the samples; columns[k] lists the
+    samples site geoms[k] needs.  Footprints are built once per
+    MARGIN_CHUNK samples, and every site that needs samples of the chunk
+    evaluates its margins there.  Footprints do not depend on which other
+    samples are computed with them, so each site gets the margins of
+    evaluating its own samples alone.
+    """
+    out = [np.empty(cols.size) for cols in columns]
+    order = [np.argsort(cols, kind="stable") for cols in columns]
+    columns = [cols[o] for cols, o in zip(columns, order)]
+    for i in range(0, offsets.size, MARGIN_CHUNK):
+        part = slice(i, i + MARGIN_CHUNK)
+        arrays = shared.footprints(offsets[part], boresight_deg[part])
+        for geom, cols, o, margins in zip(geoms, columns, order, out):
+            a, b = np.searchsorted(cols, (i, i + MARGIN_CHUNK))
+            if a == b:
+                continue
+            at = cols[a:b] - i
+            margins[o[a:b]] = _ellipse_margins(
+                {key: arrays[key][..., at] for key in _MARGIN_FIELDS},
+                geom.tx_ecef, shared.policy.buffer_multiplier)
+    return out
 
 
 def _merge_spans(spans, gap: float = 0.0):
@@ -242,7 +359,7 @@ def _lines_near_tx(geom: _SatGeometry, lines: np.ndarray) -> np.ndarray:
     """Keep-mask: True for each scan line that can subtend the transmitter.
 
     Take one state per line, at its first sample (time t0): r the
-    satellite position, v the velocity that _SatGeometry.states returns
+    satellite position, v the velocity that _SharedGeometry.states returns
     (the inertial velocity in Earth-fixed axes), a = unit(v_perp) the scan
     axis as _footprint_arrays computes it (radiometer._scan_axis), tx the
     transmitter and T the scan period.  A sample of the line can have
@@ -259,7 +376,10 @@ def _lines_near_tx(geom: _SatGeometry, lines: np.ndarray) -> np.ndarray:
         zeta  = |h_tx - h_ground| + ((1 + s) A)**2 / M
         Omega = 1.5 (n (1 + e)**2 / (1 - e**2)**1.5 + w)
 
-    n the mean motion and e the eccentricity of the element set.  Why:
+    n the mean motion and e the eccentricity of the element set.  r, a, V
+    and (1 + s) A do not depend on the transmitter: geom.shared computes
+    them once per line for every site (_SharedGeometry.cache_lines), and
+    only the terms in tx are evaluated here.  Why the bound holds:
 
     - Every boresight is nadir rotated about a, and a is orthogonal to
       nadir, so every footprint centre c(t) lies in the scan plane through
@@ -292,136 +412,213 @@ def _lines_near_tx(geom: _SatGeometry, lines: np.ndarray) -> np.ndarray:
 
     A line whose edge rays miss the Earth gets R = inf.
     """
-    spec = geom.spec
-    period = spec.scan_period
-    r, v = geom.states(geom.lattice.tau(lines) - geom.base)
-    _, axis = _scan_axis(r, v)
-    n = lines.size
-    edges = spec.boresight_of(np.tile([0, spec.samples_per_scan - 1], n))
-    edge = _footprint_arrays(np.repeat(r, 2, axis=1),
-                             np.repeat(v, 2, axis=1), edges, spec,
-                             geom.ground_altitude)
-    reach = ((1.0 + _SCREEN_SLACK) * geom.policy.buffer_multiplier
-             * edge["semi_major"].reshape(n, 2).max(axis=1))
-    reach = np.where(edge["miss"].reshape(n, 2).any(axis=1), np.inf, reach)
-
-    big_m = ((frames.WGS84_B + geom.ground_altitude) ** 2
-             / (frames.WGS84_A + geom.ground_altitude))
-    zeta = abs(geom.tx.altitude - geom.ground_altitude) + reach ** 2 / big_m
-    mean_motion = geom.elements.mean_motion * 2.0 * np.pi / 86400.0
-    ecc = geom.elements.eccentricity
+    shared = geom.shared
+    period = shared.spec.scan_period
+    line = shared.line_geometry(lines)
+    reach, speed = line["reach"], line["speed"]
+    big_m = ((frames.WGS84_B + shared.ground_altitude) ** 2
+             / (frames.WGS84_A + shared.ground_altitude))
+    zeta = abs(geom.tx.altitude - shared.ground_altitude) + reach ** 2 / big_m
+    mean_motion = shared.elements.mean_motion * 2.0 * np.pi / 86400.0
+    ecc = shared.elements.eccentricity
     turn_rate = 1.5 * (mean_motion * (1.0 + ecc) ** 2
                        / (1.0 - ecc ** 2) ** 1.5 + frames.OMEGA_EARTH)
-    speed = (np.linalg.norm(v, axis=0)
-             + frames.OMEGA_EARTH * np.linalg.norm(r, axis=0)
-             + _ACCEL_BOUND * period)
-    to_tx = geom.tx_ecef.reshape(3, 1) - r
+    to_tx = geom.tx_ecef.reshape(3, 1) - line["r"]
     bound = reach + zeta + period * (
         speed + turn_rate * (np.linalg.norm(to_tx, axis=0) + speed * period))
-    return np.abs(np.sum(axis * to_tx, axis=0)) <= bound
+    return np.abs(np.sum(line["axis"] * to_tx, axis=0)) <= bound
 
 
-def _screen_windows(geom: _SatGeometry, ranges):
-    """Kept scan lines of each visibility window.
+def _screen_windows(shared: _SharedGeometry, geoms, duration_s: float,
+                    cover):
+    """Per site, (w0, w1, kept line ids) for each of its visibility windows.
 
-    ranges holds (w0, w1, first line, last line) per window; the lines of
-    all windows are screened by _lines_near_tx in one call.  Returns
-    (w0, w1, kept line ids) per window.
+    cover(w0, w1) gives the scan lines that cover a window.  The shared
+    line geometry is computed for the union of every site's window lines
+    at once; then each site screens the lines of all its windows with one
+    _lines_near_tx call.
     """
-    lines = [np.arange(first, last + 1) for _, _, first, last in ranges]
-    if not lines:
-        return []
-    keep = np.split(_lines_near_tx(geom, np.concatenate(lines)),
-                    np.cumsum([ids.size for ids in lines])[:-1])
-    return [(w0, w1, ids[k])
-            for (w0, w1, _, _), ids, k in zip(ranges, lines, keep)]
+    ranges = [[(w0, w1, cover(w0, w1))
+               for w0, w1 in geom.visibility_windows(duration_s)]
+              for geom in geoms]
+    shared.cache_lines(_concat_ids(ids for site in ranges
+                                   for _, _, ids in site))
+    out = []
+    for geom, site in zip(geoms, ranges):
+        lines = [ids for _, _, ids in site]
+        keep = np.split(_lines_near_tx(geom, _concat_ids(lines)),
+                        np.cumsum([ids.size for ids in lines])[:-1])
+        out.append([(w0, w1, ids[k])
+                    for (w0, w1, ids), k in zip(site, keep)])
+    return out
 
 
-def _pixel_level_spans(geom: _SatGeometry, duration_s: float):
-    """Dark (start, end, line) spans in window offsets, pixel granularity."""
-    spec = geom.spec
+def _pass_batches(sites, samples_per_scan: int):
+    """Group the sites' screened windows into batches.
+
+    A pass is a maximal run of windows, across all sites, that overlap or
+    touch in time.  A batch takes windows in time order and closes at the
+    end of a pass once its windows hold MARGIN_CHUNK samples of kept
+    lines, so that footprints are built in full chunks and shared by the
+    sites of each pass; it also closes within a pass at BATCH_SAMPLES, so
+    that memory stays bounded by one batch rather than by the window or
+    the number of sites.  sites[k] holds site k's (w0, w1, kept line ids)
+    windows in time order.  Returns, per batch, (k, site k's windows in
+    the batch) for every site with a window in it.
+    """
+    batches = []
+    end = -np.inf
+    size = MARGIN_CHUNK
+    for w0, w1, k, j in sorted((w[0], w[1], k, j)
+                               for k, windows in enumerate(sites)
+                               for j, w in enumerate(windows)):
+        if (w0 > end and size >= MARGIN_CHUNK) or size >= BATCH_SAMPLES:
+            batches.append({})
+            size = 0
+        end = max(end, w1)
+        size += sites[k][j][2].size * samples_per_scan
+        batches[-1].setdefault(k, []).append(sites[k][j])
+    return [sorted(batch.items()) for batch in batches]
+
+
+def _unique_ids(ids):
+    """The sorted distinct values of an integer array.
+
+    np.unique gives the same, but its first call in a process imports
+    numpy.ma, which takes about 20 ms: a fifth of a short darkspaces run.
+    """
+    ids = np.sort(ids)
+    return ids[np.concatenate((ids[:1] == ids[:1], ids[1:] != ids[:-1]))]
+
+
+def _concat_ids(parts):
+    """np.concatenate for integer ids that also takes no parts."""
+    return np.concatenate([np.zeros(0, dtype=np.int64), *parts])
+
+
+def _dwell_margins(shared: _SharedGeometry, geoms, keys):
+    """Each site's margins at the start and at the end of its dwells.
+
+    keys[k] names the dwells site geoms[k] needs, as
+    line * samples_per_scan + sample.  Every dwell of the sites' union is
+    footprinted once at each end (_margins_many).  Returns (start margins,
+    end margins) per site, in the order of its keys.
+    """
+    spec = shared.spec
+    n = spec.samples_per_scan
+    union = _unique_ids(_concat_ids(keys))
+    idx = union % n
+    starts = shared.lattice.tau(union // n, idx) - shared.base
+    boresight = spec.boresight_of(idx)
+    columns = [np.searchsorted(union, k) for k in keys]
+    m_start = _margins_many(shared, geoms, columns, starts, boresight)
+    m_end = _margins_many(shared, geoms, columns,
+                          starts + spec.sample_dwell, boresight)
+    return list(zip(m_start, m_end))
+
+
+def _pixel_level_spans(shared: _SharedGeometry, geoms, duration_s: float):
+    """Dark (start, end, line) spans in window offsets, pixel granularity,
+    one list per site."""
+    spec = shared.spec
     n = spec.samples_per_scan
     dwell = spec.sample_dwell
-    ranges = []
-    for w0, w1 in geom.visibility_windows(duration_s):
-        first = int(geom.lattice.line_at(geom.tau(w0)))
+
+    def cover(w0, w1):
+        first = int(shared.lattice.line_at(shared.tau(w0)))
         n_samples = int(np.ceil((w1 - w0) / dwell)) + n
-        ranges.append((w0, w1, first, first + (n_samples - 1) // n))
-    spans = []
-    for w0, w1, kept in _screen_windows(geom, ranges):
-        lines = np.repeat(kept, n)
-        idx = np.tile(np.arange(n), kept.size)
-        starts = geom.lattice.tau(lines, idx) - geom.base
-        keep = (starts + dwell > w0) & (starts < w1)
-        lines, idx, starts = lines[keep], idx[keep], starts[keep]
-        if starts.size == 0:
-            continue
-        ends = starts + dwell
-        boresight = spec.boresight_of(idx)
+        return np.arange(first, first + (n_samples - 1) // n + 1)
 
-        m_start = geom.margins(starts, boresight)
-        m_end = geom.margins(ends, boresight)
-        in_start = m_start <= 0.0
-        in_end = m_end <= 0.0
+    out = [[] for _ in geoms]
+    for group in _pass_batches(
+            _screen_windows(shared, geoms, duration_s, cover), n):
+        # Per site and window: the dwells of the kept lines in the window.
+        dwells = []
+        for _, windows in group:
+            site = []
+            for w0, w1, kept in windows:
+                lines = np.repeat(kept, n)
+                idx = np.tile(np.arange(n), kept.size)
+                starts = shared.lattice.tau(lines, idx) - shared.base
+                keep = (starts + dwell > w0) & (starts < w1)
+                site.append((lines[keep], idx[keep], starts[keep]))
+            dwells.append(site)
+        margins = _dwell_margins(
+            shared, [geoms[k] for k, _ in group],
+            [_concat_ids(lines * n + idx for lines, idx, _ in site)
+             for site in dwells])
 
-        full = in_start & in_end
-        for s, e, ln in zip(starts[full], ends[full], lines[full]):
-            spans.append((float(s), float(e), int(ln)))
+        for (k, _), site, (m_start, m_end) in zip(group, dwells, margins):
+            geom, spans = geoms[k], out[k]
+            cuts = np.cumsum([starts.size for _, _, starts in site])[:-1]
+            for (lines, idx, starts), in_start, in_end in zip(
+                    site, np.split(m_start <= 0.0, cuts),
+                    np.split(m_end <= 0.0, cuts)):
+                ends = starts + dwell
+                boresight = spec.boresight_of(idx)
 
-        enters = ~in_start & in_end
-        if np.any(enters):
-            cross = _bisect_boundary(geom, boresight[enters],
-                                     starts[enters], ends[enters],
-                                     dark_at_lo=np.zeros(np.sum(enters),
-                                                         dtype=bool))
-            for s, e, ln in zip(cross, ends[enters], lines[enters]):
-                spans.append((float(s), float(e), int(ln)))
+                full = in_start & in_end
+                for s, e, ln in zip(starts[full], ends[full], lines[full]):
+                    spans.append((float(s), float(e), int(ln)))
 
-        leaves = in_start & ~in_end
-        if np.any(leaves):
-            cross = _bisect_boundary(geom, boresight[leaves],
-                                     starts[leaves], ends[leaves],
-                                     dark_at_lo=np.ones(np.sum(leaves),
-                                                        dtype=bool))
-            for s, e, ln in zip(starts[leaves], cross, lines[leaves]):
-                spans.append((float(s), float(e), int(ln)))
-    return spans
+                enters = ~in_start & in_end
+                if np.any(enters):
+                    cross = _bisect_boundary(
+                        geom, boresight[enters], starts[enters],
+                        ends[enters],
+                        dark_at_lo=np.zeros(np.sum(enters), dtype=bool))
+                    for s, e, ln in zip(cross, ends[enters], lines[enters]):
+                        spans.append((float(s), float(e), int(ln)))
+
+                leaves = in_start & ~in_end
+                if np.any(leaves):
+                    cross = _bisect_boundary(
+                        geom, boresight[leaves], starts[leaves],
+                        ends[leaves],
+                        dark_at_lo=np.ones(np.sum(leaves), dtype=bool))
+                    for s, e, ln in zip(starts[leaves], cross,
+                                        lines[leaves]):
+                        spans.append((float(s), float(e), int(ln)))
+    return out
 
 
-def _line_dark_flags(geom: _SatGeometry, lines: np.ndarray):
-    """Which whole scan lines subtend the transmitter (strip test).
+def _line_dark_flags(shared: _SharedGeometry, geoms, lines):
+    """Which whole scan lines subtend each site's transmitter (strip test).
 
-    A line is dark when any of its samples' inflated pixels contains the
-    transmitter at either end of the sample's dwell, which makes scan-line
-    schedules an exact superset of pixel-level ones.
+    lines[k] holds the lines to test for geoms[k].  A line is dark when
+    any of its samples' inflated pixels contains the transmitter at either
+    end of the sample's dwell, which makes scan-line schedules an exact
+    superset of pixel-level ones.
     """
-    spec = geom.spec
-    n = spec.samples_per_scan
-    lines = np.asarray(lines, dtype=np.int64)
-    if lines.size == 0:
-        return np.zeros(0, dtype=bool)
-    idx = np.tile(np.arange(n), lines.size)
-    offsets = geom.lattice.tau(np.repeat(lines, n), idx) - geom.base
-    boresight = spec.boresight_of(idx)
-    m_start = geom.margins(offsets, boresight)
-    m_end = geom.margins(offsets + spec.sample_dwell, boresight)
-    dark = (m_start <= 0.0) | (m_end <= 0.0)
-    return dark.reshape(lines.size, n).any(axis=1)
+    n = shared.spec.samples_per_scan
+    lines = [np.asarray(ids, dtype=np.int64) for ids in lines]
+    margins = _dwell_margins(shared, geoms, [
+        (ids[:, None] * n + np.arange(n)).ravel() for ids in lines])
+    return [((m_start <= 0.0) | (m_end <= 0.0)).reshape(ids.size, n)
+            .any(axis=1) for ids, (m_start, m_end) in zip(lines, margins)]
 
 
-def _scan_line_spans(geom: _SatGeometry, duration_s: float):
-    """Dark (start, end, line) spans at scan-line granularity."""
-    period = geom.spec.scan_period
-    ranges = [(w0, w1, int(geom.lattice.line_at(geom.tau(w0))),
-               int(geom.lattice.line_at(geom.tau(w1))))
-              for w0, w1 in geom.visibility_windows(duration_s)]
-    spans = []
-    for _, _, lines in _screen_windows(geom, ranges):
-        dark = _line_dark_flags(geom, lines)
-        for ln in lines[dark]:
-            s = geom.lattice.tau(ln) - geom.base
-            spans.append((float(s), float(s + period), int(ln)))
-    return spans
+def _scan_line_spans(shared: _SharedGeometry, geoms, duration_s: float):
+    """Dark (start, end, line) spans at scan-line granularity, one list
+    per site."""
+    period = shared.spec.scan_period
+
+    def cover(w0, w1):
+        return np.arange(int(shared.lattice.line_at(shared.tau(w0))),
+                         int(shared.lattice.line_at(shared.tau(w1))) + 1)
+
+    out = [[] for _ in geoms]
+    for group in _pass_batches(
+            _screen_windows(shared, geoms, duration_s, cover),
+            shared.spec.samples_per_scan):
+        kept = [_concat_ids(ids for _, _, ids in windows)
+                for _, windows in group]
+        flags = _line_dark_flags(shared, [geoms[k] for k, _ in group], kept)
+        for (k, _), lines, dark in zip(group, kept, flags):
+            for ln in lines[dark]:
+                s = shared.lattice.tau(ln) - shared.base
+                out[k].append((float(s), float(s + period), int(ln)))
+    return out
 
 
 #: Treat spans separated by less than this as touching (float slack, s).
@@ -471,13 +668,18 @@ def _validate_inputs(sats, window, policy):
 # --- public API --------------------------------------------------------------
 
 
-def dark_intervals(tx: GroundPoint,
-                   sats: Sequence[tuple[OrbitalElements, RadiometerSpec]],
-                   window: tuple[datetime, datetime],
-                   policy: BufferPolicy,
-                   tx_id: str = "tx",
-                   ground_altitude: float = 0.0) -> DarkSchedule:
-    """Compute the dark-space schedule for one transmitter.
+def dark_intervals_many(txs: Sequence[tuple[str, GroundPoint]],
+                        sats: Sequence[tuple[OrbitalElements,
+                                             RadiometerSpec]],
+                        window: tuple[datetime, datetime],
+                        policy: BufferPolicy,
+                        ground_altitude: float = 0.0) -> list[DarkSchedule]:
+    """Compute the dark-space schedules of a network of transmitters.
+
+    txs holds (tx_id, GroundPoint) pairs; one DarkSchedule comes back per
+    pair, in order.  Each satellite is propagated, screened and
+    footprinted once for every site (see the module docstring), and each
+    site's schedule is the one dark_intervals computes for it alone.
 
     The scan phase origin of each satellite is its element set epoch.
     Intervals are merged per satellite, padded by the policy's temporal pad,
@@ -486,16 +688,32 @@ def dark_intervals(tx: GroundPoint,
     """
     start, end = _validate_inputs(sats, window, policy)
     duration = (end - start).total_seconds()
-    per_sat = []
+    per_site = [[] for _ in txs]
     for elements, spec in sats:
-        geom = _SatGeometry(elements, spec, start, tx, policy,
-                            ground_altitude)
+        shared = _SharedGeometry(elements, spec, start, policy,
+                                 ground_altitude)
+        geoms = [_SatGeometry(elements, spec, start, point, policy,
+                              ground_altitude, shared) for _, point in txs]
         if policy.kind is PolicyKind.PIXEL_LEVEL:
-            spans = _pixel_level_spans(geom, duration)
+            spans = _pixel_level_spans(shared, geoms, duration)
         else:
-            spans = _scan_line_spans(geom, duration)
-        per_sat.append((elements.satellite_id, spans))
-    return _finalize_schedule(per_sat, tx_id, (start, end), policy)
+            spans = _scan_line_spans(shared, geoms, duration)
+        for site, site_spans in zip(per_site, spans):
+            site.append((elements.satellite_id, site_spans))
+    return [_finalize_schedule(site, tx_id, (start, end), policy)
+            for (tx_id, _), site in zip(txs, per_site)]
+
+
+def dark_intervals(tx: GroundPoint,
+                   sats: Sequence[tuple[OrbitalElements, RadiometerSpec]],
+                   window: tuple[datetime, datetime],
+                   policy: BufferPolicy,
+                   tx_id: str = "tx",
+                   ground_altitude: float = 0.0) -> DarkSchedule:
+    """Compute the dark-space schedule for one transmitter: the one-site
+    case of dark_intervals_many."""
+    return dark_intervals_many([(tx_id, tx)], sats, window, policy,
+                               ground_altitude)[0]
 
 
 def brute_force_oracle(tx: GroundPoint,
@@ -553,7 +771,8 @@ def brute_force_oracle(tx: GroundPoint,
                 else:
                     lines, _ = geom.lattice.index(geom.tau(offsets))
                     uniq, inverse = np.unique(lines, return_inverse=True)
-                    dark = _line_dark_flags(geom, uniq)[inverse]
+                    dark = _line_dark_flags(geom.shared, [geom],
+                                            [uniq])[0][inverse]
                 # Assemble runs of consecutive dark samples.
                 padded_mask = np.concatenate(([False], dark, [False]))
                 edges = np.flatnonzero(np.diff(padded_mask.astype(np.int8)))

@@ -236,11 +236,22 @@ def scan_phase(spec: RadiometerSpec, t: datetime, t0: datetime) -> ScanSample:
 
 # --- vectorized footprint core ----------------------------------------------
 
+def _cross(a, b):
+    """np.cross(a, b, axis=0) for arrays shaped (3, n) or (3, 1).
+
+    The components are computed in np.cross's operation order, so the
+    bits are the same, without its per-call axis bookkeeping.
+    """
+    return np.stack((a[1] * b[2] - a[2] * b[1],
+                     a[2] * b[0] - a[0] * b[2],
+                     a[0] * b[1] - a[1] * b[0]))
+
+
 def _rotate(vec, axis, angle_rad):
     """Rodrigues rotation of vec about unit axis; all shaped (3, n)."""
     c = np.cos(angle_rad)
     s = np.sin(angle_rad)
-    k_cross_v = np.cross(axis, vec, axis=0)
+    k_cross_v = _cross(axis, vec)
     k_dot_v = np.sum(axis * vec, axis=0)
     return vec * c + k_cross_v * s + axis * (k_dot_v * (1.0 - c))
 
@@ -312,7 +323,7 @@ def _footprint_arrays(sat_r, sat_v_inertial, boresight_deg, spec,
     p_plus, m1 = _ray_ellipsoid(sat_r, d_scan_p, ground_altitude)
     p_minus, m2 = _ray_ellipsoid(sat_r, d_scan_m, ground_altitude)
 
-    w = _unit(np.cross(d0, axis, axis=0))
+    w = _unit(_cross(d0, axis))
     d_cross_p = _rotate(d0, w, np.full_like(theta, half_beam))
     d_cross_m = _rotate(d0, w, np.full_like(theta, -half_beam))
     q_plus, m3 = _ray_ellipsoid(sat_r, d_cross_p, ground_altitude)
@@ -335,7 +346,7 @@ def _footprint_arrays(sat_r, sat_v_inertial, boresight_deg, spec,
     # Project onto the tangent plane and orthonormalize.
     major_dir = major_dir - up_c * np.sum(major_dir * up_c, axis=0)
     u_major = _unit(major_dir)
-    u_minor = np.cross(up_c, u_major, axis=0)
+    u_minor = _cross(up_c, u_major)
 
     orientation = np.degrees(np.arctan2(np.sum(u_major * east, axis=0),
                                         np.sum(u_major * north, axis=0)))

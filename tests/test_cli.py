@@ -417,3 +417,72 @@ def test_itu_pixels_screening_keeps_swath_edge(every_example_sample, where):
     expected = _reference_selection(every_example_sample, bbox, 1000)
     assert expected and min(s for _, s, _, _ in expected) > idx.max() - 4
     assert _selection(config, bbox, 1000) == expected
+
+
+def test_darkspaces_network_matches_single_sites(scenario):
+    """Three transmitters in one config: each one's rows and report are
+    those of a config that names it alone."""
+    path, config, tmp = scenario
+    hcro = config["transmitters"][0]
+    config["transmitters"] = [
+        hcro,
+        dict(hcro, id="hcro-twin"),
+        {"id": "east", "lat": hcro["lat"] + 1.0, "lon": hcro["lon"] + 3.0,
+         "alt_m": 500.0},
+    ]
+
+    def run(name, transmitters):
+        cfg = tmp / f"{name}.json"
+        cfg.write_text(json.dumps(dict(config, transmitters=transmitters)))
+        out = tmp / name
+        assert main(["darkspaces", "--config", str(cfg), "--out-dir",
+                     str(out), "--policy", "scanline"]) == 0
+        rows = _data_lines(out / "schedule.csv")[1:]
+        reports = json.loads((out / "availability.json").read_text())
+        return rows, reports["transmitters"]
+
+    rows, reports = run("network", config["transmitters"])
+    assert list(reports) == ["east", "hcro", "hcro-twin"]
+    for tx in config["transmitters"]:
+        alone_rows, alone_reports = run(tx["id"], [tx])
+        assert alone_rows
+        assert [r for r in rows if r.split(",")[0] == tx["id"]] == alone_rows
+        assert reports[tx["id"]] == alone_reports[tx["id"]]
+
+
+@pytest.mark.parametrize("first,second", [("hcro", "hcro"), (None, "tx0"),
+                                          ("tx1", None)],
+                         ids=["same-id", "id-of-default", "default-id"])
+def test_duplicate_transmitter_ids_fail(scenario, capsys, first, second):
+    """Two transmitters with one id would share one availability entry;
+    None leaves the id out, so the default tx<index> applies."""
+    path, config, tmp = scenario
+    sites = [dict(config["transmitters"][0]), {"lat": 10.0, "lon": 20.0}]
+    for site, tx_id in zip(sites, (first, second)):
+        site.pop("id", None)
+        if tx_id is not None:
+            site["id"] = tx_id
+    config["transmitters"] = sites
+    bad = tmp / "dup.json"
+    bad.write_text(json.dumps(config))
+    out = tmp / "out_dup"
+    assert main(["darkspaces", "--config", str(bad),
+                 "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "transmitters[0]" in err and "transmitters[1]" in err
+    assert not any(out.glob("*"))
+
+
+@pytest.mark.parametrize("command", ["darkspaces", "experiment"])
+@pytest.mark.parametrize("policy", [None, "pixel", 2.0, []],
+                         ids=["null", "string", "number", "list"])
+@pytest.mark.parametrize("flag", [[], ["--policy", "scanline"]],
+                         ids=["no-flag", "flag"])
+def test_non_object_policy_fails(scenario, capsys, command, policy, flag):
+    path, config, tmp = scenario
+    config["policy"] = policy
+    bad = tmp / "policy.json"
+    bad.write_text(json.dumps(config))
+    assert main([command, "--config", str(bad), "--out-dir",
+                 str(tmp / "out_policy"), *flag]) == 2
+    assert "policy" in capsys.readouterr().err
