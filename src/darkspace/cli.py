@@ -229,15 +229,8 @@ def _lines_near_box(elements, spec, start, line_offsets, bbox,
     rho = (1.0 + _REACH_SLACK) * reach + (np.linalg.norm(v, axis=0)
                                           * spec.scan_period)
 
-    big_a = frames.WGS84_A + ground_altitude
-    big_m = (frames.WGS84_B + ground_altitude) ** 2 / big_a
-    path = 2.0 * big_m * np.arcsin(np.minimum(rho / (2.0 * big_m), 1.0))
-    dlat = np.degrees(path / big_m)
-    phi_far = np.maximum(np.abs(bbox.lat_min - dlat),
-                         np.abs(bbox.lat_max + dlat))
-    # cos(90 deg) is a tiny positive number, so dlon waives the test there.
-    dlon = np.degrees(path / (big_a * np.cos(np.radians(
-        np.minimum(phi_far, 90.0)))))
+    dlat, dlon = frames.surface_reach_deg(rho, bbox.lat_min, bbox.lat_max,
+                                          ground_altitude)
     lon_mid = 0.5 * (bbox.lon_min + bbox.lon_max)
     lon_off = np.abs((lon - lon_mid + 180.0) % 360.0 - 180.0)
     return ((lat >= bbox.lat_min - dlat) & (lat <= bbox.lat_max + dlat)
@@ -261,23 +254,19 @@ def _itu_pixels(config, satellite, max_pixels, bbox):
     |boresight| (the scan plane cuts the ellipsoid in a convex curve), the
     line's last sample starts less than T later, in which time G moves less
     than |v| T, and the edge reach changes by far less than _REACH_SLACK
-    of itself.  On the ground-altitude ellipsoid (semi-axes A, B) no
-    radius of curvature is below M = B**2 / A, so the shortest surface
-    path between points a chord rho apart is at most s = 2 M asin(rho / 2M)
-    long; along it latitude changes by at most s / M and, at latitudes up
-    to phi_far, longitude by at most s / (A cos phi_far).  A line can thus
-    only have a centre in the box when G's geodetic latitude and longitude
-    satisfy
+    of itself.  On the ground-altitude ellipsoid a chord rho reaches at
+    most dlat in latitude and dlon in longitude from the box
+    (frames.surface_reach_deg), so a line can only have a centre in the
+    box when G's geodetic latitude and longitude satisfy
 
-        lat_min - s/M <= lat_G <= lat_max + s/M
-        |lon_G - lon_mid| <= (lon_max - lon_min) / 2 + s / (A cos phi_far)
+        lat_min - dlat <= lat_G <= lat_max + dlat
+        |lon_G - lon_mid| <= (lon_max - lon_min) / 2 + dlon
 
-    with phi_far = min(90, max(|lat_min - s/M|, |lat_max + s/M|)) and the
-    longitude difference wrapped into [-180, 180].  A line whose edge rays
-    miss the Earth gets rho = inf.  Every line that fails the test has no
-    sample centred in the box, and footprints do not depend on which other
-    samples are computed with them, so the in-box samples, and the stride
-    down to max_pixels, are those of footprinting every sample.
+    with the longitude difference wrapped into [-180, 180].  A line whose
+    edge rays miss the Earth gets rho = inf.  Every line that fails the
+    test has no sample centred in the box, and footprints do not depend on
+    which other samples are computed with them, so the in-box samples, and
+    the stride down to max_pixels, are those of footprinting every sample.
     """
     elements, spec = satellite
     lattice = ScanLattice(spec, elements.epoch)
@@ -349,6 +338,7 @@ def cmd_itu_sim(args) -> int:
         raise ConfigError(f"itu.model: expected 'los' or 'two-ray', got "
                           f"{itu['model']!r}") from None
 
+    writer = None
     dep_node = itu["deployment"]
     if dep_node is None:
         raise ConfigError("missing config key: itu.deployment")
@@ -374,23 +364,43 @@ def cmd_itu_sim(args) -> int:
                                                 24.0e9)),
             emission_bandwidth=float(dep_node.get("emission_bandwidth_hz",
                                                   200.0e6)))
-        write_deployment_jsonl(deployment, out / "deployment.jsonl")
+        # Formatting the JSONL is the slowest stage and shares nothing with
+        # the sweep, so a forked child writes it from the inherited columns
+        # while this process sweeps the pixels.  The child only formats and
+        # writes text, so the BLAS threads idle at the fork do not matter;
+        # flushing first keeps it from repeating this process's buffered
+        # output.
+        # (Imported here, so other subcommands pay none of its start-up.)
+        import multiprocessing
+        sys.stdout.flush()
+        sys.stderr.flush()
+        writer = multiprocessing.get_context("fork").Process(
+            target=write_deployment_jsonl,
+            args=(deployment, out / "deployment.jsonl"))
+        writer.start()
     bbox = GeoBox(*[float(x) for x in bbox_node])
 
-    spec, footprints, states = _itu_pixels(config, satellite,
-                                           itu["max_pixels"], bbox)
-    if not footprints:
-        raise ComputeError("no radiometer pixels fall inside the area "
-                           "during the window")
+    try:
+        spec, footprints, states = _itu_pixels(config, satellite,
+                                               itu["max_pixels"], bbox)
+        if not footprints:
+            raise ComputeError("no radiometer pixels fall inside the area "
+                               "during the window")
 
-    atmosphere = config.atmosphere("itu")
-    samples = [
-        aggregate_interference(fp, st, deployment, model, spec,
-                               atmosphere=atmosphere,
-                               reflection_coeff=complex(itu["gamma"]),
-                               two_ray_floor_db=itu["two_ray_floor_db"],
-                               include_contributors=False)
-        for fp, st in zip(footprints, states)]
+        atmosphere = config.atmosphere("itu")
+        samples = [
+            aggregate_interference(fp, st, deployment, model, spec,
+                                   atmosphere=atmosphere,
+                                   reflection_coeff=complex(itu["gamma"]),
+                                   two_ray_floor_db=itu["two_ray_floor_db"],
+                                   include_contributors=False)
+            for fp, st in zip(footprints, states)]
+    finally:
+        if writer is not None:
+            writer.join()
+    if writer is not None and writer.exitcode != 0:
+        raise ComputeError(f"writing {out / 'deployment.jsonl'} failed "
+                           f"(writer exit code {writer.exitcode})")
 
     report = compliance(samples, threshold=itu["threshold_dbm_mhz"],
                         quantile=itu["quantile"], area_km2=itu["area_km2"])

@@ -383,7 +383,8 @@ def exclusion_records(plan: FlashlightPlan) -> list[ExclusionRecord]:
     Every instant inside a pulse is subtension time by construction, so the
     dwells a pulse transmits into (ScanLattice.dwells) are exactly the
     contaminated ones.  OFF-reference pixels are one scan line later than
-    any pulse and are never excluded.
+    any pulse and are never excluded.  A record ends where the next dwell
+    starts, both counted from the epoch.
     """
     lattice = ScanLattice(plan.spec, plan.elements.epoch)
     reason = ("rf-flashlight ON (scan-line mode)" if plan.mode == "scanline"
@@ -397,13 +398,13 @@ def exclusion_records(plan: FlashlightPlan) -> list[ExclusionRecord]:
             if key in seen:
                 continue
             seen.add(key)
-            start = lattice.scan_sample(*key).t
             records.append(ExclusionRecord(
                 satellite_id=plan.satellite_id,
                 scan_line_index=key[0],
                 sample_index=key[1],
-                start=start,
-                end=add_seconds(start, plan.spec.sample_dwell),
+                start=lattice.scan_sample(*key).t,
+                end=add_seconds(lattice.epoch,
+                                lattice.tau(key[0], key[1] + 1)),
                 reason=reason,
             ))
     return records

@@ -190,7 +190,11 @@ class _SharedGeometry:
         """Compute the screen geometry of the lines not yet cached.
 
         Per line, at its first sample: the position r, the scan axis, the
-        speed bound V and the edge reach (1 + s) A of _lines_near_tx.
+        speed bound V and the edge reach (1 + s) A of _lines_near_tx.  The
+        edge samples are footprinted 4 * MARGIN_CHUNK at a time, so the
+        temporaries do not grow with the window.  (Pieces of MARGIN_CHUNK
+        gave the same bits but measured 16 % slower on a 2-day ATMS run:
+        the allocator then faults fresh pages in for later arrays.)
         """
         new = _unique_ids(np.asarray(lines, dtype=np.int64))
         if self._line_ids.size:
@@ -204,13 +208,16 @@ class _SharedGeometry:
         _, axis = _scan_axis(r, v)
         n = new.size
         edges = spec.boresight_of(np.tile([0, spec.samples_per_scan - 1], n))
-        edge = _footprint_arrays(np.repeat(r, 2, axis=1),
-                                 np.repeat(v, 2, axis=1), edges, spec,
-                                 self.ground_altitude)
+        edge_r, edge_v = np.repeat(r, 2, axis=1), np.repeat(v, 2, axis=1)
+        semi_major, miss = np.empty(2 * n), np.empty(2 * n, dtype=bool)
+        for i in range(0, 2 * n, 4 * MARGIN_CHUNK):
+            part = slice(i, i + 4 * MARGIN_CHUNK)
+            edge = _footprint_arrays(edge_r[:, part], edge_v[:, part],
+                                     edges[part], spec, self.ground_altitude)
+            semi_major[part], miss[part] = edge["semi_major"], edge["miss"]
         reach = ((1.0 + _SCREEN_SLACK) * self.policy.buffer_multiplier
-                 * edge["semi_major"].reshape(n, 2).max(axis=1))
-        reach = np.where(edge["miss"].reshape(n, 2).any(axis=1), np.inf,
-                         reach)
+                 * semi_major.reshape(n, 2).max(axis=1))
+        reach = np.where(miss.reshape(n, 2).any(axis=1), np.inf, reach)
         speed = (np.linalg.norm(v, axis=0)
                  + frames.OMEGA_EARTH * np.linalg.norm(r, axis=0)
                  + _ACCEL_BOUND * spec.scan_period)

@@ -101,7 +101,7 @@ def orbital_period_seconds(elements: OrbitalElements) -> float:
 
 def _check_epoch_offset(elements: OrbitalElements, minutes: np.ndarray):
     limit = MAX_EPOCH_OFFSET_DAYS * MINUTES_PER_DAY
-    worst = float(np.max(np.abs(minutes)))
+    worst = float(np.max(np.abs(minutes), initial=0.0))
     if worst > limit:
         raise EpochTooFar(
             f"requested time is {worst / MINUTES_PER_DAY:.1f} days from the "

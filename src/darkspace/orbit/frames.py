@@ -63,6 +63,29 @@ def geodetic_to_ecef(lat_deg, lon_deg, alt_m):
     return np.stack([x, y, z])
 
 
+def surface_reach_deg(chord, lat_lo, lat_hi, altitude):
+    """(dlat, dlon): the latitude and longitude reach of a surface chord.
+
+    On the altitude-shifted ellipsoid (semi-axes A, B) no radius of
+    curvature is below M = B**2 / A, so the shortest surface path between
+    points a chord rho apart is at most s = 2 M asin(rho / 2M) long; along
+    it latitude changes by at most dlat = s / M and, at latitudes up to
+    phi_far, longitude by at most dlon = s / (A cos phi_far), with
+    phi_far = min(90, max(|lat_lo - dlat|, |lat_hi + dlat|)) for paths
+    from latitudes in [lat_lo, lat_hi].  cos(90 deg) is a tiny positive
+    number, so near a pole dlon exceeds 180 and waives any longitude test.
+    Elementwise over chord; degrees in and out.
+    """
+    big_a = WGS84_A + altitude
+    big_m = (WGS84_B + altitude) ** 2 / big_a
+    path = 2.0 * big_m * np.arcsin(np.minimum(chord / (2.0 * big_m), 1.0))
+    dlat = np.degrees(path / big_m)
+    phi_far = np.maximum(np.abs(lat_lo - dlat), np.abs(lat_hi + dlat))
+    dlon = np.degrees(path / (big_a * np.cos(np.radians(
+        np.minimum(phi_far, 90.0)))))
+    return dlat, dlon
+
+
 def ecef_to_geodetic(r_ecef_m):
     """ECEF metres to WGS-84 (lat deg, lon deg, alt m).
 

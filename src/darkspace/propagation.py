@@ -239,7 +239,8 @@ class DeploymentArrays:
     """A deployment as columns, one entry per emitter.
 
     generate_deployment and read_deployment_jsonl return one; a sequence of
-    hand-built TransmitterSpec unpacks into one.  The ECEF geometry is
+    hand-built TransmitterSpec unpacks into one.  The ECEF geometry and
+    each emitter's sines and cosines of latitude and longitude are
     computed once, so build it once and reuse it across pixels.  Columns:
     ids and kinds (lists of str, kinds as TransmitterKind values) and the
     float arrays lat, lon, alt, antenna_height, eirp, center_frequency,
@@ -285,6 +286,15 @@ class DeploymentArrays:
             frames.geodetic_to_ecef(self.lat, self.lon,
                                     self.alt + self.antenna_height)
             if n else np.zeros((3, 0)))
+        # Each emitter's local frame, as frames.enu_basis builds it.
+        lat, lon = np.radians(self.lat), np.radians(self.lon)
+        self.sin_lat, self.cos_lat = np.sin(lat), np.cos(lat)
+        self.sin_lon, self.cos_lon = np.sin(lon), np.cos(lon)
+        # The bounds _near_pixel needs: the largest |altitude| and how far
+        # the lowest antenna lies below the ellipsoid.
+        self.alt_span = float(np.max(np.abs(self.alt))) if n else 0.0
+        self.sink = (max(0.0, -float(np.min(self.alt + self.antenna_height)))
+                     if n else 0.0)
 
     def __len__(self):
         return len(self.ids)
@@ -295,6 +305,93 @@ class DeploymentArrays:
         return (self.ids == other.ids and self.kinds == other.kinds
                 and all(np.array_equal(getattr(self, c), getattr(other, c))
                         for c in self._FLOAT_COLUMNS))
+
+
+#: Metres added to the screen's reach in _near_pixel, far above the
+#: rounding of ECEF positions (nanometres) and of degrees (micrometres).
+_SCREEN_SLACK_M = 1.0
+
+
+def _near_pixel(arrays: DeploymentArrays, pixel: PixelFootprint,
+                sat: SatelliteState):
+    """Indices (ascending) of the emitters that can count in this pixel.
+
+    An emitter counts when its ground point p is inside the pixel ellipse
+    and its antenna sees the satellite S above the horizon.  Work on the
+    WGS-84 ellipsoid K (semi-axes A, B), with c0 and q the feet of the
+    pixel centre c and of p (same latitude and longitude), n the unit
+    normal at c0, to which the ellipse axes are orthogonal, and
+    M = B**2 / A, the smallest radius of curvature of K.  Take a the semi-
+    major axis, H the largest |altitude| of the emitters (alt_span), sink
+    how far the lowest antenna lies below K (0 if none does) and s the
+    distance of q from the line c0 + t n.
+
+    Since |u_major.(p - c)|**2 + |u_minor.(p - c)|**2 <= a**2 inside the
+    ellipse and p - c = q - c0 + alt n_q - alt_c n, with n_q the normal
+    at q, s <= a + H sin(n, n_q) <= a + H.  The ball of radius M tangent
+    to K at c0 lies inside K, and q on the surface lies outside its
+    interior, so with z = n.(q - c0) <= 0 either
+
+        near:  z >= -(M - sqrt(M**2 - s**2)), or
+        far:   z <= -M - sqrt(M**2 - s**2), q beyond the ball's centre.
+
+    Far is ruled out when the satellite sees the pixel centre,
+    n.(S - c0) >= 0, and s + (1 - M / (2A)) |S - c0| < M - sink (for a
+    LEO satellite, thousands of km to spare); otherwise every emitter is
+    kept.  The segment from a far q to S crosses the plane of the ball's
+    centre o at w = q + t (S - q) with t <= 1 - M / (2A) (q lies at most
+    2A below c0), and |w - o| <= s + t |S - c0|, so w lies sink deep
+    inside K, n_q.(S - q) < -sink and the antenna, at
+    q + (alt + antenna_height) n_q, sees S below its horizon.
+
+    Near: the chord is |q - c0| <= rho = sqrt(s**2 + (M - sqrt(M**2 -
+    s**2))**2), and a surface path between points rho apart is at most
+    2 M asin(rho / 2M) = M asin(s / M) long (frames.surface_reach_deg).
+    The normal turns by at most 1/M per metre of path, so with s <= a + H
+    first, sin(n, n_q) <= (a + H) / M and s <= a + H (a + H) / M.
+    frames.surface_reach_deg turns rho into a latitude and longitude reach
+    around c0's; a longitude difference d in [0, 360] passes when d or
+    360 - d is within reach, and near a pole the reach waives that test.
+    _SCREEN_SLACK_M covers rounding.
+    """
+    lat, lon = pixel.center.latitude, pixel.center.longitude
+    _, _, up = frames.enu_basis(lat, lon)
+    to_sat = sat.r - frames.geodetic_to_ecef(lat, lon, 0.0)
+    big_a = frames.WGS84_A
+    big_m = frames.WGS84_B ** 2 / big_a
+    a, span = pixel.semi_major, arrays.alt_span
+    far = a + span + _SCREEN_SLACK_M
+    if (float(np.dot(up, to_sat)) < 0.0
+            or far + (1.0 - big_m / (2.0 * big_a)) * np.linalg.norm(to_sat)
+            + arrays.sink >= big_m):
+        return np.arange(len(arrays))
+    s = a + span * (a + span) / big_m + _SCREEN_SLACK_M
+    chord = math.hypot(s, s * s / (big_m + math.sqrt(big_m ** 2 - s * s)))
+    dlat, dlon = frames.surface_reach_deg(chord, lat, lat, 0.0)
+    band = np.flatnonzero((arrays.lat >= lat - dlat)
+                          & (arrays.lat <= lat + dlat))
+    lon_off = np.abs(arrays.lon[band] - lon)
+    return band[(lon_off <= dlon) | (lon_off >= 360.0 - dlon)]
+
+
+def _look(arrays: DeploymentArrays, sat_r, idx):
+    """Elevation (degrees) and slant range (m) of the satellite from the
+    antennas idx: frames.look_angles_from_ecef with each emitter's frame
+    from the trig computed once per deployment, its sums in np.sum's
+    order.  The east sum's third term, a zero, changes at most the sign
+    of a zero, and east enters only squared.
+    """
+    rho = [r - row[idx] for r, row in zip(sat_r, arrays.antenna_ecef)]
+    sin_lat, cos_lat = arrays.sin_lat[idx], arrays.cos_lat[idx]
+    sin_lon, cos_lon = arrays.sin_lon[idx], arrays.cos_lon[idx]
+    e = rho[0] * -sin_lon + rho[1] * cos_lon
+    n = (rho[0] * (-sin_lat * cos_lon) + rho[1] * (-sin_lat * sin_lon)
+         + rho[2] * cos_lat)
+    u = (rho[0] * (cos_lat * cos_lon) + rho[1] * (cos_lat * sin_lon)
+         + rho[2] * sin_lat)
+    slant = np.sqrt(e * e + n * n + u * u)
+    elevation = np.degrees(np.arcsin(np.clip(u / slant, -1.0, 1.0)))
+    return elevation, slant
 
 
 def aggregate_interference(pixel: PixelFootprint, sat: SatelliteState,
@@ -314,7 +411,9 @@ def aggregate_interference(pixel: PixelFootprint, sat: SatelliteState,
     own slant geometry; the aggregate is their linear power sum.  Pass a
     prebuilt DeploymentArrays when sweeping many pixels; disable
     include_contributors to drop the per-transmitter audit tuples on large
-    grids (the aggregate is unchanged).
+    grids (the aggregate is unchanged).  Only the emitters of the proven
+    box of _near_pixel are tested against the ellipse; every step is
+    elementwise, so the result is that of testing all of them.
     """
     arrays = (deployment if isinstance(deployment, DeploymentArrays)
               else DeploymentArrays(deployment))
@@ -323,29 +422,28 @@ def aggregate_interference(pixel: PixelFootprint, sat: SatelliteState,
         return InterferenceSample(pixel=pixel, aggregate=float("-inf"),
                                   contributors=())
 
-    center = np.array(geom.center_ecef).reshape(3, 1)
-    delta = arrays.ground_ecef - center
-    x = np.array(geom.u_major) @ delta
-    y = np.array(geom.u_minor) @ delta
-    del delta
-    # (x / a)**2 + (y / b)**2 <= 1, in place: the same operations without
-    # five more N-sized temporaries per pixel.
+    idx = _near_pixel(arrays, pixel, sat)
+    # _ellipse_margins' np.sum(delta * u, axis=0), a row at a time in its
+    # order (up to the sign of a zero): gathering rows is far faster than
+    # gathering a (3, n) delta.
+    x = y = 0.0
+    for row, c, u_major, u_minor in zip(arrays.ground_ecef, geom.center_ecef,
+                                        geom.u_major, geom.u_minor):
+        delta = row[idx] - c
+        x = x + delta * u_major
+        y = y + delta * u_minor
+    # (x / a)**2 + (y / b)**2 <= 1, in place.
     x /= pixel.semi_major
     x *= x
     y /= pixel.semi_minor
     y *= y
     x += y
-    inside = x <= 1.0
-    if not np.any(inside):
+    idx = idx[x <= 1.0]
+    if idx.size == 0:
         return InterferenceSample(pixel=pixel, aggregate=float("-inf"),
                                   contributors=())
 
-    idx = np.flatnonzero(inside)
-    elevation, _, slant = frames.look_angles_from_ecef(
-        sat.r.reshape(3, 1), arrays.antenna_ecef[:, idx],
-        arrays.lat[idx], arrays.lon[idx])
-    elevation = np.atleast_1d(elevation)
-    slant = np.atleast_1d(slant)
+    elevation, slant = _look(arrays, sat.r, idx)
     visible = elevation > 0.0
     idx = idx[visible]
     if idx.size == 0:

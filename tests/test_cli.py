@@ -1,16 +1,20 @@
 """End-to-end CLI: subcommands, exit codes, file formats, determinism."""
 import hashlib
 import json
+import multiprocessing
 import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import darkspace.cli
+from darkspace import geofence
 from darkspace.cli import _itu_pixels, main
 from darkspace.config import ScenarioConfig
 from darkspace.orbit import GroundPoint, frames, propagate, propagate_many
-from darkspace.propagation import GeoBox
+from darkspace.propagation import (GeoBox, generate_deployment,
+                                   write_deployment_jsonl)
 from darkspace.radiometer import _footprint_arrays
 from darkspace.timeutil import add_seconds
 
@@ -333,6 +337,67 @@ def test_itu_sim_zero_emission_bandwidth(scenario, capsys):
     assert main(["itu-sim", "--config", str(bad),
                  "--out-dir", str(tmp / "itu_bw")]) == 2
     assert "emission_bandwidth" in capsys.readouterr().err
+
+
+def test_itu_sim_unwritable_deployment_fails(scenario, capsys):
+    path, _, tmp = scenario
+    out = tmp / "itu_dir"
+    (out / "deployment.jsonl").mkdir(parents=True)
+    assert main(["itu-sim", "--config", str(path),
+                 "--out-dir", str(out)]) == 3
+    assert "deployment.jsonl" in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
+
+
+def test_itu_sim_no_pixels_still_writes_deployment(scenario, capsys):
+    path, config, tmp = scenario
+    # A box the satellite does not overfly during the window.
+    config["itu"]["deployment"]["bbox"] = [-60.0, -59.0, 10.0, 11.0]
+    empty = tmp / "empty_box.json"
+    empty.write_text(json.dumps(config))
+    out = tmp / "itu_empty"
+    assert main(["itu-sim", "--config", str(empty),
+                 "--out-dir", str(out)]) == 3
+    assert "no radiometer pixels" in capsys.readouterr().err
+    in_process = tmp / "in_process.jsonl"
+    write_deployment_jsonl(generate_deployment(
+        "rural", GeoBox(-60.0, -59.0, 10.0, 11.0), 1234), in_process)
+    assert (out / "deployment.jsonl").read_bytes() == \
+        in_process.read_bytes()
+    assert multiprocessing.active_children() == []
+
+
+def test_itu_sim_calls_patched_writer(scenario, monkeypatch):
+    """A wrapper patched onto darkspace.cli.write_deployment_jsonl, as a
+    tracer does, runs in the writer process and its output stands."""
+    path, _, tmp = scenario
+    write = darkspace.cli.write_deployment_jsonl
+
+    def wrapped(deployment, out_path):
+        Path(str(out_path) + ".called").write_text("")
+        write(deployment, out_path)
+
+    monkeypatch.setattr(darkspace.cli, "write_deployment_jsonl", wrapped)
+    assert main(["itu-sim", "--config", str(path),
+                 "--out-dir", str(tmp / "patched")]) == 0
+    assert (tmp / "patched" / "deployment.jsonl.called").exists()
+    recorded = json.loads((FIXTURES / "itu_sim_digests.json").read_text())
+    assert hashlib.sha256((tmp / "patched" / "deployment.jsonl")
+                          .read_bytes()).hexdigest() == \
+        recorded["deployment.jsonl"]
+
+
+def test_darkspaces_edge_footprints_in_chunks(scenario, monkeypatch):
+    """Footprinting the screen's edge samples a few lines at a time keeps
+    schedule.csv byte for byte."""
+    path, _, tmp = scenario
+    assert main(["darkspaces", "--config", str(path),
+                 "--out-dir", str(tmp / "whole")]) == 0
+    monkeypatch.setattr(geofence, "MARGIN_CHUNK", 2)
+    assert main(["darkspaces", "--config", str(path),
+                 "--out-dir", str(tmp / "chunked")]) == 0
+    assert ((tmp / "chunked" / "schedule.csv").read_bytes()
+            == (tmp / "whole" / "schedule.csv").read_bytes())
 
 
 # --- itu-sim pixel search -------------------------------------------------

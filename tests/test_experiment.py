@@ -280,3 +280,20 @@ def test_overlap_fraction_self_is_one(plan, leo_tle, atms):
     from darkspace.radiometer import pixel_footprint
     fp = pixel_footprint(propagate(leo_tle, p.target.t), p.target, atms)
     assert ellipse_overlap_fraction(fp, fp) == 1.0
+
+
+@pytest.mark.parametrize("which", ["plan", "boundary_plan"])
+def test_exclusion_ends_are_the_next_dwell_start(which, request, atms):
+    """A record ends where its dwell ends counted from the epoch, so a
+    record and the next dwell's record share their microsecond; adding a
+    dwell to the rounded start can land 1 us after it."""
+    plan = request.getfixturevalue(which)
+    epoch = plan.elements.epoch
+    records = exclusion_records(plan)
+    starts = {(r.scan_line_index, r.sample_index): r.start for r in records}
+    for r in records:
+        tau = ((r.scan_line_index * atms.scan_period)
+               + (r.sample_index + 1) * atms.sample_dwell)
+        assert r.end == add_seconds(epoch, tau)
+        following = starts.get((r.scan_line_index, r.sample_index + 1))
+        assert following is None or following == r.end

@@ -5,11 +5,14 @@ from datetime import datetime, timezone
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from darkspace import propagation
 from darkspace.errors import (ConfigError, ElevationNonPositive, EmptyArea,
                               NoSamples)
 from darkspace.linkbudget import SPEED_OF_LIGHT
-from darkspace.orbit import GroundPoint, state_from_geodetic
+from darkspace.orbit import GroundPoint, frames, state_from_geodetic
 from darkspace.propagation import (DeploymentArrays, GeoBox,
                                    InterferenceSample, PathModel,
                                    TransmitterKind, TransmitterSpec,
@@ -19,7 +22,7 @@ from darkspace.propagation import (DeploymentArrays, GeoBox,
                                    transmitter_from_dict,
                                    transmitter_to_dict,
                                    write_deployment_jsonl)
-from darkspace.radiometer import ScanSample, pixel_footprint
+from darkspace.radiometer import ScanSample, _ray_ellipsoid, pixel_footprint
 
 T0 = datetime(2023, 4, 23, 12, 0, tzinfo=timezone.utc)
 F = 23.8e9
@@ -302,6 +305,85 @@ def test_deployment_arrays_reused(pixel_and_sat, atms):
     a = aggregate_interference(fp, sat, arrays, PathModel.LOS_ONLY, atms)
     b = aggregate_interference(fp, sat, txs, PathModel.LOS_ONLY, atms)
     assert a.aggregate == b.aggregate
+
+
+def _ground_point_at(center, u_major, u_minor, x, y, alt):
+    """Geodetic (lat, lon) of the point at altitude alt whose offset from
+    center, projected on the ellipse plane, is (x, y)."""
+    target = center + x * u_major + y * u_minor
+    p = target
+    for _ in range(4):
+        lat, lon, _ = frames.ecef_to_geodetic(p)
+        d = frames.geodetic_to_ecef(lat, lon, alt) - target
+        p = p - u_major * np.dot(d, u_major) - u_minor * np.dot(d, u_minor)
+    lat, lon, _ = frames.ecef_to_geodetic(p)
+    return float(lat), float(lon)
+
+
+@settings(max_examples=40, deadline=None)
+@given(lat=st.floats(0.0, 85.0), lon=st.floats(178.0, 182.0),
+       heading=st.floats(0.0, 360.0), sample=st.integers(0, 95),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_screen_keeps_every_contributor(atms, lat, lon, heading, sample,
+                                        seed):
+    """The proven lat/lon box of _near_pixel drops no contributor: with
+    emitters just inside and just outside each ellipse edge, at 0-5 km,
+    around footprints at 0-85 degrees latitude and across +-180 degrees,
+    the screened and unscreened sums agree bit for bit."""
+    east, north, up = frames.enu_basis(lat, lon)
+    h = math.radians(heading)
+    sat = state_from_geodetic(
+        T0, lat, lon, 832.1e3,
+        velocity_ecef=tuple(7.4e3 * (math.sin(h) * east
+                                     + math.cos(h) * north)))
+    fp = pixel_footprint(sat, ScanSample(0, sample, T0,
+                                         float(atms.boresight_of(sample))),
+                         atms)
+    g = fp._geom
+    center, u1, u2 = (np.array(v) for v in (g.center_ecef, g.u_major,
+                                            g.u_minor))
+    rng = np.random.default_rng(seed)
+    cols = {k: [] for k in ("lat", "lon", "alt")}
+    for theta in np.concatenate((np.arange(8) * np.pi / 4,
+                                 rng.uniform(0, 2 * np.pi, 8))):
+        for scale in (0.999, 1.001):
+            alt = float(rng.uniform(0.0, 5000.0))
+            p_lat, p_lon = _ground_point_at(
+                center, u1, u2, scale * fp.semi_major * math.cos(theta),
+                scale * fp.semi_minor * math.sin(theta), alt)
+            cols["lat"].append(p_lat)
+            cols["lon"].append(p_lon)
+            cols["alt"].append(alt)
+    # The far side of the ellipse cylinder, which the satellite cannot see.
+    normal = np.cross(u1, u2)
+    far, _ = _ray_ellipsoid((center - 2.0e7 * normal).reshape(3, 1),
+                            normal.reshape(3, 1), 0.0)
+    far_lat, far_lon, _ = frames.ecef_to_geodetic(far[:, 0])
+    cols["lat"].append(float(far_lat))
+    cols["lon"].append(float(far_lon))
+    cols["alt"].append(0.0)
+    n = len(cols["lat"])
+    arrays = DeploymentArrays.from_columns(
+        ids=[f"t{i}" for i in range(n)], kinds=["gNB"] * n,
+        lat=cols["lat"], lon=cols["lon"], alt=cols["alt"],
+        antenna_height=rng.uniform(0.0, 30.0, n),
+        eirp=rng.uniform(-40.0, -10.0, n), center_frequency=np.full(n, F),
+        emission_bandwidth=np.full(n, 2.0e8), pointing_az=np.zeros(n),
+        pointing_el=np.zeros(n))
+
+    assert n - 1 not in propagation._near_pixel(arrays, fp, sat)
+
+    def run():
+        return aggregate_interference(fp, sat, arrays, PathModel.TWO_RAY,
+                                      atms)
+    screened = run()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(propagation, "_near_pixel",
+                   lambda arrays, pixel, sat: np.arange(len(arrays)))
+        unscreened = run()
+    assert len(unscreened.contributors) >= 16
+    assert screened.contributors == unscreened.contributors
+    assert screened.aggregate == unscreened.aggregate
 
 
 # --- compliance ------------------------------------------------------------------
