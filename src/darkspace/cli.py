@@ -28,8 +28,8 @@ from .geofence import (availability, dark_intervals,  # noqa: F401
                        write_schedule_jsonl)
 from .linkbudget import evaluate, fspl_db, required_tx_power, total_loss_db
 from . import radiometer
-from .orbit import GroundPoint, SatelliteState, propagate_many, \
-    state_from_geodetic, topocentric, frames, load_tle_file
+from .orbit import GroundPoint, propagate_many, state_from_geodetic, \
+    topocentric, frames, load_tle_file
 from .propagation import (GeoBox, PathModel, TransmitterKind, TransmitterSpec,
                           aggregate_interference, compliance,
                           generate_deployment, read_deployment_jsonl,
@@ -240,6 +240,9 @@ def _lines_near_box(elements, spec, start, line_offsets, bbox,
 def _itu_pixels(config, satellite, max_pixels, bbox):
     """Radiometer pixels over the window whose centers fall in the box.
 
+    Returns (spec, footprints, sat_r), sat_r (3, n) the satellite's ECEF
+    position at the start of each footprint's sample.
+
     Only scan lines within swath reach of the box are footprinted
     (_lines_near_box).  Take one state per line, at its first sample: G
     the ground point beneath the satellite, c_first and c_last the
@@ -310,15 +313,7 @@ def _itu_pixels(config, satellite, max_pixels, bbox):
     footprints = footprints_batch(r[:, sel], v_inertial[:, sel], samples,
                                   spec, ground_altitude,
                                   elements.satellite_id)
-    lat, lon, alt = frames.ecef_to_geodetic(r[:, sel])
-    states = [SatelliteState(
-        t=samples[k].t,
-        position_ecef=tuple(float(x) for x in r[:, i]),
-        velocity_ecef=tuple(float(x) for x in v[:, i]),
-        geodetic=(float(np.atleast_1d(lat)[k]), float(np.atleast_1d(lon)[k]),
-                  float(np.atleast_1d(alt)[k])),
-    ) for k, i in enumerate(sel)]
-    return spec, footprints, states
+    return spec, footprints, r[:, sel]
 
 
 def cmd_itu_sim(args) -> int:
@@ -381,20 +376,20 @@ def cmd_itu_sim(args) -> int:
     bbox = GeoBox(*[float(x) for x in bbox_node])
 
     try:
-        spec, footprints, states = _itu_pixels(config, satellite,
-                                               itu["max_pixels"], bbox)
+        spec, footprints, sat_r = _itu_pixels(config, satellite,
+                                              itu["max_pixels"], bbox)
         if not footprints:
             raise ComputeError("no radiometer pixels fall inside the area "
                                "during the window")
 
         atmosphere = config.atmosphere("itu")
         samples = [
-            aggregate_interference(fp, st, deployment, model, spec,
+            aggregate_interference(fp, r, deployment, model, spec,
                                    atmosphere=atmosphere,
                                    reflection_coeff=complex(itu["gamma"]),
                                    two_ray_floor_db=itu["two_ray_floor_db"],
                                    include_contributors=False)
-            for fp, st in zip(footprints, states)]
+            for fp, r in zip(footprints, sat_r.T)]
     finally:
         if writer is not None:
             writer.join()

@@ -21,8 +21,8 @@ from .linkbudget import LossChain, fspl_db
 from .orbit import (GroundPoint, OrbitalElements, propagate, topocentric)
 from .propagation import TransmitterSpec
 from .radiometer import (BufferPolicy, PolicyKind, RadiometerSpec,
-                         ScanLattice, ScanSample, pixel_footprint,
-                         scan_phase)
+                         ScanLattice, ScanSample, _ellipse_margins, _frame,
+                         pixel_footprint, scan_phase)
 from .timeutil import add_seconds, ensure_utc
 
 
@@ -145,29 +145,17 @@ def ellipse_overlap_fraction(fp_on, fp_off, n_radial: int = 24,
 
     Deterministic area sampling: points uniform in area over the ON ellipse
     (uniform in r^2 and angle), each tested against the OFF ellipse in its
-    own construction frame.
+    own frame.
     """
-    geom_on = fp_on._geom
-    center_on = np.array(geom_on.center_ecef)
-    maj_on = np.array(geom_on.u_major)
-    min_on = np.array(geom_on.u_minor)
-
     r = np.sqrt((np.arange(n_radial) + 0.5) / n_radial)
     th = (np.arange(n_angular) + 0.5) * (2.0 * math.pi / n_angular)
     rr, tt = np.meshgrid(r, th)
     x = (rr * np.cos(tt)).ravel() * fp_on.semi_major
     y = (rr * np.sin(tt)).ravel() * fp_on.semi_minor
-    points = (center_on.reshape(3, 1)
-              + maj_on.reshape(3, 1) * x
-              + min_on.reshape(3, 1) * y)
-
-    geom_off = fp_off._geom
-    delta = points - np.array(geom_off.center_ecef).reshape(3, 1)
-    xo = np.array(geom_off.u_major) @ delta
-    yo = np.array(geom_off.u_minor) @ delta
-    inside = ((xo / fp_off.semi_major) ** 2
-              + (yo / fp_off.semi_minor) ** 2) <= 1.0
-    return float(np.mean(inside))
+    on = _frame(fp_on)
+    points = on["center"] + on["u_major"] * x + on["u_minor"] * y
+    margins = _ellipse_margins(_frame(fp_off), points, 1.0)
+    return float(np.mean(margins <= 0.0))
 
 
 def _off_reference(sample: ScanSample, lattice: ScanLattice) -> ScanSample:
@@ -176,18 +164,19 @@ def _off_reference(sample: ScanSample, lattice: ScanLattice) -> ScanSample:
                                sample.sample_index)
 
 
-def _contaminated(plan_mode: str, lattice: ScanLattice, line: int,
+def _contaminated(plan_mode: str, lattice: ScanLattice,
                   on_start: datetime, on_end: datetime):
     """(line, sample) keys of every dwell an ON pulse contaminates.
 
     A pixel-mode pulse contaminates the dwells it transmits into.  In
-    scan-line mode the scan phase within the line is not predictable, so
-    every sample of the pulse's line is suspect.
+    scan-line mode the scan phase within a line is not predictable, so
+    every sample of each line the pulse transmits into is suspect.
     """
-    if plan_mode == "scanline":
-        return [(line, i) for i in range(lattice.spec.samples_per_scan)]
     lines, samples = lattice.dwells(lattice.offset(on_start),
                                     lattice.offset(on_end))
+    if plan_mode == "scanline":
+        return [(line, i) for line in dict.fromkeys(lines.tolist())
+                for i in range(lattice.spec.samples_per_scan)]
     return list(zip(lines.tolist(), samples.tolist()))
 
 
@@ -232,8 +221,7 @@ def plan_experiment(tx: TransmitterSpec,
             target = scan_phase(spec, mid, elements.epoch)
         else:
             target = lattice.scan_sample(iv.scan_line_index, 0)
-        dwells = _contaminated(mode, lattice, target.scan_line_index,
-                               on_start, on_end)
+        dwells = _contaminated(mode, lattice, on_start, on_end)
         off_ref = _off_reference(target, lattice)
         off_key = (off_ref.scan_line_index, off_ref.sample_index)
         off_keys = ({off_key} if mode == "pixel" else
@@ -242,9 +230,10 @@ def plan_experiment(tx: TransmitterSpec,
 
         # The OFF reference is only valid if the flashlight is silent while
         # the radiometer integrates it.  Adjacent-line passes would
-        # otherwise contaminate each other's references, so conflicting
-        # intervals are skipped (and counted).
-        if (any(d in reserved_off for d in dwells)
+        # otherwise contaminate each other's references, and a pulse can
+        # run on into its own OFF line, so conflicting intervals are
+        # skipped (and counted).
+        if (any(d in reserved_off or d in off_keys for d in dwells)
                 or any(k in contaminated for k in off_keys)):
             discarded_off_conflict += 1
             continue
@@ -392,9 +381,8 @@ def exclusion_records(plan: FlashlightPlan) -> list[ExclusionRecord]:
     records = []
     seen = set()
     for pulse in plan.pulses:
-        for key in _contaminated(plan.mode, lattice,
-                                 pulse.target.scan_line_index,
-                                 pulse.on_start, pulse.on_end):
+        for key in _contaminated(plan.mode, lattice, pulse.on_start,
+                                 pulse.on_end):
             if key in seen:
                 continue
             seen.add(key)

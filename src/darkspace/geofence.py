@@ -42,11 +42,12 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptyConstellation, NotPhaseLocked, WindowTooLarge
-from .orbit import GroundPoint, OrbitalElements, propagate_many, frames
+from .orbit import (GroundPoint, OrbitalElements, _check_epoch_offset,
+                    propagate_many, frames)
 from .radiometer import (BufferPolicy, PolicyKind, RadiometerSpec,
                          ScanLattice, _cross, _ellipse_margins,
                          _footprint_arrays, _scan_axis)
-from .timeutil import add_seconds, ensure_utc, iso_utc
+from .timeutil import add_seconds, ensure_utc, iso_utc, minutes_since
 
 #: Coarse prefilter: step (s) and below-horizon guard (deg).  The
 #: prefilter is exact only while every buffered footprint that contains
@@ -167,8 +168,25 @@ class _SharedGeometry:
         return self.base + np.asarray(offsets, dtype=float)
 
     def states(self, offsets):
-        r, v = propagate_many(self.elements, self.window_start,
-                              np.asarray(offsets, dtype=float))
+        """ECEF positions and inertial velocities at window offsets (s).
+
+        Propagated 4 * MARGIN_CHUNK offsets at a time, so the SGP4
+        temporaries do not grow with the window; propagate_many is
+        elementwise, so the bits are those of one call.  (Pieces of
+        MARGIN_CHUNK gave the same bits but measured 10 % slower on a
+        2-day ATMS run, with four times the page faults, as in
+        cache_lines.)  The epoch guard sees every offset first, so a
+        window too far from the epoch is reported by its farthest instant,
+        as one call would report it.
+        """
+        offsets = np.asarray(offsets, dtype=float)
+        _check_epoch_offset(self.elements, minutes_since(
+            self.window_start, self.elements.epoch) + offsets / 60.0)
+        r, v = np.empty((3, offsets.size)), np.empty((3, offsets.size))
+        for i in range(0, offsets.size, 4 * MARGIN_CHUNK):
+            part = slice(i, i + 4 * MARGIN_CHUNK)
+            r[:, part], v[:, part] = propagate_many(
+                self.elements, self.window_start, offsets[part])
         omega = np.array([0.0, 0.0, frames.OMEGA_EARTH]).reshape(3, 1)
         return r, v + _cross(omega, r)
 

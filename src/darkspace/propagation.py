@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, ElevationNonPositive, EmptyArea, NoSamples
 from .linkbudget import SPEED_OF_LIGHT, fspl_db
-from .orbit import GroundPoint, SatelliteState, frames
+from .orbit import GroundPoint, frames
 from .radiometer import PixelFootprint, RadiometerSpec
 
 #: Mean Earth radius used for bounding-box areas, km.
@@ -312,8 +312,7 @@ class DeploymentArrays:
 _SCREEN_SLACK_M = 1.0
 
 
-def _near_pixel(arrays: DeploymentArrays, pixel: PixelFootprint,
-                sat: SatelliteState):
+def _near_pixel(arrays: DeploymentArrays, pixel: PixelFootprint, sat_r):
     """Indices (ascending) of the emitters that can count in this pixel.
 
     An emitter counts when its ground point p is inside the pixel ellipse
@@ -356,7 +355,7 @@ def _near_pixel(arrays: DeploymentArrays, pixel: PixelFootprint,
     """
     lat, lon = pixel.center.latitude, pixel.center.longitude
     _, _, up = frames.enu_basis(lat, lon)
-    to_sat = sat.r - frames.geodetic_to_ecef(lat, lon, 0.0)
+    to_sat = sat_r - frames.geodetic_to_ecef(lat, lon, 0.0)
     big_a = frames.WGS84_A
     big_m = frames.WGS84_B ** 2 / big_a
     a, span = pixel.semi_major, arrays.alt_span
@@ -394,9 +393,8 @@ def _look(arrays: DeploymentArrays, sat_r, idx):
     return elevation, slant
 
 
-def aggregate_interference(pixel: PixelFootprint, sat: SatelliteState,
-                           deployment, model: PathModel,
-                           radiometer: RadiometerSpec,
+def aggregate_interference(pixel: PixelFootprint, sat_r, deployment,
+                           model: PathModel, radiometer: RadiometerSpec,
                            atmosphere=None,
                            polarization_db: float = -3.0,
                            reflection_coeff: complex = -0.7,
@@ -405,6 +403,7 @@ def aggregate_interference(pixel: PixelFootprint, sat: SatelliteState,
                            ) -> InterferenceSample:
     """Aggregate dBm/MHz at the radiometer from transmitters in one pixel.
 
+    sat_r is the satellite's ECEF position (m) when it observes the pixel.
     Only transmitters inside the raw (unbuffered) pixel ellipse count;
     buffering is a protection concept, not an accounting one.  Each
     contribution is EIRP density plus the loss chain at that transmitter's
@@ -417,18 +416,17 @@ def aggregate_interference(pixel: PixelFootprint, sat: SatelliteState,
     """
     arrays = (deployment if isinstance(deployment, DeploymentArrays)
               else DeploymentArrays(deployment))
-    geom = pixel._geom
     if len(arrays) == 0:
         return InterferenceSample(pixel=pixel, aggregate=float("-inf"),
                                   contributors=())
 
-    idx = _near_pixel(arrays, pixel, sat)
+    idx = _near_pixel(arrays, pixel, sat_r)
     # _ellipse_margins' np.sum(delta * u, axis=0), a row at a time in its
     # order (up to the sign of a zero): gathering rows is far faster than
     # gathering a (3, n) delta.
     x = y = 0.0
-    for row, c, u_major, u_minor in zip(arrays.ground_ecef, geom.center_ecef,
-                                        geom.u_major, geom.u_minor):
+    for row, c, u_major, u_minor in zip(arrays.ground_ecef, pixel.center_ecef,
+                                        pixel.u_major, pixel.u_minor):
         delta = row[idx] - c
         x = x + delta * u_major
         y = y + delta * u_minor
@@ -443,7 +441,7 @@ def aggregate_interference(pixel: PixelFootprint, sat: SatelliteState,
         return InterferenceSample(pixel=pixel, aggregate=float("-inf"),
                                   contributors=())
 
-    elevation, slant = _look(arrays, sat.r, idx)
+    elevation, slant = _look(arrays, sat_r, idx)
     visible = elevation > 0.0
     idx = idx[visible]
     if idx.size == 0:

@@ -1,12 +1,11 @@
 """Cross-track scanning radiometer model.
 
 Maps time to scan phase, scan samples to ground pixel footprints on the
-WGS-84 ellipsoid, and decides whether a footprint (or the whole scan-line
-swath strip) subtends a ground transmitter.  The footprint math is exact
-ray-ellipsoid geometry: the boresight is the satellite's geodetic nadir
-rotated about the (inertial) velocity axis by the scan angle, and the pixel
-ellipse axes come from intersecting the 3 dB cone's edge rays with the
-ellipsoid.
+WGS-84 ellipsoid, and decides whether a footprint subtends a ground
+transmitter.  The footprint math is exact ray-ellipsoid geometry: the
+boresight is the satellite's geodetic nadir rotated about the (inertial)
+velocity axis by the scan angle, and the pixel ellipse axes come from
+intersecting the 3 dB cone's edge rays with the ellipsoid.
 
 All heavy math is vectorized over samples; the dataclass API wraps single
 samples of the same arrays so scalar and batched paths cannot diverge.
@@ -113,33 +112,23 @@ class ScanSample:
 class PixelFootprint:
     """Ground ellipse observed by one radiometer sample.
 
-    center sits on the (altitude-shifted) WGS-84 surface; semi axes are in
-    metres and orientation is the azimuth of the major axis at the center.
-    The private geometry handle keeps the exact construction so containment
-    tests reuse the same frame the footprint was built in.
+    center sits on the (altitude-shifted) WGS-84 surface and center_ecef
+    is the same point in ECEF metres; the semi axes are in metres along
+    the unit ECEF vectors u_major and u_minor, which span the tangent
+    plane at the center.  Containment tests use this frame, so they see
+    the ellipse exactly as it was built.
     """
     center: GroundPoint
     semi_major: float
     semi_minor: float
-    orientation: float
     source: tuple[str, ScanSample]
-    _geom: "_FootprintGeometry" = None
+    center_ecef: tuple[float, float, float]
+    u_major: tuple[float, float, float]
+    u_minor: tuple[float, float, float]
 
     def __post_init__(self):
         if not self.semi_major >= self.semi_minor > 0:
             raise ValueError("footprint axes must satisfy major >= minor > 0")
-
-
-@dataclass(frozen=True)
-class _FootprintGeometry:
-    """Construction context: satellite state and per-pixel ellipse frame."""
-    sat_r: tuple
-    sat_v_inertial: tuple
-    spec: RadiometerSpec
-    ground_altitude: float
-    center_ecef: tuple
-    u_major: tuple
-    u_minor: tuple
 
 
 #: Timestamps are whole microseconds, so an instant that lands within half
@@ -337,7 +326,7 @@ def _footprint_arrays(sat_r, sat_v_inertial, boresight_deg, spec,
                         + np.linalg.norm(q_minus - center, axis=0))
 
     clat, clon, _ = frames.ecef_to_geodetic(center)
-    east, north, up_c = frames.enu_basis(clat, clon)
+    _, _, up_c = frames.enu_basis(clat, clon)
 
     scan_dir = p_plus - p_minus
     cross_dir = q_plus - q_minus
@@ -348,10 +337,6 @@ def _footprint_arrays(sat_r, sat_v_inertial, boresight_deg, spec,
     u_major = _unit(major_dir)
     u_minor = _cross(up_c, u_major)
 
-    orientation = np.degrees(np.arctan2(np.sum(u_major * east, axis=0),
-                                        np.sum(u_major * north, axis=0)))
-    orientation = orientation % 360.0
-
     return {
         "center": center,
         "center_lat": np.atleast_1d(clat),
@@ -360,19 +345,19 @@ def _footprint_arrays(sat_r, sat_v_inertial, boresight_deg, spec,
         "semi_minor": np.minimum(semi_scan, semi_cross),
         "u_major": u_major,
         "u_minor": u_minor,
-        "orientation": orientation,
         "miss": miss,
     }
 
 
 def _ellipse_margins(arrays, tx_ecef, buffer_multiplier):
-    """Inflated-ellipse containment margin for each footprint.
+    """Inflated-ellipse containment margin of one point in n footprints,
+    or of m points (tx_ecef shaped (3, m)) in one footprint.
 
-    Negative or zero means the transmitter is inside the inflated ellipse;
+    Negative or zero means the point is inside the inflated ellipse;
     misses map to +inf.  The margin is the quadratic form value minus one,
     which is the quantity the geofence boundary refinement bisects on.
     """
-    delta = np.asarray(tx_ecef, dtype=float).reshape(3, 1) - arrays["center"]
+    delta = np.asarray(tx_ecef, dtype=float).reshape(3, -1) - arrays["center"]
     x = np.sum(delta * arrays["u_major"], axis=0)
     y = np.sum(delta * arrays["u_minor"], axis=0)
     a = arrays["semi_major"] * buffer_multiplier
@@ -393,33 +378,30 @@ def pixel_footprint(sat: SatelliteState, sample: ScanSample,
                             [sample], spec, ground_altitude)[0]
 
 
+def _frame(fp: PixelFootprint) -> dict:
+    """The footprint as the one-column arrays _ellipse_margins reads."""
+    return {"center": np.reshape(fp.center_ecef, (3, 1)),
+            "u_major": np.reshape(fp.u_major, (3, 1)),
+            "u_minor": np.reshape(fp.u_minor, (3, 1)),
+            "semi_major": fp.semi_major,
+            "semi_minor": fp.semi_minor,
+            "miss": False}
+
+
 def subtends(fp: PixelFootprint, tx: GroundPoint,
              policy: BufferPolicy) -> bool:
-    """Does this footprint (under the given policy) subtend the transmitter?
+    """Does the footprint, its axes inflated by the buffer multiplier,
+    contain the transmitter?
 
-    PixelLevel: point-in-ellipse with the axes inflated by the buffer
-    multiplier.  ScanLine: the transmitter may sit anywhere inside the
-    inflated swath strip of the footprint's scan line, evaluated with the
-    satellite geometry the footprint was built from.
+    This is the pixel-level question only.  Whether a scan line subtends
+    a transmitter depends on the satellite's motion over the line's
+    dwells, which geofence.dark_intervals follows.
     """
-    geom = fp._geom
-    if policy.kind is PolicyKind.PIXEL_LEVEL:
-        frame = {"center": np.reshape(geom.center_ecef, (3, 1)),
-                 "u_major": np.reshape(geom.u_major, (3, 1)),
-                 "u_minor": np.reshape(geom.u_minor, (3, 1)),
-                 "semi_major": fp.semi_major,
-                 "semi_minor": fp.semi_minor,
-                 "miss": False}
-        margin = _ellipse_margins(frame, tx.ecef(), policy.buffer_multiplier)
-        return bool(margin[0] <= 0.0)
-    spec = geom.spec
-    n = spec.samples_per_scan
-    boresights = spec.boresight_of(np.arange(n))
-    r = np.tile(np.array(geom.sat_r).reshape(3, 1), (1, n))
-    v = np.tile(np.array(geom.sat_v_inertial).reshape(3, 1), (1, n))
-    arrays = _footprint_arrays(r, v, boresights, spec, geom.ground_altitude)
-    margins = _ellipse_margins(arrays, tx.ecef(), policy.buffer_multiplier)
-    return bool(np.any(margins <= 0.0))
+    if policy.kind is not PolicyKind.PIXEL_LEVEL:
+        raise ValueError("subtends answers the pixel-level question; use "
+                         "geofence.dark_intervals for scan-line policies")
+    margin = _ellipse_margins(_frame(fp), tx.ecef(), policy.buffer_multiplier)
+    return bool(margin[0] <= 0.0)
 
 
 def footprints_batch(r_ecef, v_inertial, samples, spec: RadiometerSpec,
@@ -439,28 +421,16 @@ def footprints_batch(r_ecef, v_inertial, samples, spec: RadiometerSpec,
         raise NoIntersection(
             f"boresight {boresights[bad]:.2f} deg misses the Earth "
             "ellipsoid")
-    out = []
-    for i, sample in enumerate(samples):
-        geom = _FootprintGeometry(
-            sat_r=tuple(float(v) for v in r_ecef[:, i]),
-            sat_v_inertial=tuple(float(v) for v in v_inertial[:, i]),
-            spec=spec,
-            ground_altitude=ground_altitude,
-            center_ecef=tuple(float(v) for v in arrays["center"][:, i]),
-            u_major=tuple(float(v) for v in arrays["u_major"][:, i]),
-            u_minor=tuple(float(v) for v in arrays["u_minor"][:, i]),
-        )
-        out.append(PixelFootprint(
-            center=GroundPoint(float(arrays["center_lat"][i]),
-                               float(arrays["center_lon"][i]),
-                               ground_altitude),
-            semi_major=float(arrays["semi_major"][i]),
-            semi_minor=float(arrays["semi_minor"][i]),
-            orientation=float(arrays["orientation"][i]),
-            source=(satellite_id, sample),
-            _geom=geom,
-        ))
-    return out
+    return [PixelFootprint(
+        center=GroundPoint(float(arrays["center_lat"][i]),
+                           float(arrays["center_lon"][i]), ground_altitude),
+        semi_major=float(arrays["semi_major"][i]),
+        semi_minor=float(arrays["semi_minor"][i]),
+        source=(satellite_id, sample),
+        center_ecef=tuple(arrays["center"][:, i].tolist()),
+        u_major=tuple(arrays["u_major"][:, i].tolist()),
+        u_minor=tuple(arrays["u_minor"][:, i].tolist()),
+    ) for i, sample in enumerate(samples)]
 
 
 # --- presets -----------------------------------------------------------------

@@ -236,17 +236,11 @@ def test_criterion_9_two_ray_sanity():
             center_frequency=24.0e9, emission_bandwidth=200.0e6))
     arrays = DeploymentArrays(deployment)
 
-    from darkspace.orbit import SatelliteState
     bit_exact = True
     for i, fp in enumerate(pixels):
-        state = SatelliteState(
-            t=samples[i].t,
-            position_ecef=tuple(float(x) for x in r[:, i]),
-            velocity_ecef=tuple(float(x) for x in v[:, i]),
-            geodetic=(0.0, 0.0, 0.0))
-        los = aggregate_interference(fp, state, arrays, PathModel.LOS_ONLY,
+        los = aggregate_interference(fp, r[:, i], arrays, PathModel.LOS_ONLY,
                                      atms, include_contributors=False)
-        tr0 = aggregate_interference(fp, state, arrays, PathModel.TWO_RAY,
+        tr0 = aggregate_interference(fp, r[:, i], arrays, PathModel.TWO_RAY,
                                      atms, reflection_coeff=0.0,
                                      include_contributors=False)
         if not (los.aggregate == tr0.aggregate):

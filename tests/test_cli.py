@@ -446,9 +446,9 @@ def _reference_selection(every, bbox, max_pixels):
 
 
 def _selection(config, bbox, max_pixels):
-    _, footprints, states = _itu_pixels(config, config.satellites()[0],
-                                        max_pixels, bbox)
-    assert len(states) == len(footprints)
+    _, footprints, sat_r = _itu_pixels(config, config.satellites()[0],
+                                       max_pixels, bbox)
+    assert sat_r.shape == (3, len(footprints))
     return [(fp.source[1].scan_line_index, fp.source[1].sample_index,
              fp.center.latitude, fp.center.longitude) for fp in footprints]
 

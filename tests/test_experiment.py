@@ -15,7 +15,8 @@ from darkspace.geofence import dark_intervals
 from darkspace.linkbudget import LossChain, total_loss_db
 from darkspace.orbit import GroundPoint, propagate
 from darkspace.propagation import TransmitterKind, TransmitterSpec
-from darkspace.radiometer import BufferPolicy, PolicyKind, scan_phase
+from darkspace.radiometer import (BufferPolicy, PolicyKind, ScanLattice,
+                                  scan_phase)
 from darkspace.timeutil import add_seconds
 
 
@@ -98,6 +99,56 @@ def test_scanline_plan_for_unlocked(leo_tle, amsua):
     assert plan.mode == "scanline"
     for p in plan.pulses:
         assert p.duration <= amsua.scan_period + 1e-9
+
+
+def _scanline_plan(leo_tle, amsua, start, temporal_pad):
+    """A scan-line plan for a flashlight under the pass at epoch + 40 min,
+    keeping every pass whatever its ON/OFF overlap."""
+    t_mark = add_seconds(leo_tle.epoch, 40 * 60)
+    lat, lon, _ = propagate(leo_tle, t_mark).geodetic
+    window = (start, add_seconds(leo_tle.epoch, 45 * 60))
+    return plan_experiment(
+        _flashlight(GroundPoint(lat, lon, 20.0)), (leo_tle, amsua), window,
+        overlap_threshold=0.0,
+        policy=BufferPolicy(PolicyKind.SCAN_LINE, 2.0, temporal_pad))
+
+
+def _pulse_lines(plan, pulse):
+    """The scan lines a pulse transmits into."""
+    lattice = ScanLattice(plan.spec, plan.elements.epoch)
+    lines, _ = lattice.dwells(lattice.offset(pulse.on_start),
+                              lattice.offset(pulse.on_end))
+    return set(lines.tolist())
+
+
+def test_scanline_exclusions_name_every_line_a_pulse_touches(leo_tle,
+                                                             amsua):
+    """A padded pulse that starts in the line before its target line
+    excludes every sample of both lines."""
+    plan = _scanline_plan(leo_tle, amsua,
+                          add_seconds(leo_tle.epoch, 35 * 60), 1.0)
+    assert any(len(_pulse_lines(plan, p)) > 1 for p in plan.pulses)
+    expected = {(line, i) for p in plan.pulses
+                for line in _pulse_lines(plan, p)
+                for i in range(amsua.samples_per_scan)}
+    assert {(r.scan_line_index, r.sample_index)
+            for r in exclusion_records(plan)} == expected
+
+
+def test_scanline_pulse_never_transmits_into_its_off_line(leo_tle, amsua):
+    """A window that starts 3 s into the target line cuts a pulse that
+    runs on into the next line, its own OFF reference: the pulse is
+    discarded as an OFF conflict."""
+    whole = _scanline_plan(leo_tle, amsua,
+                           add_seconds(leo_tle.epoch, 35 * 60), 0.0)
+    line = whole.pulses[0].target.scan_line_index
+    lattice = ScanLattice(amsua, leo_tle.epoch)
+    plan = _scanline_plan(
+        leo_tle, amsua, add_seconds(leo_tle.epoch, lattice.tau(line) + 3.0),
+        0.0)
+    assert plan.diagnostics["discarded_off_conflict"] >= 1
+    for p in plan.pulses:
+        assert p.off_reference.scan_line_index not in _pulse_lines(plan, p)
 
 
 def test_pairing_same_radiometer(plan, atms):

@@ -54,17 +54,21 @@ def _pass_geometry(leo_tle, atms, rng, n):
 
 def test_margins_do_not_depend_on_chunk_size(leo_tle, atms, monkeypatch):
     """Chunks of 4,096 (two chunks here), 7 and 1 sample give the same
-    bits; one-sample chunks run on every 8th sample to keep the test
-    short, which also checks that a sample's margin does not depend on
-    which others are evaluated."""
+    margins and satellite states as one chunk of all 4,200; one-sample
+    chunks run on every 8th sample to keep the test short, which also
+    checks that a sample's margin does not depend on which others are
+    evaluated."""
     rng = np.random.default_rng(3)
     geom, offsets, boresight = _pass_geometry(leo_tle, atms, rng, 4200)
-    margins = {}
-    for chunk, every in ((4096, 1), (7, 1), (1, 8)):
+    margins, states = {}, {}
+    for chunk, every in ((4096, 1), (7, 1), (1, 8), (4200, 1)):
         monkeypatch.setattr(geofence, "MARGIN_CHUNK", chunk)
         margins[chunk] = geom.margins(offsets[::every], boresight[::every])
-    assert _bits(margins[7]) == _bits(margins[4096])
-    assert _bits(margins[1]) == _bits(margins[4096][::8])
+        states[chunk] = geom.shared.states(offsets[::every])
+    for chunk, every in ((4096, 1), (7, 1), (1, 8)):
+        assert _bits(margins[chunk]) == _bits(margins[4200][::every])
+        for got, whole in zip(states[chunk], states[4200]):
+            assert _bits(got) == _bits(whole[:, ::every])
     assert np.any(margins[4096] <= 0.0)
     assert np.all(np.isfinite(margins[4096]))
 

@@ -232,7 +232,7 @@ def test_transmitter_dict_round_trip():
 
 def test_empty_deployment(pixel_and_sat, atms):
     fp, sat = pixel_and_sat
-    s = aggregate_interference(fp, sat, [], PathModel.LOS_ONLY, atms)
+    s = aggregate_interference(fp, sat.r, [], PathModel.LOS_ONLY, atms)
     assert s.aggregate == float("-inf")
     assert s.contributors == ()
 
@@ -240,7 +240,7 @@ def test_empty_deployment(pixel_and_sat, atms):
 def test_single_transmitter_exact(pixel_and_sat, atms):
     fp, sat = pixel_and_sat
     tx = _tx(0, fp.center.latitude, fp.center.longitude)
-    s = aggregate_interference(fp, sat, [tx], PathModel.LOS_ONLY, atms)
+    s = aggregate_interference(fp, sat.r, [tx], PathModel.LOS_ONLY, atms)
     assert len(s.contributors) == 1
     assert s.aggregate == pytest.approx(s.contributors[0][1], abs=1e-12)
     # Re-derive: EIRP + FSPL + polarization + radiometer gain.
@@ -259,7 +259,7 @@ def test_aggregate_is_power_sum(pixel_and_sat, atms):
                fp.center.longitude + float(rng.uniform(-0.2, 0.2)),
                eirp=float(rng.uniform(-40, -10)))
            for i in range(30)]
-    s = aggregate_interference(fp, sat, txs, PathModel.LOS_ONLY, atms)
+    s = aggregate_interference(fp, sat.r, txs, PathModel.LOS_ONLY, atms)
     # Brute-force re-summation in reversed and shuffled orders.
     contributions = [c for _, c, _ in s.contributors]
     for order in (contributions[::-1],
@@ -272,7 +272,7 @@ def test_aggregate_is_power_sum(pixel_and_sat, atms):
 def test_aggregate_outside_pixel_ignored(pixel_and_sat, atms):
     fp, sat = pixel_and_sat
     far = _tx(0, fp.center.latitude + 8.0, fp.center.longitude)
-    s = aggregate_interference(fp, sat, [far], PathModel.LOS_ONLY, atms)
+    s = aggregate_interference(fp, sat.r, [far], PathModel.LOS_ONLY, atms)
     assert s.aggregate == float("-inf")
 
 
@@ -280,8 +280,8 @@ def test_adding_transmitter_monotone(pixel_and_sat, atms):
     fp, sat = pixel_and_sat
     one = [_tx(0, fp.center.latitude, fp.center.longitude)]
     two = one + [_tx(1, fp.center.latitude + 0.05, fp.center.longitude)]
-    a = aggregate_interference(fp, sat, one, PathModel.LOS_ONLY, atms)
-    b = aggregate_interference(fp, sat, two, PathModel.LOS_ONLY, atms)
+    a = aggregate_interference(fp, sat.r, one, PathModel.LOS_ONLY, atms)
+    b = aggregate_interference(fp, sat.r, two, PathModel.LOS_ONLY, atms)
     assert b.aggregate >= a.aggregate
 
 
@@ -291,8 +291,8 @@ def test_two_ray_gamma_zero_equals_los(pixel_and_sat, atms):
     txs = [_tx(i, fp.center.latitude + float(rng.uniform(-0.3, 0.3)),
                fp.center.longitude + float(rng.uniform(-0.3, 0.3)))
            for i in range(20)]
-    los = aggregate_interference(fp, sat, txs, PathModel.LOS_ONLY, atms)
-    tr0 = aggregate_interference(fp, sat, txs, PathModel.TWO_RAY, atms,
+    los = aggregate_interference(fp, sat.r, txs, PathModel.LOS_ONLY, atms)
+    tr0 = aggregate_interference(fp, sat.r, txs, PathModel.TWO_RAY, atms,
                                  reflection_coeff=0.0)
     assert tr0.aggregate == los.aggregate
 
@@ -302,8 +302,8 @@ def test_deployment_arrays_reused(pixel_and_sat, atms):
     txs = [_tx(i, fp.center.latitude, fp.center.longitude + 0.01 * i)
            for i in range(5)]
     arrays = DeploymentArrays(txs)
-    a = aggregate_interference(fp, sat, arrays, PathModel.LOS_ONLY, atms)
-    b = aggregate_interference(fp, sat, txs, PathModel.LOS_ONLY, atms)
+    a = aggregate_interference(fp, sat.r, arrays, PathModel.LOS_ONLY, atms)
+    b = aggregate_interference(fp, sat.r, txs, PathModel.LOS_ONLY, atms)
     assert a.aggregate == b.aggregate
 
 
@@ -339,9 +339,8 @@ def test_screen_keeps_every_contributor(atms, lat, lon, heading, sample,
     fp = pixel_footprint(sat, ScanSample(0, sample, T0,
                                          float(atms.boresight_of(sample))),
                          atms)
-    g = fp._geom
-    center, u1, u2 = (np.array(v) for v in (g.center_ecef, g.u_major,
-                                            g.u_minor))
+    center, u1, u2 = (np.array(v) for v in (fp.center_ecef, fp.u_major,
+                                            fp.u_minor))
     rng = np.random.default_rng(seed)
     cols = {k: [] for k in ("lat", "lon", "alt")}
     for theta in np.concatenate((np.arange(8) * np.pi / 4,
@@ -371,15 +370,15 @@ def test_screen_keeps_every_contributor(atms, lat, lon, heading, sample,
         emission_bandwidth=np.full(n, 2.0e8), pointing_az=np.zeros(n),
         pointing_el=np.zeros(n))
 
-    assert n - 1 not in propagation._near_pixel(arrays, fp, sat)
+    assert n - 1 not in propagation._near_pixel(arrays, fp, sat.r)
 
     def run():
-        return aggregate_interference(fp, sat, arrays, PathModel.TWO_RAY,
+        return aggregate_interference(fp, sat.r, arrays, PathModel.TWO_RAY,
                                       atms)
     screened = run()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(propagation, "_near_pixel",
-                   lambda arrays, pixel, sat: np.arange(len(arrays)))
+                   lambda arrays, pixel, sat_r: np.arange(len(arrays)))
         unscreened = run()
     assert len(unscreened.contributors) >= 16
     assert screened.contributors == unscreened.contributors

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from darkspace.errors import ConfigError, NoIntersection, NotPhaseLocked
-from darkspace.orbit import GroundPoint, frames, propagate, state_from_geodetic, topocentric
+from darkspace.orbit import (GroundPoint, frames, state_from_geodetic,
+                             topocentric)
 from darkspace.radiometer import (BufferPolicy, PolicyKind, RadiometerSpec,
                                   ScanLattice, ScanSample, load_preset,
                                   pixel_footprint, scan_phase, spec_from_dict,
@@ -132,17 +133,19 @@ def test_boresight_miss_raises(nadir_state):
 
 
 def test_subtends_center_all_policies(atms, nadir_state):
+    """Every pixel-level buffer contains the centre; a scan-line policy is
+    the engine's question (geofence.dark_intervals), not a footprint's."""
     fp = pixel_footprint(nadir_state, ScanSample(0, 48, T0, 0.0), atms)
     for policy in (BufferPolicy(PolicyKind.PIXEL_LEVEL, 1.0),
-                   BufferPolicy(PolicyKind.PIXEL_LEVEL, 2.0),
-                   BufferPolicy(PolicyKind.SCAN_LINE, 1.0)):
+                   BufferPolicy(PolicyKind.PIXEL_LEVEL, 2.0)):
         assert subtends(fp, fp.center, policy)
+    with pytest.raises(ValueError, match="dark_intervals"):
+        subtends(fp, fp.center, BufferPolicy(PolicyKind.SCAN_LINE, 1.0))
 
 
 def _point_along_major(fp, factor):
-    geom = fp._geom
-    p = (np.array(geom.center_ecef)
-         + np.array(geom.u_major) * factor * fp.semi_major)
+    p = (np.array(fp.center_ecef)
+         + np.array(fp.u_major) * factor * fp.semi_major)
     lat, lon, _ = frames.ecef_to_geodetic(p)
     return GroundPoint(float(lat), float(lon), 0.0)
 
@@ -154,22 +157,6 @@ def test_subtends_buffer_semantics(atms, nadir_state):
     assert subtends(fp, near, BufferPolicy(PolicyKind.PIXEL_LEVEL, 2.0))
     assert not subtends(fp, near, BufferPolicy(PolicyKind.PIXEL_LEVEL, 1.0))
     assert not subtends(fp, far, BufferPolicy(PolicyKind.PIXEL_LEVEL, 2.0))
-
-
-def test_pixel_subtension_implies_scanline(atms, leo_tle):
-    state = propagate(leo_tle, T0 + timedelta(minutes=40))
-    rng = np.random.default_rng(11)
-    for _ in range(25):
-        idx = int(rng.integers(0, atms.samples_per_scan))
-        fp = pixel_footprint(
-            state, ScanSample(0, idx, T0, float(atms.boresight_of(idx))),
-            atms)
-        factor = rng.uniform(-2.5, 2.5)
-        tx = _point_along_major(fp, factor)
-        pol_px = BufferPolicy(PolicyKind.PIXEL_LEVEL, 2.0)
-        pol_sl = BufferPolicy(PolicyKind.SCAN_LINE, 2.0)
-        if subtends(fp, tx, pol_px):
-            assert subtends(fp, tx, pol_sl)
 
 
 def test_preset_rejects_unknown_fields(atms):
