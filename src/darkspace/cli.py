@@ -30,7 +30,7 @@ from .linkbudget import evaluate, fspl_db, required_tx_power, total_loss_db
 from . import radiometer
 from .orbit import GroundPoint, propagate_many, state_from_geodetic, \
     topocentric, frames, load_tle_file
-from .propagation import (GeoBox, PathModel, TransmitterKind, TransmitterSpec,
+from .propagation import (GeoBox, PathModel, TransmitterKind,
                           aggregate_interference, compliance,
                           generate_deployment, read_deployment_jsonl,
                           write_deployment_jsonl,
@@ -432,25 +432,17 @@ def cmd_experiment(args) -> int:
     lb = config.linkbudget_params()
     elements, spec = _sole_entry(config.satellites(), "satellites",
                                  "experiment", lambda sat: sat[0].satellite_id)
-    tx_id, point, raw = _sole_entry(config.transmitters(), "transmitters",
-                                    "experiment", lambda tx: tx[0])
+    tx_id, point, _ = _sole_entry(config.transmitters(), "transmitters",
+                                  "experiment", lambda tx: tx[0])
     window = config.window()
-    tx = TransmitterSpec(
-        id=tx_id,
-        location=point,
-        antenna_height=float(raw.get("antenna_height_m", 2.0)),
-        eirp_density=float(raw.get("eirp_density_dbm_mhz", 0.0)),
-        center_frequency=spec.center_frequency,
-        emission_bandwidth=spec.bandwidth,
-        kind=TransmitterKind.FLASHLIGHT,
-    )
 
     policy = config.policy() if "policy" in config.data else None
-    plan = plan_experiment(tx, (elements, spec), window,
+    plan = plan_experiment(point, (elements, spec), window,
                            overlap_threshold=exp["overlap_threshold"],
                            max_pulse=exp["max_pulse_s"],
                            policy=policy,
-                           ground_altitude=config.ground_altitude())
+                           ground_altitude=config.ground_altitude(),
+                           tx_id=tx_id)
 
     audit = safety_audit(plan, p_on_dbm=lb["p_on_dbm"],
                          damage_threshold_dbm=exp["damage_threshold_dbm"],
@@ -469,10 +461,9 @@ def cmd_experiment(args) -> int:
 
     _write_json(out / "plan.json", {
         "provenance": prov,
-        "transmitter": {"id": tx.id, "lat": tx.location.latitude,
-                        "lon": tx.location.longitude,
-                        "alt_m": tx.location.altitude,
-                        "kind": tx.kind.value},
+        "transmitter": {"id": tx_id, "lat": point.latitude,
+                        "lon": point.longitude, "alt_m": point.altitude,
+                        "kind": TransmitterKind.FLASHLIGHT.value},
         "satellite_id": plan.satellite_id,
         "radiometer": spec.name,
         "mode": plan.mode,
@@ -507,7 +498,7 @@ def cmd_experiment(args) -> int:
                  "overlap_fraction\n")
         for p in plan.pulses:
             fh.write(",".join([
-                tx.id, plan.satellite_id, iso_utc(p.on_start),
+                tx_id, plan.satellite_id, iso_utc(p.on_start),
                 iso_utc(p.on_end),
                 f"{p.duration:.6f}", str(p.target.scan_line_index),
                 str(p.target.sample_index),

@@ -135,6 +135,9 @@ class ScenarioConfig:
         return sats
 
     def transmitters(self):
+        """(id, GroundPoint, entry) per transmitter.  The optional
+        antenna_height_m (>= 0) and eirp_density_dbm_mhz are checked
+        numbers, though no subcommand reads them."""
         entries = self._require("transmitters")
         if not isinstance(entries, list) or not entries:
             raise ConfigError("transmitters: need a non-empty list")
@@ -146,8 +149,13 @@ class ScenarioConfig:
                 point = GroundPoint(float(entry["lat"]),
                                     float(entry["lon"]),
                                     float(entry.get("alt_m", 0.0)))
-            except (KeyError, TypeError, ValueError) as exc:
+                height = float(entry.get("antenna_height_m", 0.0))
+                float(entry.get("eirp_density_dbm_mhz", 0.0))
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"{key}: {exc}") from exc
+            if not height >= 0:
+                raise ConfigError(f"{key}.antenna_height_m: must be >= 0, "
+                                  f"got {height!r}")
             tx_id = str(entry.get("id", f"tx{i}"))
             if tx_id in first_of:
                 raise ConfigError(

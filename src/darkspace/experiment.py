@@ -19,7 +19,6 @@ from .errors import ConfigError, NegativeLowEdge
 from .geofence import dark_intervals
 from .linkbudget import LossChain, fspl_db
 from .orbit import (GroundPoint, OrbitalElements, propagate, topocentric)
-from .propagation import TransmitterSpec
 from .radiometer import (BufferPolicy, PolicyKind, RadiometerSpec,
                          ScanLattice, ScanSample, _ellipse_margins, _frame,
                          pixel_footprint, scan_phase)
@@ -59,7 +58,8 @@ class Pulse:
 @dataclass(frozen=True)
 class FlashlightPlan:
     """A complete, deterministic measurement plan for one transmitter."""
-    tx: TransmitterSpec
+    tx: GroundPoint
+    tx_id: str
     elements: OrbitalElements
     spec: RadiometerSpec
     policy: BufferPolicy
@@ -180,14 +180,16 @@ def _contaminated(plan_mode: str, lattice: ScanLattice,
     return list(zip(lines.tolist(), samples.tolist()))
 
 
-def plan_experiment(tx: TransmitterSpec,
+def plan_experiment(tx: GroundPoint,
                     sat: tuple[OrbitalElements, RadiometerSpec],
                     window: tuple[datetime, datetime],
                     overlap_threshold: float = 0.5,
                     max_pulse: float = None,
                     policy: BufferPolicy = None,
-                    ground_altitude: float = 0.0) -> FlashlightPlan:
-    """Plan ON pulses for every predicted pixel pass over the transmitter.
+                    ground_altitude: float = 0.0,
+                    tx_id: str = "tx") -> FlashlightPlan:
+    """Plan ON pulses for every predicted pixel pass over the transmitter
+    at tx, named tx_id as in dark_intervals.
 
     Phase-locked radiometers get pixel-level pulses (default cap 0.1 s);
     otherwise whole scan lines are used with a pulse of one scan period.
@@ -204,8 +206,8 @@ def plan_experiment(tx: TransmitterSpec,
         policy = policy or BufferPolicy(PolicyKind.SCAN_LINE, 2.0)
         max_pulse = spec.scan_period if max_pulse is None else max_pulse
 
-    schedule = dark_intervals(tx.location, [sat], window, policy,
-                              tx_id=tx.id, ground_altitude=ground_altitude)
+    schedule = dark_intervals(tx, [sat], window, policy, tx_id=tx_id,
+                              ground_altitude=ground_altitude)
     lattice = ScanLattice(spec, elements.epoch)
     pulses = []
     discarded_overlap = 0
@@ -253,6 +255,7 @@ def plan_experiment(tx: TransmitterSpec,
 
     return FlashlightPlan(
         tx=tx,
+        tx_id=tx_id,
         elements=elements,
         spec=spec,
         policy=policy,
@@ -352,7 +355,7 @@ def safety_audit(plan: FlashlightPlan, p_on_dbm: float,
     max_received = float("-inf")
     for pulse in plan.pulses:
         state = propagate(plan.elements, pulse.on_start)
-        look = topocentric(state, plan.tx.location)
+        look = topocentric(state, plan.tx)
         loss = float(fspl_db(look.slant_range, plan.spec.center_frequency))
         if atmosphere is not None and look.elevation > 0:
             loss += float(atmosphere.loss_db(look.elevation))

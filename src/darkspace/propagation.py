@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from json.encoder import encode_basestring_ascii
@@ -20,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, ElevationNonPositive, EmptyArea, NoSamples
 from .linkbudget import SPEED_OF_LIGHT, fspl_db
-from .orbit import GroundPoint, frames
+from .orbit import frames
 from .radiometer import PixelFootprint, RadiometerSpec
 
 #: Mean Earth radius used for bounding-box areas, km.
@@ -38,30 +39,6 @@ class TransmitterKind(Enum):
 class PathModel(Enum):
     LOS_ONLY = "los"
     TWO_RAY = "two-ray"
-
-
-@dataclass(frozen=True)
-class TransmitterSpec:
-    """One emitter in a deployment.
-
-    eirp_density is the emission density toward the computation direction in
-    dBm/MHz (in-band or out-of-band, whichever the study negotiates); the
-    transmit antenna pattern is folded into it.
-    """
-    id: str
-    location: GroundPoint
-    antenna_height: float
-    eirp_density: float
-    center_frequency: float
-    emission_bandwidth: float
-    pointing: tuple[float, float] = (0.0, 0.0)
-    kind: TransmitterKind = TransmitterKind.GNB
-
-    def __post_init__(self):
-        if self.emission_bandwidth <= 0:
-            raise ValueError("emission_bandwidth must be > 0")
-        if self.antenna_height < 0:
-            raise ValueError("antenna_height must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -165,8 +142,10 @@ SCENARIOS = {
 
 
 def _wrap_longitude(lon):
-    """Longitudes into (-180, 180], elementwise; GroundPoint's rule."""
-    lon = (np.asarray(lon, dtype=float) + 180.0) % 360.0 - 180.0
+    """Longitudes into (-180, 180], elementwise; GroundPoint's rule, which
+    also turns an infinite longitude into NaN without a warning."""
+    with np.errstate(invalid="ignore"):
+        lon = (np.asarray(lon, dtype=float) + 180.0) % 360.0 - 180.0
     return np.where(lon == -180.0, 180.0, lon)
 
 
@@ -223,8 +202,8 @@ def generate_deployment(scenario, area: GeoBox, seed: int,
         kinds.extend([cls.kind.value] * count)
 
     n = len(ids)
-    return DeploymentArrays.from_columns(
-        ids=ids, kinds=kinds, lat=np.concatenate(lat),
+    return DeploymentArrays(
+        ids, kinds, lat=np.concatenate(lat),
         lon=_wrap_longitude(np.concatenate(lon)), alt=np.zeros(n),
         antenna_height=np.concatenate(height), eirp=np.concatenate(eirp),
         center_frequency=np.full(n, float(center_frequency)),
@@ -232,48 +211,45 @@ def generate_deployment(scenario, area: GeoBox, seed: int,
         pointing_az=np.zeros(n), pointing_el=np.zeros(n))
 
 
-# --- aggregation ---------------------------------------------------------------
+# --- deployment records and columns -------------------------------------------
+
+
+#: deployment.jsonl records, the only outside form of an emitter: each key
+#: in sorted order (the order json.dumps(..., sort_keys=True) writes), the
+#: DeploymentArrays column it fills and its default (None: required).
+_RECORD_FIELDS = (
+    ("alt_m", "alt", 0.0),
+    ("antenna_height_m", "antenna_height", 0.0),
+    ("center_frequency_hz", "center_frequency", None),
+    ("eirp_density_dbm_mhz", "eirp", None),
+    ("emission_bandwidth_hz", "emission_bandwidth", None),
+    ("id", "ids", None),
+    ("kind", "kinds", TransmitterKind.GNB.value),
+    ("lat", "lat", None),
+    ("lon", "lon", None),
+    ("pointing_az_deg", "pointing_az", 0.0),
+    ("pointing_el_deg", "pointing_el", 0.0),
+)
 
 
 class DeploymentArrays:
     """A deployment as columns, one entry per emitter.
 
-    generate_deployment and read_deployment_jsonl return one; a sequence of
-    hand-built TransmitterSpec unpacks into one.  The ECEF geometry and
-    each emitter's sines and cosines of latitude and longitude are
-    computed once, so build it once and reuse it across pixels.  Columns:
-    ids and kinds (lists of str, kinds as TransmitterKind values) and the
-    float arrays lat, lon, alt, antenna_height, eirp, center_frequency,
+    generate_deployment builds one, and from_records (read_deployment_jsonl)
+    fills one from deployment records.  The ECEF geometry and each
+    emitter's sines and cosines of latitude and longitude are computed
+    once, so build it once and reuse it across pixels.  Columns: ids and
+    kinds (lists of str, kinds as TransmitterKind values) and the float
+    arrays lat, lon, alt, antenna_height, eirp, center_frequency,
     emission_bandwidth, pointing_az and pointing_el.
     """
 
-    _FLOAT_COLUMNS = ("lat", "lon", "alt", "antenna_height", "eirp",
-                      "center_frequency", "emission_bandwidth",
-                      "pointing_az", "pointing_el")
+    _FLOAT_COLUMNS = tuple(column for _, column, _ in _RECORD_FIELDS
+                           if column not in ("ids", "kinds"))
 
-    def __init__(self, deployment):
-        txs = tuple(deployment)
-        self._fill(
-            ids=[tx.id for tx in txs],
-            kinds=[tx.kind.value for tx in txs],
-            lat=[tx.location.latitude for tx in txs],
-            lon=[tx.location.longitude for tx in txs],
-            alt=[tx.location.altitude for tx in txs],
-            antenna_height=[tx.antenna_height for tx in txs],
-            eirp=[tx.eirp_density for tx in txs],
-            center_frequency=[tx.center_frequency for tx in txs],
-            emission_bandwidth=[tx.emission_bandwidth for tx in txs],
-            pointing_az=[tx.pointing[0] for tx in txs],
-            pointing_el=[tx.pointing[1] for tx in txs])
-
-    @classmethod
-    def from_columns(cls, **columns) -> "DeploymentArrays":
-        """Wrap columns of equal length (see the class docstring)."""
-        self = cls.__new__(cls)
-        self._fill(**columns)
-        return self
-
-    def _fill(self, ids, kinds, **floats):
+    def __init__(self, ids, kinds, **floats):
+        """Wrap columns of equal length: floats holds each float column,
+        by name; longitudes must already be in (-180, 180]."""
         self.ids = list(ids)
         self.kinds = list(kinds)
         for name in self._FLOAT_COLUMNS:
@@ -296,6 +272,63 @@ class DeploymentArrays:
         self.sink = (max(0.0, -float(np.min(self.alt + self.antenna_height)))
                      if n else 0.0)
 
+    @classmethod
+    def from_records(cls, records) -> "DeploymentArrays":
+        """Columns from deployment records: dicts keyed as _RECORD_FIELDS
+        says, as deployment.jsonl holds them one per line.
+
+        Records stream into one list per column and are not kept, so any
+        iterable of them will do.  An id goes through str() and every
+        number through float(); a kind must be a TransmitterKind value;
+        longitudes are wrapped into (-180, 180].  ConfigError names, by
+        its position from 1, a record that is not an object, lacks a
+        required key, holds a value that does not convert, or has a
+        latitude outside [-90, 90] (or NaN), an emission_bandwidth_hz
+        <= 0 or an antenna_height_m < 0.
+        """
+        convert = {"ids": str,  # float() for the others
+                   "kinds": lambda value: TransmitterKind(value).value}
+        columns = {column: [] if column in convert else array("d")
+                   for _, column, _ in _RECORD_FIELDS}
+        fields = [(key, default, columns[column].append,
+                   convert.get(column, float))
+                  for key, column, default in _RECORD_FIELDS]
+        done = 0
+        # An error of the iterable itself (a line that is not JSON) is
+        # reported as the next record's.
+        try:
+            for record in records:
+                if not isinstance(record, dict):
+                    raise TypeError(f"not a JSON object: {record!r:.60}")
+                for key, default, append, to_column in fields:
+                    append(to_column(record[key] if default is None
+                                     else record.get(key, default)))
+                done += 1
+        except KeyError as exc:
+            raise ConfigError(f"bad transmitter record {done + 1}: missing "
+                              f"key {exc}") from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"bad transmitter record {done + 1}: "
+                              f"{exc}") from exc
+
+        floats = {column: np.frombuffer(columns.pop(column), dtype=float)
+                  for column in cls._FLOAT_COLUMNS}
+        # A NaN latitude is rejected; a NaN bandwidth or antenna height is
+        # not, since only values that compare <= 0 and < 0 are.
+        lat, bandwidth, height = (floats[column] for column in (
+            "lat", "emission_bandwidth", "antenna_height"))
+        for key, values, ok, rule in (
+                ("lat", lat, np.abs(lat) <= 90.0, "in [-90, 90]"),
+                ("emission_bandwidth_hz", bandwidth, ~(bandwidth <= 0.0),
+                 "> 0"),
+                ("antenna_height_m", height, ~(height < 0.0), ">= 0")):
+            if not ok.all():
+                i = int(np.argmin(ok))
+                raise ConfigError(f"bad transmitter record {i + 1}: {key} "
+                                  f"{values[i]} is not {rule}")
+        floats["lon"] = _wrap_longitude(floats["lon"])
+        return cls(columns.pop("ids"), columns.pop("kinds"), **floats)
+
     def __len__(self):
         return len(self.ids)
 
@@ -305,6 +338,9 @@ class DeploymentArrays:
         return (self.ids == other.ids and self.kinds == other.kinds
                 and all(np.array_equal(getattr(self, c), getattr(other, c))
                         for c in self._FLOAT_COLUMNS))
+
+
+# --- aggregation ---------------------------------------------------------------
 
 
 #: Metres added to the screen's reach in _near_pixel, far above the
@@ -393,7 +429,8 @@ def _look(arrays: DeploymentArrays, sat_r, idx):
     return elevation, slant
 
 
-def aggregate_interference(pixel: PixelFootprint, sat_r, deployment,
+def aggregate_interference(pixel: PixelFootprint, sat_r,
+                           deployment: DeploymentArrays,
                            model: PathModel, radiometer: RadiometerSpec,
                            atmosphere=None,
                            polarization_db: float = -3.0,
@@ -407,26 +444,25 @@ def aggregate_interference(pixel: PixelFootprint, sat_r, deployment,
     Only transmitters inside the raw (unbuffered) pixel ellipse count;
     buffering is a protection concept, not an accounting one.  Each
     contribution is EIRP density plus the loss chain at that transmitter's
-    own slant geometry; the aggregate is their linear power sum.  Pass a
-    prebuilt DeploymentArrays when sweeping many pixels; disable
+    own slant geometry; the aggregate is their linear power sum.  Reuse one
+    DeploymentArrays when sweeping many pixels; disable
     include_contributors to drop the per-transmitter audit tuples on large
     grids (the aggregate is unchanged).  Only the emitters of the proven
     box of _near_pixel are tested against the ellipse; every step is
     elementwise, so the result is that of testing all of them.
     """
-    arrays = (deployment if isinstance(deployment, DeploymentArrays)
-              else DeploymentArrays(deployment))
-    if len(arrays) == 0:
+    if len(deployment) == 0:
         return InterferenceSample(pixel=pixel, aggregate=float("-inf"),
                                   contributors=())
 
-    idx = _near_pixel(arrays, pixel, sat_r)
+    idx = _near_pixel(deployment, pixel, sat_r)
     # _ellipse_margins' np.sum(delta * u, axis=0), a row at a time in its
     # order (up to the sign of a zero): gathering rows is far faster than
     # gathering a (3, n) delta.
     x = y = 0.0
-    for row, c, u_major, u_minor in zip(arrays.ground_ecef, pixel.center_ecef,
-                                        pixel.u_major, pixel.u_minor):
+    for row, c, u_major, u_minor in zip(deployment.ground_ecef,
+                                        pixel.center_ecef, pixel.u_major,
+                                        pixel.u_minor):
         delta = row[idx] - c
         x = x + delta * u_major
         y = y + delta * u_minor
@@ -441,7 +477,7 @@ def aggregate_interference(pixel: PixelFootprint, sat_r, deployment,
         return InterferenceSample(pixel=pixel, aggregate=float("-inf"),
                                   contributors=())
 
-    elevation, slant = _look(arrays, sat_r, idx)
+    elevation, slant = _look(deployment, sat_r, idx)
     visible = elevation > 0.0
     idx = idx[visible]
     if idx.size == 0:
@@ -458,18 +494,18 @@ def aggregate_interference(pixel: PixelFootprint, sat_r, deployment,
     path = "LOS"
     if model is PathModel.TWO_RAY:
         loss = loss + two_ray_gain_db(
-            arrays.antenna_height[idx], elevation,
+            deployment.antenna_height[idx], elevation,
             radiometer.center_frequency, reflection_coeff, two_ray_floor_db)
         path = "TwoRay"
 
-    contributions = arrays.eirp[idx] + loss
+    contributions = deployment.eirp[idx] + loss
     linear_sum = float(np.sum(10.0 ** (contributions / 10.0)))
     aggregate = (10.0 * math.log10(linear_sum) if linear_sum > 0.0
                  else float("-inf"))
     contributors = ()
     if include_contributors:
         contributors = tuple(
-            (arrays.ids[i], float(c), path)
+            (deployment.ids[i], float(c), path)
             for i, c in zip(idx, contributions))
     return InterferenceSample(pixel=pixel, aggregate=aggregate,
                               contributors=contributors)
@@ -496,50 +532,6 @@ def compliance(samples, threshold: float = -200.0, quantile: float = 0.9999,
 # --- serialization -------------------------------------------------------------
 
 
-def transmitter_to_dict(tx: TransmitterSpec) -> dict:
-    return {
-        "id": tx.id,
-        "lat": tx.location.latitude,
-        "lon": tx.location.longitude,
-        "alt_m": tx.location.altitude,
-        "antenna_height_m": tx.antenna_height,
-        "eirp_density_dbm_mhz": tx.eirp_density,
-        "center_frequency_hz": tx.center_frequency,
-        "emission_bandwidth_hz": tx.emission_bandwidth,
-        "pointing_az_deg": tx.pointing[0],
-        "pointing_el_deg": tx.pointing[1],
-        "kind": tx.kind.value,
-    }
-
-
-def transmitter_from_dict(data: dict) -> TransmitterSpec:
-    try:
-        return TransmitterSpec(
-            id=str(data["id"]),
-            location=GroundPoint(float(data["lat"]), float(data["lon"]),
-                                 float(data.get("alt_m", 0.0))),
-            antenna_height=float(data.get("antenna_height_m", 0.0)),
-            eirp_density=float(data["eirp_density_dbm_mhz"]),
-            center_frequency=float(data["center_frequency_hz"]),
-            emission_bandwidth=float(data["emission_bandwidth_hz"]),
-            pointing=(float(data.get("pointing_az_deg", 0.0)),
-                      float(data.get("pointing_el_deg", 0.0))),
-            kind=TransmitterKind(data.get("kind", "gNB")),
-        )
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"bad transmitter record: {exc}") from exc
-
-
-#: deployment.jsonl record layout: transmitter_to_dict's keys in sorted
-#: order, each with the DeploymentArrays column that fills it.
-_JSONL_FIELDS = (
-    ("alt_m", "alt"), ("antenna_height_m", "antenna_height"),
-    ("center_frequency_hz", "center_frequency"),
-    ("eirp_density_dbm_mhz", "eirp"),
-    ("emission_bandwidth_hz", "emission_bandwidth"), ("id", "ids"),
-    ("kind", "kinds"), ("lat", "lat"), ("lon", "lon"),
-    ("pointing_az_deg", "pointing_az"), ("pointing_el_deg", "pointing_el"),
-)
 _JSONL_CHUNK = 1 << 14
 
 
@@ -558,24 +550,23 @@ def _json_texts(column):
     return list(map(json.dumps, column.tolist()))
 
 
-def write_deployment_jsonl(deployment, path) -> None:
-    """One JSON object per emitter, keys sorted, as transmitter_to_dict.
+def write_deployment_jsonl(deployment: DeploymentArrays, path) -> None:
+    """One deployment record per emitter and line, keys sorted.
 
-    Each line equals json.dumps(transmitter_to_dict(tx), sort_keys=True).
-    Columns are formatted _JSONL_CHUNK emitters at a time, so memory does
-    not grow with the file.  Within a chunk, a column that holds one value
-    joins the literal text around it; the record is then literal runs and
-    per-emitter columns in turn, interleaved into one list and joined.
+    Each line equals json.dumps(record, sort_keys=True), the record keyed
+    as _RECORD_FIELDS says.  Columns are formatted _JSONL_CHUNK emitters
+    at a time, so memory does not grow with the file.  Within a chunk, a
+    column that holds one value joins the literal text around it; the
+    record is then literal runs and per-emitter columns in turn,
+    interleaved into one list and joined.
     """
-    arrays = (deployment if isinstance(deployment, DeploymentArrays)
-              else DeploymentArrays(deployment))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for lo in range(0, len(arrays), _JSONL_CHUNK):
-            hi = min(lo + _JSONL_CHUNK, len(arrays))
+        for lo in range(0, len(deployment), _JSONL_CHUNK):
+            hi = min(lo + _JSONL_CHUNK, len(deployment))
             pieces, literal = [], "{"
-            for i, (key, attr) in enumerate(_JSONL_FIELDS):
+            for i, (key, column, _) in enumerate(_RECORD_FIELDS):
                 literal += f'{", " if i else ""}"{key}": '
-                texts = _json_texts(getattr(arrays, attr)[lo:hi])
+                texts = _json_texts(getattr(deployment, column)[lo:hi])
                 if isinstance(texts, str):
                     literal += texts
                 else:
@@ -591,14 +582,12 @@ def write_deployment_jsonl(deployment, path) -> None:
 
 
 def read_deployment_jsonl(path) -> DeploymentArrays:
-    """Read deployment.jsonl; a malformed record raises ConfigError."""
-    out = []
+    """DeploymentArrays.from_records over the non-blank lines of a
+    deployment.jsonl, so record n is its n-th non-blank line; a line that
+    is not a valid record raises ConfigError."""
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(transmitter_from_dict(json.loads(line)))
-    return DeploymentArrays(out)
+        return DeploymentArrays.from_records(
+            json.loads(line) for line in map(str.strip, fh) if line)
 
 
 GRID_CSV_HEADER = "pixel_lat,pixel_lon,aggregate_dbm_mhz,model,n_contributors"

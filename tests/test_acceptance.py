@@ -23,9 +23,8 @@ from darkspace.orbit import (GroundPoint, load_tle_file, propagate,
                              topocentric, frames)
 from darkspace.orbit.sgp4 import SGP4Model, TWOPI
 from darkspace.propagation import (DeploymentArrays, PathModel,
-                                   TransmitterSpec, aggregate_interference,
-                                   compliance, two_ray_gain_db,
-                                   InterferenceSample, TransmitterKind)
+                                   aggregate_interference, compliance,
+                                   two_ray_gain_db, InterferenceSample)
 from darkspace.radiometer import (BufferPolicy, PolicyKind, ScanSample,
                                   footprints_batch, load_preset)
 from darkspace.experiment import plan_experiment
@@ -178,11 +177,8 @@ def test_criterion_7_pulse_duration_bound():
                                                        8 * 3600))))
         tx_point = transmitter_near_track(rng, elements, window,
                                           max_cross_km=500.0)
-        tx = TransmitterSpec(
-            id=f"fl{i}", location=tx_point, antenna_height=2.0,
-            eirp_density=0.0, center_frequency=23.8e9,
-            emission_bandwidth=0.2e9, kind=TransmitterKind.FLASHLIGHT)
-        plan = plan_experiment(tx, (elements, atms), window)
+        plan = plan_experiment(tx_point, (elements, atms), window,
+                               tx_id=f"fl{i}")
         for pulse in plan.pulses:
             worst = max(worst, pulse.duration)
         n_pulses += len(plan.pulses)
@@ -230,11 +226,13 @@ def test_criterion_9_two_ray_sanity():
     rng = np.random.default_rng(9)
     deployment = []
     for i, fp in enumerate(pixels[::50]):
-        deployment.append(TransmitterSpec(
-            id=f"g{i}", location=fp.center, antenna_height=10.0,
-            eirp_density=float(rng.uniform(-40, -15)),
-            center_frequency=24.0e9, emission_bandwidth=200.0e6))
-    arrays = DeploymentArrays(deployment)
+        deployment.append({
+            "id": f"g{i}", "lat": fp.center.latitude,
+            "lon": fp.center.longitude, "alt_m": fp.center.altitude,
+            "antenna_height_m": 10.0,
+            "eirp_density_dbm_mhz": float(rng.uniform(-40, -15)),
+            "center_frequency_hz": 24.0e9, "emission_bandwidth_hz": 200.0e6})
+    arrays = DeploymentArrays.from_records(deployment)
 
     bit_exact = True
     for i, fp in enumerate(pixels):

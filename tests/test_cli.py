@@ -328,6 +328,75 @@ def test_null_config_number_fails(scenario, capsys, section, key):
     assert named in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["darkspaces", "experiment"])
+@pytest.mark.parametrize("key,value", [
+    ("antenna_height_m", -1.0), ("antenna_height_m", float("nan")),
+    ("eirp_density_dbm_mhz", "abc")],
+    ids=["negative-height", "nan-height", "text-eirp"])
+def test_bad_transmitter_field_fails(scenario, capsys, command, key, value):
+    """The optional transmitter fields are checked by every subcommand,
+    though none reads them."""
+    path, config, tmp = scenario
+    config["transmitters"][0][key] = value
+    bad = tmp / "bad_field.json"
+    bad.write_text(json.dumps(config))
+    out = tmp / "bad_field"
+    assert main([command, "--config", str(bad), "--out-dir", str(out)]) == 2
+    assert "transmitters[0]" in capsys.readouterr().err
+    assert not any(out.glob("*"))
+
+
+def test_itu_sim_reads_back_its_deployment(tmp_path):
+    """itu-sim on the deployment.jsonl it wrote gives the same grid and
+    compliance report as on the generated deployment."""
+    config = json.loads(EXAMPLE_CONFIG.read_text())
+    config["satellites"][0]["tle"] = str(EXAMPLE_CONFIG.parent
+                                         / config["satellites"][0]["tle"])
+    generated = tmp_path / "generated.json"
+    generated.write_text(json.dumps(config))
+    first = tmp_path / "first"
+    assert main(["itu-sim", "--config", str(generated),
+                 "--out-dir", str(first)]) == 0
+    config["itu"]["deployment"] = {
+        "path": str(first / "deployment.jsonl"),
+        "bbox": config["itu"]["deployment"]["bbox"]}
+    read = tmp_path / "read.json"
+    read.write_text(json.dumps(config))
+    second = tmp_path / "second"
+    assert main(["itu-sim", "--config", str(read),
+                 "--out-dir", str(second)]) == 0
+    assert not (second / "deployment.jsonl").exists()
+    rows = _data_lines(first / "interference_grid.csv")
+    assert len(rows) == 126  # the header and 125 pixels
+    assert _data_lines(second / "interference_grid.csv") == rows
+    reports = [json.loads((out / "compliance.json").read_text())
+               for out in (first, second)]
+    for report in reports:
+        del report["provenance"]
+    assert reports[0] == reports[1]
+
+
+_RECORD = {"id": "a", "lat": 40.0, "lon": -121.0,
+           "eirp_density_dbm_mhz": -20.0, "center_frequency_hz": 2.4e10,
+           "emission_bandwidth_hz": 2.0e8}
+
+
+@pytest.mark.parametrize("line", [json.dumps(dict(_RECORD, lat=None)),
+                                  "[1, 2, 3]", json.dumps(_RECORD)[:30]],
+                         ids=["null-field", "not-an-object", "truncated"])
+def test_itu_sim_bad_deployment_line_fails(scenario, capsys, line):
+    path, config, tmp = scenario
+    dep = tmp / "bad_dep.jsonl"
+    dep.write_text(line + "\n")
+    config["itu"]["deployment"] = {
+        "path": str(dep), "bbox": config["itu"]["deployment"]["bbox"]}
+    bad = tmp / "bad_dep.json"
+    bad.write_text(json.dumps(config))
+    assert main(["itu-sim", "--config", str(bad),
+                 "--out-dir", str(tmp / "bad_dep")]) == 2
+    assert "bad transmitter record 1" in capsys.readouterr().err
+
+
 def test_itu_sim_zero_emission_bandwidth(scenario, capsys):
     path, config, tmp = scenario
     config = json.loads(Path(path).read_text())

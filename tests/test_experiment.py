@@ -14,27 +14,19 @@ from darkspace.experiment import (MeasuredSample, PairingMode, Pulse,
 from darkspace.geofence import dark_intervals
 from darkspace.linkbudget import LossChain, total_loss_db
 from darkspace.orbit import GroundPoint, propagate
-from darkspace.propagation import TransmitterKind, TransmitterSpec
 from darkspace.radiometer import (BufferPolicy, PolicyKind, ScanLattice,
                                   scan_phase)
 from darkspace.timeutil import add_seconds
-
-
-def _flashlight(point):
-    return TransmitterSpec(
-        id="fl1", location=point, antenna_height=2.0, eirp_density=0.0,
-        center_frequency=23.8e9, emission_bandwidth=0.2e9,
-        kind=TransmitterKind.FLASHLIGHT)
 
 
 @pytest.fixture
 def plan(leo_tle, atms):
     t_mark = add_seconds(leo_tle.epoch, 40 * 60)
     lat, lon, _ = propagate(leo_tle, t_mark).geodetic
-    tx = _flashlight(GroundPoint(lat, lon, 20.0))
+    tx = GroundPoint(lat, lon, 20.0)
     window = (add_seconds(leo_tle.epoch, 30 * 60),
               add_seconds(leo_tle.epoch, 50 * 60))
-    return plan_experiment(tx, (leo_tle, atms), window)
+    return plan_experiment(tx, (leo_tle, atms), window, tx_id="fl1")
 
 
 def test_clearance_band_arithmetic():
@@ -63,7 +55,7 @@ def test_plan_pulses_disjoint(plan):
 
 
 def test_pulses_inside_dark_intervals(plan, leo_tle, atms):
-    sched = dark_intervals(plan.tx.location, [(leo_tle, atms)], plan.window,
+    sched = dark_intervals(plan.tx, [(leo_tle, atms)], plan.window,
                            plan.policy)
     for p in plan.pulses:
         assert any(iv.start <= p.on_start and p.on_end <= iv.end
@@ -85,14 +77,14 @@ def test_empty_window_gives_empty_plan(leo_tle, atms):
     antipode = GroundPoint(-lat, ((lon + 360.0) % 360.0) - 180.0, 0.0)
     window = (add_seconds(leo_tle.epoch, 35 * 60),
               add_seconds(leo_tle.epoch, 45 * 60))
-    plan = plan_experiment(_flashlight(antipode), (leo_tle, atms), window)
+    plan = plan_experiment(antipode, (leo_tle, atms), window)
     assert plan.pulses == ()
 
 
 def test_scanline_plan_for_unlocked(leo_tle, amsua):
     t_mark = add_seconds(leo_tle.epoch, 40 * 60)
     lat, lon, _ = propagate(leo_tle, t_mark).geodetic
-    tx = _flashlight(GroundPoint(lat, lon, 20.0))
+    tx = GroundPoint(lat, lon, 20.0)
     window = (add_seconds(leo_tle.epoch, 35 * 60),
               add_seconds(leo_tle.epoch, 45 * 60))
     plan = plan_experiment(tx, (leo_tle, amsua), window)
@@ -108,7 +100,7 @@ def _scanline_plan(leo_tle, amsua, start, temporal_pad):
     lat, lon, _ = propagate(leo_tle, t_mark).geodetic
     window = (start, add_seconds(leo_tle.epoch, 45 * 60))
     return plan_experiment(
-        _flashlight(GroundPoint(lat, lon, 20.0)), (leo_tle, amsua), window,
+        GroundPoint(lat, lon, 20.0), (leo_tle, amsua), window,
         overlap_threshold=0.0,
         policy=BufferPolicy(PolicyKind.SCAN_LINE, 2.0, temporal_pad))
 
@@ -183,7 +175,7 @@ def test_pairing_missing_off_flagged(plan):
 def test_pairing_cross_satellite_symmetric(plan):
     chain = total_loss_db(-184.0, -10.9, -3.0, 15.0, 30.0)
     t = plan.window[0]
-    center = plan.tx.location
+    center = plan.tx
     on = MeasuredSample(plan.satellite_id, 10, 5, 2.0e-12, t=t,
                         center=center, loss=chain)
     off = MeasuredSample("OTHERSAT", 11, 5, 1.0e-12,
@@ -197,9 +189,9 @@ def test_pairing_cross_satellite_symmetric(plan):
 def test_pairing_cross_satellite_needs_loss(plan):
     t = plan.window[0]
     on = MeasuredSample(plan.satellite_id, 10, 5, 2.0e-12, t=t,
-                        center=plan.tx.location)
+                        center=plan.tx)
     off = MeasuredSample("OTHERSAT", 11, 5, 1.0e-12, t=t,
-                         center=plan.tx.location)
+                         center=plan.tx)
     with pytest.raises(ConfigError):
         pair_measurements(plan, [on, off], PairingMode.CROSS_SATELLITE)
 
@@ -311,7 +303,7 @@ def test_exclusion_count_matches_single_pixel_pulses(leo_tle, atms):
     """Pulses no longer than a dwell each contaminate exactly one pixel."""
     t_mark = add_seconds(leo_tle.epoch, 40 * 60)
     lat, lon, _ = propagate(leo_tle, t_mark).geodetic
-    tx = _flashlight(GroundPoint(lat, lon, 20.0))
+    tx = GroundPoint(lat, lon, 20.0)
     window = (add_seconds(leo_tle.epoch, 30 * 60),
               add_seconds(leo_tle.epoch, 50 * 60))
     plan = plan_experiment(tx, (leo_tle, atms), window,
@@ -322,7 +314,9 @@ def test_exclusion_count_matches_single_pixel_pulses(leo_tle, atms):
 
 
 def test_plan_deterministic(plan, leo_tle, atms):
-    again = plan_experiment(plan.tx, (leo_tle, atms), plan.window)
+    assert plan.tx_id == "fl1"
+    again = plan_experiment(plan.tx, (leo_tle, atms), plan.window,
+                            tx_id=plan.tx_id)
     assert again == plan
 
 

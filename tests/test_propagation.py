@@ -15,12 +15,9 @@ from darkspace.linkbudget import SPEED_OF_LIGHT
 from darkspace.orbit import GroundPoint, frames, state_from_geodetic
 from darkspace.propagation import (DeploymentArrays, GeoBox,
                                    InterferenceSample, PathModel,
-                                   TransmitterKind, TransmitterSpec,
-                                   aggregate_interference, compliance,
-                                   generate_deployment,
+                                   TransmitterKind, aggregate_interference,
+                                   compliance, generate_deployment,
                                    read_deployment_jsonl, two_ray_gain_db,
-                                   transmitter_from_dict,
-                                   transmitter_to_dict,
                                    write_deployment_jsonl)
 from darkspace.radiometer import ScanSample, _ray_ellipsoid, pixel_footprint
 
@@ -29,10 +26,19 @@ F = 23.8e9
 
 
 def _tx(i, lat, lon, eirp=-20.0, height=10.0):
-    return TransmitterSpec(
-        id=f"t{i}", location=GroundPoint(lat, lon, 0.0),
-        antenna_height=height, eirp_density=eirp, center_frequency=24.0e9,
-        emission_bandwidth=200.0e6)
+    """A deployment record with every key."""
+    return {"id": f"t{i}", "lat": lat, "lon": lon, "alt_m": 0.0,
+            "antenna_height_m": height, "eirp_density_dbm_mhz": eirp,
+            "center_frequency_hz": 24.0e9, "emission_bandwidth_hz": 200.0e6,
+            "pointing_az_deg": 0.0, "pointing_el_deg": 0.0, "kind": "gNB"}
+
+
+def _jsonl(records):
+    """deployment.jsonl text of records, one json.dumps line each."""
+    return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+
+
+_dep = DeploymentArrays.from_records
 
 
 @pytest.fixture
@@ -107,8 +113,9 @@ def test_deployment_inside_box():
 
 
 def _reference_deployment(scenario, area, seed):
-    """One TransmitterSpec per emitter from the same draws, in the same
-    order, as generate_deployment documents them."""
+    """One record per emitter from the same draws, in the same order, as
+    generate_deployment documents them, each longitude wrapped by
+    GroundPoint's scalar rule."""
     from darkspace.propagation import SCENARIOS
     rng = np.random.default_rng(seed)
     sin_lo = math.sin(math.radians(area.lat_min))
@@ -120,28 +127,27 @@ def _reference_deployment(scenario, area, seed):
         lats = np.degrees(np.arcsin(rng.uniform(sin_lo, sin_hi, count)))
         lons = rng.uniform(area.lon_min, area.lon_max, count)
         eirps = rng.normal(cls.eirp_mean_dbm_mhz, cls.eirp_std_db, count)
-        out += [TransmitterSpec(
-            id=f"{scenario}-{cls.kind.value}-{i:06d}",
-            location=GroundPoint(float(lats[i]), float(lons[i]), 0.0),
-            antenna_height=cls.antenna_height_m,
-            eirp_density=float(eirps[i]), center_frequency=24.0e9,
-            emission_bandwidth=200.0e6, kind=cls.kind)
+        out += [dict(
+            _tx(0, float(lats[i]),
+                GroundPoint(float(lats[i]), float(lons[i])).longitude,
+                eirp=float(eirps[i]), height=cls.antenna_height_m),
+            id=f"{scenario}-{cls.kind.value}-{i:06d}", kind=cls.kind.value)
             for i in range(count)]
     return out
 
 
 def test_deployment_columns_match_transmitter_specs(tmp_path):
-    # The box crosses the antimeridian, so GroundPoint's longitude
-    # normalisation has to be applied to the columns as well.
+    """The columnar generator agrees with per-emitter reference records.
+    The box crosses the antimeridian, so GroundPoint's longitude
+    normalisation has to be applied to the columns as well."""
     box = GeoBox(-10.0, -9.0, 179.5, 180.5)
     dep = generate_deployment("rural", box, seed=21)
     ref = _reference_deployment("rural", box, seed=21)
     assert np.any(dep.lon < 0) and np.any(dep.lon > 179.5)
-    assert dep == DeploymentArrays(ref)
-    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    write_deployment_jsonl(dep, a)
-    write_deployment_jsonl(ref, b)
-    assert a.read_bytes() == b.read_bytes()
+    assert dep == _dep(ref)
+    path = tmp_path / "dep.jsonl"
+    write_deployment_jsonl(dep, path)
+    assert path.read_text() == _jsonl(ref)
 
 
 def test_deployment_rejects_bad_emission_parameters():
@@ -165,38 +171,35 @@ def test_degenerate_area():
 
 
 def test_deployment_jsonl_round_trip(tmp_path):
-    box = GeoBox(39.5, 40.5, -106.0, -104.0)
-    dep = generate_deployment("rural", box, seed=9)
-    path = tmp_path / "dep.jsonl"
-    write_deployment_jsonl(dep, path)
-    again = read_deployment_jsonl(path)
-    assert again == dep
+    # East of -64 degrees the longitude rule rounds, so reading it back
+    # wraps a second time.
+    for box in (GeoBox(39.5, 40.5, -106.0, -104.0),
+                GeoBox(30.0, 31.0, 120.0, 122.0)):
+        dep = generate_deployment("rural", box, seed=9)
+        path = tmp_path / "dep.jsonl"
+        write_deployment_jsonl(dep, path)
+        again = read_deployment_jsonl(path)
+        assert again == dep
 
 
 def test_deployment_jsonl_lines_match_json_dumps(tmp_path):
     # Quote, backslash and non-ASCII ids; floats whose repr is exponential,
     # a negative zero and non-finite values; a kind shared by two records.
-    txs = [
-        TransmitterSpec(id='q"uote\\back é ☃ 100%',
-                        location=GroundPoint(-0.0, 1e-05, 1e16),
-                        antenna_height=1e16, eirp_density=-0.0,
-                        center_frequency=1e-05, emission_bandwidth=1e16,
-                        pointing=(float("nan"), float("-inf")),
-                        kind=TransmitterKind.UE),
-        TransmitterSpec(id="plain", location=GroundPoint(12.5, -180.0, 0.0),
-                        antenna_height=0.0, eirp_density=0.1 + 0.2,
-                        center_frequency=24.0e9, emission_bandwidth=2.0e8,
-                        kind=TransmitterKind.UE),
+    # Longitudes are already in (-180, 180], so the records are the lines.
+    records = [
+        dict(_tx(0, -0.0, 0.25, eirp=-0.0, height=1e16),
+             id='q"uote\\back é ☃ 100%', alt_m=1e16,
+             center_frequency_hz=1e-05, emission_bandwidth_hz=1e16,
+             pointing_az_deg=float("nan"), pointing_el_deg=float("-inf"),
+             kind="UE"),
+        dict(_tx(1, 12.5, 180.0, eirp=0.1 + 0.2, height=0.0),
+             id="plain", emission_bandwidth_hz=2.0e8, kind="UE"),
         _tx(2, 40.0, -105.0),
     ]
-    for dep in (txs, txs[:1], txs[1:2] * 3):
+    for dep in (records, records[:1], records[1:2] * 3):
         path = tmp_path / "dep.jsonl"
-        write_deployment_jsonl(dep, path)
-        expected = "".join(json.dumps(transmitter_to_dict(tx), sort_keys=True)
-                           + "\n" for tx in dep)
-        assert path.read_text(encoding="utf-8") == expected
-        write_deployment_jsonl(DeploymentArrays(dep), path)
-        assert path.read_text(encoding="utf-8") == expected
+        write_deployment_jsonl(_dep(dep), path)
+        assert path.read_text(encoding="utf-8") == _jsonl(dep)
 
 
 def test_deployment_jsonl_spans_chunks(tmp_path, monkeypatch):
@@ -208,31 +211,64 @@ def test_deployment_jsonl_spans_chunks(tmp_path, monkeypatch):
     write_deployment_jsonl(dep, path)
     ref = _reference_deployment("rural", box, seed=4)
     assert len(ref) > 7
-    assert path.read_text() == "".join(
-        json.dumps(transmitter_to_dict(tx), sort_keys=True) + "\n"
-        for tx in ref)
+    assert path.read_text() == _jsonl(ref)
     assert read_deployment_jsonl(path) == dep
 
 
-def test_read_deployment_jsonl_bad_record(tmp_path):
+_GOOD_LINE = json.dumps(_tx(0, 40.0, -105.0))
+
+
+@pytest.mark.parametrize("line", [
+    json.dumps(dict(_tx(0, 40.0, -105.0), emission_bandwidth_hz=0.0)),
+    json.dumps({k: v for k, v in _tx(0, 40.0, -105.0).items() if k != "lat"}),
+    json.dumps(dict(_tx(0, 40.0, -105.0), lat=float("nan"))),
+    json.dumps(dict(_tx(0, 40.0, -105.0), antenna_height_m=-1.0)),
+    json.dumps(dict(_tx(0, 40.0, -105.0), kind="Jammer")),
+    json.dumps(dict(_tx(0, 40.0, -105.0), lat=None)),
+    "[1, 2, 3]",
+    _GOOD_LINE[:30],
+], ids=["zero-bandwidth", "missing-key", "nan-latitude",
+        "negative-antenna-height", "unknown-kind", "null-field",
+        "not-an-object", "truncated"])
+def test_read_deployment_jsonl_bad_record(tmp_path, line):
     path = tmp_path / "dep.jsonl"
-    record = transmitter_to_dict(_tx(0, 40.0, -105.0))
-    record["emission_bandwidth_hz"] = 0.0
-    path.write_text(json.dumps(record) + "\n")
+    path.write_text(f"{_GOOD_LINE}\n{line}\n")
     with pytest.raises(ConfigError, match="bad transmitter record"):
         read_deployment_jsonl(path)
 
 
-def test_transmitter_dict_round_trip():
-    tx = _tx(0, 40.0, -105.0)
-    assert transmitter_from_dict(transmitter_to_dict(tx)) == tx
+def test_from_records_names_the_bad_record(tmp_path):
+    """Records count from 1, and a file's blank lines are not records."""
+    records = [_tx(0, 40.0, -105.0), _tx(1, 40.0, -105.0, height=-1.0)]
+    with pytest.raises(ConfigError, match="record 2: antenna_height_m"):
+        _dep(records)
+    with pytest.raises(ConfigError, match="record 3: not a JSON object"):
+        _dep(iter([_tx(0, 1.0, 2.0), _tx(1, 1.0, 2.0), "text"]))
+    path = tmp_path / "dep.jsonl"
+    path.write_text("\n" + _jsonl(records[:1]) + "  \n" + _jsonl(records[1:]))
+    with pytest.raises(ConfigError, match="record 2: antenna_height_m"):
+        read_deployment_jsonl(path)
+
+
+def test_from_records_defaults_and_conversions():
+    """Optional keys take their defaults, an id goes through str() and a
+    number through float(), and longitudes are wrapped on read."""
+    record = {"id": 7, "lat": "12.5", "lon": 190, "eirp_density_dbm_mhz": -20,
+              "center_frequency_hz": 2.4e10, "emission_bandwidth_hz": 2e8}
+    dep = _dep([record])
+    assert dep == _dep([dict(_tx(0, 12.5, -170.0, height=0.0), id="7",
+                             eirp_density_dbm_mhz=-20.0,
+                             center_frequency_hz=2.4e10)])
+    assert dep.ids == ["7"] and dep.kinds == ["gNB"]
+    assert dep.lon.tolist() == [-170.0] and dep.lon.dtype == float
+    assert len(_dep([])) == 0
 
 
 # --- aggregation ---------------------------------------------------------------
 
 def test_empty_deployment(pixel_and_sat, atms):
     fp, sat = pixel_and_sat
-    s = aggregate_interference(fp, sat.r, [], PathModel.LOS_ONLY, atms)
+    s = aggregate_interference(fp, sat.r, _dep([]), PathModel.LOS_ONLY, atms)
     assert s.aggregate == float("-inf")
     assert s.contributors == ()
 
@@ -240,7 +276,8 @@ def test_empty_deployment(pixel_and_sat, atms):
 def test_single_transmitter_exact(pixel_and_sat, atms):
     fp, sat = pixel_and_sat
     tx = _tx(0, fp.center.latitude, fp.center.longitude)
-    s = aggregate_interference(fp, sat.r, [tx], PathModel.LOS_ONLY, atms)
+    s = aggregate_interference(fp, sat.r, _dep([tx]), PathModel.LOS_ONLY,
+                               atms)
     assert len(s.contributors) == 1
     assert s.aggregate == pytest.approx(s.contributors[0][1], abs=1e-12)
     # Re-derive: EIRP + FSPL + polarization + radiometer gain.
@@ -259,7 +296,8 @@ def test_aggregate_is_power_sum(pixel_and_sat, atms):
                fp.center.longitude + float(rng.uniform(-0.2, 0.2)),
                eirp=float(rng.uniform(-40, -10)))
            for i in range(30)]
-    s = aggregate_interference(fp, sat.r, txs, PathModel.LOS_ONLY, atms)
+    s = aggregate_interference(fp, sat.r, _dep(txs), PathModel.LOS_ONLY,
+                               atms)
     # Brute-force re-summation in reversed and shuffled orders.
     contributions = [c for _, c, _ in s.contributors]
     for order in (contributions[::-1],
@@ -272,7 +310,8 @@ def test_aggregate_is_power_sum(pixel_and_sat, atms):
 def test_aggregate_outside_pixel_ignored(pixel_and_sat, atms):
     fp, sat = pixel_and_sat
     far = _tx(0, fp.center.latitude + 8.0, fp.center.longitude)
-    s = aggregate_interference(fp, sat.r, [far], PathModel.LOS_ONLY, atms)
+    s = aggregate_interference(fp, sat.r, _dep([far]), PathModel.LOS_ONLY,
+                               atms)
     assert s.aggregate == float("-inf")
 
 
@@ -280,8 +319,10 @@ def test_adding_transmitter_monotone(pixel_and_sat, atms):
     fp, sat = pixel_and_sat
     one = [_tx(0, fp.center.latitude, fp.center.longitude)]
     two = one + [_tx(1, fp.center.latitude + 0.05, fp.center.longitude)]
-    a = aggregate_interference(fp, sat.r, one, PathModel.LOS_ONLY, atms)
-    b = aggregate_interference(fp, sat.r, two, PathModel.LOS_ONLY, atms)
+    a = aggregate_interference(fp, sat.r, _dep(one), PathModel.LOS_ONLY,
+                               atms)
+    b = aggregate_interference(fp, sat.r, _dep(two), PathModel.LOS_ONLY,
+                               atms)
     assert b.aggregate >= a.aggregate
 
 
@@ -291,20 +332,11 @@ def test_two_ray_gamma_zero_equals_los(pixel_and_sat, atms):
     txs = [_tx(i, fp.center.latitude + float(rng.uniform(-0.3, 0.3)),
                fp.center.longitude + float(rng.uniform(-0.3, 0.3)))
            for i in range(20)]
-    los = aggregate_interference(fp, sat.r, txs, PathModel.LOS_ONLY, atms)
-    tr0 = aggregate_interference(fp, sat.r, txs, PathModel.TWO_RAY, atms,
-                                 reflection_coeff=0.0)
+    los = aggregate_interference(fp, sat.r, _dep(txs), PathModel.LOS_ONLY,
+                                 atms)
+    tr0 = aggregate_interference(fp, sat.r, _dep(txs), PathModel.TWO_RAY,
+                                 atms, reflection_coeff=0.0)
     assert tr0.aggregate == los.aggregate
-
-
-def test_deployment_arrays_reused(pixel_and_sat, atms):
-    fp, sat = pixel_and_sat
-    txs = [_tx(i, fp.center.latitude, fp.center.longitude + 0.01 * i)
-           for i in range(5)]
-    arrays = DeploymentArrays(txs)
-    a = aggregate_interference(fp, sat.r, arrays, PathModel.LOS_ONLY, atms)
-    b = aggregate_interference(fp, sat.r, txs, PathModel.LOS_ONLY, atms)
-    assert a.aggregate == b.aggregate
 
 
 def _ground_point_at(center, u_major, u_minor, x, y, alt):
@@ -362,8 +394,8 @@ def test_screen_keeps_every_contributor(atms, lat, lon, heading, sample,
     cols["lon"].append(float(far_lon))
     cols["alt"].append(0.0)
     n = len(cols["lat"])
-    arrays = DeploymentArrays.from_columns(
-        ids=[f"t{i}" for i in range(n)], kinds=["gNB"] * n,
+    arrays = DeploymentArrays(
+        [f"t{i}" for i in range(n)], ["gNB"] * n,
         lat=cols["lat"], lon=cols["lon"], alt=cols["alt"],
         antenna_height=rng.uniform(0.0, 30.0, n),
         eirp=rng.uniform(-40.0, -10.0, n), center_frequency=np.full(n, F),
