@@ -620,3 +620,38 @@ def test_non_object_policy_fails(scenario, capsys, command, policy, flag):
     assert main([command, "--config", str(bad), "--out-dir",
                  str(tmp / "out_policy"), *flag]) == 2
     assert "policy" in capsys.readouterr().err
+
+
+#: (name, argv) of the runs whose outputs fixtures/geofence_digests.json
+#: records: darkspaces on both example configs under both policies, and
+#: experiment on the example scenario under its own and the scan-line policy.
+GEOFENCE_RUNS = [
+    *((f"darkspaces-{config}-{policy}",
+       ["darkspaces", "--config", str(EXAMPLE_CONFIG.parent / f"{config}.json"),
+        "--policy", policy])
+      for config in ("example_fleet", "example_scenario")
+      for policy in ("pixel", "scanline")),
+    ("experiment-example_scenario", ["experiment", "--config",
+                                     str(EXAMPLE_CONFIG)]),
+    ("experiment-example_scenario-scanline",
+     ["experiment", "--config", str(EXAMPLE_CONFIG), "--policy", "scanline"]),
+]
+
+
+def geofence_digests(out_dir) -> dict:
+    """sha256 of every file the GEOFENCE_RUNS write, by run/file name."""
+    digests = {}
+    for name, argv in GEOFENCE_RUNS:
+        out = Path(out_dir) / name
+        assert main([*argv, "--out-dir", str(out)]) == 0, name
+        for path in sorted(out.iterdir()):
+            digests[f"{name}/{path.name}"] = hashlib.sha256(
+                path.read_bytes()).hexdigest()
+    return digests
+
+
+def test_geofence_outputs_match_recorded_digests(tmp_path):
+    """The example schedules and plans keep their recorded bytes
+    (fixtures/README.md)."""
+    recorded = json.loads((FIXTURES / "geofence_digests.json").read_text())
+    assert geofence_digests(tmp_path) == recorded
