@@ -23,6 +23,52 @@ _TOP_LEVEL_KEYS = {
 }
 
 
+#: Marks a _typed key that has no default.
+_REQUIRED = object()
+
+
+def _typed(node, dotted: str, convert, default=_REQUIRED):
+    """convert(node[key]) for the last key of the dotted path, or default
+    when the key is absent.
+
+    A missing required key, a node that is not an object and a value that
+    convert rejects all raise ConfigError naming the dotted key.
+    """
+    where, _, key = dotted.rpartition(".")
+    if not isinstance(node, dict):
+        raise ConfigError(f"{where}: expected an object, got {node!r}")
+    if key not in node:
+        if default is _REQUIRED:
+            raise ConfigError(f"missing config key: {dotted}")
+        return default
+    try:
+        return convert(node[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{dotted}: {exc}") from exc
+
+
+def _typed_section(node, where: str, fields) -> dict:
+    """_typed of each (key, convert, default) field of a section node."""
+    return {key: _typed(node, f"{where}.{key}", convert, default)
+            for key, convert, default in fields}
+
+
+#: (key, convert, default) of each typed value of a config section.
+_LINKBUDGET_FIELDS = (
+    ("p_on_dbm", float, 40.0), ("n_temp_k", float, _REQUIRED),
+    ("bandwidth_hz", float, None), ("frequency_hz", float, None),
+    ("g_tx_dbi", float, 15.0), ("g_rx_dbi", float, 30.0),
+    ("polarization_db", float, -3.0))
+_ITU_FIELDS = (
+    ("model", str, "los"), ("gamma", float, -0.7),
+    ("threshold_dbm_mhz", float, -200.0), ("quantile", float, 0.9999),
+    ("area_km2", float, 2.0e6), ("max_pixels", int, 2000),
+    ("two_ray_floor_db", float, -60.0))
+_EXPERIMENT_FIELDS = (
+    ("overlap_threshold", float, 0.5), ("max_pulse_s", float, None),
+    ("damage_threshold_dbm", float, _REQUIRED), ("clearance_n", int, 3))
+
+
 def _parse_utc(text: str, key: str) -> datetime:
     try:
         t = datetime.fromisoformat(text.replace("Z", "+00:00"))
@@ -107,7 +153,7 @@ class ScenarioConfig:
         return p if p.is_absolute() else self.base_dir / p
 
     def seed(self) -> int:
-        return int(self.data.get("seed", 0))
+        return _typed(self.data, "seed", int, 0)
 
     def satellites(self):
         entries = self._require("satellites")
@@ -145,13 +191,14 @@ class ScenarioConfig:
         first_of = {}
         for i, entry in enumerate(entries):
             key = f"transmitters[{i}]"
+            lat = _typed(entry, f"{key}.lat", float)
+            lon = _typed(entry, f"{key}.lon", float)
+            alt = _typed(entry, f"{key}.alt_m", float, 0.0)
+            height = _typed(entry, f"{key}.antenna_height_m", float, 0.0)
+            _typed(entry, f"{key}.eirp_density_dbm_mhz", float, 0.0)
             try:
-                point = GroundPoint(float(entry["lat"]),
-                                    float(entry["lon"]),
-                                    float(entry.get("alt_m", 0.0)))
-                height = float(entry.get("antenna_height_m", 0.0))
-                float(entry.get("eirp_density_dbm_mhz", 0.0))
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                point = GroundPoint(lat, lon, alt)
+            except ValueError as exc:
                 raise ConfigError(f"{key}: {exc}") from exc
             if not height >= 0:
                 raise ConfigError(f"{key}.antenna_height_m: must be >= 0, "
@@ -191,14 +238,16 @@ class ScenarioConfig:
         try:
             return BufferPolicy(
                 kind=kind,
-                buffer_multiplier=float(node.get("buffer_multiplier", 2.0)),
-                temporal_pad=float(node.get("temporal_pad_s", 0.0)),
+                buffer_multiplier=_typed(node, "policy.buffer_multiplier",
+                                         float, 2.0),
+                temporal_pad=_typed(node, "policy.temporal_pad_s", float,
+                                    0.0),
             )
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"policy: {exc}") from exc
 
     def ground_altitude(self) -> float:
-        return float(self.data.get("ground_altitude_m", 0.0))
+        return _typed(self.data, "ground_altitude_m", float, 0.0)
 
     def atmosphere(self, section: str = None):
         """Atmosphere model; a section ('itu', 'experiment', 'linkbudget')
@@ -212,9 +261,8 @@ class ScenarioConfig:
             return None
         model = node.get("model")
         if model == "cosecant":
-            if "a_zenith_db" not in node:
-                raise ConfigError("missing config key: atmosphere.a_zenith_db")
-            return CosecantModel(float(node["a_zenith_db"]))
+            return CosecantModel(_typed(node, "atmosphere.a_zenith_db",
+                                        float))
         if model == "table":
             path = node.get("path")
             if path is None:
@@ -235,26 +283,13 @@ class ScenarioConfig:
 
     def linkbudget_params(self) -> dict:
         node = self.data.get("linkbudget", {})
-        required = ("n_temp_k",)
-        for key in required:
-            if key not in node:
-                raise ConfigError(f"missing config key: linkbudget.{key}")
+        params = _typed_section(node, "linkbudget", _LINKBUDGET_FIELDS)
         p_h2o = node.get("p_h2o", {"noise_multiplier": 100.0})
-        return {
-            "p_on_dbm": float(node.get("p_on_dbm", 40.0)),
-            "n_temp_k": float(node["n_temp_k"]),
-            "bandwidth_hz": (float(node["bandwidth_hz"])
-                             if "bandwidth_hz" in node else None),
-            "frequency_hz": (float(node["frequency_hz"])
-                             if "frequency_hz" in node else None),
-            "g_tx_dbi": float(node.get("g_tx_dbi", 15.0)),
-            "g_rx_dbi": float(node.get("g_rx_dbi", 30.0)),
-            "polarization_db": float(node.get("polarization_db", -3.0)),
-            "p_h2o_watts": (float(p_h2o["watts"]) if "watts" in p_h2o
-                            else None),
-            "p_h2o_noise_multiplier": float(
-                p_h2o.get("noise_multiplier", 100.0)),
-        }
+        params["p_h2o_watts"] = _typed(p_h2o, "linkbudget.p_h2o.watts",
+                                       float, None)
+        params["p_h2o_noise_multiplier"] = _typed(
+            p_h2o, "linkbudget.p_h2o.noise_multiplier", float, 100.0)
+        return params
 
     def linkbudget_geometry(self, name: str) -> dict:
         geoms = self._require("linkbudget", "geometries")
@@ -271,18 +306,9 @@ class ScenarioConfig:
 
     def itu_params(self) -> dict:
         node = self.data.get("itu", {})
-        return {
-            "model": str(node.get("model", "los")),
-            "gamma": float(node.get("gamma", -0.7)),
-            "threshold_dbm_mhz": float(node.get("threshold_dbm_mhz",
-                                                -200.0)),
-            "quantile": float(node.get("quantile", 0.9999)),
-            "area_km2": float(node.get("area_km2", 2.0e6)),
-            "max_pixels": int(node.get("max_pixels", 2000)),
-            "two_ray_floor_db": float(node.get("two_ray_floor_db", -60.0)),
-            "deployment": node.get("deployment"),
-            "atmosphere": node.get("atmosphere"),
-        }
+        return {**_typed_section(node, "itu", _ITU_FIELDS),
+                "deployment": node.get("deployment"),
+                "atmosphere": node.get("atmosphere")}
 
     def experiment_params(self) -> dict:
         node = self.data.get("experiment", {})
@@ -291,10 +317,4 @@ class ScenarioConfig:
                 "missing config key: experiment.damage_threshold_dbm "
                 "(no physical default is claimed; consult the radiometer "
                 "operator)")
-        return {
-            "overlap_threshold": float(node.get("overlap_threshold", 0.5)),
-            "max_pulse_s": (float(node["max_pulse_s"])
-                            if "max_pulse_s" in node else None),
-            "damage_threshold_dbm": float(node["damage_threshold_dbm"]),
-            "clearance_n": int(node.get("clearance_n", 3)),
-        }
+        return _typed_section(node, "experiment", _EXPERIMENT_FIELDS)

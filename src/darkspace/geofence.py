@@ -5,8 +5,10 @@ finds, for a network of ground transmitters against a constellation of
 (TLE, radiometer) pairs, every interval during which a (buffered) pixel
 footprint or scan-line strip subtends each transmitter.  For each
 satellite it runs four stages.  What does not depend on the site is
-computed once per satellite (_SharedGeometry) and shared by every site;
-the rest runs per site (_SatGeometry):
+computed once per satellite and window by
+_SharedGeometry(elements, spec, window_start, duration_s, policy,
+ground_altitude) and shared by every site; the rest runs per site, on a
+_SatGeometry(shared, tx) that holds only its transmitter:
 
 1. Prefilter.  Shared: one propagation on a COARSE_STEP_S grid.  Per
    site: visibility_windows keeps the times when the satellite is above
@@ -19,10 +21,12 @@ the rest runs per site (_SatGeometry):
 3. Sample margins.  Shared, a few passes at a time (_pass_batches):
    footprints at the start and end of every sample dwell that any site
    keeps (every sample of the kept lines in scan-line mode), on the
-   scanner's own sample grid, MARGIN_CHUNK samples at a time.  Per site:
-   the subtension margins of the samples it kept.
-4. Bisection, per site: where the margin changes sign within a dwell,
-   the boundary is refined to BISECT_TOL_S, well under 10 ms.
+   scanner's own sample grid, MARGIN_CHUNK samples at a time.  Per site
+   (_dwell_dark): whether the transmitter is dark at each end of the
+   dwells it kept.
+4. Bisection, per site: a dwell dark at one end only has its boundary
+   refined to BISECT_TOL_S, well under 10 ms, in one _bisect_boundary
+   call per window.
 
 Padding, merging and attribution (_finalize_schedule) run per site.
 Propagation, frames and footprints are elementwise in the samples, so a
@@ -37,6 +41,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from datetime import datetime
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -149,16 +154,16 @@ class _SharedGeometry:
     """
 
     def __init__(self, elements: OrbitalElements, spec: RadiometerSpec,
-                 window_start: datetime, policy: BufferPolicy,
-                 ground_altitude: float):
+                 window_start: datetime, duration_s: float,
+                 policy: BufferPolicy, ground_altitude: float):
         self.elements = elements
         self.spec = spec
         self.window_start = window_start
+        self.duration_s = duration_s
         self.policy = policy
         self.ground_altitude = ground_altitude
         self.lattice = ScanLattice(spec, elements.epoch)
         self.base = self.lattice.offset(window_start)
-        self._coarse = {}
         self._line_ids = np.zeros(0, dtype=np.int64)
         self._lines = {"r": np.zeros((3, 0)), "axis": np.zeros((3, 0)),
                        "speed": np.zeros(0), "reach": np.zeros(0)}
@@ -190,14 +195,14 @@ class _SharedGeometry:
         omega = np.array([0.0, 0.0, frames.OMEGA_EARTH]).reshape(3, 1)
         return r, v + _cross(omega, r)
 
-    def coarse(self, duration_s: float):
-        """The COARSE_STEP_S grid over the window and the positions on it."""
-        if duration_s not in self._coarse:
-            n = int(np.ceil(duration_s / COARSE_STEP_S)) + 1
-            offsets = np.minimum(np.arange(n + 1) * COARSE_STEP_S,
-                                 duration_s)
-            self._coarse[duration_s] = (offsets, self.states(offsets)[0])
-        return self._coarse[duration_s]
+    @cached_property
+    def coarse(self):
+        """The COARSE_STEP_S grid over the window and the positions on it,
+        propagated on first use."""
+        n = int(np.ceil(self.duration_s / COARSE_STEP_S)) + 1
+        offsets = np.minimum(np.arange(n + 1) * COARSE_STEP_S,
+                             self.duration_s)
+        return offsets, self.states(offsets)[0]
 
     def footprints(self, offsets, boresight_deg):
         r, v = self.states(offsets)
@@ -213,6 +218,18 @@ class _SharedGeometry:
         temporaries do not grow with the window.  (Pieces of MARGIN_CHUNK
         gave the same bits but measured 16 % slower on a 2-day ATMS run:
         the allocator then faults fresh pages in for later arrays.)
+
+        The incremental, sorted cache stays although every caller passes
+        the union of its lines once.  Keeping the first computed arrays
+        as they are instead gave byte-identical schedules, but on a 2-day
+        ATMS darkspaces run (seed 7, one Xeon core, 10 alternating runs)
+        it raised the minor page faults from 10 k to 32 k and the median
+        time from 0.45 s to 0.53 s; the margin stage alone went from about
+        10 faults to 12-15 k (seeds 0 and 7).  The sorted copy is
+        allocated late, above the line stage's freed temporaries, so glibc
+        does not trim the top of the heap between the MARGIN_CHUNK pieces
+        of the margin stage and fault it back in.  (With a 32 MB trim
+        threshold both versions ran equally fast.)
         """
         new = _unique_ids(np.asarray(lines, dtype=np.int64))
         if self._line_ids.size:
@@ -255,28 +272,14 @@ class _SharedGeometry:
 
 
 class _SatGeometry:
-    """One transmitter's view of a satellite/radiometer pair.
+    """One transmitter's view of a satellite/radiometer pair; the
+    site-independent work lives in shared, which every site of a network
+    reads."""
 
-    The site-independent work lives in shared; sites of one network pass
-    the same _SharedGeometry, and a site built alone makes its own.
-    """
-
-    def __init__(self, elements: OrbitalElements, spec: RadiometerSpec,
-                 window_start: datetime, tx: GroundPoint,
-                 policy: BufferPolicy, ground_altitude: float,
-                 shared: _SharedGeometry = None):
-        if shared is None:
-            shared = _SharedGeometry(elements, spec, window_start, policy,
-                                     ground_altitude)
+    def __init__(self, shared: _SharedGeometry, tx: GroundPoint):
         self.shared = shared
-        self.lattice = shared.lattice
-        self.base = shared.base
         self.tx = tx
         self.tx_ecef = tx.ecef()
-
-    def tau(self, offsets):
-        """Window offsets (s) -> scan-phase offsets from the epoch."""
-        return self.shared.tau(offsets)
 
     def margins(self, offsets, boresight_deg):
         """Inflated-ellipse margin of the transmitter for given samples."""
@@ -285,15 +288,9 @@ class _SatGeometry:
                              offsets, np.asarray(boresight_deg,
                                                  dtype=float))[0]
 
-    def margins_at(self, offsets):
-        """Margin of the sample active at each offset (its own pixel)."""
-        offsets = np.asarray(offsets, dtype=float)
-        _, idx = self.lattice.index(self.tau(offsets))
-        return self.margins(offsets, self.shared.spec.boresight_of(idx))
-
-    def visibility_windows(self, duration_s: float):
+    def visibility_windows(self):
         """Coarse intervals (s offsets) when the satellite may be in view."""
-        offsets, r = self.shared.coarse(duration_s)
+        offsets, r = self.shared.coarse
         el, _, _ = frames.look_angles_from_ecef(
             r, self.tx_ecef.reshape(3, 1), self.tx.latitude,
             self.tx.longitude)
@@ -305,7 +302,8 @@ class _SatGeometry:
         if edges.size == 0:
             return []
         lo = np.maximum(0.0, offsets[edges[::2]] - COARSE_STEP_S)
-        hi = np.minimum(duration_s, offsets[edges[1::2] - 1] + COARSE_STEP_S)
+        hi = np.minimum(self.shared.duration_s,
+                        offsets[edges[1::2] - 1] + COARSE_STEP_S)
         apart = np.flatnonzero(lo[1:] > hi[:-1])
         return list(zip(lo[np.concatenate(([0], apart + 1))].tolist(),
                         hi[np.concatenate((apart, [hi.size - 1]))].tolist()))
@@ -454,8 +452,7 @@ def _lines_near_tx(geom: _SatGeometry, lines: np.ndarray) -> np.ndarray:
     return np.abs(np.sum(line["axis"] * to_tx, axis=0)) <= bound
 
 
-def _screen_windows(shared: _SharedGeometry, geoms, duration_s: float,
-                    cover):
+def _screen_windows(shared: _SharedGeometry, geoms, cover):
     """Per site, (w0, w1, kept line ids) for each of its visibility windows.
 
     cover(w0, w1) gives the scan lines that cover a window.  The shared
@@ -464,7 +461,7 @@ def _screen_windows(shared: _SharedGeometry, geoms, duration_s: float,
     _lines_near_tx call.
     """
     ranges = [[(w0, w1, cover(w0, w1))
-               for w0, w1 in geom.visibility_windows(duration_s)]
+               for w0, w1 in geom.visibility_windows()]
               for geom in geoms]
     shared.cache_lines(_concat_ids(ids for site in ranges
                                    for _, _, ids in site))
@@ -521,13 +518,13 @@ def _concat_ids(parts):
     return np.concatenate([np.zeros(0, dtype=np.int64), *parts])
 
 
-def _dwell_margins(shared: _SharedGeometry, geoms, keys):
-    """Each site's margins at the start and at the end of its dwells.
+def _dwell_dark(shared: _SharedGeometry, geoms, keys):
+    """Whether each site is dark at the start and at the end of its dwells.
 
     keys[k] names the dwells site geoms[k] needs, as
     line * samples_per_scan + sample.  Every dwell of the sites' union is
-    footprinted once at each end (_margins_many).  Returns (start margins,
-    end margins) per site, in the order of its keys.
+    footprinted once at each end (_margins_many).  Returns (dark at start,
+    dark at end) boolean arrays per site, in the order of its keys.
     """
     spec = shared.spec
     n = spec.samples_per_scan
@@ -536,13 +533,13 @@ def _dwell_margins(shared: _SharedGeometry, geoms, keys):
     starts = shared.lattice.tau(union // n, idx) - shared.base
     boresight = spec.boresight_of(idx)
     columns = [np.searchsorted(union, k) for k in keys]
-    m_start = _margins_many(shared, geoms, columns, starts, boresight)
-    m_end = _margins_many(shared, geoms, columns,
-                          starts + spec.sample_dwell, boresight)
-    return list(zip(m_start, m_end))
+    dark = [[m <= 0.0 for m in _margins_many(shared, geoms, columns, t,
+                                             boresight)]
+            for t in (starts, starts + spec.sample_dwell)]
+    return list(zip(*dark))
 
 
-def _pixel_level_spans(shared: _SharedGeometry, geoms, duration_s: float):
+def _pixel_level_spans(shared: _SharedGeometry, geoms):
     """Dark (start, end, line) spans in window offsets, pixel granularity,
     one list per site."""
     spec = shared.spec
@@ -555,8 +552,7 @@ def _pixel_level_spans(shared: _SharedGeometry, geoms, duration_s: float):
         return np.arange(first, first + (n_samples - 1) // n + 1)
 
     out = [[] for _ in geoms]
-    for group in _pass_batches(
-            _screen_windows(shared, geoms, duration_s, cover), n):
+    for group in _pass_batches(_screen_windows(shared, geoms, cover), n):
         # Per site and window: the dwells of the kept lines in the window.
         dwells = []
         for _, windows in group:
@@ -568,42 +564,29 @@ def _pixel_level_spans(shared: _SharedGeometry, geoms, duration_s: float):
                 keep = (starts + dwell > w0) & (starts < w1)
                 site.append((lines[keep], idx[keep], starts[keep]))
             dwells.append(site)
-        margins = _dwell_margins(
+        flags = _dwell_dark(
             shared, [geoms[k] for k, _ in group],
             [_concat_ids(lines * n + idx for lines, idx, _ in site)
              for site in dwells])
 
-        for (k, _), site, (m_start, m_end) in zip(group, dwells, margins):
-            geom, spans = geoms[k], out[k]
+        for (k, _), site, (at_start, at_end) in zip(group, dwells, flags):
             cuts = np.cumsum([starts.size for _, _, starts in site])[:-1]
-            for (lines, idx, starts), in_start, in_end in zip(
-                    site, np.split(m_start <= 0.0, cuts),
-                    np.split(m_end <= 0.0, cuts)):
-                ends = starts + dwell
-                boresight = spec.boresight_of(idx)
-
-                full = in_start & in_end
-                for s, e, ln in zip(starts[full], ends[full], lines[full]):
-                    spans.append((float(s), float(e), int(ln)))
-
-                enters = ~in_start & in_end
-                if np.any(enters):
+            for (lines, idx, starts), d0, d1 in zip(
+                    site, np.split(at_start, cuts), np.split(at_end, cuts)):
+                # A dwell dark at both ends is dark throughout; one dark at
+                # one end only is dark up to or from its margin's crossing.
+                dark = d0 | d1
+                one = (d0 != d1)[dark]
+                lines, idx, d0 = lines[dark], idx[dark], d0[dark]
+                s = starts[dark]
+                e = s + dwell
+                if np.any(one):
                     cross = _bisect_boundary(
-                        geom, boresight[enters], starts[enters],
-                        ends[enters],
-                        dark_at_lo=np.zeros(np.sum(enters), dtype=bool))
-                    for s, e, ln in zip(cross, ends[enters], lines[enters]):
-                        spans.append((float(s), float(e), int(ln)))
-
-                leaves = in_start & ~in_end
-                if np.any(leaves):
-                    cross = _bisect_boundary(
-                        geom, boresight[leaves], starts[leaves],
-                        ends[leaves],
-                        dark_at_lo=np.ones(np.sum(leaves), dtype=bool))
-                    for s, e, ln in zip(starts[leaves], cross,
-                                        lines[leaves]):
-                        spans.append((float(s), float(e), int(ln)))
+                        geoms[k], spec.boresight_of(idx[one]), s[one],
+                        e[one], dark_at_lo=d0[one])
+                    e[one] = np.where(d0[one], cross, e[one])
+                    s[one] = np.where(d0[one], s[one], cross)
+                out[k].extend(zip(s.tolist(), e.tolist(), lines.tolist()))
     return out
 
 
@@ -617,13 +600,13 @@ def _line_dark_flags(shared: _SharedGeometry, geoms, lines):
     """
     n = shared.spec.samples_per_scan
     lines = [np.asarray(ids, dtype=np.int64) for ids in lines]
-    margins = _dwell_margins(shared, geoms, [
+    flags = _dwell_dark(shared, geoms, [
         (ids[:, None] * n + np.arange(n)).ravel() for ids in lines])
-    return [((m_start <= 0.0) | (m_end <= 0.0)).reshape(ids.size, n)
-            .any(axis=1) for ids, (m_start, m_end) in zip(lines, margins)]
+    return [(at_start | at_end).reshape(ids.size, n).any(axis=1)
+            for ids, (at_start, at_end) in zip(lines, flags)]
 
 
-def _scan_line_spans(shared: _SharedGeometry, geoms, duration_s: float):
+def _scan_line_spans(shared: _SharedGeometry, geoms):
     """Dark (start, end, line) spans at scan-line granularity, one list
     per site."""
     period = shared.spec.scan_period
@@ -634,7 +617,7 @@ def _scan_line_spans(shared: _SharedGeometry, geoms, duration_s: float):
 
     out = [[] for _ in geoms]
     for group in _pass_batches(
-            _screen_windows(shared, geoms, duration_s, cover),
+            _screen_windows(shared, geoms, cover),
             shared.spec.samples_per_scan):
         kept = [_concat_ids(ids for _, _, ids in windows)
                 for _, windows in group]
@@ -656,9 +639,7 @@ def _finalize_schedule(per_sat_spans, tx_id, window, policy):
     duration = (end - start).total_seconds()
     padded = []
     for sat_id, spans in per_sat_spans:
-        spans = _merge_spans([(s, e, ln) for s, e, ln in spans],
-                             gap=_MERGE_EPS)
-        for s, e, ln in spans:
+        for s, e, ln in _merge_spans(spans, gap=_MERGE_EPS):
             s2 = max(0.0, s - policy.temporal_pad)
             e2 = min(duration, e + policy.temporal_pad)
             if e2 > s2:
@@ -715,14 +696,13 @@ def dark_intervals_many(txs: Sequence[tuple[str, GroundPoint]],
     duration = (end - start).total_seconds()
     per_site = [[] for _ in txs]
     for elements, spec in sats:
-        shared = _SharedGeometry(elements, spec, start, policy,
+        shared = _SharedGeometry(elements, spec, start, duration, policy,
                                  ground_altitude)
-        geoms = [_SatGeometry(elements, spec, start, point, policy,
-                              ground_altitude, shared) for _, point in txs]
+        geoms = [_SatGeometry(shared, point) for _, point in txs]
         if policy.kind is PolicyKind.PIXEL_LEVEL:
-            spans = _pixel_level_spans(shared, geoms, duration)
+            spans = _pixel_level_spans(shared, geoms)
         else:
-            spans = _scan_line_spans(shared, geoms, duration)
+            spans = _scan_line_spans(shared, geoms)
         for site, site_spans in zip(per_site, spans):
             site.append((elements.satellite_id, site_spans))
     return [_finalize_schedule(site, tx_id, (start, end), policy)
@@ -771,10 +751,11 @@ def brute_force_oracle(tx: GroundPoint,
     duration = (end - start).total_seconds()
     per_sat = []
     for elements, spec in sats:
-        geom = _SatGeometry(elements, spec, start, tx, policy,
-                            ground_altitude)
+        shared = _SharedGeometry(elements, spec, start, duration, policy,
+                                 ground_altitude)
+        geom = _SatGeometry(shared, tx)
         spans = []
-        for w0, w1 in geom.visibility_windows(duration):
+        for w0, w1 in geom.visibility_windows():
             i0 = int(np.ceil(w0 / dt))
             i1 = int(np.floor(w1 / dt))
             if i1 < i0:
@@ -791,20 +772,20 @@ def brute_force_oracle(tx: GroundPoint,
             for c0 in range(i0, i1 + 1, chunk):
                 c1 = min(c0 + chunk - 1, i1)
                 offsets = np.arange(c0, c1 + 1) * dt
+                lines, idx = shared.lattice.index(shared.tau(offsets))
                 if policy.kind is PolicyKind.PIXEL_LEVEL:
-                    dark = geom.margins_at(offsets) <= 0.0
+                    # Each offset's margin in the pixel active at it.
+                    dark = geom.margins(offsets, spec.boresight_of(idx)) <= 0.0
                 else:
-                    lines, _ = geom.lattice.index(geom.tau(offsets))
                     uniq, inverse = np.unique(lines, return_inverse=True)
-                    dark = _line_dark_flags(geom.shared, [geom],
-                                            [uniq])[0][inverse]
+                    dark = _line_dark_flags(shared, [geom], [uniq])[0][inverse]
                 # Assemble runs of consecutive dark samples.
                 padded_mask = np.concatenate(([False], dark, [False]))
                 edges = np.flatnonzero(np.diff(padded_mask.astype(np.int8)))
                 for a, b in zip(edges[::2], edges[1::2]):
                     s = offsets[a]
                     e = offsets[b - 1]
-                    line = int(geom.lattice.index(geom.tau(s))[0])
+                    line = int(shared.lattice.index(shared.tau(s))[0])
                     if sub is not None and s - sub[1] <= dt * 1.5:
                         sub = (sub[0], e, sub[2])
                     else:

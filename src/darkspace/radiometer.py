@@ -292,12 +292,8 @@ def _footprint_arrays(sat_r, sat_v_inertial, boresight_deg, spec,
     (n,).  Returns a dict of arrays; 'miss' flags rays that do not hit the
     ellipsoid.
     """
-    sat_r = np.atleast_2d(np.asarray(sat_r, dtype=float))
-    if sat_r.shape[0] != 3:
-        sat_r = sat_r.T
-    sat_v = np.atleast_2d(np.asarray(sat_v_inertial, dtype=float))
-    if sat_v.shape[0] != 3:
-        sat_v = sat_v.T
+    sat_r = np.asarray(sat_r, dtype=float)
+    sat_v = np.asarray(sat_v_inertial, dtype=float)
     theta = np.radians(np.atleast_1d(np.asarray(boresight_deg, dtype=float)))
     half_beam = math.radians(spec.beamwidth_3db / 2.0)
 

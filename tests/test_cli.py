@@ -346,6 +346,35 @@ def test_bad_transmitter_field_fails(scenario, capsys, command, key, value):
     assert not any(out.glob("*"))
 
 
+@pytest.mark.parametrize("command,key,value", [
+    ("darkspaces", "seed", None),
+    ("darkspaces", "ground_altitude_m", None),
+    ("darkspaces", "ground_altitude_m", "abc"),
+    ("itu-sim", "itu.gamma", None),
+    ("itu-sim", "itu.max_pixels", "x"),
+    ("experiment", "experiment.overlap_threshold", None),
+    ("experiment", "linkbudget.g_tx_dbi", None)],
+    ids=["null-seed", "null-ground-altitude", "text-ground-altitude",
+         "null-itu-gamma", "text-itu-max-pixels",
+         "null-overlap-threshold", "null-g-tx"])
+def test_unconvertible_config_value_fails(tmp_path, capsys, command, key,
+                                          value):
+    """A typed value of the example config that does not convert exits 2
+    and names its dotted key."""
+    config = json.loads(EXAMPLE_CONFIG.read_text())
+    *parents, last = key.split(".")
+    node = config
+    for part in parents:
+        node = node[part]
+    node[last] = value
+    shutil.copy(EXAMPLE_CONFIG.parent / "noaa21_like.tle", tmp_path)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(config))
+    assert main([command, "--config", str(bad), "--out-dir",
+                 str(tmp_path / "out")]) == 2
+    assert key in capsys.readouterr().err
+
+
 def test_itu_sim_reads_back_its_deployment(tmp_path):
     """itu-sim on the deployment.jsonl it wrote gives the same grid and
     compliance report as on the generated deployment."""
@@ -627,8 +656,8 @@ def test_non_object_policy_fails(scenario, capsys, command, policy, flag):
 #: experiment on the example scenario under its own and the scan-line policy.
 GEOFENCE_RUNS = [
     *((f"darkspaces-{config}-{policy}",
-       ["darkspaces", "--config", str(EXAMPLE_CONFIG.parent / f"{config}.json"),
-        "--policy", policy])
+       ["darkspaces", "--config",
+        str(EXAMPLE_CONFIG.parent / f"{config}.json"), "--policy", policy])
       for config in ("example_fleet", "example_scenario")
       for policy in ("pixel", "scanline")),
     ("experiment-example_scenario", ["experiment", "--config",

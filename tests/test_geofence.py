@@ -292,14 +292,15 @@ def test_screen_keeps_every_dark_line(atms, amsua, which):
         rng = np.random.default_rng(100 * which + seed)
         tx, elements, window, policy, ground = _screen_fixture(
             rng, PolicyKind.PIXEL_LEVEL, max_cross_km)
-        geom = geofence._SatGeometry(elements, spec, window[0], tx, policy,
-                                     ground)
+        shared = geofence._SharedGeometry(elements, spec, window[0], 7200.0,
+                                          policy, ground)
+        geom = geofence._SatGeometry(shared, tx)
         lines = np.concatenate([
-            np.arange(np.floor(geom.tau(w0) / period),
-                      np.floor(geom.tau(w1) / period) + 1, dtype=np.int64)
-            for w0, w1 in geom.visibility_windows(7200.0)])
+            np.arange(np.floor(shared.tau(w0) / period),
+                      np.floor(shared.tau(w1) / period) + 1, dtype=np.int64)
+            for w0, w1 in geom.visibility_windows()])
         keep = geofence._lines_near_tx(geom, lines)
-        offsets = (lines[:, None] * period - geom.base + within).ravel()
+        offsets = (lines[:, None] * period - shared.base + within).ravel()
         boresight = np.tile(spec.boresight_of(idx), lines.size)
         dark = (geom.margins(offsets, boresight) <= 0.0).reshape(
             lines.size, -1).any(axis=1)

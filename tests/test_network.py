@@ -44,9 +44,10 @@ def _pass_geometry(leo_tle, atms, rng, n):
     t_mark = add_seconds(leo_tle.epoch, 40 * 60)
     lat, lon, _ = propagate(leo_tle, t_mark).geodetic
     start = add_seconds(leo_tle.epoch, 35 * 60)
-    geom = geofence._SatGeometry(leo_tle, atms, start, GroundPoint(lat, lon),
-                                 BufferPolicy(PolicyKind.PIXEL_LEVEL, 2.0),
-                                 0.0)
+    shared = geofence._SharedGeometry(
+        leo_tle, atms, start, 600.0, BufferPolicy(PolicyKind.PIXEL_LEVEL, 2.0),
+        0.0)
+    geom = geofence._SatGeometry(shared, GroundPoint(lat, lon))
     offsets = np.sort(rng.uniform(240.0, 360.0, n))
     boresight = atms.boresight_of(rng.integers(0, atms.samples_per_scan, n))
     return geom, offsets, boresight
@@ -115,20 +116,25 @@ def test_visibility_windows_match_reference_loop(leo_tle, atms,
     """Random elevation runs, including single points, gaps of one grid
     point (whose widened runs touch), runs at both ends and none."""
     rng = np.random.default_rng(17)
-    geom, _, _ = _pass_geometry(leo_tle, atms, rng, 1)
+    site, _, _ = _pass_geometry(leo_tle, atms, rng, 1)
+    one = site.shared
+    geoms = {duration: geofence._SatGeometry(geofence._SharedGeometry(
+        one.elements, atms, one.window_start, duration, one.policy, 0.0),
+        site.tx) for duration in (45.0, 600.0, 7215.5)}
     elevations = {}
     monkeypatch.setattr(geofence.frames, "look_angles_from_ecef",
                         lambda r, *args: (elevations[r.shape[1]], None, None))
     for trial in range(300):
-        duration = float(rng.choice([45.0, 600.0, 7215.5]))
-        offsets, _ = geom.shared.coarse(duration)
+        duration = float(rng.choice(list(geoms)))
+        geom = geoms[duration]
+        offsets, _ = geom.shared.coarse
         above = rng.uniform(0.0, 1.0, offsets.size) < rng.uniform(0.0, 1.0)
         if trial % 10 == 0:
             above[:] = trial % 20 == 0
         elevations[offsets.size] = np.where(above, 5.0, -5.0)
         expected = _windows_reference(offsets, elevations[offsets.size],
                                       duration)
-        assert geom.visibility_windows(duration) == expected
+        assert geom.visibility_windows() == expected
 
 
 # --- dark_intervals_many -----------------------------------------------------
@@ -252,22 +258,20 @@ def test_line_screen_does_not_depend_on_cached_lines(leo_tle, atms):
     were cached alone, after other lines, or for another site."""
     rng = np.random.default_rng(5)
     geom, _, _ = _pass_geometry(leo_tle, atms, rng, 1)
-    line0 = int(geom.lattice.line_at(geom.tau(240.0)))
+    line0 = int(geom.shared.lattice.line_at(geom.shared.tau(240.0)))
     lines_a = np.arange(line0, line0 + 60)
     lines_b = np.arange(line0 - 30, line0 + 120, 3)
 
     def fresh():
-        return geofence._SatGeometry(geom.shared.elements, atms,
-                                     geom.shared.window_start, geom.tx,
-                                     geom.shared.policy, 0.0)
+        one = geom.shared
+        return geofence._SatGeometry(geofence._SharedGeometry(
+            one.elements, atms, one.window_start, one.duration_s, one.policy,
+            0.0), geom.tx)
 
     alone = geofence._lines_near_tx(fresh(), lines_b)
     after = fresh()
     geofence._lines_near_tx(after, lines_a)
-    other = geofence._SatGeometry(geom.shared.elements, atms,
-                                  geom.shared.window_start,
-                                  GroundPoint(0.0, 0.0), geom.shared.policy,
-                                  0.0, after.shared)
+    other = geofence._SatGeometry(after.shared, GroundPoint(0.0, 0.0))
     assert _bits(geofence._lines_near_tx(after, lines_b)) == _bits(alone)
     assert alone.any() and not alone.all()
     geofence._lines_near_tx(other, lines_b[::-1])
