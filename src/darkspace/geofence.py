@@ -785,7 +785,7 @@ def brute_force_oracle(tx: GroundPoint,
                 for a, b in zip(edges[::2], edges[1::2]):
                     s = offsets[a]
                     e = offsets[b - 1]
-                    line = int(shared.lattice.index(shared.tau(s))[0])
+                    line = int(lines[a])
                     if sub is not None and s - sub[1] <= dt * 1.5:
                         sub = (sub[0], e, sub[2])
                     else:
