@@ -295,8 +295,8 @@ def _itu_pixels(config, satellite, max_pixels, bbox):
     v_inertial = v + radiometer._cross(omega, r)
 
     boresight = spec.boresight_of(idx)
-    arrays = radiometer._footprint_arrays(r, v_inertial, boresight, spec,
-                                          ground_altitude)
+    arrays = radiometer._footprint_arrays_latlon(r, v_inertial, boresight,
+                                                 spec, ground_altitude)
     in_box = ((arrays["center_lat"] >= bbox.lat_min)
               & (arrays["center_lat"] <= bbox.lat_max)
               & (arrays["center_lon"] >= bbox.lon_min)
@@ -521,9 +521,23 @@ def cmd_experiment(args) -> int:
     print(f"experiment: {len(plan.pulses)} pulses, audit pass={audit.passed}"
           f" -> {out}")
     if not plan.pulses:
-        print("warning: empty plan (no passes over the transmitter in the "
-              "window)")
+        print(f"warning: empty plan ({_empty_plan_reason(plan)})")
     return 0
+
+
+def _empty_plan_reason(plan) -> str:
+    """Why a plan has no pulses, from its diagnostics: no passes, or the
+    reasons its passes were discarded for."""
+    diag = plan.diagnostics
+    considered = diag["passes_considered"]
+    if not considered:
+        return "no passes over the transmitter in the window"
+    reasons = [f"{n} for {why}" for n, why in (
+        (diag["discarded_overlap"],
+         f"ON/OFF overlap below {plan.overlap_threshold}"),
+        (diag["discarded_off_conflict"], "an OFF reference conflict")) if n]
+    return (f"{considered} pass{'es' if considered > 1 else ''} considered, "
+            f"all discarded: {', '.join(reasons)}")
 
 
 def cmd_validate_tle(args) -> int:

@@ -27,6 +27,14 @@ _TOP_LEVEL_KEYS = {
 _REQUIRED = object()
 
 
+def _object(node, where: str) -> dict:
+    """node, which must be a JSON object; anything else is a ConfigError
+    naming where it sits."""
+    if not isinstance(node, dict):
+        raise ConfigError(f"{where}: expected an object, got {node!r}")
+    return node
+
+
 def _typed(node, dotted: str, convert, default=_REQUIRED):
     """convert(node[key]) for the last key of the dotted path, or default
     when the key is absent.
@@ -35,9 +43,7 @@ def _typed(node, dotted: str, convert, default=_REQUIRED):
     convert rejects all raise ConfigError naming the dotted key.
     """
     where, _, key = dotted.rpartition(".")
-    if not isinstance(node, dict):
-        raise ConfigError(f"{where}: expected an object, got {node!r}")
-    if key not in node:
+    if key not in _object(node, where):
         if default is _REQUIRED:
             raise ConfigError(f"missing config key: {dotted}")
         return default
@@ -162,9 +168,9 @@ class ScenarioConfig:
         sats = []
         for i, entry in enumerate(entries):
             key = f"satellites[{i}]"
-            if "tle" not in entry:
+            if "tle" not in _object(entry, key):
                 raise ConfigError(f"{key}.tle: missing TLE path")
-            tle_path = self._resolve_path(entry["tle"])
+            tle_path = self._resolve_path(str(entry["tle"]))
             if not tle_path.exists():
                 raise ConfigError(f"{key}.tle: no such file: {tle_path}")
             elements = load_tle_file(tle_path)
@@ -213,7 +219,7 @@ class ScenarioConfig:
         return out
 
     def window(self):
-        node = self._require("window")
+        node = _object(self._require("window"), "window")
         start = _parse_utc(node.get("start"), "window.start")
         end = _parse_utc(node.get("end"), "window.end")
         if end <= start:
@@ -221,10 +227,7 @@ class ScenarioConfig:
         return start, end
 
     def _policy_node(self) -> dict:
-        node = self.data.get("policy", {})
-        if not isinstance(node, dict):
-            raise ConfigError(f"policy: expected an object, got {node!r}")
-        return node
+        return _object(self.data.get("policy", {}), "policy")
 
     def policy(self) -> BufferPolicy:
         node = self._policy_node()
@@ -252,16 +255,17 @@ class ScenarioConfig:
     def atmosphere(self, section: str = None):
         """Atmosphere model; a section ('itu', 'experiment', 'linkbudget')
         may override the global choice."""
-        node = self.data.get("atmosphere")
+        node, where = self.data.get("atmosphere"), "atmosphere"
         if section is not None:
-            override = self.data.get(section, {}).get("atmosphere")
+            override = _object(self.data.get(section, {}),
+                               section).get("atmosphere")
             if override is not None:
-                node = override
+                node, where = override, f"{section}.atmosphere"
         if node is None:
             return None
-        model = node.get("model")
+        model = _object(node, where).get("model")
         if model == "cosecant":
-            return CosecantModel(_typed(node, "atmosphere.a_zenith_db",
+            return CosecantModel(_typed(node, f"{where}.a_zenith_db",
                                         float))
         if model == "table":
             path = node.get("path")
@@ -271,14 +275,14 @@ class ScenarioConfig:
                             / "atmosphere_default.csv")
                 with importlib.resources.as_file(resource) as p:
                     return TableModel.from_csv(p)
-            p = self._resolve_path(path)
+            p = self._resolve_path(str(path))
             if not p.exists():
-                raise ConfigError(f"atmosphere.path: no such file: {p}")
+                raise ConfigError(f"{where}.path: no such file: {p}")
             return TableModel.from_csv(p)
         if model == "none":
             return None
         raise ConfigError(
-            f"atmosphere.model: expected 'table', 'cosecant' or 'none', "
+            f"{where}.model: expected 'table', 'cosecant' or 'none', "
             f"got {model!r}")
 
     def linkbudget_params(self) -> dict:
@@ -297,7 +301,7 @@ class ScenarioConfig:
             raise ConfigError(
                 f"linkbudget.geometries.{name}: no such geometry; "
                 f"available: {sorted(geoms)}")
-        node = geoms[name]
+        node = _object(geoms[name], f"linkbudget.geometries.{name}")
         for side in ("satellite", "ground"):
             if side not in node:
                 raise ConfigError(

@@ -19,11 +19,12 @@ _SatGeometry(shared, tx) that holds only its transmitter:
    _lines_near_tx keeps the lines whose scan plane passes close enough to
    the transmitter for a sample to subtend it.
 3. Sample margins.  Shared, a few passes at a time (_pass_batches):
-   footprints at the start and end of every sample dwell that any site
-   keeps (every sample of the kept lines in scan-line mode), on the
-   scanner's own sample grid, MARGIN_CHUNK samples at a time.  Per site
-   (_dwell_dark): whether the transmitter is dark at each end of the
-   dwells it kept.
+   one state per boundary of the sample dwells that any site keeps (every
+   sample of the kept lines in scan-line mode), on the scanner's own
+   sample grid, where a dwell's end is the next dwell's start; from those,
+   footprints at the start and end of every dwell, MARGIN_CHUNK samples at
+   a time.  Per site (_dwell_dark): whether the transmitter is dark at
+   each end of the dwells it kept.
 4. Bisection, per site: a dwell dark at one end only has its boundary
    refined to BISECT_TOL_S, well under 10 ms, in one _bisect_boundary
    call per window.
@@ -204,11 +205,6 @@ class _SharedGeometry:
                              self.duration_s)
         return offsets, self.states(offsets)[0]
 
-    def footprints(self, offsets, boresight_deg):
-        r, v = self.states(offsets)
-        return _footprint_arrays(r, v, boresight_deg, self.spec,
-                                 self.ground_altitude)
-
     def cache_lines(self, lines) -> None:
         """Compute the screen geometry of the lines not yet cached.
 
@@ -282,11 +278,13 @@ class _SatGeometry:
         self.tx_ecef = tx.ecef()
 
     def margins(self, offsets, boresight_deg):
-        """Inflated-ellipse margin of the transmitter for given samples."""
+        """Inflated-ellipse margin of the transmitter for given samples,
+        each propagated at its own offset."""
         offsets = np.asarray(offsets, dtype=float)
-        return _margins_many(self.shared, [self], [np.arange(offsets.size)],
-                             offsets, np.asarray(boresight_deg,
-                                                 dtype=float))[0]
+        return _margins_many(
+            self.shared, [self], [np.arange(offsets.size)],
+            np.asarray(boresight_deg, dtype=float),
+            lambda part: self.shared.states(offsets[part]))[0]
 
     def visibility_windows(self):
         """Coarse intervals (s offsets) when the satellite may be in view."""
@@ -314,23 +312,27 @@ _MARGIN_FIELDS = ("center", "u_major", "u_minor", "semi_major", "semi_minor",
                   "miss")
 
 
-def _margins_many(shared: _SharedGeometry, geoms, columns, offsets,
-                  boresight_deg):
+def _margins_many(shared: _SharedGeometry, geoms, columns, boresight_deg,
+                  states):
     """Margins of several sites over one set of samples of a satellite.
 
-    offsets and boresight_deg give the samples; columns[k] lists the
-    samples site geoms[k] needs.  Footprints are built once per
-    MARGIN_CHUNK samples, and every site that needs samples of the chunk
-    evaluates its margins there.  Footprints do not depend on which other
-    samples are computed with them, so each site gets the margins of
-    evaluating its own samples alone.
+    boresight_deg gives the samples' boresights and states(part) the
+    ECEF positions and inertial velocities of the samples in slice part,
+    each (3, part size); columns[k] lists the samples site geoms[k] needs.
+    Footprints are built once per MARGIN_CHUNK samples, and every site
+    that needs samples of the chunk evaluates its margins there.
+    Footprints do not depend on which other samples are computed with
+    them, so each site gets the margins of evaluating its own samples
+    alone.
     """
     out = [np.empty(cols.size) for cols in columns]
     order = [np.argsort(cols, kind="stable") for cols in columns]
     columns = [cols[o] for cols, o in zip(columns, order)]
-    for i in range(0, offsets.size, MARGIN_CHUNK):
+    for i in range(0, boresight_deg.size, MARGIN_CHUNK):
         part = slice(i, i + MARGIN_CHUNK)
-        arrays = shared.footprints(offsets[part], boresight_deg[part])
+        r, v = states(part)
+        arrays = _footprint_arrays(r, v, boresight_deg[part], shared.spec,
+                                   shared.ground_altitude)
         for geom, cols, o, margins in zip(geoms, columns, order, out):
             a, b = np.searchsorted(cols, (i, i + MARGIN_CHUNK))
             if a == b:
@@ -384,7 +386,9 @@ def _lines_near_tx(geom: _SatGeometry, lines: np.ndarray) -> np.ndarray:
     Take one state per line, at its first sample (time t0): r the
     satellite position, v the velocity that _SharedGeometry.states returns
     (the inertial velocity in Earth-fixed axes), a = unit(v_perp) the scan
-    axis as _footprint_arrays computes it (radiometer._scan_axis), tx the
+    axis, v_perp the part of v normal to the geodetic up at r (both from
+    radiometer._scan_axis, whose up is the closed-form frames.geodetic_up,
+    and about which _footprint_arrays rotates every boresight), tx the
     transmitter and T the scan period.  A sample of the line can have
     margin <= 0 only if
 
@@ -522,20 +526,26 @@ def _dwell_dark(shared: _SharedGeometry, geoms, keys):
     """Whether each site is dark at the start and at the end of its dwells.
 
     keys[k] names the dwells site geoms[k] needs, as
-    line * samples_per_scan + sample.  Every dwell of the sites' union is
-    footprinted once at each end (_margins_many).  Returns (dark at start,
-    dark at end) boolean arrays per site, in the order of its keys.
+    line * samples_per_scan + sample.  Dwell key j runs from boundary j to
+    boundary j + 1 (ScanLattice.key_tau), so the sorted union of the
+    sites' dwell boundaries is propagated once, one state per boundary,
+    and every dwell of the sites' union is footprinted once at each end
+    from the states of its two boundaries (_margins_many), gathered one
+    chunk at a time.  Returns (dark at start, dark at end) boolean arrays
+    per site, in the order of its keys.
     """
-    spec = shared.spec
-    n = spec.samples_per_scan
     union = _unique_ids(_concat_ids(keys))
-    idx = union % n
-    starts = shared.lattice.tau(union // n, idx) - shared.base
-    boresight = spec.boresight_of(idx)
+    bounds = _unique_ids(np.concatenate((union, union + 1)))
+    r, v = shared.states(shared.lattice.key_tau(bounds) - shared.base)
+    boresight = shared.spec.boresight_of(union % shared.spec.samples_per_scan)
     columns = [np.searchsorted(union, k) for k in keys]
-    dark = [[m <= 0.0 for m in _margins_many(shared, geoms, columns, t,
-                                             boresight)]
-            for t in (starts, starts + spec.sample_dwell)]
+    dark = []
+    for at in (np.searchsorted(bounds, union),
+               np.searchsorted(bounds, union + 1)):
+        margins = _margins_many(shared, geoms, columns, boresight,
+                                lambda part, at=at: (r[:, at[part]],
+                                                     v[:, at[part]]))
+        dark.append([m <= 0.0 for m in margins])
     return list(zip(*dark))
 
 
@@ -553,40 +563,41 @@ def _pixel_level_spans(shared: _SharedGeometry, geoms):
 
     out = [[] for _ in geoms]
     for group in _pass_batches(_screen_windows(shared, geoms, cover), n):
-        # Per site and window: the dwells of the kept lines in the window.
+        # Per site and window: the dwells of the kept lines in the window,
+        # as keys and their start and end offsets (the instants at which
+        # _dwell_dark tests them).
         dwells = []
         for _, windows in group:
             site = []
             for w0, w1, kept in windows:
-                lines = np.repeat(kept, n)
-                idx = np.tile(np.arange(n), kept.size)
-                starts = shared.lattice.tau(lines, idx) - shared.base
-                keep = (starts + dwell > w0) & (starts < w1)
-                site.append((lines[keep], idx[keep], starts[keep]))
+                keys = (kept[:, None] * n + np.arange(n)).ravel()
+                starts = shared.lattice.key_tau(keys) - shared.base
+                ends = shared.lattice.key_tau(keys + 1) - shared.base
+                keep = (ends > w0) & (starts < w1)
+                site.append((keys[keep], starts[keep], ends[keep]))
             dwells.append(site)
-        flags = _dwell_dark(
-            shared, [geoms[k] for k, _ in group],
-            [_concat_ids(lines * n + idx for lines, idx, _ in site)
-             for site in dwells])
+        flags = _dwell_dark(shared, [geoms[k] for k, _ in group],
+                            [_concat_ids(keys for keys, _, _ in site)
+                             for site in dwells])
 
         for (k, _), site, (at_start, at_end) in zip(group, dwells, flags):
-            cuts = np.cumsum([starts.size for _, _, starts in site])[:-1]
-            for (lines, idx, starts), d0, d1 in zip(
+            cuts = np.cumsum([keys.size for keys, _, _ in site])[:-1]
+            for (keys, starts, ends), d0, d1 in zip(
                     site, np.split(at_start, cuts), np.split(at_end, cuts)):
                 # A dwell dark at both ends is dark throughout; one dark at
                 # one end only is dark up to or from its margin's crossing.
                 dark = d0 | d1
                 one = (d0 != d1)[dark]
-                lines, idx, d0 = lines[dark], idx[dark], d0[dark]
-                s = starts[dark]
-                e = s + dwell
+                keys, d0 = keys[dark], d0[dark]
+                s, e = starts[dark], ends[dark]
                 if np.any(one):
                     cross = _bisect_boundary(
-                        geoms[k], spec.boresight_of(idx[one]), s[one],
+                        geoms[k], spec.boresight_of(keys[one] % n), s[one],
                         e[one], dark_at_lo=d0[one])
                     e[one] = np.where(d0[one], cross, e[one])
                     s[one] = np.where(d0[one], s[one], cross)
-                out[k].extend(zip(s.tolist(), e.tolist(), lines.tolist()))
+                out[k].extend(zip(s.tolist(), e.tolist(),
+                                  (keys // n).tolist()))
     return out
 
 

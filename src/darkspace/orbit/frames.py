@@ -114,6 +114,37 @@ def ecef_to_geodetic(r_ecef_m):
     return np.degrees(lat)[()], np.degrees(lon)[()], alt[()]
 
 
+def geodetic_up(r_ecef_m):
+    """Unit geodetic up (the WGS-84 normal) through ECEF points, (3, n).
+
+    Closed form: two steps of Bowring's (1976) latitude iteration,
+
+        tan(beta) = (B / A) tan(phi)
+        tan(phi)  = (z + e'**2 B sin(beta)**3) / (p - e**2 A cos(beta)**3)
+
+    from tan(beta) = A z / (B p), with p = hypot(x, y).  One step is about
+    1e-9 rad from ecef_to_geodetic at LEO altitudes, two agree with it to
+    rounding.  The normal's horizontal part is kept as k * (x, y), never
+    divided by p, so a point on or next to the polar axis needs no guard.
+    """
+    r = np.asarray(r_ecef_m, dtype=float)
+    x, y, z = r[0], r[1], r[2]
+    p2 = x * x + y * y
+    ep2 = WGS84_E2 / (1.0 - WGS84_E2)
+    # (k p, zn) points along the normal at latitude phi; the start
+    # (p, z A**2 / B**2) is the one whose parametric latitude is beta_0.
+    k = np.ones_like(z)
+    zn = z * (WGS84_A / WGS84_B) ** 2
+    for _ in range(2):
+        h = np.sqrt(WGS84_A ** 2 * k * k * p2 + WGS84_B ** 2 * zn * zn)
+        cos_beta_over_p = WGS84_A * k / h
+        sin_beta = WGS84_B * zn / h
+        k = 1.0 - WGS84_E2 * WGS84_A * cos_beta_over_p ** 3 * p2
+        zn = z + ep2 * WGS84_B * sin_beta ** 3
+    norm = np.sqrt(k * k * p2 + zn * zn)
+    return np.stack((k * x / norm, k * y / norm, zn / norm))
+
+
 def enu_basis(lat_deg, lon_deg):
     """Unit east/north/up vectors of the local tangent frame.
 

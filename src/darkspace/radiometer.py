@@ -3,9 +3,17 @@
 Maps time to scan phase, scan samples to ground pixel footprints on the
 WGS-84 ellipsoid, and decides whether a footprint subtends a ground
 transmitter.  The footprint math is exact ray-ellipsoid geometry: the
-boresight is the satellite's geodetic nadir rotated about the (inertial)
-velocity axis by the scan angle, and the pixel ellipse axes come from
-intersecting the 3 dB cone's edge rays with the ellipsoid.
+boresight is the satellite's geodetic nadir (closed form,
+frames.geodetic_up) rotated about the (inertial) velocity axis by the
+scan angle, and the pixel ellipse axes come from intersecting the 3 dB
+cone's edge rays with the altitude-shifted ellipsoid; they lie in that
+ellipsoid's tangent plane at the centre, normal to its gradient.
+
+The margin kernel (_footprint_arrays) computes only what containment
+needs: centres, axes and misses, in ECEF.  The geodetic latitude and
+longitude of the centres come from a thin layer on top of it
+(_footprint_arrays_latlon), for the callers that place or select pixels
+by position: footprints_batch, pixel_footprint and itu-sim's pixel search.
 
 All heavy math is vectorized over samples; the dataclass API wraps single
 samples of the same arrays so scalar and batched paths cannot diverge.
@@ -115,8 +123,10 @@ class PixelFootprint:
     center sits on the (altitude-shifted) WGS-84 surface and center_ecef
     is the same point in ECEF metres; the semi axes are in metres along
     the unit ECEF vectors u_major and u_minor, which span the tangent
-    plane at the center.  Containment tests use this frame, so they see
-    the ellipse exactly as it was built.
+    plane of that altitude-shifted ellipsoid at the center: the plane
+    normal to its gradient (x / A**2, y / A**2, z / B**2), A and B its
+    semi-axes.  Containment tests use this frame, so they see the ellipse
+    exactly as it was built.
     """
     center: GroundPoint
     semi_major: float
@@ -141,10 +151,11 @@ class ScanLattice:
 
     The phase origin is the element set's epoch.  Offsets tau are seconds
     after it; dwell (line, sample) spans [tau(line, sample),
-    tau(line, sample) + sample_dwell).  This is the only code that maps
-    time to scan line and sample, so schedules, pulses and exclusion
-    records name the same dwells.  offset and dwells take one instant or
-    pulse; tau, line_at and index work elementwise on arrays.
+    tau(line, sample) + sample_dwell).  A dwell's key is line *
+    samples_per_scan + sample.  This is the only code that maps time to
+    scan line and sample, so schedules, pulses and exclusion records name
+    the same dwells.  offset and dwells take one instant or pulse; tau,
+    key_tau, line_at and index work elementwise on arrays.
     """
 
     def __init__(self, spec: RadiometerSpec, epoch: datetime):
@@ -158,6 +169,17 @@ class ScanLattice:
     def tau(self, line, sample=0):
         """Start offset of dwell (line, sample)."""
         return line * self.spec.scan_period + sample * self.spec.sample_dwell
+
+    def key_tau(self, keys):
+        """Start offset of the dwells with these keys.
+
+        The dwell with key k ends at key_tau(k + 1), where the next dwell
+        starts: at tau(line, sample + 1), or at tau(line + 1, 0) for a
+        line's last sample, so a dwell's end and the next dwell's start
+        are the same float.
+        """
+        n = self.spec.samples_per_scan
+        return self.tau(keys // n, keys % n)
 
     def line_at(self, tau):
         """The line whose span holds tau, without the boundary snap.
@@ -245,15 +267,20 @@ def _rotate(vec, axis, angle_rad):
     return vec * c + k_cross_v * s + axis * (k_dot_v * (1.0 - c))
 
 
+def _inverse_axes(ground_altitude):
+    """(1/A, 1/A, 1/B) of the altitude-shifted WGS-84 ellipsoid, (3, 1)."""
+    ax = frames.WGS84_A + ground_altitude
+    bz = frames.WGS84_B + ground_altitude
+    return np.array([1.0 / ax, 1.0 / ax, 1.0 / bz]).reshape(3, 1)
+
+
 def _ray_ellipsoid(origin, direction, ground_altitude):
     """First intersection of rays with the altitude-shifted WGS-84 surface.
 
     origin/direction shaped (3, n), metres / unit vectors.  Returns the
     intersection points (3, n) and a boolean miss mask (n,).
     """
-    ax = frames.WGS84_A + ground_altitude
-    bz = frames.WGS84_B + ground_altitude
-    scale = np.array([1.0 / ax, 1.0 / ax, 1.0 / bz]).reshape(3, 1)
+    scale = _inverse_axes(ground_altitude)
     o = origin * scale
     d = direction * scale
     a = np.sum(d * d, axis=0)
@@ -274,23 +301,26 @@ def _unit(vec):
 def _scan_axis(sat_r, sat_v_inertial):
     """Geodetic up at the sub-satellite point and the scan rotation axis.
 
-    The axis is the along-track direction made exactly orthogonal to nadir,
-    so a boresight rotation of theta subtends exactly theta.  Both are
-    shaped (3, n) like the inputs.
+    Up is the closed-form frames.geodetic_up.  The axis is the along-track
+    direction made exactly orthogonal to nadir, so a boresight rotation of
+    theta subtends exactly theta.  Both are shaped (3, n) like the inputs.
     """
-    lat, lon, _ = frames.ecef_to_geodetic(sat_r)
-    _, _, up = frames.enu_basis(lat, lon)
+    up = frames.geodetic_up(sat_r)
     v_perp = sat_v_inertial - up * np.sum(sat_v_inertial * up, axis=0)
     return up, _unit(v_perp)
 
 
 def _footprint_arrays(sat_r, sat_v_inertial, boresight_deg, spec,
                       ground_altitude):
-    """Build footprint ellipses for many samples at once.
+    """Build footprint ellipses for many samples at once: the margin kernel.
 
     sat_r / sat_v_inertial shaped (3, n) metres resp. m/s, boresight_deg
-    (n,).  Returns a dict of arrays; 'miss' flags rays that do not hit the
-    ellipsoid.
+    (n,).  Returns a dict of arrays: center, semi_major, semi_minor,
+    u_major, u_minor, and miss, which flags rays that do not hit the
+    ellipsoid.  The axes span the tangent plane of the altitude-shifted
+    ellipsoid at the centre, whose normal is its gradient (x / A**2,
+    y / A**2, z / B**2).  No geodetic coordinates are computed here;
+    _footprint_arrays_latlon adds them.
     """
     sat_r = np.asarray(sat_r, dtype=float)
     sat_v = np.asarray(sat_v_inertial, dtype=float)
@@ -321,8 +351,7 @@ def _footprint_arrays(sat_r, sat_v_inertial, boresight_deg, spec,
     semi_cross = 0.5 * (np.linalg.norm(q_plus - center, axis=0)
                         + np.linalg.norm(q_minus - center, axis=0))
 
-    clat, clon, _ = frames.ecef_to_geodetic(center)
-    _, _, up_c = frames.enu_basis(clat, clon)
+    up_c = _unit(center * _inverse_axes(ground_altitude) ** 2)
 
     scan_dir = p_plus - p_minus
     cross_dir = q_plus - q_minus
@@ -335,14 +364,25 @@ def _footprint_arrays(sat_r, sat_v_inertial, boresight_deg, spec,
 
     return {
         "center": center,
-        "center_lat": np.atleast_1d(clat),
-        "center_lon": np.atleast_1d(clon),
         "semi_major": np.maximum(semi_scan, semi_cross),
         "semi_minor": np.minimum(semi_scan, semi_cross),
         "u_major": u_major,
         "u_minor": u_minor,
         "miss": miss,
     }
+
+
+def _footprint_arrays_latlon(sat_r, sat_v_inertial, boresight_deg, spec,
+                             ground_altitude):
+    """_footprint_arrays plus center_lat and center_lon, the geodetic
+    latitude and longitude (deg) of each centre, for the callers that
+    place or select pixels by position."""
+    arrays = _footprint_arrays(sat_r, sat_v_inertial, boresight_deg, spec,
+                               ground_altitude)
+    lat, lon, _ = frames.ecef_to_geodetic(arrays["center"])
+    arrays["center_lat"] = np.atleast_1d(lat)
+    arrays["center_lon"] = np.atleast_1d(lon)
+    return arrays
 
 
 def _ellipse_margins(arrays, tx_ecef, buffer_multiplier):
@@ -410,8 +450,8 @@ def footprints_batch(r_ecef, v_inertial, samples, spec: RadiometerSpec,
     scalar path.
     """
     boresights = np.array([s.boresight_angle for s in samples])
-    arrays = _footprint_arrays(r_ecef, v_inertial, boresights, spec,
-                               ground_altitude)
+    arrays = _footprint_arrays_latlon(r_ecef, v_inertial, boresights, spec,
+                                      ground_altitude)
     if np.any(arrays["miss"]):
         bad = int(np.flatnonzero(arrays["miss"])[0])
         raise NoIntersection(

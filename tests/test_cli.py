@@ -15,7 +15,7 @@ from darkspace.config import ScenarioConfig
 from darkspace.orbit import GroundPoint, frames, propagate, propagate_many
 from darkspace.propagation import (GeoBox, generate_deployment,
                                    write_deployment_jsonl)
-from darkspace.radiometer import _footprint_arrays
+from darkspace.radiometer import _footprint_arrays_latlon
 from darkspace.timeutil import add_seconds
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -244,9 +244,29 @@ def test_experiment_empty_window_warns(scenario, leo_tle, capsys):
     out = tmp / "exp_empty"
     assert main(["experiment", "--config", str(empty),
                  "--out-dir", str(out)]) == 0
-    assert "warning" in capsys.readouterr().out.lower()
+    assert ("warning: empty plan (no passes over the transmitter"
+            in capsys.readouterr().out)
     plan = json.loads((out / "plan.json").read_text())
     assert plan["pulses"] == []
+
+
+def test_experiment_empty_plan_names_discards(tmp_path, capsys):
+    """An AMSU-A plan whose passes are all discarded for low ON/OFF
+    overlap says so, rather than that there were no passes."""
+    config = json.loads(EXAMPLE_CONFIG.read_text())
+    config["satellites"][0]["preset"] = "amsua"
+    config["policy"]["kind"] = "scanline"
+    shutil.copy(EXAMPLE_CONFIG.parent / "noaa21_like.tle", tmp_path)
+    path = tmp_path / "amsua.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["experiment", "--config", str(path),
+                 "--out-dir", str(out)]) == 0
+    diag = json.loads((out / "plan.json").read_text())["diagnostics"]
+    assert diag == {"passes_considered": 1, "discarded_overlap": 1,
+                    "discarded_off_conflict": 0}
+    assert ("warning: empty plan (1 pass considered, all discarded: 1 for "
+            "ON/OFF overlap below 0.5)") in capsys.readouterr().out
 
 
 def test_validate_tle(capsys):
@@ -353,14 +373,25 @@ def test_bad_transmitter_field_fails(scenario, capsys, command, key, value):
     ("itu-sim", "itu.gamma", None),
     ("itu-sim", "itu.max_pixels", "x"),
     ("experiment", "experiment.overlap_threshold", None),
-    ("experiment", "linkbudget.g_tx_dbi", None)],
+    ("experiment", "linkbudget.g_tx_dbi", None),
+    ("linkbudget", "atmosphere", "table"),
+    ("linkbudget", "atmosphere.path", 5),
+    ("linkbudget", "linkbudget.geometries.default", "x"),
+    ("experiment", "experiment.atmosphere", "cosecant"),
+    ("darkspaces", "satellites", ["noaa21_like.tle"]),
+    ("darkspaces", "satellites", [{"tle": 7, "preset": "atms"}]),
+    ("darkspaces", "window", "2023-04-25")],
     ids=["null-seed", "null-ground-altitude", "text-ground-altitude",
          "null-itu-gamma", "text-itu-max-pixels",
-         "null-overlap-threshold", "null-g-tx"])
+         "null-overlap-threshold", "null-g-tx", "text-atmosphere",
+         "number-atmosphere-path", "text-geometry",
+         "text-experiment-atmosphere", "text-satellite-entry",
+         "number-tle-path", "text-window"])
 def test_unconvertible_config_value_fails(tmp_path, capsys, command, key,
                                           value):
-    """A typed value of the example config that does not convert exits 2
-    and names its dotted key."""
+    """A typed value of the example config that does not convert, or a
+    node that is not the object it must be, exits 2 and names its dotted
+    key."""
     config = json.loads(EXAMPLE_CONFIG.read_text())
     *parents, last = key.split(".")
     node = config
@@ -522,9 +553,9 @@ def every_example_sample():
     parts = []
     for chunk in np.array_split(np.arange(lines.size), 16):
         r, v = propagate_many(elements, start, offsets[chunk])
-        arrays = _footprint_arrays(r, v + np.cross(omega, r, axis=0),
-                                   spec.boresight_of(idx[chunk]), spec,
-                                   config.ground_altitude())
+        arrays = _footprint_arrays_latlon(
+            r, v + np.cross(omega, r, axis=0), spec.boresight_of(idx[chunk]),
+            spec, config.ground_altitude())
         parts.append((arrays["center_lat"], arrays["center_lon"],
                       arrays["miss"]))
     lat, lon, miss = (np.concatenate(col) for col in zip(*parts))

@@ -32,6 +32,22 @@ def test_geodetic_poles():
     assert alt == pytest.approx(100.0, abs=1e-3)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("alt", [0.0, 1043.0, 100.0e3, 824.0e3, 2000.0e3])
+def test_geodetic_up_matches_iterated_latitude(alt):
+    """The closed-form up is the up of the 12-step latitude iteration, to
+    1e-9 rad, at every latitude including the poles and next to them."""
+    lat = np.concatenate((np.linspace(-90.0, 90.0, 721),
+                          [90.0 - 1e-7, -90.0 + 1e-7, 1e-7, -1e-7]))
+    for lon in (-180.0, -121.47, 0.0, 33.3, 90.0, 179.9):
+        r = frames.geodetic_to_ecef(lat, np.full_like(lat, lon), alt)
+        _, _, expected = frames.enu_basis(*frames.ecef_to_geodetic(r)[:2])
+        up = frames.geodetic_up(r)
+        assert np.max(np.linalg.norm(up - expected, axis=0)) < 1e-9
+    assert np.array_equal(frames.geodetic_up(np.array([[0.0], [0.0], [7e6]])),
+                          [[0.0], [0.0], [1.0]])
+
+
 def test_propagate_returns_leo_state(leo_tle):
     state = propagate(leo_tle, T0)
     lat, lon, alt = state.geodetic

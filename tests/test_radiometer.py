@@ -11,7 +11,8 @@ from darkspace.errors import ConfigError, NoIntersection, NotPhaseLocked
 from darkspace.orbit import (GroundPoint, frames, state_from_geodetic,
                              topocentric)
 from darkspace.radiometer import (BufferPolicy, PolicyKind, RadiometerSpec,
-                                  ScanLattice, ScanSample, load_preset,
+                                  ScanLattice, ScanSample, _footprint_arrays,
+                                  _footprint_arrays_latlon, load_preset,
                                   pixel_footprint, scan_phase, spec_from_dict,
                                   subtends)
 
@@ -120,6 +121,33 @@ def test_consecutive_pixels_overlap(atms, nadir_state):
                         atms)
     from darkspace.experiment import ellipse_overlap_fraction
     assert ellipse_overlap_fraction(a, b) > 0.0
+
+
+def test_latlon_layer_keeps_kernel_frame(atms, nadir_state):
+    """The lat/lon layer returns the kernel's centres, axes and unit
+    vectors bit for bit, and the axes lie in the tangent plane of the
+    altitude-shifted ellipsoid at the centre."""
+    altitude = 1043.0
+    boresight = atms.boresight_of(np.arange(atms.samples_per_scan))
+    r = np.repeat(nadir_state.r[:, None], boresight.size, axis=1)
+    v = np.repeat(nadir_state.v_inertial[:, None], boresight.size, axis=1)
+    kernel = _footprint_arrays(r, v, boresight, atms, altitude)
+    described = _footprint_arrays_latlon(r, v, boresight, atms, altitude)
+    assert set(described) - set(kernel) == {"center_lat", "center_lon"}
+    for key, value in kernel.items():
+        assert np.array_equal(described[key], value), key
+    lat, lon, alt = frames.ecef_to_geodetic(kernel["center"])
+    assert np.array_equal(described["center_lat"], lat)
+    assert np.array_equal(described["center_lon"], lon)
+    assert np.allclose(alt, altitude, atol=0.5)
+
+    a, b = frames.WGS84_A + altitude, frames.WGS84_B + altitude
+    normal = kernel["center"] / np.array([[a * a], [a * a], [b * b]])
+    normal /= np.linalg.norm(normal, axis=0)
+    for axis in ("u_major", "u_minor"):
+        assert np.max(np.abs(np.sum(kernel[axis] * normal, axis=0))) < 1e-12
+    assert np.allclose(np.sum(kernel["u_major"] * kernel["u_minor"], axis=0),
+                       0.0, atol=1e-12)
 
 
 def test_boresight_miss_raises(nadir_state):
