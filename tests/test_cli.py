@@ -683,8 +683,10 @@ def test_non_object_policy_fails(scenario, capsys, command, policy, flag):
 
 
 #: (name, argv) of the runs whose outputs fixtures/geofence_digests.json
-#: records: darkspaces on both example configs under both policies, and
-#: experiment on the example scenario under its own and the scan-line policy.
+#: records: darkspaces on both example configs under both policies,
+#: experiment on the example scenario under its own and the scan-line
+#: policy, and experiment on the AMSU-A example, which plans in scan-line
+#: mode.
 GEOFENCE_RUNS = [
     *((f"darkspaces-{config}-{policy}",
        ["darkspaces", "--config",
@@ -695,6 +697,9 @@ GEOFENCE_RUNS = [
                                      str(EXAMPLE_CONFIG)]),
     ("experiment-example_scenario-scanline",
      ["experiment", "--config", str(EXAMPLE_CONFIG), "--policy", "scanline"]),
+    ("experiment-example_scanline",
+     ["experiment", "--config",
+      str(EXAMPLE_CONFIG.parent / "example_scanline.json")]),
 ]
 
 
