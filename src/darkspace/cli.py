@@ -17,26 +17,25 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ScenarioConfig
+from .config import ScenarioConfig, _typed
 from .errors import ComputeError, ConfigError, DarkspaceError
 from .experiment import clearance_band, exclusion_records, plan_experiment, \
     safety_audit
-# dark_intervals is not called here, but bench/tracing.py patches it under
-# this module's name, so it stays importable from darkspace.cli.
-from .geofence import (availability, dark_intervals,  # noqa: F401
-                       dark_intervals_many, write_schedule_csv,
+from .geofence import (availability, dark_intervals_many,
+                       earth_fixed_velocity, edge_footprints,
+                       inertial_states, write_schedule_csv,
                        write_schedule_jsonl)
 from .linkbudget import evaluate, fspl_db, required_tx_power, total_loss_db
 from . import radiometer
-from .orbit import GroundPoint, propagate_many, state_from_geodetic, \
-    topocentric, frames, load_tle_file
+from .orbit import GroundPoint, state_from_geodetic, topocentric, frames, \
+    load_tle_file
 from .propagation import (GeoBox, PathModel, TransmitterKind,
                           aggregate_interference, compliance,
                           generate_deployment, read_deployment_jsonl,
                           write_deployment_jsonl,
                           write_interference_grid_csv)
-from .radiometer import ScanLattice, ScanSample, footprints_batch
-from .timeutil import add_seconds, iso_utc
+from .radiometer import ScanLattice, footprints_batch
+from .timeutil import iso_utc
 
 
 def _provenance_lines(prov: dict):
@@ -140,11 +139,9 @@ def cmd_linkbudget(args) -> int:
     # Fixed-geometry evaluation needs a nominal instant only.
     t = (config.window()[0] if "window" in config.data
          else datetime(2000, 1, 1, tzinfo=timezone.utc))
-    sat = state_from_geodetic(t, float(sat_node["lat"]),
-                              float(sat_node["lon"]),
-                              float(sat_node["alt_km"]) * 1000.0)
-    ground = GroundPoint(float(gnd_node["lat"]), float(gnd_node["lon"]),
-                         float(gnd_node.get("alt_m", 0.0)))
+    sat = state_from_geodetic(t, sat_node["lat"], sat_node["lon"],
+                              sat_node["alt_km"] * 1000.0)
+    ground = GroundPoint(gnd_node["lat"], gnd_node["lon"], gnd_node["alt_m"])
     look = topocentric(sat, ground)
     if look.elevation <= 0:
         raise ComputeError("geometry puts the satellite below the horizon")
@@ -154,10 +151,10 @@ def cmd_linkbudget(args) -> int:
               if atmosphere is not None else 0.0)
     # Regression fixtures may pin stated loss components instead of the
     # geometry-derived ones.
-    fspl_value = (float(geometry["fspl_db"]) if "fspl_db" in geometry
+    fspl_value = (geometry["fspl_db"] if geometry["fspl_db"] is not None
                   else float(fspl_db(look.slant_range, frequency)))
-    if "atmosphere_db" in geometry:
-        atm_db = float(geometry["atmosphere_db"])
+    if geometry["atmosphere_db"] is not None:
+        atm_db = geometry["atmosphere_db"]
     chain = total_loss_db(
         fspl=fspl_value,
         atmosphere=atm_db,
@@ -211,23 +208,15 @@ def _lines_near_box(elements, spec, start, line_offsets, bbox,
     line_offsets are each line's first-sample time, seconds after start;
     the bound is derived in _itu_pixels.
     """
-    r, v = propagate_many(elements, start, line_offsets)
-    omega = np.array([0.0, 0.0, frames.OMEGA_EARTH]).reshape(3, 1)
-    v_inertial = v + radiometer._cross(omega, r)
-    n = line_offsets.size
-    edges = spec.boresight_of(np.tile([0, spec.samples_per_scan - 1], n))
-    edge = radiometer._footprint_arrays(
-        np.repeat(r, 2, axis=1), np.repeat(v_inertial, 2, axis=1), edges,
-        spec, ground_altitude)
+    r, v = inertial_states(elements, start, line_offsets)
+    center, _, miss = edge_footprints(r, v, spec, ground_altitude)
 
     lat, lon, _ = frames.ecef_to_geodetic(r)
-    ground = np.repeat(frames.geodetic_to_ecef(lat, lon, ground_altitude),
-                       2, axis=1)
-    reach = np.linalg.norm(edge["center"] - ground, axis=0).reshape(n, 2)
-    reach = np.where(edge["miss"].reshape(n, 2).any(axis=1), np.inf,
-                     reach.max(axis=1))
-    rho = (1.0 + _REACH_SLACK) * reach + (np.linalg.norm(v, axis=0)
-                                          * spec.scan_period)
+    ground = frames.geodetic_to_ecef(lat, lon, ground_altitude)
+    reach = np.linalg.norm(center - ground[:, :, None], axis=0)
+    reach = np.where(miss.any(axis=1), np.inf, reach.max(axis=1))
+    speed = np.linalg.norm(earth_fixed_velocity(r, v), axis=0)
+    rho = (1.0 + _REACH_SLACK) * reach + speed * spec.scan_period
 
     dlat, dlon = frames.surface_reach_deg(rho, bbox.lat_min, bbox.lat_max,
                                           ground_altitude)
@@ -284,19 +273,14 @@ def _itu_pixels(config, satellite, max_pixels, bbox):
     line_ids = line_ids[_lines_near_box(
         elements, spec, start, lattice.tau(line_ids) - base, bbox,
         ground_altitude)]
-    lines = np.repeat(line_ids, spec.samples_per_scan)
     idx = np.tile(np.arange(spec.samples_per_scan), line_ids.size)
-    offsets = lattice.tau(lines, idx) - base
+    offsets = lattice.tau(np.repeat(line_ids, spec.samples_per_scan),
+                          idx) - base
     keep = (offsets >= 0) & (offsets <= duration)
-    lines, idx, offsets = lines[keep], idx[keep], offsets[keep]
-
-    r, v = propagate_many(elements, start, offsets)
-    omega = np.array([0.0, 0.0, frames.OMEGA_EARTH]).reshape(3, 1)
-    v_inertial = v + radiometer._cross(omega, r)
-
-    boresight = spec.boresight_of(idx)
-    arrays = radiometer._footprint_arrays_latlon(r, v_inertial, boresight,
-                                                 spec, ground_altitude)
+    r, v = inertial_states(elements, start, offsets[keep])
+    boresight = spec.boresight_of(idx[keep])
+    arrays = radiometer._footprint_arrays_latlon(r, v, boresight, spec,
+                                                 ground_altitude)
     in_box = ((arrays["center_lat"] >= bbox.lat_min)
               & (arrays["center_lat"] <= bbox.lat_max)
               & (arrays["center_lon"] >= bbox.lon_min)
@@ -307,12 +291,8 @@ def _itu_pixels(config, satellite, max_pixels, bbox):
         stride = int(np.ceil(sel.size / max_pixels))
         sel = sel[::stride]
 
-    samples = [ScanSample(int(lines[i]), int(idx[i]),
-                          add_seconds(start, float(offsets[i])),
-                          float(boresight[i])) for i in sel]
-    footprints = footprints_batch(r[:, sel], v_inertial[:, sel], samples,
-                                  spec, ground_altitude,
-                                  elements.satellite_id)
+    footprints = footprints_batch(r[:, sel], v[:, sel], boresight[sel], spec,
+                                  ground_altitude)
     return spec, footprints, r[:, sel]
 
 
@@ -337,24 +317,18 @@ def cmd_itu_sim(args) -> int:
     dep_node = itu["deployment"]
     if dep_node is None:
         raise ConfigError("missing config key: itu.deployment")
+    # The pixel sampling box; a generated deployment also fills it.
+    bbox = _typed(dep_node, "itu.deployment.bbox",
+                  lambda node: GeoBox(*[float(x) for x in node]))
     if "path" in dep_node:
         dep_path = config._resolve_path(dep_node["path"])
         if not dep_path.exists():
             raise ConfigError(f"itu.deployment.path: no such file: "
                               f"{dep_path}")
         deployment = read_deployment_jsonl(dep_path)
-        bbox_node = dep_node.get("bbox")
-        if bbox_node is None:
-            raise ConfigError("missing config key: itu.deployment.bbox "
-                              "(pixel sampling box)")
     else:
-        bbox_node = dep_node.get("bbox")
-        if bbox_node is None:
-            raise ConfigError("missing config key: itu.deployment.bbox")
-        scenario = dep_node.get("scenario", "rural")
-        bbox = GeoBox(*[float(x) for x in bbox_node])
         deployment = generate_deployment(
-            scenario, bbox, config.seed(),
+            dep_node.get("scenario", "rural"), bbox, config.seed(),
             center_frequency=float(dep_node.get("center_frequency_hz",
                                                 24.0e9)),
             emission_bandwidth=float(dep_node.get("emission_bandwidth_hz",
@@ -373,7 +347,6 @@ def cmd_itu_sim(args) -> int:
             target=write_deployment_jsonl,
             args=(deployment, out / "deployment.jsonl"))
         writer.start()
-    bbox = GeoBox(*[float(x) for x in bbox_node])
 
     try:
         spec, footprints, sat_r = _itu_pixels(config, satellite,

@@ -73,6 +73,12 @@ _ITU_FIELDS = (
 _EXPERIMENT_FIELDS = (
     ("overlap_threshold", float, 0.5), ("max_pulse_s", float, None),
     ("damage_threshold_dbm", float, _REQUIRED), ("clearance_n", int, 3))
+#: A linkbudget geometry: the loss components it may state instead of the
+#: geometry-derived ones, and the fields of its two points.
+_GEOMETRY_FIELDS = (("fspl_db", float, None), ("atmosphere_db", float, None))
+_LAT_LON = (("lat", float, _REQUIRED), ("lon", float, _REQUIRED))
+_GEOMETRY_POINTS = {"satellite": (*_LAT_LON, ("alt_km", float, _REQUIRED)),
+                    "ground": (*_LAT_LON, ("alt_m", float, 0.0))}
 
 
 def _parse_utc(text: str, key: str) -> datetime:
@@ -296,17 +302,21 @@ class ScenarioConfig:
         return params
 
     def linkbudget_geometry(self, name: str) -> dict:
+        """The typed numbers of a geometry: its _GEOMETRY_FIELDS (None
+        when absent) and a dict per point of _GEOMETRY_POINTS."""
         geoms = self._require("linkbudget", "geometries")
+        where = f"linkbudget.geometries.{name}"
         if name not in geoms:
-            raise ConfigError(
-                f"linkbudget.geometries.{name}: no such geometry; "
-                f"available: {sorted(geoms)}")
-        node = _object(geoms[name], f"linkbudget.geometries.{name}")
-        for side in ("satellite", "ground"):
+            raise ConfigError(f"{where}: no such geometry; available: "
+                              f"{sorted(geoms)}")
+        node = _object(geoms[name], where)
+        geometry = _typed_section(node, where, _GEOMETRY_FIELDS)
+        for side, fields in _GEOMETRY_POINTS.items():
             if side not in node:
-                raise ConfigError(
-                    f"linkbudget.geometries.{name}.{side}: missing")
-        return node
+                raise ConfigError(f"{where}.{side}: missing")
+            geometry[side] = _typed_section(node[side], f"{where}.{side}",
+                                            fields)
+        return geometry
 
     def itu_params(self) -> dict:
         node = self.data.get("itu", {})

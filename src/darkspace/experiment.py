@@ -16,12 +16,12 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigError, NegativeLowEdge
-from .geofence import dark_intervals
+from .geofence import dark_intervals, inertial_states
 from .linkbudget import LossChain, fspl_db
 from .orbit import (GroundPoint, OrbitalElements, propagate, topocentric)
 from .radiometer import (BufferPolicy, PolicyKind, RadiometerSpec,
                          ScanLattice, ScanSample, _ellipse_margins, _frame,
-                         pixel_footprint, scan_phase)
+                         footprints_batch)
 from .timeutil import add_seconds, ensure_utc
 
 
@@ -158,12 +158,6 @@ def ellipse_overlap_fraction(fp_on, fp_off, n_radial: int = 24,
     return float(np.mean(margins <= 0.0))
 
 
-def _off_reference(sample: ScanSample, lattice: ScanLattice) -> ScanSample:
-    """The overlapping pixel one scan line later (same sample slot)."""
-    return lattice.scan_sample(sample.scan_line_index + 1,
-                               sample.sample_index)
-
-
 def _contaminated(plan_mode: str, lattice: ScanLattice,
                   on_start: datetime, on_end: datetime):
     """(line, sample) keys of every dwell an ON pulse contaminates.
@@ -209,26 +203,35 @@ def plan_experiment(tx: GroundPoint,
     schedule = dark_intervals(tx, [sat], window, policy, tx_id=tx_id,
                               ground_altitude=ground_altitude)
     lattice = ScanLattice(spec, elements.epoch)
+    n = spec.samples_per_scan
+    # Per pass: its pulse and ON dwell, in pixel mode the one active at the
+    # middle of the pulse, in scan-line mode sample 0 of its line.
+    passes = []
+    for iv in schedule.intervals:
+        on_end = min(iv.end, add_seconds(iv.start, max_pulse))
+        mid = add_seconds(iv.start, (on_end - iv.start).total_seconds() / 2)
+        line, sample = (lattice.index(lattice.offset(mid)) if mode == "pixel"
+                        else (iv.scan_line_index, 0))
+        passes.append((iv.start, on_end, int(line), int(sample)))
+    # Every ON dwell and its OFF reference, one line later, footprinted in
+    # one batch from the states at the dwells' starts.
+    keys = np.array([(line + k) * n + sample for k in (0, 1)
+                     for _, _, line, sample in passes], dtype=np.int64)
+    start = schedule.window[0]
+    footprints = footprints_batch(
+        *inertial_states(elements, start,
+                         lattice.key_tau(keys) - lattice.offset(start)),
+        spec.boresight_of(keys % n), spec, ground_altitude)
+
     pulses = []
     discarded_overlap = 0
     discarded_off_conflict = 0
     contaminated = set()
     reserved_off = set()
-    for iv in schedule.intervals:
-        on_start = iv.start
-        on_end = min(iv.end, add_seconds(on_start, max_pulse))
-        if mode == "pixel":
-            mid = add_seconds(on_start, (on_end - on_start).total_seconds()
-                              / 2.0)
-            target = scan_phase(spec, mid, elements.epoch)
-        else:
-            target = lattice.scan_sample(iv.scan_line_index, 0)
+    for at, (on_start, on_end, line, sample) in enumerate(passes):
         dwells = _contaminated(mode, lattice, on_start, on_end)
-        off_ref = _off_reference(target, lattice)
-        off_key = (off_ref.scan_line_index, off_ref.sample_index)
-        off_keys = ({off_key} if mode == "pixel" else
-                    {(off_ref.scan_line_index, i)
-                     for i in range(spec.samples_per_scan)})
+        off_keys = ({(line + 1, sample)} if mode == "pixel" else
+                    {(line + 1, i) for i in range(n)})
 
         # The OFF reference is only valid if the flashlight is silent while
         # the radiometer integrates it.  Adjacent-line passes would
@@ -240,16 +243,15 @@ def plan_experiment(tx: GroundPoint,
             discarded_off_conflict += 1
             continue
 
-        fp_on = pixel_footprint(propagate(elements, target.t), target, spec,
-                                ground_altitude)
-        fp_off = pixel_footprint(propagate(elements, off_ref.t), off_ref,
-                                 spec, ground_altitude)
-        frac = ellipse_overlap_fraction(fp_on, fp_off)
+        frac = ellipse_overlap_fraction(footprints[at],
+                                        footprints[len(passes) + at])
         if frac < overlap_threshold:
             discarded_overlap += 1
             continue
         contaminated.update(dwells)
         reserved_off.update(off_keys)
+        target, off_ref = (lattice.scan_sample(line + k, sample)
+                           for k in (0, 1))
         pulses.append(Pulse(on_start=on_start, on_end=on_end, target=target,
                             off_reference=off_ref, overlap_fraction=frac))
 

@@ -14,8 +14,9 @@ _SatGeometry(shared, tx) that holds only its transmitter:
    site: visibility_windows keeps the times when the satellite is above
    HORIZON_GUARD_DEG at the transmitter (a satellite below the horizon
    cannot subtend anything).
-2. Screen.  Shared: one state, scan axis and edge-footprint reach per
-   scan line, for the union of the sites' window lines.  Per site:
+2. Screen.  Shared: one state, scan axis and edge-footprint reach
+   (edge_footprints) per scan line, for the union of the sites' window
+   lines.  Per site:
    _lines_near_tx keeps the lines whose scan plane passes close enough to
    the transmitter for a sample to subtend it.
 3. Sample margins.  Shared, a few passes at a time (_pass_batches):
@@ -32,6 +33,9 @@ _SatGeometry(shared, tx) that holds only its transmitter:
 Padding, merging and attribution (_finalize_schedule) run per site.
 Propagation, frames and footprints are elementwise in the samples, so a
 site's schedule does not depend on which other sites share the work.
+Every state comes from inertial_states, which itu-sim's pixel search and
+the flashlight planner call as well; the pixel search also screens scan
+lines by their edge_footprints.
 
 brute_force_oracle implements the same subtension predicate by dense time
 sampling, without the screen; it is the reference semantics the engine is
@@ -143,6 +147,63 @@ class AvailabilityReport:
 # --- internal machinery ------------------------------------------------------
 
 
+#: The Earth's rotation vector in ECEF (rad/s), shaped (3, 1).
+_OMEGA = np.array([0.0, 0.0, frames.OMEGA_EARTH]).reshape(3, 1)
+
+
+def inertial_states(elements: OrbitalElements, start: datetime, offsets):
+    """ECEF positions and inertial velocities (v + w x r, in Earth-fixed
+    axes, as the footprint kernel takes them) at start + offsets (s).
+
+    Propagated 4 * MARGIN_CHUNK offsets at a time, so the SGP4 temporaries
+    stay bounded, with the bits of one call (pieces of MARGIN_CHUNK
+    measured 10 % slower on a 2-day ATMS run).  The epoch guard sees every
+    offset first, so a window too far from the epoch is reported by its
+    farthest instant.
+    """
+    offsets = np.asarray(offsets, dtype=float)
+    _check_epoch_offset(elements, minutes_since(start, elements.epoch)
+                        + offsets / 60.0)
+    r, v = np.empty((3, offsets.size)), np.empty((3, offsets.size))
+    for i in range(0, offsets.size, 4 * MARGIN_CHUNK):
+        part = slice(i, i + 4 * MARGIN_CHUNK)
+        r[:, part], v[:, part] = propagate_many(elements, start,
+                                                offsets[part])
+    return r, v + _cross(_OMEGA, r)
+
+
+def earth_fixed_velocity(r, v_inertial):
+    """The Earth-fixed velocity, v - w x r, of inertial_states' states."""
+    return v_inertial - _cross(_OMEGA, r)
+
+
+def edge_footprints(r, v_inertial, spec: RadiometerSpec,
+                    ground_altitude: float):
+    """Footprints of the first and last sample of each scan line, from the
+    line's one state (columns of inertial_states).
+
+    Returns centres (3, n, 2), semi_major (n, 2) and miss (n, 2), [..., 0]
+    for the first sample.  Footprinted 4 * MARGIN_CHUNK samples at a time
+    (MARGIN_CHUNK measured 16 % slower), each piece from a copy of its own
+    lines' states: repeating all states at once raised the page faults of
+    a 2-day ATMS darkspaces run from 2.6 k to 13.6 k.
+    """
+    n = r.shape[1]
+    boresight = spec.boresight_of(np.tile([0, spec.samples_per_scan - 1], n))
+    center, semi_major = np.empty((3, 2 * n)), np.empty(2 * n)
+    miss = np.empty(2 * n, dtype=bool)
+    for i in range(0, 2 * n, 4 * MARGIN_CHUNK):
+        part = slice(i, i + 4 * MARGIN_CHUNK)
+        lines = slice(i // 2, (i + 4 * MARGIN_CHUNK) // 2)
+        edge = _footprint_arrays(np.repeat(r[:, lines], 2, axis=1),
+                                 np.repeat(v_inertial[:, lines], 2, axis=1),
+                                 boresight[part], spec, ground_altitude)
+        center[:, part] = edge["center"]
+        semi_major[part], miss[part] = edge["semi_major"], edge["miss"]
+    return (center.reshape(3, n, 2), semi_major.reshape(n, 2),
+            miss.reshape(n, 2))
+
+
 class _SharedGeometry:
     """The site-independent geometry of one satellite/radiometer pair.
 
@@ -174,27 +235,8 @@ class _SharedGeometry:
         return self.base + np.asarray(offsets, dtype=float)
 
     def states(self, offsets):
-        """ECEF positions and inertial velocities at window offsets (s).
-
-        Propagated 4 * MARGIN_CHUNK offsets at a time, so the SGP4
-        temporaries do not grow with the window; propagate_many is
-        elementwise, so the bits are those of one call.  (Pieces of
-        MARGIN_CHUNK gave the same bits but measured 10 % slower on a
-        2-day ATMS run, with four times the page faults, as in
-        cache_lines.)  The epoch guard sees every offset first, so a
-        window too far from the epoch is reported by its farthest instant,
-        as one call would report it.
-        """
-        offsets = np.asarray(offsets, dtype=float)
-        _check_epoch_offset(self.elements, minutes_since(
-            self.window_start, self.elements.epoch) + offsets / 60.0)
-        r, v = np.empty((3, offsets.size)), np.empty((3, offsets.size))
-        for i in range(0, offsets.size, 4 * MARGIN_CHUNK):
-            part = slice(i, i + 4 * MARGIN_CHUNK)
-            r[:, part], v[:, part] = propagate_many(
-                self.elements, self.window_start, offsets[part])
-        omega = np.array([0.0, 0.0, frames.OMEGA_EARTH]).reshape(3, 1)
-        return r, v + _cross(omega, r)
+        """inertial_states at window offsets (s)."""
+        return inertial_states(self.elements, self.window_start, offsets)
 
     @cached_property
     def coarse(self):
@@ -209,11 +251,8 @@ class _SharedGeometry:
         """Compute the screen geometry of the lines not yet cached.
 
         Per line, at its first sample: the position r, the scan axis, the
-        speed bound V and the edge reach (1 + s) A of _lines_near_tx.  The
-        edge samples are footprinted 4 * MARGIN_CHUNK at a time, so the
-        temporaries do not grow with the window.  (Pieces of MARGIN_CHUNK
-        gave the same bits but measured 16 % slower on a 2-day ATMS run:
-        the allocator then faults fresh pages in for later arrays.)
+        speed bound V and the edge reach (1 + s) A of _lines_near_tx, from
+        the line's edge_footprints.
 
         The incremental, sorted cache stays although every caller passes
         the union of its lines once.  Keeping the first computed arrays
@@ -234,24 +273,16 @@ class _SharedGeometry:
             new = new[self._line_ids[at] != new]
         if new.size == 0:
             return
-        spec = self.spec
         r, v = self.states(self.lattice.tau(new) - self.base)
         _, axis = _scan_axis(r, v)
-        n = new.size
-        edges = spec.boresight_of(np.tile([0, spec.samples_per_scan - 1], n))
-        edge_r, edge_v = np.repeat(r, 2, axis=1), np.repeat(v, 2, axis=1)
-        semi_major, miss = np.empty(2 * n), np.empty(2 * n, dtype=bool)
-        for i in range(0, 2 * n, 4 * MARGIN_CHUNK):
-            part = slice(i, i + 4 * MARGIN_CHUNK)
-            edge = _footprint_arrays(edge_r[:, part], edge_v[:, part],
-                                     edges[part], spec, self.ground_altitude)
-            semi_major[part], miss[part] = edge["semi_major"], edge["miss"]
+        _, semi_major, miss = edge_footprints(r, v, self.spec,
+                                              self.ground_altitude)
         reach = ((1.0 + _SCREEN_SLACK) * self.policy.buffer_multiplier
-                 * semi_major.reshape(n, 2).max(axis=1))
-        reach = np.where(miss.reshape(n, 2).any(axis=1), np.inf, reach)
+                 * semi_major.max(axis=1))
+        reach = np.where(miss.any(axis=1), np.inf, reach)
         speed = (np.linalg.norm(v, axis=0)
                  + frames.OMEGA_EARTH * np.linalg.norm(r, axis=0)
-                 + _ACCEL_BOUND * spec.scan_period)
+                 + _ACCEL_BOUND * self.spec.scan_period)
         computed = {"r": r, "axis": axis, "speed": speed, "reach": reach}
         ids = np.concatenate((self._line_ids, new))
         order = np.argsort(ids)

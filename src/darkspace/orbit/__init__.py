@@ -8,8 +8,8 @@ from functools import lru_cache
 import numpy as np
 
 from ..errors import EpochTooFar
-from ..timeutil import (add_seconds, ensure_utc, julian_date, minutes_since,
-                        MINUTES_PER_DAY)
+from ..timeutil import (JD_1949_DEC_31, ensure_utc, julian_date,
+                        minutes_since, MINUTES_PER_DAY)
 from . import frames
 from .sgp4 import SGP4Model, TWOPI
 from .tle import OrbitalElements, format_tle, load_tle_file, parse_tle
@@ -83,7 +83,7 @@ class LookAngles:
 @lru_cache(maxsize=128)
 def _model(elements: OrbitalElements) -> SGP4Model:
     return SGP4Model(
-        epoch_days_1950=julian_date(elements.epoch) - 2433281.5,
+        epoch_days_1950=julian_date(elements.epoch) - JD_1949_DEC_31,
         bstar=elements.bstar,
         ecco=elements.eccentricity,
         argpo=np.radians(elements.arg_perigee),

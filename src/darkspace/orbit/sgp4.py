@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DecayedOrbit, DeepSpaceUnsupported, PropagationError
+from ..timeutil import JD_1949_DEC_31
 
 TWOPI = 2.0 * np.pi
 
@@ -105,7 +106,7 @@ class SGP4Model:
         self.con41 = -con42 - cosio2 - cosio2
         posq = po * po
         rp = ao * (1.0 - ecco)
-        self.gsto = gstime(epoch_days_1950 + 2433281.5)
+        self.gsto = gstime(epoch_days_1950 + JD_1949_DEC_31)
 
         if TWOPI / self.no_unkozai >= _DEEP_SPACE_PERIOD_MIN:
             raise DeepSpaceUnsupported(

@@ -12,8 +12,9 @@ ellipsoid's tangent plane at the centre, normal to its gradient.
 The margin kernel (_footprint_arrays) computes only what containment
 needs: centres, axes and misses, in ECEF.  The geodetic latitude and
 longitude of the centres come from a thin layer on top of it
-(_footprint_arrays_latlon), for the callers that place or select pixels
-by position: footprints_batch, pixel_footprint and itu-sim's pixel search.
+(_footprint_arrays_latlon), for itu-sim's pixel search and for
+footprints_batch, which builds PixelFootprints for pixel_footprint, for
+the pixels itu-sim keeps and for the flashlight planner's ON/OFF pairs.
 
 All heavy math is vectorized over samples; the dataclass API wraps single
 samples of the same arrays so scalar and batched paths cannot diverge.
@@ -30,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, NoIntersection, NotPhaseLocked
+from .errors import ConfigError, NoIntersection
 from .orbit import GroundPoint, SatelliteState, frames
 from .timeutil import add_seconds, ensure_utc
 
@@ -131,7 +132,6 @@ class PixelFootprint:
     center: GroundPoint
     semi_major: float
     semi_minor: float
-    source: tuple[str, ScanSample]
     center_ecef: tuple[float, float, float]
     u_major: tuple[float, float, float]
     u_minor: tuple[float, float, float]
@@ -227,22 +227,6 @@ class ScanLattice:
             t=add_seconds(self.epoch, self.tau(line, sample)),
             boresight_angle=float(self.spec.boresight_of(sample)),
         )
-
-
-def scan_phase(spec: RadiometerSpec, t: datetime, t0: datetime) -> ScanSample:
-    """Predict the scan sample active at time t given phase origin t0.
-
-    The sample is ScanLattice(spec, t0).index of t; the boresight sweeps
-    linearly from -scan_half_angle to +scan_half_angle over the line's
-    samples.  Raises NotPhaseLocked for scanners whose phase cannot be
-    predicted; callers must then geofence whole scan lines.
-    """
-    if not spec.phase_locked:
-        raise NotPhaseLocked(
-            f"radiometer {spec.name} scan phase is not predictable; use "
-            "scan-line granularity geofencing")
-    lattice = ScanLattice(spec, t0)
-    return lattice.scan_sample(*lattice.index(lattice.offset(t)))
 
 
 # --- vectorized footprint core ----------------------------------------------
@@ -411,7 +395,8 @@ def pixel_footprint(sat: SatelliteState, sample: ScanSample,
     misses the Earth, which indicates a malformed scan configuration.
     """
     return footprints_batch(sat.r[:, None], sat.v_inertial[:, None],
-                            [sample], spec, ground_altitude)[0]
+                            [sample.boresight_angle], spec,
+                            ground_altitude)[0]
 
 
 def _frame(fp: PixelFootprint) -> dict:
@@ -440,33 +425,30 @@ def subtends(fp: PixelFootprint, tx: GroundPoint,
     return bool(margin[0] <= 0.0)
 
 
-def footprints_batch(r_ecef, v_inertial, samples, spec: RadiometerSpec,
-                     ground_altitude: float = 0.0,
-                     satellite_id: str = "") -> list[PixelFootprint]:
+def footprints_batch(r_ecef, v_inertial, boresight_deg, spec: RadiometerSpec,
+                     ground_altitude: float = 0.0) -> list[PixelFootprint]:
     """Construct many footprints at once from state arrays.
 
-    r_ecef/v_inertial are (3, n) metre arrays matching the n scan samples.
-    Samples whose rays miss the ellipsoid raise NoIntersection, as in the
-    scalar path.
+    r_ecef/v_inertial are (3, n) metre arrays matching the n boresights
+    (deg).  Samples whose rays miss the ellipsoid raise NoIntersection, as
+    in the scalar path.
     """
-    boresights = np.array([s.boresight_angle for s in samples])
-    arrays = _footprint_arrays_latlon(r_ecef, v_inertial, boresights, spec,
-                                      ground_altitude)
+    arrays = _footprint_arrays_latlon(r_ecef, v_inertial, boresight_deg,
+                                      spec, ground_altitude)
     if np.any(arrays["miss"]):
         bad = int(np.flatnonzero(arrays["miss"])[0])
         raise NoIntersection(
-            f"boresight {boresights[bad]:.2f} deg misses the Earth "
+            f"boresight {boresight_deg[bad]:.2f} deg misses the Earth "
             "ellipsoid")
     return [PixelFootprint(
         center=GroundPoint(float(arrays["center_lat"][i]),
                            float(arrays["center_lon"][i]), ground_altitude),
         semi_major=float(arrays["semi_major"][i]),
         semi_minor=float(arrays["semi_minor"][i]),
-        source=(satellite_id, sample),
         center_ecef=tuple(arrays["center"][:, i].tolist()),
         u_major=tuple(arrays["u_major"][:, i].tolist()),
         u_minor=tuple(arrays["u_minor"][:, i].tolist()),
-    ) for i, sample in enumerate(samples)]
+    ) for i in range(arrays["miss"].size)]
 
 
 # --- presets -----------------------------------------------------------------

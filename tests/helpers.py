@@ -4,9 +4,16 @@ from datetime import datetime, timezone
 import numpy as np
 
 from darkspace.orbit import GroundPoint, OrbitalElements, propagate, frames
+from darkspace.radiometer import ScanLattice
 from darkspace.timeutil import add_seconds
 
 EPOCH = datetime(2023, 4, 23, 12, 0, tzinfo=timezone.utc)
+
+
+def active_sample(spec, t, epoch):
+    """The ScanSample active at t, phase origin epoch (ScanLattice.index)."""
+    lattice = ScanLattice(spec, epoch)
+    return lattice.scan_sample(*lattice.index(lattice.offset(t)))
 
 
 def random_leo_elements(rng, catalog=90000):

@@ -25,7 +25,7 @@ from darkspace.orbit.sgp4 import SGP4Model, TWOPI
 from darkspace.propagation import (DeploymentArrays, PathModel,
                                    aggregate_interference, compliance,
                                    two_ray_gain_db, InterferenceSample)
-from darkspace.radiometer import (BufferPolicy, PolicyKind, ScanSample,
+from darkspace.radiometer import (BufferPolicy, PolicyKind,
                                   footprints_batch, load_preset)
 from darkspace.experiment import plan_experiment
 from darkspace.timeutil import MINUTES_PER_DAY, add_seconds, julian_date
@@ -219,9 +219,7 @@ def test_criterion_9_two_ray_sanity():
     r, v = propagate_many(elements, start, offsets)
     omega = np.array([0.0, 0.0, frames.OMEGA_EARTH]).reshape(3, 1)
     v_inertial = v + np.cross(omega, r, axis=0)
-    samples = [ScanSample(i, 48, add_seconds(start, float(o)), 0.0)
-               for i, o in enumerate(offsets)]
-    pixels = footprints_batch(r, v_inertial, samples, atms)
+    pixels = footprints_batch(r, v_inertial, np.zeros(offsets.size), atms)
 
     rng = np.random.default_rng(9)
     deployment = []

@@ -372,19 +372,27 @@ def test_bad_transmitter_field_fails(scenario, capsys, command, key, value):
     ("darkspaces", "ground_altitude_m", "abc"),
     ("itu-sim", "itu.gamma", None),
     ("itu-sim", "itu.max_pixels", "x"),
+    ("itu-sim", "itu.deployment.bbox", [39.8, None, -122.5, -120.5]),
+    ("itu-sim", "itu.deployment.bbox", [39.8, 41.8, -122.5]),
     ("experiment", "experiment.overlap_threshold", None),
     ("experiment", "linkbudget.g_tx_dbi", None),
     ("linkbudget", "atmosphere", "table"),
     ("linkbudget", "atmosphere.path", 5),
     ("linkbudget", "linkbudget.geometries.default", "x"),
+    ("linkbudget", "linkbudget.geometries.default.satellite.lat", None),
+    ("linkbudget", "linkbudget.geometries.default.ground.alt_m", "high"),
+    ("linkbudget", "linkbudget.geometries.default.ground", 5),
+    ("linkbudget", "linkbudget.geometries.default.fspl_db", None),
     ("experiment", "experiment.atmosphere", "cosecant"),
     ("darkspaces", "satellites", ["noaa21_like.tle"]),
     ("darkspaces", "satellites", [{"tle": 7, "preset": "atms"}]),
     ("darkspaces", "window", "2023-04-25")],
     ids=["null-seed", "null-ground-altitude", "text-ground-altitude",
-         "null-itu-gamma", "text-itu-max-pixels",
+         "null-itu-gamma", "text-itu-max-pixels", "null-bbox-entry",
+         "short-bbox",
          "null-overlap-threshold", "null-g-tx", "text-atmosphere",
-         "number-atmosphere-path", "text-geometry",
+         "number-atmosphere-path", "text-geometry", "null-geometry-lat",
+         "text-geometry-alt", "number-geometry-ground", "null-geometry-fspl",
          "text-experiment-atmosphere", "text-satellite-entry",
          "number-tle-path", "text-window"])
 def test_unconvertible_config_value_fails(tmp_path, capsys, command, key,
@@ -404,6 +412,23 @@ def test_unconvertible_config_value_fails(tmp_path, capsys, command, key,
     assert main([command, "--config", str(bad), "--out-dir",
                  str(tmp_path / "out")]) == 2
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("side,key", [("satellite", "lat"),
+                                      ("satellite", "alt_km"),
+                                      ("ground", "lon")])
+def test_linkbudget_geometry_missing_number_fails(tmp_path, capsys, side,
+                                                  key):
+    """A linkbudget geometry without one of its required numbers exits 2
+    and names the dotted key."""
+    config = json.loads(EXAMPLE_CONFIG.read_text())
+    del config["linkbudget"]["geometries"]["default"][side][key]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(config))
+    assert main(["linkbudget", "--config", str(bad), "--out-dir",
+                 str(tmp_path / "out")]) == 2
+    assert (f"missing config key: linkbudget.geometries.default.{side}.{key}"
+            in capsys.readouterr().err)
 
 
 def test_itu_sim_reads_back_its_deployment(tmp_path):
@@ -563,6 +588,9 @@ def every_example_sample():
 
 
 def _reference_selection(every, bbox, max_pixels):
+    """The selection of footprinting every sample: its indices into every,
+    and its centres (lat, lon), which a footprint no longer names by
+    sample."""
     _, lines, idx, lat, lon, miss = every
     sel = np.flatnonzero((lat >= bbox.lat_min) & (lat <= bbox.lat_max)
                          & (lon >= bbox.lon_min) & (lon <= bbox.lon_max)
@@ -570,24 +598,22 @@ def _reference_selection(every, bbox, max_pixels):
     if sel.size > max_pixels:
         sel = sel[::int(np.ceil(sel.size / max_pixels))]
     centers = [GroundPoint(float(lat[i]), float(lon[i])) for i in sel]
-    return [(int(lines[i]), int(idx[i]), c.latitude, c.longitude)
-            for i, c in zip(sel, centers)]
+    return sel, [(c.latitude, c.longitude) for c in centers]
 
 
 def _selection(config, bbox, max_pixels):
     _, footprints, sat_r = _itu_pixels(config, config.satellites()[0],
                                        max_pixels, bbox)
     assert sat_r.shape == (3, len(footprints))
-    return [(fp.source[1].scan_line_index, fp.source[1].sample_index,
-             fp.center.latitude, fp.center.longitude) for fp in footprints]
+    return [(fp.center.latitude, fp.center.longitude) for fp in footprints]
 
 
 def test_itu_pixels_screening_keeps_example_selection(every_example_sample):
     config = every_example_sample[0]
     bbox = GeoBox(*config.itu_params()["deployment"]["bbox"])
     for max_pixels in (1000, 40):
-        expected = _reference_selection(every_example_sample, bbox,
-                                        max_pixels)
+        _, expected = _reference_selection(every_example_sample, bbox,
+                                           max_pixels)
         assert expected
         assert _selection(config, bbox, max_pixels) == expected
 
@@ -608,8 +634,8 @@ def test_itu_pixels_screening_keeps_swath_edge(every_example_sample, where):
         turn = lines[mid[np.argmax(lat[mid])]]
         k = last[lines[last] == turn][0]
     bbox = GeoBox(lat[k] - 0.2, lat[k] + 0.2, lon[k] - 0.2, lon[k] + 0.2)
-    expected = _reference_selection(every_example_sample, bbox, 1000)
-    assert expected and min(s for _, s, _, _ in expected) > idx.max() - 4
+    sel, expected = _reference_selection(every_example_sample, bbox, 1000)
+    assert expected and idx[sel].min() > idx.max() - 4
     assert _selection(config, bbox, 1000) == expected
 
 

@@ -14,9 +14,10 @@ from darkspace.experiment import (MeasuredSample, PairingMode, Pulse,
 from darkspace.geofence import dark_intervals
 from darkspace.linkbudget import LossChain, total_loss_db
 from darkspace.orbit import GroundPoint, propagate
-from darkspace.radiometer import (BufferPolicy, PolicyKind, ScanLattice,
-                                  scan_phase)
+from darkspace.radiometer import BufferPolicy, PolicyKind, ScanLattice
 from darkspace.timeutil import add_seconds
+
+from helpers import active_sample
 
 
 @pytest.fixture
@@ -251,7 +252,7 @@ def boundary_plan(plan, atms):
                                      + (k // 9))
         on_end = epoch + timedelta(microseconds=math.floor(end * 1e6)
                                    + (k % 2))
-        target = scan_phase(atms, on_start, epoch)
+        target = active_sample(atms, on_start, epoch)
         pulses.append(Pulse(on_start=on_start, on_end=on_end, target=target,
                             off_reference=target, overlap_fraction=1.0))
     return dataclasses.replace(plan, pulses=tuple(pulses))
@@ -272,16 +273,17 @@ def test_exclusions_are_the_dwells_pulses_touch(which, request, atms):
     """Every dwell a pulse's interior touches is excluded, and no other.
 
     A pulse [a, b) transmits during the whole microseconds a, ..., b - 1
-    us, and scan_phase names the dwell active in each; those dwells are
-    consecutive, so they run from scan_phase(a) to scan_phase(b - 1 us).
+    us, and ScanLattice.index names the dwell active in each; those dwells
+    are consecutive, so they run from the one active at a to the one
+    active at b - 1 us.
     """
     plan = request.getfixturevalue(which)
     epoch = plan.elements.epoch
     n = atms.samples_per_scan
     touched = set()
     for p in plan.pulses:
-        first = scan_phase(atms, p.on_start, epoch)
-        last = scan_phase(atms, p.on_end - timedelta(microseconds=1), epoch)
+        first = active_sample(atms, p.on_start, epoch)
+        last = active_sample(atms, p.on_end - timedelta(microseconds=1), epoch)
         for key in range(first.scan_line_index * n + first.sample_index,
                          last.scan_line_index * n + last.sample_index + 1):
             touched.add(divmod(key, n))
@@ -296,7 +298,7 @@ def test_pulse_samples_start_at_their_dwell(plan, atms):
     from the epoch (the OFF one is not the ON start plus a scan period)."""
     for p in plan.pulses:
         for s in (p.target, p.off_reference):
-            assert scan_phase(atms, s.t, plan.elements.epoch) == s
+            assert active_sample(atms, s.t, plan.elements.epoch) == s
 
 
 def test_exclusion_count_matches_single_pixel_pulses(leo_tle, atms):

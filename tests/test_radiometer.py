@@ -7,14 +7,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from darkspace.errors import ConfigError, NoIntersection, NotPhaseLocked
+from darkspace.errors import ConfigError, NoIntersection
 from darkspace.orbit import (GroundPoint, frames, state_from_geodetic,
                              topocentric)
 from darkspace.radiometer import (BufferPolicy, PolicyKind, RadiometerSpec,
                                   ScanLattice, ScanSample, _footprint_arrays,
                                   _footprint_arrays_latlon, load_preset,
-                                  pixel_footprint, scan_phase, spec_from_dict,
+                                  pixel_footprint, spec_from_dict,
                                   subtends)
+
+from helpers import active_sample
 
 T0 = datetime(2023, 4, 23, 12, 0, tzinfo=timezone.utc)
 
@@ -27,31 +29,31 @@ def nadir_state():
 
 
 def test_scan_phase_origin(atms):
-    s = scan_phase(atms, T0, T0)
+    s = active_sample(atms, T0, T0)
     assert (s.scan_line_index, s.sample_index) == (0, 0)
     assert s.boresight_angle == pytest.approx(-atms.scan_half_angle)
 
 
 def test_scan_phase_periodicity(atms):
     t = T0 + timedelta(seconds=atms.scan_period)
-    s = scan_phase(atms, t, T0)
+    s = active_sample(atms, t, T0)
     assert (s.scan_line_index, s.sample_index) == (1, 0)
     assert s.boresight_angle == pytest.approx(-atms.scan_half_angle)
 
 
 def test_scan_phase_midway(atms):
     t = T0 + timedelta(seconds=atms.scan_period / 2)
-    s = scan_phase(atms, t, T0)
+    s = active_sample(atms, t, T0)
     assert s.sample_index == 48
     spacing = 2 * atms.scan_half_angle / (atms.samples_per_scan - 1)
     assert abs(s.boresight_angle) <= spacing
 
 
 def test_scan_phase_line_offsets(atms):
-    base = scan_phase(atms, T0 + timedelta(seconds=1.0), T0)
+    base = active_sample(atms, T0 + timedelta(seconds=1.0), T0)
     for k in (1, 7, 1000, -3):
         t = T0 + timedelta(seconds=1.0 + k * atms.scan_period)
-        s = scan_phase(atms, t, T0)
+        s = active_sample(atms, t, T0)
         assert s.scan_line_index == base.scan_line_index + k
         assert s.sample_index == base.sample_index
         assert s.boresight_angle == base.boresight_angle
@@ -59,11 +61,12 @@ def test_scan_phase_line_offsets(atms):
 
 @pytest.mark.parametrize("preset", ["atms", "amsua"])
 def test_scan_phase_matches_lattice(preset):
-    """scan_phase, ScanLattice.index and exact rational arithmetic name the
-    same dwell at random instants and within a microsecond of dwell
-    boundaries.  Exactly, dwell k spans [k d, (k + 1) d) with d the exact
-    value of scan_period / samples_per_scan, and a whole-microsecond
-    instant t belongs to the dwell holding t + 0.5 us."""
+    """ScanLattice.index, applied to one instant or to many, and exact
+    rational arithmetic name the same dwell at random instants and within
+    a microsecond of dwell boundaries.  Exactly, dwell k spans [k d,
+    (k + 1) d) with d the exact value of scan_period / samples_per_scan,
+    and a whole-microsecond instant t belongs to the dwell holding
+    t + 0.5 us."""
     spec = dataclasses.replace(load_preset(preset), phase_locked=True)
     n = spec.samples_per_scan
     d_us = Fraction(spec.scan_period) * 10 ** 6 / n
@@ -76,17 +79,12 @@ def test_scan_phase_matches_lattice(preset):
     lattice = ScanLattice(spec, T0)
     lines, idx = lattice.index([lattice.offset(t) for t in instants])
     for u, t, line, sample in zip(us, instants, lines, idx):
-        s = scan_phase(spec, t, T0)
+        s = active_sample(spec, t, T0)
         assert (s.scan_line_index, s.sample_index) == (line, sample)
         k = math.floor((u + Fraction(1, 2)) / d_us)
         assert (s.scan_line_index, s.sample_index) == divmod(k, n)
         start_us = (s.t - T0) // timedelta(microseconds=1)
         assert abs(start_us - k * d_us) <= Fraction(51, 100)
-
-
-def test_scan_phase_requires_lock(amsua):
-    with pytest.raises(NotPhaseLocked):
-        scan_phase(amsua, T0, T0)
 
 
 def test_nadir_footprint_centers_on_subsatellite_point(atms, nadir_state):
