@@ -21,20 +21,23 @@ from .config import ScenarioConfig, _typed
 from .errors import ComputeError, ConfigError, DarkspaceError
 from .experiment import clearance_band, exclusion_records, plan_experiment, \
     safety_audit
-from .geofence import (availability, dark_intervals_many,
-                       earth_fixed_velocity, edge_footprints,
-                       inertial_states, write_schedule_csv,
+# dark_intervals, propagate_many and footprints_batch are not called here,
+# but bench/tracing.py patches them under this module's name, so they stay
+# importable from darkspace.cli.
+from .geofence import (availability, dark_intervals,  # noqa: F401
+                       dark_intervals_many, earth_fixed_velocity,
+                       edge_footprints, inertial_states, write_schedule_csv,
                        write_schedule_jsonl)
 from .linkbudget import evaluate, fspl_db, required_tx_power, total_loss_db
 from . import radiometer
-from .orbit import GroundPoint, state_from_geodetic, topocentric, frames, \
-    load_tle_file
+from .orbit import (GroundPoint, frames, load_tle_file,  # noqa: F401
+                    propagate_many, state_from_geodetic, topocentric)
 from .propagation import (GeoBox, PathModel, TransmitterKind,
                           aggregate_interference, compliance,
                           generate_deployment, read_deployment_jsonl,
                           write_deployment_jsonl,
                           write_interference_grid_csv)
-from .radiometer import ScanLattice, footprints_batch
+from .radiometer import ScanLattice, footprints_batch  # noqa: F401
 from .timeutil import iso_utc
 
 
@@ -291,8 +294,8 @@ def _itu_pixels(config, satellite, max_pixels, bbox):
         stride = int(np.ceil(sel.size / max_pixels))
         sel = sel[::stride]
 
-    footprints = footprints_batch(r[:, sel], v[:, sel], boresight[sel], spec,
-                                  ground_altitude)
+    footprints = radiometer._footprints_from_arrays(arrays, ground_altitude,
+                                                    sel)
     return spec, footprints, r[:, sel]
 
 

@@ -15,13 +15,16 @@ from enum import Enum
 
 import numpy as np
 
+from . import radiometer
 from .errors import ConfigError, NegativeLowEdge
 from .geofence import dark_intervals, inertial_states
 from .linkbudget import LossChain, fspl_db
 from .orbit import (GroundPoint, OrbitalElements, propagate, topocentric)
+# pixel_footprint is not called here, but bench/tracing.py patches it under
+# this module's name, so it stays importable from darkspace.experiment.
 from .radiometer import (BufferPolicy, PolicyKind, RadiometerSpec,
                          ScanLattice, ScanSample, _ellipse_margins, _frame,
-                         footprints_batch)
+                         pixel_footprint)  # noqa: F401
 from .timeutil import add_seconds, ensure_utc
 
 
@@ -189,6 +192,10 @@ def plan_experiment(tx: GroundPoint,
     otherwise whole scan lines are used with a pulse of one scan period.
     Pulses whose ON/OFF pixel overlap falls below the threshold are
     discarded and counted in the diagnostics.
+
+    The ON and OFF footprints are taken at the float dwell starts that
+    geofence tests (ScanLattice.key_tau), not at the whole-microsecond
+    ScanSample.t a written pulse names, less than a microsecond away.
     """
     elements, spec = sat
     if spec.phase_locked:
@@ -218,7 +225,7 @@ def plan_experiment(tx: GroundPoint,
     keys = np.array([(line + k) * n + sample for k in (0, 1)
                      for _, _, line, sample in passes], dtype=np.int64)
     start = schedule.window[0]
-    footprints = footprints_batch(
+    footprints = radiometer.footprints_batch(
         *inertial_states(elements, start,
                          lattice.key_tau(keys) - lattice.offset(start)),
         spec.boresight_of(keys % n), spec, ground_altitude)

@@ -13,8 +13,9 @@ The margin kernel (_footprint_arrays) computes only what containment
 needs: centres, axes and misses, in ECEF.  The geodetic latitude and
 longitude of the centres come from a thin layer on top of it
 (_footprint_arrays_latlon), for itu-sim's pixel search and for
-footprints_batch, which builds PixelFootprints for pixel_footprint, for
-the pixels itu-sim keeps and for the flashlight planner's ON/OFF pairs.
+footprints_batch.  _footprints_from_arrays builds PixelFootprints from
+those arrays: for footprints_batch (pixel_footprint and the flashlight
+planner's ON/OFF pairs) and for the pixels itu-sim keeps from its search.
 
 All heavy math is vectorized over samples; the dataclass API wraps single
 samples of the same arrays so scalar and batched paths cannot diverge.
@@ -440,6 +441,13 @@ def footprints_batch(r_ecef, v_inertial, boresight_deg, spec: RadiometerSpec,
         raise NoIntersection(
             f"boresight {boresight_deg[bad]:.2f} deg misses the Earth "
             "ellipsoid")
+    return _footprints_from_arrays(arrays, ground_altitude,
+                                   range(arrays["miss"].size))
+
+
+def _footprints_from_arrays(arrays, ground_altitude, sel) -> list:
+    """PixelFootprints of the samples sel of _footprint_arrays_latlon's
+    arrays; none of them may be a miss."""
     return [PixelFootprint(
         center=GroundPoint(float(arrays["center_lat"][i]),
                            float(arrays["center_lon"][i]), ground_altitude),
@@ -448,7 +456,7 @@ def footprints_batch(r_ecef, v_inertial, boresight_deg, spec: RadiometerSpec,
         center_ecef=tuple(arrays["center"][:, i].tolist()),
         u_major=tuple(arrays["u_major"][:, i].tolist()),
         u_minor=tuple(arrays["u_minor"][:, i].tolist()),
-    ) for i in range(arrays["miss"].size)]
+    ) for i in sel]
 
 
 # --- presets -----------------------------------------------------------------

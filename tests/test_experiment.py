@@ -2,10 +2,12 @@
 import dataclasses
 import math
 from datetime import timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from darkspace.config import ScenarioConfig
 from darkspace.errors import ConfigError, NegativeLowEdge
 from darkspace.experiment import (MeasuredSample, PairingMode, Pulse,
                                   clearance_band, ellipse_overlap_fraction,
@@ -14,10 +16,13 @@ from darkspace.experiment import (MeasuredSample, PairingMode, Pulse,
 from darkspace.geofence import dark_intervals
 from darkspace.linkbudget import LossChain, total_loss_db
 from darkspace.orbit import GroundPoint, propagate
-from darkspace.radiometer import BufferPolicy, PolicyKind, ScanLattice
+from darkspace.radiometer import (BufferPolicy, PolicyKind, ScanLattice,
+                                  pixel_footprint)
 from darkspace.timeutil import add_seconds
 
 from helpers import active_sample
+
+CONFIGS = Path(__file__).parent.parent / "configs"
 
 
 @pytest.fixture
@@ -324,7 +329,6 @@ def test_plan_deterministic(plan, leo_tle, atms):
 
 def test_overlap_fraction_self_is_one(plan, leo_tle, atms):
     p = plan.pulses[0]
-    from darkspace.radiometer import pixel_footprint
     fp = pixel_footprint(propagate(leo_tle, p.target.t), p.target, atms)
     assert ellipse_overlap_fraction(fp, fp) == 1.0
 
@@ -344,3 +348,24 @@ def test_exclusion_ends_are_the_next_dwell_start(which, request, atms):
         assert r.end == add_seconds(epoch, tau)
         following = starts.get((r.scan_line_index, r.sample_index + 1))
         assert following is None or following == r.end
+
+
+@pytest.mark.parametrize("name", ["example_scenario", "example_scanline"])
+def test_overlap_fractions_match_the_written_instants(name):
+    """The planner footprints each ON dwell and its OFF reference at the
+    lattice's float dwell starts; propagating to the whole-microsecond
+    instants the written pulse names gives the same fractions, for every
+    pass the example plans when no overlap is too small."""
+    config = ScenarioConfig.load(CONFIGS / f"{name}.json")
+    [(elements, spec)] = config.satellites()
+    [(tx_id, point, _)] = config.transmitters()
+    alt = config.ground_altitude()
+    plan = plan_experiment(
+        point, (elements, spec), config.window(), overlap_threshold=0.0,
+        max_pulse=config.experiment_params()["max_pulse_s"],
+        policy=config.policy(), ground_altitude=alt, tx_id=tx_id)
+    assert plan.pulses
+    for p in plan.pulses:
+        on, off = (pixel_footprint(propagate(elements, s.t), s, spec, alt)
+                   for s in (p.target, p.off_reference))
+        assert ellipse_overlap_fraction(on, off) == p.overlap_fraction

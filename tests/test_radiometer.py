@@ -61,12 +61,12 @@ def test_scan_phase_line_offsets(atms):
 
 @pytest.mark.parametrize("preset", ["atms", "amsua"])
 def test_scan_phase_matches_lattice(preset):
-    """ScanLattice.index, applied to one instant or to many, and exact
-    rational arithmetic name the same dwell at random instants and within
-    a microsecond of dwell boundaries.  Exactly, dwell k spans [k d,
-    (k + 1) d) with d the exact value of scan_period / samples_per_scan,
-    and a whole-microsecond instant t belongs to the dwell holding
-    t + 0.5 us."""
+    """ScanLattice.index and exact rational arithmetic name the same
+    dwell at random instants and within a microsecond of dwell
+    boundaries, and ScanLattice.scan_sample starts it at its exact start.
+    Exactly, dwell k spans [k d, (k + 1) d) with d the exact value of
+    scan_period / samples_per_scan, and a whole-microsecond instant t
+    belongs to the dwell holding t + 0.5 us."""
     spec = dataclasses.replace(load_preset(preset), phase_locked=True)
     n = spec.samples_per_scan
     d_us = Fraction(spec.scan_period) * 10 ** 6 / n
@@ -78,11 +78,10 @@ def test_scan_phase_matches_lattice(preset):
     instants = [T0 + timedelta(microseconds=u) for u in us]
     lattice = ScanLattice(spec, T0)
     lines, idx = lattice.index([lattice.offset(t) for t in instants])
-    for u, t, line, sample in zip(us, instants, lines, idx):
-        s = active_sample(spec, t, T0)
-        assert (s.scan_line_index, s.sample_index) == (line, sample)
+    for u, line, sample in zip(us, lines.tolist(), idx.tolist()):
         k = math.floor((u + Fraction(1, 2)) / d_us)
-        assert (s.scan_line_index, s.sample_index) == divmod(k, n)
+        assert (line, sample) == divmod(k, n)
+        s = lattice.scan_sample(line, sample)
         start_us = (s.t - T0) // timedelta(microseconds=1)
         assert abs(start_us - k * d_us) <= Fraction(51, 100)
 
