@@ -1,15 +1,14 @@
 """Command line interface.
 
 Subcommands: darkspaces, linkbudget, itu-sim, experiment, validate-tle.
-Every data file carries a provenance block (config hash, seed, tool
-version) so a run can be reproduced exactly; nothing is written outside
---out-dir.  Exit codes: 0 success, 2 configuration/validation error,
-3 computation error.
+Every data file leads with the run's provenance dict (config hash, seed,
+tool version) and, but for deployment.jsonl, is written by darkspace.output;
+nothing is written outside --out-dir.  Exit codes: 0 success,
+2 configuration/validation error, 3 computation error.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -17,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ScenarioConfig, _typed
+from .config import ScenarioConfig
 from .errors import ComputeError, ConfigError, DarkspaceError
 from .experiment import clearance_band, exclusion_records, plan_experiment, \
     safety_audit
@@ -32,21 +31,14 @@ from .linkbudget import evaluate, fspl_db, required_tx_power, total_loss_db
 from . import radiometer
 from .orbit import (GroundPoint, frames, load_tle_file,  # noqa: F401
                     propagate_many, state_from_geodetic, topocentric)
-from .propagation import (GeoBox, PathModel, TransmitterKind,
+from .output import write_csv, write_json
+from .propagation import (PathModel, TransmitterKind,
                           aggregate_interference, compliance,
                           generate_deployment, read_deployment_jsonl,
                           write_deployment_jsonl,
                           write_interference_grid_csv)
 from .radiometer import ScanLattice, footprints_batch  # noqa: F401
 from .timeutil import iso_utc
-
-
-def _provenance_lines(prov: dict):
-    return [f"{k}={prov[k]}" for k in sorted(prov)]
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _out_dir(args) -> Path:
@@ -88,8 +80,7 @@ def cmd_darkspaces(args) -> int:
         [(tx_id, point) for tx_id, point, _ in config.transmitters()],
         sats, window, policy, ground_altitude=ground_alt)
 
-    write_schedule_csv(schedules, out / "schedule.csv",
-                       _provenance_lines(prov))
+    write_schedule_csv(schedules, out / "schedule.csv", prov)
     write_schedule_jsonl(schedules, out / "schedule.jsonl", prov)
 
     reports = {}
@@ -105,8 +96,7 @@ def cmd_darkspaces(args) -> int:
             "n_intervals": len(sched.intervals),
             "dark_seconds": sched.total_dark_seconds(),
         }
-    _write_json(out / "availability.json", {
-        "provenance": prov,
+    write_json(out / "availability.json", prov, {
         "policy": {"kind": policy.kind.value,
                    "buffer_multiplier": policy.buffer_multiplier,
                    "temporal_pad_s": policy.temporal_pad},
@@ -168,8 +158,7 @@ def cmd_linkbudget(args) -> int:
     budget = evaluate(params["p_on_dbm"], chain, params["n_temp_k"],
                       bandwidth, p_h2o_w=params["p_h2o_watts"],
                       p_h2o_noise_multiplier=params["p_h2o_noise_multiplier"])
-    _write_json(out / "linkbudget.json", {
-        "provenance": prov,
+    write_json(out / "linkbudget.json", prov, {
         "geometry": args.geometry,
         "elevation_deg": look.elevation,
         "azimuth_deg": look.azimuth,
@@ -317,25 +306,15 @@ def cmd_itu_sim(args) -> int:
                           f"{itu['model']!r}") from None
 
     writer = None
-    dep_node = itu["deployment"]
-    if dep_node is None:
-        raise ConfigError("missing config key: itu.deployment")
-    # The pixel sampling box; a generated deployment also fills it.
-    bbox = _typed(dep_node, "itu.deployment.bbox",
-                  lambda node: GeoBox(*[float(x) for x in node]))
-    if "path" in dep_node:
-        dep_path = config._resolve_path(dep_node["path"])
-        if not dep_path.exists():
-            raise ConfigError(f"itu.deployment.path: no such file: "
-                              f"{dep_path}")
-        deployment = read_deployment_jsonl(dep_path)
+    dep = config.itu_deployment()
+    bbox = dep["bbox"]
+    if dep["path"] is not None:
+        deployment = read_deployment_jsonl(dep["path"])
     else:
         deployment = generate_deployment(
-            dep_node.get("scenario", "rural"), bbox, config.seed(),
-            center_frequency=float(dep_node.get("center_frequency_hz",
-                                                24.0e9)),
-            emission_bandwidth=float(dep_node.get("emission_bandwidth_hz",
-                                                  200.0e6)))
+            dep["scenario"], bbox, config.seed(),
+            center_frequency=dep["center_frequency_hz"],
+            emission_bandwidth=dep["emission_bandwidth_hz"])
         # Formatting the JSONL is the slowest stage and shares nothing with
         # the sweep, so a forked child writes it from the inherited columns
         # while this process sweeps the pixels.  The child only formats and
@@ -377,9 +356,8 @@ def cmd_itu_sim(args) -> int:
                         quantile=itu["quantile"], area_km2=itu["area_km2"])
 
     write_interference_grid_csv(samples, model, out / "interference_grid.csv",
-                                provenance=_provenance_lines(prov))
-    _write_json(out / "compliance.json", {
-        "provenance": prov,
+                                prov)
+    write_json(out / "compliance.json", prov, {
         "model": model.value,
         "gamma": itu["gamma"],
         "threshold_dbm_mhz": report.threshold,
@@ -396,6 +374,13 @@ def cmd_itu_sim(args) -> int:
     print(f"itu-sim: {report.n_pixels} pixels, fraction compliant "
           f"{report.fraction_compliant:.6f}, pass={report.passed} -> {out}")
     return 0
+
+
+_PULSE_FIELDS = ("tx_id", "satellite_id", "on_start_utc", "on_end_utc",
+                 "duration_s", "target_line", "target_sample", "off_line",
+                 "off_sample", "overlap_fraction")
+_EXCLUSION_FIELDS = ("satellite_id", "scan_line_index", "sample_index",
+                     "start_utc", "end_utc", "reason")
 
 
 def cmd_experiment(args) -> int:
@@ -435,8 +420,7 @@ def cmd_experiment(args) -> int:
                 "t": iso_utc(s.t),
                 "boresight_deg": s.boresight_angle}
 
-    _write_json(out / "plan.json", {
-        "provenance": prov,
+    write_json(out / "plan.json", prov, {
         "transmitter": {"id": tx_id, "lat": point.latitude,
                         "lon": point.longitude, "alt_m": point.altitude,
                         "kind": TransmitterKind.FLASHLIGHT.value},
@@ -466,33 +450,16 @@ def cmd_experiment(args) -> int:
         "checklist": list(plan.checklist),
     })
 
-    with open(out / "pulses.csv", "w", encoding="utf-8", newline="\n") as fh:
-        for line in _provenance_lines(prov):
-            fh.write(f"# {line}\n")
-        fh.write("tx_id,satellite_id,on_start_utc,on_end_utc,duration_s,"
-                 "target_line,target_sample,off_line,off_sample,"
-                 "overlap_fraction\n")
-        for p in plan.pulses:
-            fh.write(",".join([
-                tx_id, plan.satellite_id, iso_utc(p.on_start),
-                iso_utc(p.on_end),
-                f"{p.duration:.6f}", str(p.target.scan_line_index),
-                str(p.target.sample_index),
-                str(p.off_reference.scan_line_index),
-                str(p.off_reference.sample_index),
-                f"{p.overlap_fraction:.4f}"]) + "\n")
-
-    with open(out / "exclusions.csv", "w", encoding="utf-8",
-              newline="\n") as fh:
-        for line in _provenance_lines(prov):
-            fh.write(f"# {line}\n")
-        fh.write("satellite_id,scan_line_index,sample_index,start_utc,"
-                 "end_utc,reason\n")
-        for rec in records:
-            fh.write(",".join([
-                rec.satellite_id, str(rec.scan_line_index),
-                str(rec.sample_index), iso_utc(rec.start), iso_utc(rec.end),
-                rec.reason]) + "\n")
+    write_csv(out / "pulses.csv", prov, _PULSE_FIELDS, (
+        (tx_id, plan.satellite_id, iso_utc(p.on_start), iso_utc(p.on_end),
+         f"{p.duration:.6f}", p.target.scan_line_index,
+         p.target.sample_index, p.off_reference.scan_line_index,
+         p.off_reference.sample_index, f"{p.overlap_fraction:.4f}")
+        for p in plan.pulses))
+    write_csv(out / "exclusions.csv", prov, _EXCLUSION_FIELDS, (
+        (rec.satellite_id, rec.scan_line_index, rec.sample_index,
+         iso_utc(rec.start), iso_utc(rec.end), rec.reason)
+        for rec in records))
 
     print(f"experiment: {len(plan.pulses)} pulses, audit pass={audit.passed}"
           f" -> {out}")
@@ -541,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, geometry=False):
+    def common(p):
         p.add_argument("--config", required=True, help="scenario JSON")
         p.add_argument("--out-dir", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=None,

@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from datetime import datetime, timezone
 from pathlib import Path
 
 from .errors import ConfigError
 from .linkbudget import CosecantModel, TableModel
 from .orbit import GroundPoint, load_tle_file
+from .propagation import GeoBox
 from .radiometer import BufferPolicy, PolicyKind, load_preset, spec_from_dict
 
 _TOP_LEVEL_KEYS = {
@@ -73,12 +75,30 @@ _ITU_FIELDS = (
 _EXPERIMENT_FIELDS = (
     ("overlap_threshold", float, 0.5), ("max_pulse_s", float, None),
     ("damage_threshold_dbm", float, _REQUIRED), ("clearance_n", int, 3))
+#: itu.deployment: the pixel box (a generated deployment fills it too) and
+#: the generator's inputs.
+_DEPLOYMENT_FIELDS = (
+    ("bbox", lambda node: GeoBox(*[float(x) for x in node]), _REQUIRED),
+    ("scenario", str, "rural"), ("center_frequency_hz", float, 24.0e9),
+    ("emission_bandwidth_hz", float, 200.0e6))
+
+
+def _finite(value) -> float:
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"must be a finite number, got {x!r}")
+    return x
+
+
 #: A linkbudget geometry: the loss components it may state instead of the
-#: geometry-derived ones, and the fields of its two points.
-_GEOMETRY_FIELDS = (("fspl_db", float, None), ("atmosphere_db", float, None))
-_LAT_LON = (("lat", float, _REQUIRED), ("lon", float, _REQUIRED))
-_GEOMETRY_POINTS = {"satellite": (*_LAT_LON, ("alt_km", float, _REQUIRED)),
-                    "ground": (*_LAT_LON, ("alt_m", float, 0.0))}
+#: geometry-derived ones, and the fields of its two points.  Every number
+#: is finite and every latitude in [-90, 90] (GroundPoint's check).
+_GEOMETRY_FIELDS = (("fspl_db", _finite, None),
+                    ("atmosphere_db", _finite, None))
+_LAT_LON = (("lat", lambda x: GroundPoint(float(x), 0.0).latitude, _REQUIRED),
+            ("lon", _finite, _REQUIRED))
+_GEOMETRY_POINTS = {"satellite": (*_LAT_LON, ("alt_km", _finite, _REQUIRED)),
+                    "ground": (*_LAT_LON, ("alt_m", _finite, 0.0))}
 
 
 def _parse_utc(text: str, key: str) -> datetime:
@@ -164,6 +184,12 @@ class ScenarioConfig:
         p = Path(text)
         return p if p.is_absolute() else self.base_dir / p
 
+    def _existing_path(self, text) -> Path:
+        p = self._resolve_path(str(text))
+        if not p.exists():
+            raise ValueError(f"no such file: {p}")
+        return p
+
     def seed(self) -> int:
         return _typed(self.data, "seed", int, 0)
 
@@ -176,10 +202,8 @@ class ScenarioConfig:
             key = f"satellites[{i}]"
             if "tle" not in _object(entry, key):
                 raise ConfigError(f"{key}.tle: missing TLE path")
-            tle_path = self._resolve_path(str(entry["tle"]))
-            if not tle_path.exists():
-                raise ConfigError(f"{key}.tle: no such file: {tle_path}")
-            elements = load_tle_file(tle_path)
+            elements = load_tle_file(_typed(entry, f"{key}.tle",
+                                            self._existing_path))
             preset = entry.get("preset")
             if preset is None:
                 raise ConfigError(f"{key}.preset: missing radiometer preset")
@@ -281,10 +305,8 @@ class ScenarioConfig:
                             / "atmosphere_default.csv")
                 with importlib.resources.as_file(resource) as p:
                     return TableModel.from_csv(p)
-            p = self._resolve_path(str(path))
-            if not p.exists():
-                raise ConfigError(f"{where}.path: no such file: {p}")
-            return TableModel.from_csv(p)
+            return TableModel.from_csv(_typed(node, f"{where}.path",
+                                              self._existing_path))
         if model == "none":
             return None
         raise ConfigError(
@@ -319,10 +341,15 @@ class ScenarioConfig:
         return geometry
 
     def itu_params(self) -> dict:
-        node = self.data.get("itu", {})
-        return {**_typed_section(node, "itu", _ITU_FIELDS),
-                "deployment": node.get("deployment"),
-                "atmosphere": node.get("atmosphere")}
+        return _typed_section(self.data.get("itu", {}), "itu", _ITU_FIELDS)
+
+    def itu_deployment(self) -> dict:
+        """The _DEPLOYMENT_FIELDS of itu.deployment (bbox a GeoBox) and its
+        path, the deployment file to read (None for a generated one)."""
+        node = self._require("itu", "deployment")
+        return {**_typed_section(node, "itu.deployment", _DEPLOYMENT_FIELDS),
+                "path": _typed(node, "itu.deployment.path",
+                               self._existing_path, None)}
 
     def experiment_params(self) -> dict:
         node = self.data.get("experiment", {})

@@ -43,7 +43,6 @@ tested against.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from datetime import datetime
 from functools import cached_property
@@ -54,6 +53,7 @@ import numpy as np
 from .errors import EmptyConstellation, NotPhaseLocked, WindowTooLarge
 from .orbit import (GroundPoint, OrbitalElements, _check_epoch_offset,
                     propagate_many, frames)
+from .output import write_csv, write_jsonl
 from .radiometer import (BufferPolicy, PolicyKind, RadiometerSpec,
                          ScanLattice, _cross, _ellipse_margins,
                          _footprint_arrays, _scan_axis)
@@ -868,43 +868,26 @@ def availability(schedule: DarkSchedule,
 
 # --- serialization -----------------------------------------------------------
 
-SCHEDULE_CSV_HEADER = "tx_id,satellite_id,scan_line_index,start_utc,end_utc,policy_kind"
+SCHEDULE_FIELDS = ("tx_id", "satellite_id", "scan_line_index", "start_utc",
+                   "end_utc", "policy_kind")
+
+
+def _schedule_rows(schedules: Sequence[DarkSchedule]):
+    """One SCHEDULE_FIELDS row per interval, one schedule after the other."""
+    for schedule in schedules:
+        for iv in schedule.intervals:
+            yield (schedule.tx_id, iv.satellite_id, iv.scan_line_index,
+                   iso_utc(iv.start), iso_utc(iv.end),
+                   schedule.policy.kind.value)
 
 
 def write_schedule_csv(schedules: Sequence[DarkSchedule], path,
-                       provenance: Sequence[str] = ()) -> None:
-    """CSV of the schedules' intervals, one schedule after the other;
-    provenance lines become leading '#' comments."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in provenance:
-            fh.write(f"# {line}\n")
-        fh.write(SCHEDULE_CSV_HEADER + "\n")
-        for schedule in schedules:
-            for iv in schedule.intervals:
-                fh.write(",".join([
-                    schedule.tx_id,
-                    iv.satellite_id,
-                    str(iv.scan_line_index),
-                    iso_utc(iv.start),
-                    iso_utc(iv.end),
-                    schedule.policy.kind.value,
-                ]) + "\n")
+                       provenance: dict = None) -> None:
+    """CSV of the schedules' intervals in the output module's format."""
+    write_csv(path, provenance, SCHEDULE_FIELDS, _schedule_rows(schedules))
 
 
 def write_schedule_jsonl(schedules: Sequence[DarkSchedule], path,
                          provenance: dict = None) -> None:
-    """JSONL mirror of the CSV; an optional provenance record leads."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if provenance is not None:
-            fh.write(json.dumps({"provenance": provenance},
-                                sort_keys=True) + "\n")
-        for schedule in schedules:
-            for iv in schedule.intervals:
-                fh.write(json.dumps({
-                    "tx_id": schedule.tx_id,
-                    "satellite_id": iv.satellite_id,
-                    "scan_line_index": iv.scan_line_index,
-                    "start_utc": iso_utc(iv.start),
-                    "end_utc": iso_utc(iv.end),
-                    "policy_kind": schedule.policy.kind.value,
-                }, sort_keys=True) + "\n")
+    """JSONL mirror of the CSV."""
+    write_jsonl(path, provenance, SCHEDULE_FIELDS, _schedule_rows(schedules))

@@ -109,33 +109,23 @@ def _check_epoch_offset(elements: OrbitalElements, minutes: np.ndarray):
 
 
 def propagate(elements: OrbitalElements, t: datetime) -> SatelliteState:
-    """Propagate a TLE to time t and return the Earth-fixed state.
-
-    Raises EpochTooFar beyond the 30-day accuracy guard and DecayedOrbit /
-    PropagationError for SGP4's internal failure modes.
-    """
+    """The Earth-fixed state at time t: propagate_many at one instant, with
+    its geodetic position, and the same errors."""
     t = ensure_utc(t)
-    tsince = minutes_since(t, elements.epoch)
-    _check_epoch_offset(elements, np.asarray(tsince))
-    model = _model(elements)
-    r_teme, v_teme = model.position_velocity(tsince)
-    jd = julian_date(t)
-    r_ecef, v_ecef = frames.teme_to_ecef(r_teme, v_teme, jd)
+    r_ecef, v_ecef = propagate_many(elements, t, 0.0)
     lat, lon, alt = frames.ecef_to_geodetic(r_ecef)
-    return SatelliteState(
-        t=t,
-        position_ecef=tuple(float(x) for x in r_ecef),
-        velocity_ecef=tuple(float(x) for x in v_ecef),
-        geodetic=(float(lat), float(lon), float(alt)),
-    )
+    return SatelliteState(t=t, position_ecef=tuple(r_ecef.tolist()),
+                          velocity_ecef=tuple(v_ecef.tolist()),
+                          geodetic=(float(lat), float(lon), float(alt)))
 
 
 def propagate_many(elements: OrbitalElements, t0: datetime,
                    offsets_s: np.ndarray):
     """Vectorized propagation at t0 + offsets (seconds).
 
-    Returns (r_ecef, v_ecef) arrays of shape (3, n) in metres and m/s.
-    Boundary checks and error handling match propagate().
+    Returns (r_ecef, v_ecef) arrays of shape (3, n), or (3,) for a scalar
+    offset, in metres and m/s.  Raises EpochTooFar beyond the 30-day guard
+    and DecayedOrbit / PropagationError for SGP4's failure modes.
     """
     t0 = ensure_utc(t0)
     offsets_s = np.asarray(offsets_s, dtype=float)

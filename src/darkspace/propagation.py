@@ -22,6 +22,7 @@ import numpy as np
 from .errors import ConfigError, ElevationNonPositive, EmptyArea, NoSamples
 from .linkbudget import SPEED_OF_LIGHT, fspl_db
 from .orbit import frames
+from .output import write_csv
 from .radiometer import PixelFootprint, RadiometerSpec
 
 #: Mean Earth radius used for bounding-box areas, km.
@@ -590,18 +591,13 @@ def read_deployment_jsonl(path) -> DeploymentArrays:
             json.loads(line) for line in map(str.strip, fh) if line)
 
 
-GRID_CSV_HEADER = "pixel_lat,pixel_lon,aggregate_dbm_mhz,model,n_contributors"
+GRID_FIELDS = ("pixel_lat", "pixel_lon", "aggregate_dbm_mhz", "model",
+               "n_contributors")
 
 
 def write_interference_grid_csv(samples, model: PathModel, path,
-                                provenance=()) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in provenance:
-            fh.write(f"# {line}\n")
-        fh.write(GRID_CSV_HEADER + "\n")
-        for s in samples:
-            agg = ("-inf" if s.aggregate == float("-inf")
-                   else f"{s.aggregate:.6f}")
-            fh.write(f"{s.pixel.center.latitude:.6f},"
-                     f"{s.pixel.center.longitude:.6f},"
-                     f"{agg},{model.value},{len(s.contributors)}\n")
+                                provenance: dict = None) -> None:
+    write_csv(path, provenance, GRID_FIELDS, (
+        (f"{s.pixel.center.latitude:.6f}", f"{s.pixel.center.longitude:.6f}",
+         "-inf" if s.aggregate == float("-inf") else f"{s.aggregate:.6f}",
+         model.value, len(s.contributors)) for s in samples))

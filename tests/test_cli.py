@@ -374,6 +374,8 @@ def test_bad_transmitter_field_fails(scenario, capsys, command, key, value):
     ("itu-sim", "itu.max_pixels", "x"),
     ("itu-sim", "itu.deployment.bbox", [39.8, None, -122.5, -120.5]),
     ("itu-sim", "itu.deployment.bbox", [39.8, 41.8, -122.5]),
+    ("itu-sim", "itu.deployment.center_frequency_hz", None),
+    ("itu-sim", "itu.deployment.emission_bandwidth_hz", "wide"),
     ("experiment", "experiment.overlap_threshold", None),
     ("experiment", "linkbudget.g_tx_dbi", None),
     ("linkbudget", "atmosphere", "table"),
@@ -383,16 +385,30 @@ def test_bad_transmitter_field_fails(scenario, capsys, command, key, value):
     ("linkbudget", "linkbudget.geometries.default.ground.alt_m", "high"),
     ("linkbudget", "linkbudget.geometries.default.ground", 5),
     ("linkbudget", "linkbudget.geometries.default.fspl_db", None),
+    ("linkbudget", "linkbudget.geometries.default.ground.lat", 100),
+    ("linkbudget", "linkbudget.geometries.default.satellite.lat", 100),
+    ("linkbudget", "linkbudget.geometries.default.satellite.lat",
+     float("nan")),
+    ("linkbudget", "linkbudget.geometries.default.satellite.alt_km",
+     float("nan")),
+    ("linkbudget", "linkbudget.geometries.default.ground.alt_m",
+     float("nan")),
+    ("linkbudget", "linkbudget.geometries.default.ground.lon", float("nan")),
+    ("linkbudget", "linkbudget.geometries.default.satellite.lon",
+     float("inf")),
     ("experiment", "experiment.atmosphere", "cosecant"),
     ("darkspaces", "satellites", ["noaa21_like.tle"]),
     ("darkspaces", "satellites", [{"tle": 7, "preset": "atms"}]),
     ("darkspaces", "window", "2023-04-25")],
     ids=["null-seed", "null-ground-altitude", "text-ground-altitude",
          "null-itu-gamma", "text-itu-max-pixels", "null-bbox-entry",
-         "short-bbox",
+         "short-bbox", "null-center-frequency", "text-emission-bandwidth",
          "null-overlap-threshold", "null-g-tx", "text-atmosphere",
          "number-atmosphere-path", "text-geometry", "null-geometry-lat",
          "text-geometry-alt", "number-geometry-ground", "null-geometry-fspl",
+         "ground-lat-100", "satellite-lat-100", "nan-satellite-lat",
+         "nan-satellite-alt", "nan-ground-alt", "nan-ground-lon",
+         "infinite-satellite-lon",
          "text-experiment-atmosphere", "text-satellite-entry",
          "number-tle-path", "text-window"])
 def test_unconvertible_config_value_fails(tmp_path, capsys, command, key,
@@ -610,7 +626,7 @@ def _selection(config, bbox, max_pixels):
 
 def test_itu_pixels_screening_keeps_example_selection(every_example_sample):
     config = every_example_sample[0]
-    bbox = GeoBox(*config.itu_params()["deployment"]["bbox"])
+    bbox = config.itu_deployment()["bbox"]
     for max_pixels in (1000, 40):
         _, expected = _reference_selection(every_example_sample, bbox,
                                            max_pixels)

@@ -8,7 +8,7 @@ import pytest
 from darkspace import geofence
 from darkspace.errors import (EmptyConstellation, NotPhaseLocked,
                               WindowTooLarge)
-from darkspace.geofence import (SCHEDULE_CSV_HEADER, availability,
+from darkspace.geofence import (SCHEDULE_FIELDS, availability,
                                 brute_force_oracle, dark_intervals,
                                 write_schedule_csv, write_schedule_jsonl)
 from darkspace.orbit import GroundPoint, propagate
@@ -211,10 +211,10 @@ def test_schedule_serialization(tmp_path, pass_setup):
     tx, sats, window = pass_setup
     sched = dark_intervals(tx, sats, window, PIXEL)
     csv_path = tmp_path / "sched.csv"
-    write_schedule_csv([sched], csv_path, provenance=["seed=1"])
+    write_schedule_csv([sched], csv_path, provenance={"seed": 1})
     lines = csv_path.read_text().splitlines()
     data_lines = [l for l in lines if not l.startswith("#")]
-    assert data_lines[0] == SCHEDULE_CSV_HEADER
+    assert data_lines[0] == ",".join(SCHEDULE_FIELDS)
     assert len(data_lines) == 1 + len(sched.intervals)
     assert data_lines[1].startswith("tx,")
 
