@@ -24,8 +24,8 @@ from .experiment import clearance_band, exclusion_records, plan_experiment, \
 # but bench/tracing.py patches them under this module's name, so they stay
 # importable from darkspace.cli.
 from .geofence import (availability, dark_intervals,  # noqa: F401
-                       dark_intervals_many, earth_fixed_velocity,
-                       edge_footprints, inertial_states, write_schedule_csv,
+                       dark_intervals_many, edge_footprints,
+                       inertial_states, write_schedule_csv,
                        write_schedule_jsonl)
 from .linkbudget import evaluate, fspl_db, required_tx_power, total_loss_db
 from . import radiometer
@@ -207,13 +207,13 @@ def _lines_near_box(elements, spec, start, line_offsets, bbox,
     ground = frames.geodetic_to_ecef(lat, lon, ground_altitude)
     reach = np.linalg.norm(center - ground[:, :, None], axis=0)
     reach = np.where(miss.any(axis=1), np.inf, reach.max(axis=1))
-    speed = np.linalg.norm(earth_fixed_velocity(r, v), axis=0)
+    speed = np.linalg.norm(frames.earth_fixed_velocity(r, v), axis=0)
     rho = (1.0 + _REACH_SLACK) * reach + speed * spec.scan_period
 
     dlat, dlon = frames.surface_reach_deg(rho, bbox.lat_min, bbox.lat_max,
                                           ground_altitude)
     lon_mid = 0.5 * (bbox.lon_min + bbox.lon_max)
-    lon_off = np.abs((lon - lon_mid + 180.0) % 360.0 - 180.0)
+    lon_off = np.abs(frames.wrap_longitude(lon - lon_mid))
     return ((lat >= bbox.lat_min - dlat) & (lat <= bbox.lat_max + dlat)
             & (lon_off <= 0.5 * (bbox.lon_max - bbox.lon_min) + dlon))
 

@@ -16,7 +16,7 @@ from pathlib import Path
 from .errors import ConfigError
 from .linkbudget import CosecantModel, TableModel
 from .orbit import GroundPoint, load_tle_file
-from .propagation import GeoBox
+from .propagation import SCENARIOS, GeoBox
 from .radiometer import BufferPolicy, PolicyKind, load_preset, spec_from_dict
 
 _TOP_LEVEL_KEYS = {
@@ -61,33 +61,39 @@ def _typed_section(node, where: str, fields) -> dict:
             for key, convert, default in fields}
 
 
-#: (key, convert, default) of each typed value of a config section.
-_LINKBUDGET_FIELDS = (
-    ("p_on_dbm", float, 40.0), ("n_temp_k", float, _REQUIRED),
-    ("bandwidth_hz", float, None), ("frequency_hz", float, None),
-    ("g_tx_dbi", float, 15.0), ("g_rx_dbi", float, 30.0),
-    ("polarization_db", float, -3.0))
-_ITU_FIELDS = (
-    ("model", str, "los"), ("gamma", float, -0.7),
-    ("threshold_dbm_mhz", float, -200.0), ("quantile", float, 0.9999),
-    ("area_km2", float, 2.0e6), ("max_pixels", int, 2000),
-    ("two_ray_floor_db", float, -60.0))
-_EXPERIMENT_FIELDS = (
-    ("overlap_threshold", float, 0.5), ("max_pulse_s", float, None),
-    ("damage_threshold_dbm", float, _REQUIRED), ("clearance_n", int, 3))
-#: itu.deployment: the pixel box (a generated deployment fills it too) and
-#: the generator's inputs.
-_DEPLOYMENT_FIELDS = (
-    ("bbox", lambda node: GeoBox(*[float(x) for x in node]), _REQUIRED),
-    ("scenario", str, "rural"), ("center_frequency_hz", float, 24.0e9),
-    ("emission_bandwidth_hz", float, 200.0e6))
-
-
 def _finite(value) -> float:
     x = float(value)
     if not math.isfinite(x):
         raise ValueError(f"must be a finite number, got {x!r}")
     return x
+
+
+def _scenario(value) -> str:
+    if value not in SCENARIOS:
+        raise ValueError(f"expected one of {sorted(SCENARIOS)}, got {value!r}")
+    return value
+
+
+#: (key, convert, default) of each typed value of a config section.
+_LINKBUDGET_FIELDS = (
+    ("p_on_dbm", _finite, 40.0), ("n_temp_k", _finite, _REQUIRED),
+    ("bandwidth_hz", _finite, None), ("frequency_hz", _finite, None),
+    ("g_tx_dbi", _finite, 15.0), ("g_rx_dbi", _finite, 30.0),
+    ("polarization_db", _finite, -3.0))
+_ITU_FIELDS = (
+    ("model", str, "los"), ("gamma", _finite, -0.7),
+    ("threshold_dbm_mhz", _finite, -200.0), ("quantile", _finite, 0.9999),
+    ("area_km2", _finite, 2.0e6), ("max_pixels", int, 2000),
+    ("two_ray_floor_db", _finite, -60.0))
+_EXPERIMENT_FIELDS = (
+    ("overlap_threshold", _finite, 0.5), ("max_pulse_s", _finite, None),
+    ("damage_threshold_dbm", _finite, _REQUIRED), ("clearance_n", int, 3))
+#: itu.deployment: the pixel box (a generated deployment fills it too) and
+#: the generator's inputs.
+_DEPLOYMENT_FIELDS = (
+    ("bbox", lambda node: GeoBox(*[_finite(x) for x in node]), _REQUIRED),
+    ("scenario", _scenario, "rural"), ("center_frequency_hz", _finite, 24.0e9),
+    ("emission_bandwidth_hz", _finite, 200.0e6))
 
 
 #: A linkbudget geometry: the loss components it may state instead of the
@@ -227,11 +233,11 @@ class ScenarioConfig:
         first_of = {}
         for i, entry in enumerate(entries):
             key = f"transmitters[{i}]"
-            lat = _typed(entry, f"{key}.lat", float)
-            lon = _typed(entry, f"{key}.lon", float)
-            alt = _typed(entry, f"{key}.alt_m", float, 0.0)
-            height = _typed(entry, f"{key}.antenna_height_m", float, 0.0)
-            _typed(entry, f"{key}.eirp_density_dbm_mhz", float, 0.0)
+            lat = _typed(entry, f"{key}.lat", _finite)
+            lon = _typed(entry, f"{key}.lon", _finite)
+            alt = _typed(entry, f"{key}.alt_m", _finite, 0.0)
+            height = _typed(entry, f"{key}.antenna_height_m", _finite, 0.0)
+            _typed(entry, f"{key}.eirp_density_dbm_mhz", _finite, 0.0)
             try:
                 point = GroundPoint(lat, lon, alt)
             except ValueError as exc:
@@ -272,15 +278,15 @@ class ScenarioConfig:
             return BufferPolicy(
                 kind=kind,
                 buffer_multiplier=_typed(node, "policy.buffer_multiplier",
-                                         float, 2.0),
-                temporal_pad=_typed(node, "policy.temporal_pad_s", float,
+                                         _finite, 2.0),
+                temporal_pad=_typed(node, "policy.temporal_pad_s", _finite,
                                     0.0),
             )
         except ValueError as exc:
             raise ConfigError(f"policy: {exc}") from exc
 
     def ground_altitude(self) -> float:
-        return _typed(self.data, "ground_altitude_m", float, 0.0)
+        return _typed(self.data, "ground_altitude_m", _finite, 0.0)
 
     def atmosphere(self, section: str = None):
         """Atmosphere model; a section ('itu', 'experiment', 'linkbudget')
@@ -296,7 +302,7 @@ class ScenarioConfig:
         model = _object(node, where).get("model")
         if model == "cosecant":
             return CosecantModel(_typed(node, f"{where}.a_zenith_db",
-                                        float))
+                                        _finite))
         if model == "table":
             path = node.get("path")
             if path is None:
@@ -318,9 +324,9 @@ class ScenarioConfig:
         params = _typed_section(node, "linkbudget", _LINKBUDGET_FIELDS)
         p_h2o = node.get("p_h2o", {"noise_multiplier": 100.0})
         params["p_h2o_watts"] = _typed(p_h2o, "linkbudget.p_h2o.watts",
-                                       float, None)
+                                       _finite, None)
         params["p_h2o_noise_multiplier"] = _typed(
-            p_h2o, "linkbudget.p_h2o.noise_multiplier", float, 100.0)
+            p_h2o, "linkbudget.p_h2o.noise_multiplier", _finite, 100.0)
         return params
 
     def linkbudget_geometry(self, name: str) -> dict:

@@ -55,7 +55,7 @@ from .orbit import (GroundPoint, OrbitalElements, _check_epoch_offset,
                     propagate_many, frames)
 from .output import write_csv, write_jsonl
 from .radiometer import (BufferPolicy, PolicyKind, RadiometerSpec,
-                         ScanLattice, _cross, _ellipse_margins,
+                         ScanLattice, _ellipse_margins,
                          _footprint_arrays, _scan_axis)
 from .timeutil import add_seconds, ensure_utc, iso_utc, minutes_since
 
@@ -147,10 +147,6 @@ class AvailabilityReport:
 # --- internal machinery ------------------------------------------------------
 
 
-#: The Earth's rotation vector in ECEF (rad/s), shaped (3, 1).
-_OMEGA = np.array([0.0, 0.0, frames.OMEGA_EARTH]).reshape(3, 1)
-
-
 def inertial_states(elements: OrbitalElements, start: datetime, offsets):
     """ECEF positions and inertial velocities (v + w x r, in Earth-fixed
     axes, as the footprint kernel takes them) at start + offsets (s).
@@ -169,12 +165,7 @@ def inertial_states(elements: OrbitalElements, start: datetime, offsets):
         part = slice(i, i + 4 * MARGIN_CHUNK)
         r[:, part], v[:, part] = propagate_many(elements, start,
                                                 offsets[part])
-    return r, v + _cross(_OMEGA, r)
-
-
-def earth_fixed_velocity(r, v_inertial):
-    """The Earth-fixed velocity, v - w x r, of inertial_states' states."""
-    return v_inertial - _cross(_OMEGA, r)
+    return r, frames.inertial_velocity(r, v)
 
 
 def edge_footprints(r, v_inertial, spec: RadiometerSpec,

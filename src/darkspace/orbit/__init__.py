@@ -35,10 +35,8 @@ class GroundPoint:
     def __post_init__(self):
         if not -90.0 <= self.latitude <= 90.0:
             raise ValueError(f"latitude {self.latitude} outside [-90, 90]")
-        lon = (self.longitude + 180.0) % 360.0 - 180.0
-        if lon == -180.0:
-            lon = 180.0
-        object.__setattr__(self, "longitude", lon)
+        object.__setattr__(self, "longitude",
+                           float(frames.wrap_longitude(self.longitude)))
 
     def ecef(self) -> np.ndarray:
         return frames.geodetic_to_ecef(self.latitude, self.longitude,
@@ -68,8 +66,7 @@ class SatelliteState:
     @property
     def v_inertial(self) -> np.ndarray:
         """Inertial velocity expressed in the Earth-fixed basis (m/s)."""
-        omega = np.array([0.0, 0.0, frames.OMEGA_EARTH])
-        return self.v + np.cross(omega, self.r)
+        return frames.inertial_velocity(self.r, self.v)
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,42 @@ WGS84_F = 1.0 / 298.257223563       # flattening
 WGS84_B = WGS84_A * (1.0 - WGS84_F)
 WGS84_E2 = WGS84_F * (2.0 - WGS84_F)
 
-#: Earth rotation rate, rad/s (IAU-82/GMST consistent value).
+#: Earth rotation rate, rad/s (IAU-82/GMST consistent value), and vector.
 OMEGA_EARTH = 7.292115146706979e-5
+EARTH_ROTATION = np.array([0.0, 0.0, OMEGA_EARTH])
+
+
+def wrap_longitude(lon):
+    """Longitudes (deg) into (-180, 180], elementwise: in-range values keep
+    their bits, others wrap (-180 to 180, +-inf to NaN, silently) in a copy;
+    an in-range float array comes back as it is."""
+    lon = np.asarray(lon, dtype=float)
+    out = ~((lon > -180.0) & (lon <= 180.0))
+    if out.any():
+        lon = lon.copy()
+        with np.errstate(invalid="ignore"):
+            wrapped = (lon[out] + 180.0) % 360.0 - 180.0
+        wrapped[wrapped == -180.0] = 180.0
+        lon[out] = wrapped
+    return lon[()]
+
+
+def _cross(a, b):
+    """np.cross(a, b, axis=0) for (3,), (3, n) or (3, 1) arrays, in its
+    operation order (so its bits) but without its axis bookkeeping."""
+    return np.stack((a[1] * b[2] - a[2] * b[1],
+                     a[2] * b[0] - a[0] * b[2],
+                     a[0] * b[1] - a[1] * b[0]))
+
+
+def inertial_velocity(r, v):
+    """v + w x r: inertial velocity in Earth-fixed axes, (3,) or (3, n)."""
+    return v + _cross(EARTH_ROTATION, r)
+
+
+def earth_fixed_velocity(r, v_inertial):
+    """v - w x r: the inverse of inertial_velocity."""
+    return v_inertial - _cross(EARTH_ROTATION, r)
 
 
 def teme_to_ecef(r_teme_km, v_teme_kms, jd_ut1):
@@ -86,47 +120,17 @@ def surface_reach_deg(chord, lat_lo, lat_hi, altitude):
     return dlat, dlon
 
 
-def ecef_to_geodetic(r_ecef_m):
-    """ECEF metres to WGS-84 (lat deg, lon deg, alt m).
-
-    Fixed-point iteration on the geodetic latitude; twelve rounds converge
-    far below the millimetre/nanodegree level for any point from the surface
-    to LEO altitudes.
-    """
-    r = np.asarray(r_ecef_m, dtype=float)
-    x, y, z = r[0], r[1], r[2]
-    lon = np.arctan2(y, x)
-    p = np.hypot(x, y)
-
-    # Near-polar guard: p ~ 0 makes the iteration's atan2 arguments degenerate.
-    polar = p < 1.0e-9
-
-    lat = np.arctan2(z, p * (1.0 - WGS84_E2))
-    alt = np.zeros_like(np.asarray(z, dtype=float))
-    for _ in range(12):
-        sin_lat = np.sin(lat)
-        n = WGS84_A / np.sqrt(1.0 - WGS84_E2 * sin_lat**2)
-        alt = p / np.cos(lat) - n
-        lat = np.arctan2(z, p * (1.0 - WGS84_E2 * n / (n + alt)))
-
-    lat = np.where(polar, np.where(z >= 0.0, np.pi / 2, -np.pi / 2), lat)
-    alt = np.where(polar, np.abs(z) - WGS84_B, alt)
-    return np.degrees(lat)[()], np.degrees(lon)[()], alt[()]
-
-
-def geodetic_up(r_ecef_m):
-    """Unit geodetic up (the WGS-84 normal) through ECEF points, (3, n).
-
-    Closed form: two steps of Bowring's (1976) latitude iteration,
+def _bowring_normal(r_ecef_m):
+    """(x, y, z, p2, k, zn): an ECEF point, p2 = x**2 + y**2, and the
+    WGS-84 normal through it along (k x, k y, zn).  Two steps of Bowring's
+    (1976) latitude iteration,
 
         tan(beta) = (B / A) tan(phi)
         tan(phi)  = (z + e'**2 B sin(beta)**3) / (p - e**2 A cos(beta)**3)
 
-    from tan(beta) = A z / (B p), with p = hypot(x, y).  One step is about
-    1e-9 rad from ecef_to_geodetic at LEO altitudes, two agree with it to
-    rounding.  The normal's horizontal part is kept as k * (x, y), never
-    divided by p, so a point on or next to the polar axis needs no guard.
-    """
+    from tan(beta) = A z / (B p), p = hypot(x, y), give the exact latitude
+    to rounding from the surface to LEO; k (x, y) is never divided by p,
+    so the polar axis needs no guard."""
     r = np.asarray(r_ecef_m, dtype=float)
     x, y, z = r[0], r[1], r[2]
     p2 = x * x + y * y
@@ -141,6 +145,25 @@ def geodetic_up(r_ecef_m):
         sin_beta = WGS84_B * zn / h
         k = 1.0 - WGS84_E2 * WGS84_A * cos_beta_over_p ** 3 * p2
         zn = z + ep2 * WGS84_B * sin_beta ** 3
+    return x, y, z, p2, k, zn
+
+
+def ecef_to_geodetic(r_ecef_m):
+    """ECEF metres to WGS-84 (lat deg, lon deg, alt m): the latitude of
+    _bowring_normal, and the height p cos(phi) + z sin(phi)
+    - A sqrt(1 - e**2 sin(phi)**2), which needs no guard at the poles."""
+    x, y, z, p2, k, zn = _bowring_normal(r_ecef_m)
+    p = np.sqrt(p2)
+    lat = np.arctan2(zn, k * p)
+    sin_lat = np.sin(lat)
+    alt = (p * np.cos(lat) + z * sin_lat
+           - WGS84_A * np.sqrt(1.0 - WGS84_E2 * sin_lat ** 2))
+    return np.degrees(lat)[()], np.degrees(np.arctan2(y, x))[()], alt[()]
+
+
+def geodetic_up(r_ecef_m):
+    """Unit geodetic up (the WGS-84 normal) through ECEF points, (3, n)."""
+    x, y, _, p2, k, zn = _bowring_normal(r_ecef_m)
     norm = np.sqrt(k * k * p2 + zn * zn)
     return np.stack((k * x / norm, k * y / norm, zn / norm))
 

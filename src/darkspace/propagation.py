@@ -142,14 +142,6 @@ SCENARIOS = {
 }
 
 
-def _wrap_longitude(lon):
-    """Longitudes into (-180, 180], elementwise; GroundPoint's rule, which
-    also turns an infinite longitude into NaN without a warning."""
-    with np.errstate(invalid="ignore"):
-        lon = (np.asarray(lon, dtype=float) + 180.0) % 360.0 - 180.0
-    return np.where(lon == -180.0, 180.0, lon)
-
-
 def generate_deployment(scenario, area: GeoBox, seed: int,
                         center_frequency: float = 24.0e9,
                         emission_bandwidth: float = 200.0e6,
@@ -205,7 +197,7 @@ def generate_deployment(scenario, area: GeoBox, seed: int,
     n = len(ids)
     return DeploymentArrays(
         ids, kinds, lat=np.concatenate(lat),
-        lon=_wrap_longitude(np.concatenate(lon)), alt=np.zeros(n),
+        lon=frames.wrap_longitude(np.concatenate(lon)), alt=np.zeros(n),
         antenna_height=np.concatenate(height), eirp=np.concatenate(eirp),
         center_frequency=np.full(n, float(center_frequency)),
         emission_bandwidth=np.full(n, float(emission_bandwidth)),
@@ -327,7 +319,7 @@ class DeploymentArrays:
                 i = int(np.argmin(ok))
                 raise ConfigError(f"bad transmitter record {i + 1}: {key} "
                                   f"{values[i]} is not {rule}")
-        floats["lon"] = _wrap_longitude(floats["lon"])
+        floats["lon"] = frames.wrap_longitude(floats["lon"])
         return cls(columns.pop("ids"), columns.pop("kinds"), **floats)
 
     def __len__(self):

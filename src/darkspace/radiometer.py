@@ -34,6 +34,7 @@ import numpy as np
 
 from .errors import ConfigError, NoIntersection
 from .orbit import GroundPoint, SatelliteState, frames
+from .orbit.frames import _cross
 from .timeutil import add_seconds, ensure_utc
 
 
@@ -231,17 +232,6 @@ class ScanLattice:
 
 
 # --- vectorized footprint core ----------------------------------------------
-
-def _cross(a, b):
-    """np.cross(a, b, axis=0) for arrays shaped (3, n) or (3, 1).
-
-    The components are computed in np.cross's operation order, so the
-    bits are the same, without its per-call axis bookkeeping.
-    """
-    return np.stack((a[1] * b[2] - a[2] * b[1],
-                     a[2] * b[0] - a[0] * b[2],
-                     a[0] * b[1] - a[1] * b[0]))
-
 
 def _rotate(vec, axis, angle_rad):
     """Rodrigues rotation of vec about unit axis; all shaped (3, n)."""

@@ -399,7 +399,22 @@ def test_bad_transmitter_field_fails(scenario, capsys, command, key, value):
     ("experiment", "experiment.atmosphere", "cosecant"),
     ("darkspaces", "satellites", ["noaa21_like.tle"]),
     ("darkspaces", "satellites", [{"tle": 7, "preset": "atms"}]),
-    ("darkspaces", "window", "2023-04-25")],
+    ("darkspaces", "window", "2023-04-25"),
+    ("darkspaces", "transmitters[0].lon", float("nan")),
+    ("darkspaces", "transmitters[0].lon", float("inf")),
+    ("darkspaces", "transmitters[0].alt_m", float("nan")),
+    ("darkspaces", "ground_altitude_m", float("nan")),
+    ("darkspaces", "policy.buffer_multiplier", float("inf")),
+    ("experiment", "transmitters[0].lon", float("nan")),
+    ("experiment", "experiment.overlap_threshold", float("nan")),
+    ("itu-sim", "itu.gamma", float("nan")),
+    ("itu-sim", "itu.threshold_dbm_mhz", float("nan")),
+    ("itu-sim", "itu.deployment.bbox", [39.8, float("inf"), -122.5, -120.5]),
+    ("itu-sim", "itu.deployment.center_frequency_hz", float("inf")),
+    ("linkbudget", "linkbudget.p_h2o.noise_multiplier", float("nan")),
+    ("itu-sim", "itu.deployment.scenario", None),
+    ("itu-sim", "itu.deployment.scenario", 5),
+    ("itu-sim", "itu.deployment.scenario", "metro")],
     ids=["null-seed", "null-ground-altitude", "text-ground-altitude",
          "null-itu-gamma", "text-itu-max-pixels", "null-bbox-entry",
          "short-bbox", "null-center-frequency", "text-emission-bandwidth",
@@ -410,17 +425,24 @@ def test_bad_transmitter_field_fails(scenario, capsys, command, key, value):
          "nan-satellite-alt", "nan-ground-alt", "nan-ground-lon",
          "infinite-satellite-lon",
          "text-experiment-atmosphere", "text-satellite-entry",
-         "number-tle-path", "text-window"])
+         "number-tle-path", "text-window", "nan-transmitter-lon",
+         "infinite-transmitter-lon", "nan-transmitter-alt",
+         "nan-ground-altitude", "infinite-buffer-multiplier",
+         "nan-experiment-transmitter-lon", "nan-overlap-threshold",
+         "nan-itu-gamma", "nan-itu-threshold", "infinite-bbox-entry",
+         "infinite-center-frequency", "nan-p-h2o-noise-multiplier",
+         "null-scenario", "number-scenario", "unknown-scenario"])
 def test_unconvertible_config_value_fails(tmp_path, capsys, command, key,
                                           value):
-    """A typed value of the example config that does not convert, or a
-    node that is not the object it must be, exits 2 and names its dotted
-    key."""
+    """A typed value of the example config that does not convert or is not
+    finite, or a node that is not the object it must be, exits 2 and names
+    its dotted key (a list entry as name[i])."""
     config = json.loads(EXAMPLE_CONFIG.read_text())
     *parents, last = key.split(".")
     node = config
     for part in parents:
-        node = node[part]
+        name, _, index = part.partition("[")
+        node = node[name][int(index[:-1])] if index else node[name]
     node[last] = value
     shutil.copy(EXAMPLE_CONFIG.parent / "noaa21_like.tle", tmp_path)
     bad = tmp_path / "bad.json"

@@ -35,17 +35,36 @@ def test_geodetic_poles():
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("alt", [0.0, 1043.0, 100.0e3, 824.0e3, 2000.0e3])
 def test_geodetic_up_matches_iterated_latitude(alt):
-    """The closed-form up is the up of the 12-step latitude iteration, to
-    1e-9 rad, at every latitude including the poles and next to them."""
+    """The closed-form up, and ecef_to_geodetic, agree with the inputs of
+    geodetic_to_ecef (a closed form, so exact by construction): the up to
+    1e-9 rad, the position to 1e-9 deg and 1 mm, at every latitude
+    including the poles and next to them."""
     lat = np.concatenate((np.linspace(-90.0, 90.0, 721),
                           [90.0 - 1e-7, -90.0 + 1e-7, 1e-7, -1e-7]))
     for lon in (-180.0, -121.47, 0.0, 33.3, 90.0, 179.9):
-        r = frames.geodetic_to_ecef(lat, np.full_like(lat, lon), alt)
-        _, _, expected = frames.enu_basis(*frames.ecef_to_geodetic(r)[:2])
+        lons = np.full_like(lat, lon)
+        r = frames.geodetic_to_ecef(lat, lons, alt)
+        _, _, expected = frames.enu_basis(lat, lons)
         up = frames.geodetic_up(r)
         assert np.max(np.linalg.norm(up - expected, axis=0)) < 1e-9
+        lat2, lon2, alt2 = frames.ecef_to_geodetic(r)
+        assert np.max(np.abs(lat2 - lat)) < 1.0e-9
+        assert np.max(np.abs(frames.wrap_longitude(lon2 - lon))) < 1.0e-9
+        assert np.max(np.abs(alt2 - alt)) < 1.0e-3
     assert np.array_equal(frames.geodetic_up(np.array([[0.0], [0.0], [7e6]])),
                           [[0.0], [0.0], [1.0]])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_wrap_longitude():
+    """In-range longitudes keep their bits; -180 and whole turns past the
+    range map to 180, and non-finite values to NaN without a warning."""
+    assert np.array_equal(frames.wrap_longitude([-180.0, 540.0, -540.0]),
+                          [180.0, 180.0, 180.0])
+    assert np.isnan(frames.wrap_longitude([np.inf, -np.inf, np.nan])).all()
+    lon = np.random.default_rng(3).uniform(-180.0, 180.0, 100_000)
+    lon = lon[lon > -180.0]
+    assert frames.wrap_longitude(lon).tobytes() == lon.tobytes()
 
 
 def test_propagate_returns_leo_state(leo_tle):

@@ -171,8 +171,6 @@ def test_degenerate_area():
 
 
 def test_deployment_jsonl_round_trip(tmp_path):
-    # East of -64 degrees the longitude rule rounds, so reading it back
-    # wraps a second time.
     for box in (GeoBox(39.5, 40.5, -106.0, -104.0),
                 GeoBox(30.0, 31.0, 120.0, 122.0)):
         dep = generate_deployment("rural", box, seed=9)
@@ -180,6 +178,19 @@ def test_deployment_jsonl_round_trip(tmp_path):
         write_deployment_jsonl(dep, path)
         again = read_deployment_jsonl(path)
         assert again == dep
+
+
+def test_in_range_longitude_keeps_its_bits(tmp_path):
+    """A longitude already in (-180, 180] is not rounded by the wrap, on a
+    GroundPoint or through a deployment's records and file."""
+    lon = 154.63026961265697
+    assert GroundPoint(30.0, lon).longitude == lon
+    dep = _dep([_tx(0, 30.0, lon)])
+    assert dep.lon[0] == lon
+    path = tmp_path / "dep.jsonl"
+    write_deployment_jsonl(dep, path)
+    assert path.read_text() == _jsonl([_tx(0, 30.0, lon)])
+    assert read_deployment_jsonl(path).lon[0] == lon
 
 
 def test_deployment_jsonl_lines_match_json_dumps(tmp_path):
