@@ -767,10 +767,26 @@ GEOFENCE_RUNS = [
 ]
 
 
-def geofence_digests(out_dir) -> dict:
-    """sha256 of every file the GEOFENCE_RUNS write, by run/file name."""
+#: (name, argv) of the runs whose outputs fixtures/sweep_digests.json
+#: records: linkbudget on both example geometries, and itu-sim on the
+#: example scenario under its own LOS model and the two-ray model.
+SWEEP_RUNS = [
+    *((f"linkbudget-{geometry}",
+       ["linkbudget", "--config", str(EXAMPLE_CONFIG), "--geometry",
+        geometry]) for geometry in ("default", "nadir-fixture")),
+    ("itu-sim-example_scenario", ["itu-sim", "--config",
+                                  str(EXAMPLE_CONFIG)]),
+    ("itu-sim-example_scenario-two-ray",
+     ["itu-sim", "--config", str(EXAMPLE_CONFIG), "--model", "two-ray",
+      "--gamma", "-0.7"]),
+]
+
+
+def run_digests(runs, out_dir) -> dict:
+    """sha256 of every file the (name, argv) runs write, by run/file
+    name."""
     digests = {}
-    for name, argv in GEOFENCE_RUNS:
+    for name, argv in runs:
         out = Path(out_dir) / name
         assert main([*argv, "--out-dir", str(out)]) == 0, name
         for path in sorted(out.iterdir()):
@@ -783,4 +799,11 @@ def test_geofence_outputs_match_recorded_digests(tmp_path):
     """The example schedules and plans keep their recorded bytes
     (fixtures/README.md)."""
     recorded = json.loads((FIXTURES / "geofence_digests.json").read_text())
-    assert geofence_digests(tmp_path) == recorded
+    assert run_digests(GEOFENCE_RUNS, tmp_path) == recorded
+
+
+def test_sweep_outputs_match_recorded_digests(tmp_path):
+    """The example link budgets and itu-sim grids keep their recorded
+    bytes (fixtures/README.md)."""
+    recorded = json.loads((FIXTURES / "sweep_digests.json").read_text())
+    assert run_digests(SWEEP_RUNS, tmp_path) == recorded
