@@ -61,11 +61,16 @@ def _typed_section(node, where: str, fields) -> dict:
             for key, convert, default in fields}
 
 
-def _finite(value) -> float:
-    x = float(value)
-    if not math.isfinite(x):
-        raise ValueError(f"must be a finite number, got {x!r}")
-    return x
+def _ranged(convert, ok, rule: str):
+    """convert, then require ok(value); rule words the range."""
+    def checked(value):
+        if not ok(x := convert(value)):
+            raise ValueError(f"must be {rule}, got {x!r}")
+        return x
+    return checked
+
+
+_finite = _ranged(float, math.isfinite, "a finite number")
 
 
 def _scenario(value) -> str:
@@ -80,14 +85,20 @@ _LINKBUDGET_FIELDS = (
     ("bandwidth_hz", _finite, None), ("frequency_hz", _finite, None),
     ("g_tx_dbi", _finite, 15.0), ("g_rx_dbi", _finite, 30.0),
     ("polarization_db", _finite, -3.0))
+_POSITIVE = _ranged(_finite, lambda x: x > 0.0, "> 0")
 _ITU_FIELDS = (
     ("model", str, "los"), ("gamma", _finite, -0.7),
-    ("threshold_dbm_mhz", _finite, -200.0), ("quantile", _finite, 0.9999),
-    ("area_km2", _finite, 2.0e6), ("max_pixels", int, 2000),
+    ("threshold_dbm_mhz", _finite, -200.0),
+    ("quantile", _ranged(_finite, lambda q: 0 < q <= 1, "in (0, 1]"), 0.9999),
+    ("area_km2", _POSITIVE, 2.0e6),
+    ("max_pixels", _ranged(int, lambda n: n >= 1, ">= 1"), 2000),
     ("two_ray_floor_db", _finite, -60.0))
 _EXPERIMENT_FIELDS = (
-    ("overlap_threshold", _finite, 0.5), ("max_pulse_s", _finite, None),
-    ("damage_threshold_dbm", _finite, _REQUIRED), ("clearance_n", int, 3))
+    ("overlap_threshold", _ranged(_finite, lambda f: 0 <= f <= 1,
+                                  "in [0, 1]"), 0.5),
+    ("max_pulse_s", _POSITIVE, None),
+    ("damage_threshold_dbm", _finite, _REQUIRED),
+    ("clearance_n", _ranged(int, lambda n: n >= 0, ">= 0"), 3))
 #: itu.deployment: the pixel box (a generated deployment fills it too) and
 #: the generator's inputs.
 _DEPLOYMENT_FIELDS = (

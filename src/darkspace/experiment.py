@@ -190,6 +190,7 @@ def plan_experiment(tx: GroundPoint,
 
     Phase-locked radiometers get pixel-level pulses (default cap 0.1 s);
     otherwise whole scan lines are used with a pulse of one scan period.
+    A max_pulse that is not > 0 raises ValueError.
     Pulses whose ON/OFF pixel overlap falls below the threshold are
     discarded and counted in the diagnostics.
 
@@ -206,6 +207,8 @@ def plan_experiment(tx: GroundPoint,
         mode = "scanline"
         policy = policy or BufferPolicy(PolicyKind.SCAN_LINE, 2.0)
         max_pulse = spec.scan_period if max_pulse is None else max_pulse
+    if not max_pulse > 0:
+        raise ValueError(f"max_pulse must be > 0, got {max_pulse!r}")
 
     schedule = dark_intervals(tx, [sat], window, policy, tx_id=tx_id,
                               ground_altitude=ground_altitude)

@@ -465,8 +465,7 @@ def _lines_near_tx(geom: _SatGeometry, lines: np.ndarray) -> np.ndarray:
     period = shared.spec.scan_period
     line = shared.line_geometry(lines)
     reach, speed = line["reach"], line["speed"]
-    big_m = ((frames.WGS84_B + shared.ground_altitude) ** 2
-             / (frames.WGS84_A + shared.ground_altitude))
+    big_m = frames.min_curvature_radius(shared.ground_altitude)
     zeta = abs(geom.tx.altitude - shared.ground_altitude) + reach ** 2 / big_m
     mean_motion = shared.elements.mean_motion * 2.0 * np.pi / 86400.0
     ecc = shared.elements.eccentricity

@@ -97,21 +97,27 @@ def geodetic_to_ecef(lat_deg, lon_deg, alt_m):
     return np.stack([x, y, z])
 
 
+def min_curvature_radius(altitude):
+    """M = (B + h)**2 / (A + h), the smallest radius of curvature of the
+    WGS-84 ellipsoid shifted out by h = altitude (semi-axes A + h, B + h)."""
+    return (WGS84_B + altitude) ** 2 / (WGS84_A + altitude)
+
+
 def surface_reach_deg(chord, lat_lo, lat_hi, altitude):
     """(dlat, dlon): the latitude and longitude reach of a surface chord.
 
     On the altitude-shifted ellipsoid (semi-axes A, B) no radius of
-    curvature is below M = B**2 / A, so the shortest surface path between
-    points a chord rho apart is at most s = 2 M asin(rho / 2M) long; along
-    it latitude changes by at most dlat = s / M and, at latitudes up to
-    phi_far, longitude by at most dlon = s / (A cos phi_far), with
-    phi_far = min(90, max(|lat_lo - dlat|, |lat_hi + dlat|)) for paths
-    from latitudes in [lat_lo, lat_hi].  cos(90 deg) is a tiny positive
-    number, so near a pole dlon exceeds 180 and waives any longitude test.
-    Elementwise over chord; degrees in and out.
+    curvature is below M = min_curvature_radius, so the shortest surface
+    path between points a chord rho apart is at most s = 2 M asin(rho / 2M)
+    long; along it latitude changes by at most dlat = s / M and, at
+    latitudes up to phi_far, longitude by at most dlon = s / (A cos
+    phi_far), with phi_far = min(90, max(|lat_lo - dlat|, |lat_hi + dlat|))
+    for paths from latitudes in [lat_lo, lat_hi].  cos(90 deg) is a tiny
+    positive number, so near a pole dlon exceeds 180 and waives any
+    longitude test.  Elementwise over chord; degrees in and out.
     """
     big_a = WGS84_A + altitude
-    big_m = (WGS84_B + altitude) ** 2 / big_a
+    big_m = min_curvature_radius(altitude)
     path = 2.0 * big_m * np.arcsin(np.minimum(chord / (2.0 * big_m), 1.0))
     dlat = np.degrees(path / big_m)
     phi_far = np.maximum(np.abs(lat_lo - dlat), np.abs(lat_hi + dlat))
@@ -168,21 +174,41 @@ def geodetic_up(r_ecef_m):
     return np.stack((k * x / norm, k * y / norm, zn / norm))
 
 
+def site_trig(lat_deg, lon_deg):
+    """(sin_lat, cos_lat, sin_lon, cos_lon) of sites (deg), elementwise."""
+    lat = np.radians(np.asarray(lat_deg, dtype=float))
+    lon = np.radians(np.asarray(lon_deg, dtype=float))
+    return np.sin(lat), np.cos(lat), np.sin(lon), np.cos(lon)
+
+
 def enu_basis(lat_deg, lon_deg):
     """Unit east/north/up vectors of the local tangent frame.
 
     Returns three arrays shaped like geodetic_to_ecef output columns, i.e.
     (3,) for scalar inputs or (3, n) elementwise.
     """
-    lat = np.radians(np.asarray(lat_deg, dtype=float))
-    lon = np.radians(np.asarray(lon_deg, dtype=float))
-    sin_lat, cos_lat = np.sin(lat), np.cos(lat)
-    sin_lon, cos_lon = np.sin(lon), np.cos(lon)
-    zero = np.zeros_like(lat)
+    sin_lat, cos_lat, sin_lon, cos_lon = site_trig(lat_deg, lon_deg)
+    zero = np.zeros_like(sin_lat)
     east = np.stack([-sin_lon, cos_lon, zero])
     north = np.stack([-sin_lat * cos_lon, -sin_lat * sin_lon, cos_lat])
     up = np.stack([cos_lat * cos_lon, cos_lat * sin_lon, sin_lat])
     return east, north, up
+
+
+def enu_look(rho, trig):
+    """(east, north, elevation deg, range) of rho, three ECEF rows, in the
+    local frames whose site_trig is trig, elementwise.  Each component adds
+    one row's product at a time in np.sum(rho * basis, axis=0)'s order over
+    the enu_basis vector (east skips its zero z term), so it can differ
+    from that sum only in the sign of a zero."""
+    sin_lat, cos_lat, sin_lon, cos_lon = trig
+    x, y, z = rho
+    e = x * -sin_lon + y * cos_lon
+    n = x * (-sin_lat * cos_lon) + y * (-sin_lat * sin_lon) + z * cos_lat
+    u = x * (cos_lat * cos_lon) + y * (cos_lat * sin_lon) + z * sin_lat
+    slant = np.sqrt(e * e + n * n + u * u)
+    elevation = np.degrees(np.arcsin(np.clip(u / slant, -1.0, 1.0)))
+    return e, n, elevation, slant
 
 
 def look_angles_from_ecef(target_ecef_m, site_ecef_m, site_lat_deg,
@@ -194,13 +220,7 @@ def look_angles_from_ecef(target_ecef_m, site_ecef_m, site_lat_deg,
     """
     rho = np.asarray(target_ecef_m, dtype=float) - np.asarray(
         site_ecef_m, dtype=float)
-    east, north, up = enu_basis(site_lat_deg, site_lon_deg)
-    if rho.ndim == 2 and east.ndim == 1:
-        east, north, up = east[:, None], north[:, None], up[:, None]
-    e = np.sum(rho * east, axis=0)
-    n = np.sum(rho * north, axis=0)
-    u = np.sum(rho * up, axis=0)
-    slant = np.sqrt(e * e + n * n + u * u)
-    elevation = np.degrees(np.arcsin(np.clip(u / slant, -1.0, 1.0)))
+    e, n, elevation, slant = enu_look(rho, site_trig(site_lat_deg,
+                                                     site_lon_deg))
     azimuth = np.degrees(np.arctan2(e, n)) % 360.0
     return elevation[()], azimuth[()], slant[()]

@@ -26,7 +26,6 @@ TWOPI = 2.0 * np.pi
 MU_KM3_S2 = 398600.8
 EARTH_RADIUS_KM = 6378.135
 XKE = 60.0 / np.sqrt(EARTH_RADIUS_KM**3 / MU_KM3_S2)
-TUMIN = 1.0 / XKE
 J2 = 0.001082616
 J3 = -0.00000253881
 J4 = -0.00000165597

@@ -23,7 +23,8 @@ from .errors import ConfigError, ElevationNonPositive, EmptyArea, NoSamples
 from .linkbudget import SPEED_OF_LIGHT, fspl_db
 from .orbit import frames
 from .output import write_csv
-from .radiometer import PixelFootprint, RadiometerSpec
+from .radiometer import PixelFootprint, RadiometerSpec, _ellipse_margins, \
+    _frame
 
 #: Mean Earth radius used for bounding-box areas, km.
 EARTH_RADIUS_AREA_KM = 6371.0088
@@ -230,11 +231,11 @@ class DeploymentArrays:
 
     generate_deployment builds one, and from_records (read_deployment_jsonl)
     fills one from deployment records.  The ECEF geometry and each
-    emitter's sines and cosines of latitude and longitude are computed
-    once, so build it once and reuse it across pixels.  Columns: ids and
-    kinds (lists of str, kinds as TransmitterKind values) and the float
-    arrays lat, lon, alt, antenna_height, eirp, center_frequency,
-    emission_bandwidth, pointing_az and pointing_el.
+    emitter's frames.site_trig (trig) are computed once, so build it once
+    and reuse it across pixels.  Columns: ids and kinds (lists of str,
+    kinds as TransmitterKind values) and the float arrays lat, lon, alt,
+    antenna_height, eirp, center_frequency, emission_bandwidth,
+    pointing_az and pointing_el.
     """
 
     _FLOAT_COLUMNS = tuple(column for _, column, _ in _RECORD_FIELDS
@@ -248,17 +249,11 @@ class DeploymentArrays:
         for name in self._FLOAT_COLUMNS:
             setattr(self, name, np.asarray(floats[name], dtype=float))
         n = len(self.ids)
-        self.ground_ecef = (frames.geodetic_to_ecef(self.lat, self.lon,
-                                                    self.alt)
-                            if n else np.zeros((3, 0)))
-        self.antenna_ecef = (
-            frames.geodetic_to_ecef(self.lat, self.lon,
-                                    self.alt + self.antenna_height)
-            if n else np.zeros((3, 0)))
-        # Each emitter's local frame, as frames.enu_basis builds it.
-        lat, lon = np.radians(self.lat), np.radians(self.lon)
-        self.sin_lat, self.cos_lat = np.sin(lat), np.cos(lat)
-        self.sin_lon, self.cos_lon = np.sin(lon), np.cos(lon)
+        self.ground_ecef = frames.geodetic_to_ecef(self.lat, self.lon,
+                                                   self.alt)
+        self.antenna_ecef = frames.geodetic_to_ecef(
+            self.lat, self.lon, self.alt + self.antenna_height)
+        self.trig = frames.site_trig(self.lat, self.lon)
         # The bounds _near_pixel needs: the largest |altitude| and how far
         # the lowest antenna lies below the ellipsoid.
         self.alt_span = float(np.max(np.abs(self.alt))) if n else 0.0
@@ -386,7 +381,7 @@ def _near_pixel(arrays: DeploymentArrays, pixel: PixelFootprint, sat_r):
     _, _, up = frames.enu_basis(lat, lon)
     to_sat = sat_r - frames.geodetic_to_ecef(lat, lon, 0.0)
     big_a = frames.WGS84_A
-    big_m = frames.WGS84_B ** 2 / big_a
+    big_m = frames.min_curvature_radius(0.0)
     a, span = pixel.semi_major, arrays.alt_span
     far = a + span + _SCREEN_SLACK_M
     if (float(np.dot(up, to_sat)) < 0.0
@@ -400,26 +395,6 @@ def _near_pixel(arrays: DeploymentArrays, pixel: PixelFootprint, sat_r):
                           & (arrays.lat <= lat + dlat))
     lon_off = np.abs(arrays.lon[band] - lon)
     return band[(lon_off <= dlon) | (lon_off >= 360.0 - dlon)]
-
-
-def _look(arrays: DeploymentArrays, sat_r, idx):
-    """Elevation (degrees) and slant range (m) of the satellite from the
-    antennas idx: frames.look_angles_from_ecef with each emitter's frame
-    from the trig computed once per deployment, its sums in np.sum's
-    order.  The east sum's third term, a zero, changes at most the sign
-    of a zero, and east enters only squared.
-    """
-    rho = [r - row[idx] for r, row in zip(sat_r, arrays.antenna_ecef)]
-    sin_lat, cos_lat = arrays.sin_lat[idx], arrays.cos_lat[idx]
-    sin_lon, cos_lon = arrays.sin_lon[idx], arrays.cos_lon[idx]
-    e = rho[0] * -sin_lon + rho[1] * cos_lon
-    n = (rho[0] * (-sin_lat * cos_lon) + rho[1] * (-sin_lat * sin_lon)
-         + rho[2] * cos_lat)
-    u = (rho[0] * (cos_lat * cos_lon) + rho[1] * (cos_lat * sin_lon)
-         + rho[2] * sin_lat)
-    slant = np.sqrt(e * e + n * n + u * u)
-    elevation = np.degrees(np.arcsin(np.clip(u / slant, -1.0, 1.0)))
-    return elevation, slant
 
 
 def aggregate_interference(pixel: PixelFootprint, sat_r,
@@ -444,33 +419,13 @@ def aggregate_interference(pixel: PixelFootprint, sat_r,
     box of _near_pixel are tested against the ellipse; every step is
     elementwise, so the result is that of testing all of them.
     """
-    if len(deployment) == 0:
-        return InterferenceSample(pixel=pixel, aggregate=float("-inf"),
-                                  contributors=())
-
     idx = _near_pixel(deployment, pixel, sat_r)
-    # _ellipse_margins' np.sum(delta * u, axis=0), a row at a time in its
-    # order (up to the sign of a zero): gathering rows is far faster than
-    # gathering a (3, n) delta.
-    x = y = 0.0
-    for row, c, u_major, u_minor in zip(deployment.ground_ecef,
-                                        pixel.center_ecef, pixel.u_major,
-                                        pixel.u_minor):
-        delta = row[idx] - c
-        x = x + delta * u_major
-        y = y + delta * u_minor
-    # (x / a)**2 + (y / b)**2 <= 1, in place.
-    x /= pixel.semi_major
-    x *= x
-    y /= pixel.semi_minor
-    y *= y
-    x += y
-    idx = idx[x <= 1.0]
-    if idx.size == 0:
-        return InterferenceSample(pixel=pixel, aggregate=float("-inf"),
-                                  contributors=())
-
-    elevation, slant = _look(deployment, sat_r, idx)
+    idx = idx[_ellipse_margins(_frame(pixel),
+                               (row[idx] for row in deployment.ground_ecef),
+                               1.0) <= 0.0]
+    _, _, elevation, slant = frames.enu_look(
+        [r - row[idx] for r, row in zip(sat_r, deployment.antenna_ecef)],
+        [trig[idx] for trig in deployment.trig])
     visible = elevation > 0.0
     idx = idx[visible]
     if idx.size == 0:

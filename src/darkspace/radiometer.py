@@ -362,19 +362,26 @@ def _footprint_arrays_latlon(sat_r, sat_v_inertial, boresight_deg, spec,
 
 def _ellipse_margins(arrays, tx_ecef, buffer_multiplier):
     """Inflated-ellipse containment margin of one point in n footprints,
-    or of m points (tx_ecef shaped (3, m)) in one footprint.
+    or of m points (tx_ecef three rows of m, read once) in one footprint.
 
     Negative or zero means the point is inside the inflated ellipse;
     misses map to +inf.  The margin is the quadratic form value minus one,
     which is the quantity the geofence boundary refinement bisects on.
+    Projections add one row at a time in np.sum(delta * u, axis=0)'s
+    order; only the sign of a zero can differ, and squaring drops it.
     """
-    delta = np.asarray(tx_ecef, dtype=float).reshape(3, -1) - arrays["center"]
-    x = np.sum(delta * arrays["u_major"], axis=0)
-    y = np.sum(delta * arrays["u_minor"], axis=0)
-    a = arrays["semi_major"] * buffer_multiplier
-    b = arrays["semi_minor"] * buffer_multiplier
-    margin = (x / a) ** 2 + (y / b) ** 2 - 1.0
-    return np.where(arrays["miss"], np.inf, margin)
+    delta = [row - c for row, c in zip(tx_ecef, arrays["center"])]
+    x, y = (delta[0] * u[0] + delta[1] * u[1] + delta[2] * u[2]
+            for u in (arrays["u_major"], arrays["u_minor"]))
+    x /= arrays["semi_major"] * buffer_multiplier
+    x *= x
+    y /= arrays["semi_minor"] * buffer_multiplier
+    y *= y
+    x += y
+    x -= 1.0
+    if np.any(arrays["miss"]):
+        x[np.broadcast_to(arrays["miss"], x.shape)] = np.inf
+    return x
 
 
 def pixel_footprint(sat: SatelliteState, sample: ScanSample,

@@ -414,7 +414,17 @@ def test_bad_transmitter_field_fails(scenario, capsys, command, key, value):
     ("linkbudget", "linkbudget.p_h2o.noise_multiplier", float("nan")),
     ("itu-sim", "itu.deployment.scenario", None),
     ("itu-sim", "itu.deployment.scenario", 5),
-    ("itu-sim", "itu.deployment.scenario", "metro")],
+    ("itu-sim", "itu.deployment.scenario", "metro"),
+    ("itu-sim", "itu.max_pixels", 0),
+    ("itu-sim", "itu.max_pixels", -5),
+    ("experiment", "experiment.max_pulse_s", -1.0),
+    ("experiment", "experiment.max_pulse_s", 0.0),
+    ("experiment", "experiment.overlap_threshold", -1.0),
+    ("experiment", "experiment.overlap_threshold", 1.5),
+    ("itu-sim", "itu.quantile", 2.0),
+    ("itu-sim", "itu.quantile", 0.0),
+    ("itu-sim", "itu.area_km2", -1.0),
+    ("experiment", "experiment.clearance_n", -3)],
     ids=["null-seed", "null-ground-altitude", "text-ground-altitude",
          "null-itu-gamma", "text-itu-max-pixels", "null-bbox-entry",
          "short-bbox", "null-center-frequency", "text-emission-bandwidth",
@@ -431,12 +441,16 @@ def test_bad_transmitter_field_fails(scenario, capsys, command, key, value):
          "nan-experiment-transmitter-lon", "nan-overlap-threshold",
          "nan-itu-gamma", "nan-itu-threshold", "infinite-bbox-entry",
          "infinite-center-frequency", "nan-p-h2o-noise-multiplier",
-         "null-scenario", "number-scenario", "unknown-scenario"])
+         "null-scenario", "number-scenario", "unknown-scenario",
+         "zero-max-pixels", "negative-max-pixels", "negative-max-pulse",
+         "zero-max-pulse", "negative-overlap-threshold",
+         "overlap-threshold-above-one", "quantile-above-one",
+         "zero-quantile", "negative-area", "negative-clearance-n"])
 def test_unconvertible_config_value_fails(tmp_path, capsys, command, key,
                                           value):
-    """A typed value of the example config that does not convert or is not
-    finite, or a node that is not the object it must be, exits 2 and names
-    its dotted key (a list entry as name[i])."""
+    """A typed value of the example config that does not convert, is not
+    finite or is out of its range, or a node that is not the object it
+    must be, exits 2 and names its dotted key (a list entry as name[i])."""
     config = json.loads(EXAMPLE_CONFIG.read_text())
     *parents, last = key.split(".")
     node = config
@@ -450,6 +464,14 @@ def test_unconvertible_config_value_fails(tmp_path, capsys, command, key,
     assert main([command, "--config", str(bad), "--out-dir",
                  str(tmp_path / "out")]) == 2
     assert key in capsys.readouterr().err
+
+
+def test_quantile_flag_out_of_range_fails(tmp_path, capsys):
+    """--quantile is written into the document before it is read, so an
+    out-of-range flag exits 2 naming itu.quantile."""
+    assert main(["itu-sim", "--config", str(EXAMPLE_CONFIG), "--quantile",
+                 "1.5", "--out-dir", str(tmp_path / "out")]) == 2
+    assert "itu.quantile" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("side,key", [("satellite", "lat"),

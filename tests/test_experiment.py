@@ -87,6 +87,19 @@ def test_empty_window_gives_empty_plan(leo_tle, atms):
     assert plan.pulses == ()
 
 
+@pytest.mark.parametrize("max_pulse", [0.0, -1.0, float("nan")])
+def test_plan_rejects_pulse_cap_not_above_zero(leo_tle, atms, amsua,
+                                               max_pulse):
+    """A pulse cap that is not > 0 would plan pulses that end before they
+    start; plan_experiment refuses it in both modes."""
+    window = (add_seconds(leo_tle.epoch, 35 * 60),
+              add_seconds(leo_tle.epoch, 45 * 60))
+    for spec in (atms, amsua):
+        with pytest.raises(ValueError, match="max_pulse"):
+            plan_experiment(GroundPoint(0.0, 0.0, 0.0), (leo_tle, spec),
+                            window, max_pulse=max_pulse)
+
+
 def test_scanline_plan_for_unlocked(leo_tle, amsua):
     t_mark = add_seconds(leo_tle.epoch, 40 * 60)
     lat, lon, _ = propagate(leo_tle, t_mark).geodetic

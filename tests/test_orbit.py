@@ -3,6 +3,9 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from darkspace.errors import EpochTooFar
 from darkspace.orbit import (GroundPoint, LookAngles, frames, propagate,
@@ -170,3 +173,47 @@ def test_propagate_many_matches_scalar(leo_tle):
         state = propagate(leo_tle, add_seconds(T0, float(dt)))
         assert np.allclose(state.r, r[:, i], atol=1e-6)
         assert np.allclose(state.v, v[:, i], atol=1e-9)
+
+
+def _summed_look_angles(target, site, lat, lon):
+    """Look angles in the enu_basis / np.sum(rho * basis, axis=0) form."""
+    rho = target - site
+    east, north, up = frames.enu_basis(lat, lon)
+    if rho.ndim == 2:
+        east, north, up = east[:, None], north[:, None], up[:, None]
+    e = np.sum(rho * east, axis=0)
+    n = np.sum(rho * north, axis=0)
+    u = np.sum(rho * up, axis=0)
+    slant = np.sqrt(e * e + n * n + u * u)
+    elevation = np.degrees(np.arcsin(np.clip(u / slant, -1.0, 1.0)))
+    return elevation, np.degrees(np.arctan2(e, n)) % 360.0, slant
+
+
+_COORD = st.floats(-1.0e7, 1.0e7)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(1, 8),
+       lat=st.floats(-90.0, 90.0), lon=st.floats(-180.0, 180.0))
+def test_look_angles_match_summed_form(data, n, lat, lon):
+    """look_angles_from_ecef (frames.enu_look) against the enu_basis /
+    np.sum form, for n targets seen from one site (geofence's call) and
+    for one target (topocentric's): the same slant range and azimuth bits
+    and the same elevation bits up to the sign of a zero.  A target at
+    the site has no direction, so its angles are not compared."""
+    site = data.draw(hnp.arrays(float, 3, elements=_COORD))
+    targets = data.draw(hnp.arrays(float, (3, n), elements=_COORD))
+    for target, at in ((targets, site.reshape(3, 1)),
+                       (targets[:, 0], site)):
+        # A range that underflows to 0 divides by zero in both forms.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            got = frames.look_angles_from_ecef(target, at, lat, lon)
+            want = _summed_look_angles(target, at, lat, lon)
+        got_el, got_az, got_slant = (np.atleast_1d(x) for x in got)
+        want_el, want_az, want_slant = (np.atleast_1d(x) for x in want)
+        assert np.array_equal(got_slant.view(np.int64),
+                              want_slant.view(np.int64))
+        seen = want_slant > 0.0
+        assert np.array_equal(got_az[seen].view(np.int64),
+                              want_az[seen].view(np.int64))
+        assert np.array_equal(got_el[seen], want_el[seen])

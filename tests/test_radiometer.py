@@ -6,15 +6,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from darkspace.errors import ConfigError, NoIntersection
 from darkspace.orbit import (GroundPoint, frames, state_from_geodetic,
                              topocentric)
 from darkspace.radiometer import (BufferPolicy, PolicyKind, RadiometerSpec,
-                                  ScanLattice, ScanSample, _footprint_arrays,
-                                  _footprint_arrays_latlon, load_preset,
-                                  pixel_footprint, spec_from_dict,
-                                  subtends)
+                                  ScanLattice, ScanSample, _ellipse_margins,
+                                  _footprint_arrays, _footprint_arrays_latlon,
+                                  load_preset, pixel_footprint,
+                                  spec_from_dict, subtends)
 
 from helpers import active_sample
 
@@ -212,3 +215,68 @@ def test_bundled_presets_load():
 def test_preset_unknown_name():
     with pytest.raises(ConfigError):
         load_preset("does-not-exist")
+
+
+def _summed_margins(arrays, tx_ecef, buffer_multiplier):
+    """The containment margin in its np.sum(delta * u, axis=0) form."""
+    delta = np.asarray(tx_ecef, dtype=float).reshape(3, -1) - arrays["center"]
+    x = np.sum(delta * arrays["u_major"], axis=0)
+    y = np.sum(delta * arrays["u_minor"], axis=0)
+    a = arrays["semi_major"] * buffer_multiplier
+    b = arrays["semi_minor"] * buffer_multiplier
+    margin = (x / a) ** 2 + (y / b) ** 2 - 1.0
+    return np.where(arrays["miss"], np.inf, margin)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                 b.view(np.int64))
+
+
+_COORD = st.floats(-1.0e7, 1.0e7)
+
+
+def _vectors(n, elements=_COORD):
+    return hnp.arrays(float, (3, n), elements=elements)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(1, 8),
+       buffer_multiplier=st.floats(1.0, 4.0))
+def test_margins_of_one_point_in_many_footprints_match_summed_form(
+        data, n, buffer_multiplier):
+    """n footprints, some of them misses, against one point: the same
+    bits as the np.sum form."""
+    semi = hnp.arrays(float, n, elements=st.floats(1.0, 1.0e6))
+    arrays = {"center": data.draw(_vectors(n)),
+              "u_major": data.draw(_vectors(n, st.floats(-1.0, 1.0))),
+              "u_minor": data.draw(_vectors(n, st.floats(-1.0, 1.0))),
+              "semi_major": data.draw(semi), "semi_minor": data.draw(semi),
+              "miss": data.draw(hnp.arrays(bool, n))}
+    point = data.draw(hnp.arrays(float, 3, elements=_COORD))
+    assert _same_bits(_ellipse_margins(arrays, point, buffer_multiplier),
+                      _summed_margins(arrays, point, buffer_multiplier))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), m=st.integers(1, 8),
+       buffer_multiplier=st.floats(1.0, 4.0),
+       miss=st.sampled_from([False, np.array([False]), np.array([True])]))
+def test_margins_of_many_points_in_one_footprint_match_summed_form(
+        data, m, buffer_multiplier, miss):
+    """One footprint, as radiometer._frame builds it or as a missed
+    kernel column, against m points given as a (3, m) array or as three
+    rows read once (the itu-sim sweep's form): the same bits as the
+    np.sum form."""
+    arrays = {"center": data.draw(_vectors(1)),
+              "u_major": data.draw(_vectors(1, st.floats(-1.0, 1.0))),
+              "u_minor": data.draw(_vectors(1, st.floats(-1.0, 1.0))),
+              "semi_major": data.draw(st.floats(1.0, 1.0e6)),
+              "semi_minor": data.draw(st.floats(1.0, 1.0e6)),
+              "miss": miss}
+    points = data.draw(_vectors(m))
+    expected = _summed_margins(arrays, points, buffer_multiplier)
+    assert _same_bits(_ellipse_margins(arrays, points, buffer_multiplier),
+                      expected)
+    assert _same_bits(_ellipse_margins(arrays, (row for row in points),
+                                       buffer_multiplier), expected)
