@@ -73,6 +73,15 @@ def _ranged(convert, ok, rule: str):
 _finite = _ranged(float, math.isfinite, "a finite number")
 
 
+def _integer(value) -> int:
+    """int(value), refusing a boolean and a fractional number instead of
+    truncating them."""
+    if isinstance(value, bool) or (isinstance(value, float)
+                                   and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _scenario(value) -> str:
     if value not in SCENARIOS:
         raise ValueError(f"expected one of {sorted(SCENARIOS)}, got {value!r}")
@@ -87,18 +96,19 @@ _LINKBUDGET_FIELDS = (
     ("polarization_db", _finite, -3.0))
 _POSITIVE = _ranged(_finite, lambda x: x > 0.0, "> 0")
 _ITU_FIELDS = (
-    ("model", str, "los"), ("gamma", _finite, -0.7),
+    ("model", str, "los"),
+    ("gamma", _ranged(_finite, lambda g: -1 <= g <= 1, "in [-1, 1]"), -0.7),
     ("threshold_dbm_mhz", _finite, -200.0),
     ("quantile", _ranged(_finite, lambda q: 0 < q <= 1, "in (0, 1]"), 0.9999),
     ("area_km2", _POSITIVE, 2.0e6),
-    ("max_pixels", _ranged(int, lambda n: n >= 1, ">= 1"), 2000),
+    ("max_pixels", _ranged(_integer, lambda n: n >= 1, ">= 1"), 2000),
     ("two_ray_floor_db", _finite, -60.0))
 _EXPERIMENT_FIELDS = (
     ("overlap_threshold", _ranged(_finite, lambda f: 0 <= f <= 1,
                                   "in [0, 1]"), 0.5),
     ("max_pulse_s", _POSITIVE, None),
     ("damage_threshold_dbm", _finite, _REQUIRED),
-    ("clearance_n", _ranged(int, lambda n: n >= 0, ">= 0"), 3))
+    ("clearance_n", _ranged(_integer, lambda n: n >= 0, ">= 0"), 3))
 #: itu.deployment: the pixel box (a generated deployment fills it too) and
 #: the generator's inputs.
 _DEPLOYMENT_FIELDS = (
@@ -208,7 +218,7 @@ class ScenarioConfig:
         return p
 
     def seed(self) -> int:
-        return _typed(self.data, "seed", int, 0)
+        return _typed(self.data, "seed", _integer, 0)
 
     def satellites(self):
         entries = self._require("satellites")

@@ -196,19 +196,21 @@ def enu_basis(lat_deg, lon_deg):
 
 
 def enu_look(rho, trig):
-    """(east, north, elevation deg, range) of rho, three ECEF rows, in the
-    local frames whose site_trig is trig, elementwise.  Each component adds
-    one row's product at a time in np.sum(rho * basis, axis=0)'s order over
-    the enu_basis vector (east skips its zero z term), so it can differ
-    from that sum only in the sign of a zero."""
+    """(east, north, elevation deg, range, sine of elevation) of rho, three
+    ECEF rows, in the local frames whose site_trig is trig, elementwise.
+    Each component adds one row's product at a time in
+    np.sum(rho * basis, axis=0)'s order over the enu_basis vector (east
+    skips its zero z term), so it can differ from that sum only in the sign
+    of a zero.  The sine is up / range clipped to [-1, 1], the value whose
+    arcsin is the elevation."""
     sin_lat, cos_lat, sin_lon, cos_lon = trig
     x, y, z = rho
     e = x * -sin_lon + y * cos_lon
     n = x * (-sin_lat * cos_lon) + y * (-sin_lat * sin_lon) + z * cos_lat
     u = x * (cos_lat * cos_lon) + y * (cos_lat * sin_lon) + z * sin_lat
     slant = np.sqrt(e * e + n * n + u * u)
-    elevation = np.degrees(np.arcsin(np.clip(u / slant, -1.0, 1.0)))
-    return e, n, elevation, slant
+    sin_el = np.clip(u / slant, -1.0, 1.0)
+    return e, n, np.degrees(np.arcsin(sin_el)), slant, sin_el
 
 
 def look_angles_from_ecef(target_ecef_m, site_ecef_m, site_lat_deg,
@@ -220,7 +222,7 @@ def look_angles_from_ecef(target_ecef_m, site_ecef_m, site_lat_deg,
     """
     rho = np.asarray(target_ecef_m, dtype=float) - np.asarray(
         site_ecef_m, dtype=float)
-    e, n, elevation, slant = enu_look(rho, site_trig(site_lat_deg,
-                                                     site_lon_deg))
+    e, n, elevation, slant, _ = enu_look(rho, site_trig(site_lat_deg,
+                                                        site_lon_deg))
     azimuth = np.degrees(np.arctan2(e, n)) % 360.0
     return elevation[()], azimuth[()], slant[()]

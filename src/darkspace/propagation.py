@@ -12,9 +12,14 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from array import array
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from itertools import accumulate
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -70,22 +75,52 @@ class ComplianceReport:
 def two_ray_gain_db(antenna_height, elevation_deg, frequency_hz: float,
                     reflection_coeff: complex,
                     floor_db: float = -60.0):
-    """Coherent gain of LOS plus one ground reflection, relative to LOS.
+    """Coherent gain of LOS plus one ground reflection, relative to LOS, dB.
 
-    Path difference is 2*h*sin(elevation); deep interference nulls are
-    clamped at floor_db.  Elementwise over antenna height and elevation.
+    The reflected ray travels delta = 2 h sin(elevation) further, a phase
+    phi = k delta with k = 2 pi f / c, so with G the reflection
+    coefficient the power relative to LOS is the real
+
+        |1 + G exp(j phi)|**2 = 1 + |G|**2 + 2 |G| cos(phi + arg G).
+
+    The gain is 10 log10(max(p, 0)) of that power p, clamped at floor_db:
+    a deep interference null, where rounding can take p to 0 or just
+    below, returns exactly floor_db, and G = 0 exactly 0.0.  Elementwise
+    over antenna height and elevation; an elevation <= 0 raises
+    ElevationNonPositive and |G| > 1 ConfigError.
+
+    The three-term sum cancels near a null, so there the gain can differ
+    from 20 log10|1 + G exp(j phi)| by a few ulps of 1 in power (about
+    4 eps / p relative, against 2 eps / sqrt(p) for the complex form);
+    elsewhere the two differ only in the last bits.
     """
     el = np.asarray(elevation_deg, dtype=float)
-    h = np.asarray(antenna_height, dtype=float)
     if np.any(el <= 0):
         raise ElevationNonPositive("two-ray geometry needs elevation > 0")
-    if abs(reflection_coeff) > 1.0:
+    return _two_ray_gain_db(antenna_height, np.sin(np.radians(el)),
+                            frequency_hz, reflection_coeff, floor_db)
+
+
+def _two_ray_gain_db(antenna_height, sin_elevation, frequency_hz,
+                     reflection_coeff, floor_db):
+    """two_ray_gain_db from sin(elevation), which must be > 0.
+
+    |G| cos(phi + arg G) is summed as Re G cos(phi) - Im G sin(phi), so
+    phi takes no rounding from adding arg G (phi reaches 10**4 rad, where
+    that rounding alone moves the gain by 1e-10 dB), and a real G, the
+    only kind the CLI passes, costs one cosine pass.
+    """
+    gamma = complex(reflection_coeff)
+    if abs(gamma) > 1.0:
         raise ConfigError("reflection coefficient magnitude must be <= 1")
-    delta = 2.0 * h * np.sin(np.radians(el))
-    k = 2.0 * math.pi * frequency_hz / SPEED_OF_LIGHT
-    amplitude = np.abs(1.0 + reflection_coeff * np.exp(1j * k * delta))
+    delta = 2.0 * np.asarray(antenna_height, dtype=float) * sin_elevation
+    phase = 2.0 * math.pi * frequency_hz / SPEED_OF_LIGHT * delta
+    cross = gamma.real * np.cos(phase)
+    if gamma.imag:
+        cross = cross - gamma.imag * np.sin(phase)
+    power = 1.0 + abs(gamma) ** 2 + 2.0 * cross
     with np.errstate(divide="ignore"):
-        gain = 20.0 * np.log10(amplitude)
+        gain = 10.0 * np.log10(np.maximum(power, 0.0))
     return np.maximum(gain, floor_db)[()]
 
 
@@ -154,7 +189,8 @@ def generate_deployment(scenario, area: GeoBox, seed: int,
     latitude uniform); the emitter count is floor(density*area + u) with u
     the first uniform draw of each class's stream, so expectations match the
     configured density exactly while staying integer and deterministic.
-    Emitter ids are "<scenario>-<kind>-<index within the class>".
+    Emitter ids are "<scenario>-<kind>-<index within the class>", the
+    index as %06d; they come as GeneratedIds, built on demand.
     """
     if classes is None:
         try:
@@ -178,7 +214,7 @@ def generate_deployment(scenario, area: GeoBox, seed: int,
     sin_lo = math.sin(math.radians(area.lat_min))
     sin_hi = math.sin(math.radians(area.lat_max))
 
-    ids, kinds = [], []
+    prefixes, counts, kinds = [], [], []
     lat, lon, eirp, height = ([np.zeros(0)] for _ in range(4))
     for cls in classes:
         count = int(math.floor(cls.density_per_km2 * area_km2
@@ -191,18 +227,66 @@ def generate_deployment(scenario, area: GeoBox, seed: int,
         else:
             eirp.append(np.full(count, cls.eirp_mean_dbm_mhz))
         height.append(np.full(count, cls.antenna_height_m))
-        prefix = f"{scenario}-{cls.kind.value}-"
-        ids.extend([f"{prefix}{i:06d}" for i in range(count)])
+        prefixes.append(f"{scenario}-{cls.kind.value}-")
+        counts.append(count)
         kinds.extend([cls.kind.value] * count)
 
-    n = len(ids)
+    n = len(kinds)
     return DeploymentArrays(
-        ids, kinds, lat=np.concatenate(lat),
+        GeneratedIds(prefixes, counts), kinds, lat=np.concatenate(lat),
         lon=frames.wrap_longitude(np.concatenate(lon)), alt=np.zeros(n),
         antenna_height=np.concatenate(height), eirp=np.concatenate(eirp),
         center_frequency=np.full(n, float(center_frequency)),
         emission_bandwidth=np.full(n, float(emission_bandwidth)),
         pointing_az=np.zeros(n), pointing_el=np.zeros(n))
+
+
+class GeneratedIds(Sequence):
+    """The ids of a generated deployment: for each (prefix, count) in turn,
+    prefix + "%06d" of 0, 1, ..., count - 1.
+
+    A read-only sequence of str that builds the strings only for the index
+    (an int or numpy integer), slice or iteration asked for.  It equals,
+    under == from either side, the list of the same strings.
+    """
+
+    def __init__(self, prefixes, counts):
+        self._prefixes = tuple(prefixes)
+        self._ends = tuple(accumulate(counts, initial=0))
+
+    def __len__(self):
+        return self._ends[-1]
+
+    def _build(self, lo, hi):
+        """The ids of positions lo to hi - 1, for 0 <= lo, hi <= len."""
+        out = []
+        for prefix, start, end in zip(self._prefixes, self._ends,
+                                      self._ends[1:]):
+            out += [f"{prefix}{i - start:06d}"
+                    for i in range(max(lo, start), min(hi, end))]
+        return out
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            lo, hi, step = index.indices(len(self))
+            return self._build(lo, hi) if step == 1 else self[:][index]
+        i = operator.index(index)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("emitter id index out of range")
+        k = bisect_right(self._ends, i) - 1
+        return f"{self._prefixes[k]}{i - self._ends[k]:06d}"
+
+    def __iter__(self):
+        return iter(self[:])
+
+    def __eq__(self, other):
+        if isinstance(other, GeneratedIds):
+            other = other[:]
+        if not isinstance(other, list):
+            return NotImplemented
+        return self[:] == other
 
 
 # --- deployment records and columns -------------------------------------------
@@ -230,12 +314,15 @@ class DeploymentArrays:
     """A deployment as columns, one entry per emitter.
 
     generate_deployment builds one, and from_records (read_deployment_jsonl)
-    fills one from deployment records.  The ECEF geometry and each
-    emitter's frames.site_trig (trig) are computed once, so build it once
-    and reuse it across pixels.  Columns: ids and kinds (lists of str,
-    kinds as TransmitterKind values) and the float arrays lat, lon, alt,
-    antenna_height, eirp, center_frequency, emission_bandwidth,
-    pointing_az and pointing_el.
+    fills one from deployment records.  Columns: ids and kinds (sequences
+    of str, kinds as TransmitterKind values; ids are GeneratedIds, built
+    on demand, in a generated deployment and a list otherwise) and the
+    float arrays lat, lon, alt, antenna_height, eirp, center_frequency,
+    emission_bandwidth, pointing_az and pointing_el.  The ECEF geometry
+    (ground_ecef, antenna_ecef), each emitter's frames.site_trig (trig)
+    and the bounds _near_pixel needs (alt_span, sink) are computed on
+    first use and kept, so build one once and reuse it across pixels; a
+    process that only writes the columns never computes them.
     """
 
     _FLOAT_COLUMNS = tuple(column for _, column, _ in _RECORD_FIELDS
@@ -244,21 +331,35 @@ class DeploymentArrays:
     def __init__(self, ids, kinds, **floats):
         """Wrap columns of equal length: floats holds each float column,
         by name; longitudes must already be in (-180, 180]."""
-        self.ids = list(ids)
+        self.ids = ids if isinstance(ids, GeneratedIds) else list(ids)
         self.kinds = list(kinds)
         for name in self._FLOAT_COLUMNS:
             setattr(self, name, np.asarray(floats[name], dtype=float))
-        n = len(self.ids)
-        self.ground_ecef = frames.geodetic_to_ecef(self.lat, self.lon,
-                                                   self.alt)
-        self.antenna_ecef = frames.geodetic_to_ecef(
-            self.lat, self.lon, self.alt + self.antenna_height)
-        self.trig = frames.site_trig(self.lat, self.lon)
-        # The bounds _near_pixel needs: the largest |altitude| and how far
-        # the lowest antenna lies below the ellipsoid.
-        self.alt_span = float(np.max(np.abs(self.alt))) if n else 0.0
-        self.sink = (max(0.0, -float(np.min(self.alt + self.antenna_height)))
-                     if n else 0.0)
+
+    @cached_property
+    def ground_ecef(self):
+        return frames.geodetic_to_ecef(self.lat, self.lon, self.alt)
+
+    @cached_property
+    def antenna_ecef(self):
+        return frames.geodetic_to_ecef(self.lat, self.lon,
+                                       self.alt + self.antenna_height)
+
+    @cached_property
+    def trig(self):
+        return frames.site_trig(self.lat, self.lon)
+
+    @cached_property
+    def alt_span(self) -> float:
+        """The largest |altitude| (0 if empty)."""
+        return float(np.max(np.abs(self.alt))) if len(self) else 0.0
+
+    @cached_property
+    def sink(self) -> float:
+        """How far the lowest antenna lies below the ellipsoid (0 if none
+        does)."""
+        return (max(0.0, -float(np.min(self.alt + self.antenna_height)))
+                if len(self) else 0.0)
 
     @classmethod
     def from_records(cls, records) -> "DeploymentArrays":
@@ -318,7 +419,7 @@ class DeploymentArrays:
         return cls(columns.pop("ids"), columns.pop("kinds"), **floats)
 
     def __len__(self):
-        return len(self.ids)
+        return len(self.lat)
 
     def __eq__(self, other):
         if not isinstance(other, DeploymentArrays):
@@ -412,7 +513,10 @@ def aggregate_interference(pixel: PixelFootprint, sat_r,
     Only transmitters inside the raw (unbuffered) pixel ellipse count;
     buffering is a protection concept, not an accounting one.  Each
     contribution is EIRP density plus the loss chain at that transmitter's
-    own slant geometry; the aggregate is their linear power sum.  Reuse one
+    own slant geometry, the two-ray path difference taken from the sine of
+    each elevation that frames.enu_look returns (so a two-ray contribution
+    can differ in the last bits from two_ray_gain_db of the elevation in
+    degrees); the aggregate is their linear power sum.  Reuse one
     DeploymentArrays when sweeping many pixels; disable
     include_contributors to drop the per-transmitter audit tuples on large
     grids (the aggregate is unchanged).  Only the emitters of the proven
@@ -423,7 +527,7 @@ def aggregate_interference(pixel: PixelFootprint, sat_r,
     idx = idx[_ellipse_margins(_frame(pixel),
                                (row[idx] for row in deployment.ground_ecef),
                                1.0) <= 0.0]
-    _, _, elevation, slant = frames.enu_look(
+    _, _, elevation, slant, sin_el = frames.enu_look(
         [r - row[idx] for r, row in zip(sat_r, deployment.antenna_ecef)],
         [trig[idx] for trig in deployment.trig])
     visible = elevation > 0.0
@@ -433,6 +537,7 @@ def aggregate_interference(pixel: PixelFootprint, sat_r,
                                   contributors=())
     elevation = elevation[visible]
     slant = slant[visible]
+    sin_el = sin_el[visible]
 
     loss = np.asarray(fspl_db(slant, radiometer.center_frequency),
                       dtype=float)
@@ -441,8 +546,8 @@ def aggregate_interference(pixel: PixelFootprint, sat_r,
     loss = loss + polarization_db + radiometer.antenna_max_gain
     path = "LOS"
     if model is PathModel.TWO_RAY:
-        loss = loss + two_ray_gain_db(
-            deployment.antenna_height[idx], elevation,
+        loss = loss + _two_ray_gain_db(
+            deployment.antenna_height[idx], sin_el,
             radiometer.center_frequency, reflection_coeff, two_ray_floor_db)
         path = "TwoRay"
 
@@ -494,7 +599,7 @@ def _json_texts(column):
     if np.all(bits == bits[0]):
         return json.dumps(float(column[0]))
     if np.all(np.isfinite(column)):
-        return list(map(float.__repr__, column.tolist()))
+        return list(map(str, column.tolist()))
     return list(map(json.dumps, column.tolist()))
 
 

@@ -424,7 +424,15 @@ def test_bad_transmitter_field_fails(scenario, capsys, command, key, value):
     ("itu-sim", "itu.quantile", 2.0),
     ("itu-sim", "itu.quantile", 0.0),
     ("itu-sim", "itu.area_km2", -1.0),
-    ("experiment", "experiment.clearance_n", -3)],
+    ("experiment", "experiment.clearance_n", -3),
+    ("itu-sim", "itu.gamma", -1.5),
+    ("itu-sim", "itu.gamma", 1.0000001),
+    ("itu-sim", "itu.max_pixels", 1.5),
+    ("itu-sim", "itu.max_pixels", True),
+    ("experiment", "experiment.clearance_n", 2.7),
+    ("experiment", "experiment.clearance_n", False),
+    ("darkspaces", "seed", 7.9),
+    ("itu-sim", "seed", True)],
     ids=["null-seed", "null-ground-altitude", "text-ground-altitude",
          "null-itu-gamma", "text-itu-max-pixels", "null-bbox-entry",
          "short-bbox", "null-center-frequency", "text-emission-bandwidth",
@@ -445,12 +453,17 @@ def test_bad_transmitter_field_fails(scenario, capsys, command, key, value):
          "zero-max-pixels", "negative-max-pixels", "negative-max-pulse",
          "zero-max-pulse", "negative-overlap-threshold",
          "overlap-threshold-above-one", "quantile-above-one",
-         "zero-quantile", "negative-area", "negative-clearance-n"])
+         "zero-quantile", "negative-area", "negative-clearance-n",
+         "itu-gamma-below-minus-one", "itu-gamma-above-one",
+         "fractional-max-pixels", "boolean-max-pixels",
+         "fractional-clearance-n", "boolean-clearance-n", "fractional-seed",
+         "boolean-seed"])
 def test_unconvertible_config_value_fails(tmp_path, capsys, command, key,
                                           value):
     """A typed value of the example config that does not convert, is not
-    finite or is out of its range, or a node that is not the object it
-    must be, exits 2 and names its dotted key (a list entry as name[i])."""
+    finite, is out of its range or is a count given as a boolean or a
+    fraction, or a node that is not the object it must be, exits 2 and
+    names its dotted key (a list entry as name[i])."""
     config = json.loads(EXAMPLE_CONFIG.read_text())
     *parents, last = key.split(".")
     node = config
@@ -464,6 +477,19 @@ def test_unconvertible_config_value_fails(tmp_path, capsys, command, key,
     assert main([command, "--config", str(bad), "--out-dir",
                  str(tmp_path / "out")]) == 2
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model", ["los", "two-ray"])
+@pytest.mark.parametrize("gamma", ["1.5", "-1.5"])
+def test_gamma_flag_out_of_range_fails_before_output(tmp_path, capsys, model,
+                                                     gamma):
+    """--gamma outside [-1, 1] exits 2 naming itu.gamma, under either
+    model, before deployment.jsonl or any other output is written."""
+    out = tmp_path / "out"
+    assert main(["itu-sim", "--config", str(EXAMPLE_CONFIG), "--model", model,
+                 "--gamma", gamma, "--out-dir", str(out)]) == 2
+    assert "itu.gamma" in capsys.readouterr().err
+    assert not any(out.glob("*"))
 
 
 def test_quantile_flag_out_of_range_fails(tmp_path, capsys):

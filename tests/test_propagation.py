@@ -79,6 +79,37 @@ def test_two_ray_validation():
         two_ray_gain_db(10.0, 30.0, F, -1.5)
 
 
+def test_two_ray_matches_complex_reference():
+    """The real identity 1 + |G|**2 + 2 Re(G exp(j phi)) against
+    20 log10|1 + G exp(j k delta)| over |G|, arg G, heights and
+    elevations.  Above the floor the gains agree within 1e-9 dB, or, so
+    near a null that 1e-9 dB is below the rounding of that three-term sum
+    (terms up to 4), within 8 ulps of 1 in power.  A null of the reference
+    gives exactly the floor, and G = 0 exactly 0.0."""
+    h, el = (a.ravel() for a in np.meshgrid(np.linspace(0.0, 50.0, 101),
+                                            np.linspace(0.5, 90.0, 90)))
+    k = 2.0 * math.pi * F / SPEED_OF_LIGHT
+    delta = 2.0 * h * np.sin(np.radians(el))
+    eps = np.finfo(float).eps
+    for magnitude in (0.0, 0.3, 0.7, 1.0):
+        for angle in (0.0, math.pi / 2, math.pi, -math.pi / 3):
+            gamma = magnitude * complex(math.cos(angle), math.sin(angle))
+            gain = two_ray_gain_db(h, el, F, gamma)
+            if magnitude == 0.0:
+                assert np.all(gain == 0.0)
+                continue
+            with np.errstate(divide="ignore"):
+                ref = 20.0 * np.log10(np.abs(1.0 + gamma
+                                             * np.exp(1j * k * delta)))
+            null = ref <= -60.0
+            assert np.all(gain[null] == -60.0)
+            power = 10.0 ** (ref[~null] / 10.0)
+            tol = np.maximum(1e-9, 10.0 * np.log10(1.0 + 8.0 * eps / power))
+            assert np.all(np.abs(gain[~null] - ref[~null]) <= tol)
+    # A perfect reflector at h = 0: the reflection cancels the LOS ray.
+    assert np.any(two_ray_gain_db(h, el, F, -1.0) == -60.0)
+
+
 # --- deployments --------------------------------------------------------------
 
 def test_deployment_count_contract():
@@ -158,6 +189,73 @@ def test_deployment_rejects_bad_emission_parameters():
     cls = (EmitterClass(TransmitterKind.UE, 1.0, -20.0, 0.0, -1.0),)
     with pytest.raises(ConfigError, match="antenna_height"):
         generate_deployment("custom", box, seed=1, classes=cls)
+
+
+def _eager_ids(scenario, dep):
+    """The ids as a list, "<scenario>-<kind>-%06d" numbered within each
+    run of one kind."""
+    from itertools import groupby
+    return [f"{scenario}-{kind}-{i:06d}"
+            for kind, run in groupby(dep.kinds) for i, _ in enumerate(run)]
+
+
+@pytest.mark.parametrize("scenario", ["urban", "suburban", "rural"])
+def test_generated_ids_equal_the_eager_list(tmp_path, scenario):
+    """The ids built on demand read as the list of every id does: length,
+    numpy integer and negative indices, slices (one across each class
+    boundary, one with a step), iteration and == from either side."""
+    box = GeoBox(39.9, 40.0, -105.1, -105.0)
+    dep = generate_deployment(scenario, box, seed=11)
+    ids = dep.ids
+    eager = _eager_ids(scenario, dep)
+    assert isinstance(ids, propagation.GeneratedIds)
+    assert len(ids) == len(eager) == len(dep) > 0
+    assert len(set(dep.kinds)) == 3
+    for k in (0, len(eager) - 1, len(eager) // 2):
+        assert ids[np.int64(k)] == ids[k] == eager[k]
+    assert ids[-1] == eager[-1]
+    with pytest.raises(IndexError):
+        ids[len(eager)]
+    ends = np.flatnonzero(np.array(dep.kinds[1:]) != np.array(dep.kinds[:-1]))
+    for end in ends:
+        assert ids[end - 2:end + 3] == eager[end - 2:end + 3]
+    assert ids[::7] == eager[::7]
+    assert ids[5:2] == [] and ids[:] == eager
+    assert list(ids) == eager
+    assert ids == eager and eager == ids
+    assert not (ids != eager) and ids != eager[:-1] and eager[1:] != ids
+    assert ids == generate_deployment(scenario, box, seed=11).ids
+
+    path = tmp_path / "dep.jsonl"
+    write_deployment_jsonl(dep, path)
+    again = read_deployment_jsonl(path)
+    assert again.ids == eager
+    assert again == dep and dep == again
+
+
+def test_generated_ids_skip_empty_classes():
+    ids = propagation.GeneratedIds(["a-", "b-", "c-", "d-"], [0, 2, 0, 1])
+    eager = ["b-000000", "b-000001", "d-000000"]
+    assert [ids[k] for k in range(-3, 3)] == eager + eager
+    assert ids == eager and ids[1:] == eager[1:]
+    assert propagation.GeneratedIds([], []) == []
+
+
+def test_generated_ids_name_the_contributors(pixel_and_sat, atms):
+    """include_contributors gives the same id strings from the ids built on
+    demand as from the eager list."""
+    fp, sat = pixel_and_sat
+    lat, lon = fp.center.latitude, fp.center.longitude
+    dep = generate_deployment("suburban",
+                              GeoBox(lat - 0.1, lat + 0.1, lon - 0.1,
+                                     lon + 0.1), seed=2)
+    eager = DeploymentArrays(
+        _eager_ids("suburban", dep), dep.kinds,
+        **{c: getattr(dep, c) for c in DeploymentArrays._FLOAT_COLUMNS})
+    lazy = aggregate_interference(fp, sat.r, dep, PathModel.TWO_RAY, atms)
+    assert len(lazy.contributors) > 10
+    assert lazy == aggregate_interference(fp, sat.r, eager,
+                                          PathModel.TWO_RAY, atms)
 
 
 def test_unknown_scenario():
