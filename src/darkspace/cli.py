@@ -259,9 +259,7 @@ def _itu_pixels(config, satellite, max_pixels, bbox):
     base = lattice.offset(start)
     ground_altitude = config.ground_altitude()
 
-    n_lines = int(np.ceil(duration / spec.scan_period)) + 2
-    line0 = int(lattice.line_at(base))
-    line_ids = np.arange(line0, line0 + n_lines)
+    line_ids = lattice.lines(base, base + duration)
     line_ids = line_ids[_lines_near_box(
         elements, spec, start, lattice.tau(line_ids) - base, bbox,
         ground_altitude)]

@@ -213,8 +213,9 @@ class ScenarioConfig:
 
     def _existing_path(self, text) -> Path:
         p = self._resolve_path(str(text))
-        if not p.exists():
-            raise ValueError(f"no such file: {p}")
+        if not p.is_file():
+            kind = "not a regular file" if p.exists() else "no such file"
+            raise ValueError(f"{kind}: {p}")
         return p
 
     def seed(self) -> int:

@@ -26,10 +26,11 @@ _SatGeometry(shared, tx) that holds only its transmitter:
    footprints at the start and end of every dwell, MARGIN_CHUNK samples at
    a time.  Per site (_dwell_dark): whether the transmitter is dark at
    each end of the dwells it kept.
-4. Bisection, per site: a dwell dark at one end only has its boundary
-   refined to BISECT_TOL_S, well under 10 ms, in one _bisect_boundary
-   call per window.
+4. Bisection, per site, pixel level only: a dwell dark at one end only
+   has its boundary refined to BISECT_TOL_S, well under 10 ms, in one
+   _bisect_boundary call per site and batch.
 
+Both policies share one path through stages 3 and 4 (_dark_spans).
 Padding, merging and attribution (_finalize_schedule) run per site.
 Propagation, frames and footprints are elementwise in the samples, so a
 site's schedule does not depend on which other sites share the work.
@@ -246,16 +247,16 @@ class _SharedGeometry:
         the line's edge_footprints.
 
         The incremental, sorted cache stays although every caller passes
-        the union of its lines once.  Keeping the first computed arrays
-        as they are instead gave byte-identical schedules, but on a 2-day
-        ATMS darkspaces run (seed 7, one Xeon core, 10 alternating runs)
-        it raised the minor page faults from 10 k to 32 k and the median
-        time from 0.45 s to 0.53 s; the margin stage alone went from about
-        10 faults to 12-15 k (seeds 0 and 7).  The sorted copy is
-        allocated late, above the line stage's freed temporaries, so glibc
-        does not trim the top of the heap between the MARGIN_CHUNK pieces
-        of the margin stage and fault it back in.  (With a 32 MB trim
-        threshold both versions ran equally fast.)
+        the union of its lines once.  The sorted copy is allocated late,
+        above the line stage's freed temporaries, so glibc mostly does not
+        trim the top of the heap between the MARGIN_CHUNK pieces of the
+        margin stage and fault it back in.  How often it does depends on
+        the heap layout, which in a fresh process moves with the length of
+        argv[0].  Over 12 such lengths (2-day ATMS darkspaces, bench seed
+        1, 2 vCPUs, 3 runs each) the margin stage took a median of 1.9 k
+        minor faults (45 to 12.4 k); keeping the first computed arrays as
+        they are gave byte-identical schedules but a median of 10.7 k (9
+        to 14.9 k) and a 3 % higher mean time (0.258 s against 0.250 s).
         """
         new = _unique_ids(np.asarray(lines, dtype=np.int64))
         if self._line_ids.size:
@@ -477,15 +478,16 @@ def _lines_near_tx(geom: _SatGeometry, lines: np.ndarray) -> np.ndarray:
     return np.abs(np.sum(line["axis"] * to_tx, axis=0)) <= bound
 
 
-def _screen_windows(shared: _SharedGeometry, geoms, cover):
+def _screen_windows(shared: _SharedGeometry, geoms):
     """Per site, (w0, w1, kept line ids) for each of its visibility windows.
 
-    cover(w0, w1) gives the scan lines that cover a window.  The shared
-    line geometry is computed for the union of every site's window lines
-    at once; then each site screens the lines of all its windows with one
-    _lines_near_tx call.
+    A window's lines are those whose spans meet it (ScanLattice.lines).
+    The shared line geometry is computed for the union of every site's
+    window lines at once; then each site screens the lines of all its
+    windows with one _lines_near_tx call.
     """
-    ranges = [[(w0, w1, cover(w0, w1))
+    ranges = [[(w0, w1, shared.lattice.lines(shared.tau(w0),
+                                             shared.tau(w1)))
                for w0, w1 in geom.visibility_windows()]
               for geom in geoms]
     shared.cache_lines(_concat_ids(ids for site in ranges
@@ -570,94 +572,57 @@ def _dwell_dark(shared: _SharedGeometry, geoms, keys):
     return list(zip(*dark))
 
 
-def _pixel_level_spans(shared: _SharedGeometry, geoms):
-    """Dark (start, end, line) spans in window offsets, pixel granularity,
-    one list per site."""
-    spec = shared.spec
-    n = spec.samples_per_scan
-    dwell = spec.sample_dwell
+def _dark_spans(shared: _SharedGeometry, geoms):
+    """Dark (start, end, line) spans in window offsets, one list per site.
 
-    def cover(w0, w1):
-        first = int(shared.lattice.line_at(shared.tau(w0)))
-        n_samples = int(np.ceil((w1 - w0) / dwell)) + n
-        return np.arange(first, first + (n_samples - 1) // n + 1)
-
-    out = [[] for _ in geoms]
-    for group in _pass_batches(_screen_windows(shared, geoms, cover), n):
-        # Per site and window: the dwells of the kept lines in the window,
-        # as keys and their start and end offsets (the instants at which
-        # _dwell_dark tests them).
-        dwells = []
-        for _, windows in group:
-            site = []
-            for w0, w1, kept in windows:
-                keys = (kept[:, None] * n + np.arange(n)).ravel()
-                starts = shared.lattice.key_tau(keys) - shared.base
-                ends = shared.lattice.key_tau(keys + 1) - shared.base
-                keep = (ends > w0) & (starts < w1)
-                site.append((keys[keep], starts[keep], ends[keep]))
-            dwells.append(site)
-        flags = _dwell_dark(shared, [geoms[k] for k, _ in group],
-                            [_concat_ids(keys for keys, _, _ in site)
-                             for site in dwells])
-
-        for (k, _), site, (at_start, at_end) in zip(group, dwells, flags):
-            cuts = np.cumsum([keys.size for keys, _, _ in site])[:-1]
-            for (keys, starts, ends), d0, d1 in zip(
-                    site, np.split(at_start, cuts), np.split(at_end, cuts)):
-                # A dwell dark at both ends is dark throughout; one dark at
-                # one end only is dark up to or from its margin's crossing.
-                dark = d0 | d1
-                one = (d0 != d1)[dark]
-                keys, d0 = keys[dark], d0[dark]
-                s, e = starts[dark], ends[dark]
-                if np.any(one):
-                    cross = _bisect_boundary(
-                        geoms[k], spec.boresight_of(keys[one] % n), s[one],
-                        e[one], dark_at_lo=d0[one])
-                    e[one] = np.where(d0[one], cross, e[one])
-                    s[one] = np.where(d0[one], s[one], cross)
-                out[k].extend(zip(s.tolist(), e.tolist(),
-                                  (keys // n).tolist()))
-    return out
-
-
-def _line_dark_flags(shared: _SharedGeometry, geoms, lines):
-    """Which whole scan lines subtend each site's transmitter (strip test).
-
-    lines[k] holds the lines to test for geoms[k].  A line is dark when
-    any of its samples' inflated pixels contains the transmitter at either
-    end of the sample's dwell, which makes scan-line schedules an exact
-    superset of pixel-level ones.
+    Both policies take one path: per batch (_pass_batches), list each
+    site's dwells as keys, make one _dwell_dark call, and read each site's
+    spans off its flags.  Pixel level keeps only the dwells that overlap
+    one of the site's windows; a dwell dark at both ends is dark
+    throughout, and one dark at one end only is dark up to or from its
+    margin's crossing, found by one _bisect_boundary call per site and
+    batch.  Every bracket is one sample_dwell long, so every element takes
+    the same number of halvings and gets the bits of a call of its own.
+    Scan line keeps every dwell of the kept lines, so a line that
+    straddles the window start stays dark, and a line is dark, whole, when
+    any of its dwells is dark at either end: scan-line schedules are an
+    exact superset of pixel-level ones.
     """
-    n = shared.spec.samples_per_scan
-    lines = [np.asarray(ids, dtype=np.int64) for ids in lines]
-    flags = _dwell_dark(shared, geoms, [
-        (ids[:, None] * n + np.arange(n)).ravel() for ids in lines])
-    return [(at_start | at_end).reshape(ids.size, n).any(axis=1)
-            for ids, (at_start, at_end) in zip(lines, flags)]
-
-
-def _scan_line_spans(shared: _SharedGeometry, geoms):
-    """Dark (start, end, line) spans at scan-line granularity, one list
-    per site."""
-    period = shared.spec.scan_period
-
-    def cover(w0, w1):
-        return np.arange(int(shared.lattice.line_at(shared.tau(w0))),
-                         int(shared.lattice.line_at(shared.tau(w1))) + 1)
-
+    spec, lattice, base = shared.spec, shared.lattice, shared.base
+    n = spec.samples_per_scan
+    pixel = shared.policy.kind is PolicyKind.PIXEL_LEVEL
     out = [[] for _ in geoms]
-    for group in _pass_batches(
-            _screen_windows(shared, geoms, cover),
-            shared.spec.samples_per_scan):
-        kept = [_concat_ids(ids for _, _, ids in windows)
-                for _, windows in group]
-        flags = _line_dark_flags(shared, [geoms[k] for k, _ in group], kept)
-        for (k, _), lines, dark in zip(group, kept, flags):
-            for ln in lines[dark]:
-                s = shared.lattice.tau(ln) - shared.base
-                out[k].append((float(s), float(s + period), int(ln)))
+    for group in _pass_batches(_screen_windows(shared, geoms), n):
+        keys = []
+        for _, windows in group:
+            w0, w1, ids = zip(*windows)
+            site = (_concat_ids(ids)[:, None] * n + np.arange(n)).ravel()
+            if pixel:
+                w0, w1 = (np.repeat(w, [i.size * n for i in ids])
+                          for w in (w0, w1))
+                site = site[(lattice.key_tau(site + 1) - base > w0)
+                            & (lattice.key_tau(site) - base < w1)]
+            keys.append(site)
+        flags = _dwell_dark(shared, [geoms[k] for k, _ in group], keys)
+        for (k, _), site, (d0, d1) in zip(group, keys, flags):
+            dark = d0 | d1
+            if not dark.any():
+                continue
+            if not pixel:
+                lines = site[::n][dark.reshape(-1, n).any(axis=1)] // n
+                s = lattice.tau(lines) - base
+                out[k].extend(zip(s.tolist(), (s + spec.scan_period).tolist(),
+                                  lines.tolist()))
+                continue
+            site, d0, one = site[dark], d0[dark], (d0 != d1)[dark]
+            s, e = (lattice.key_tau(site + j) - base for j in (0, 1))
+            if np.any(one):
+                cross = _bisect_boundary(
+                    geoms[k], spec.boresight_of(site[one] % n), s[one],
+                    e[one], dark_at_lo=d0[one])
+                e[one] = np.where(d0[one], cross, e[one])
+                s[one] = np.where(d0[one], s[one], cross)
+            out[k].extend(zip(s.tolist(), e.tolist(), (site // n).tolist()))
     return out
 
 
@@ -730,11 +695,8 @@ def dark_intervals_many(txs: Sequence[tuple[str, GroundPoint]],
     for elements, spec in sats:
         shared = _SharedGeometry(elements, spec, start, duration, policy,
                                  ground_altitude)
-        geoms = [_SatGeometry(shared, point) for _, point in txs]
-        if policy.kind is PolicyKind.PIXEL_LEVEL:
-            spans = _pixel_level_spans(shared, geoms)
-        else:
-            spans = _scan_line_spans(shared, geoms)
+        spans = _dark_spans(shared, [_SatGeometry(shared, point)
+                                     for _, point in txs])
         for site, site_spans in zip(per_site, spans):
             site.append((elements.satellite_id, site_spans))
     return [_finalize_schedule(site, tx_id, (start, end), policy)
@@ -809,8 +771,13 @@ def brute_force_oracle(tx: GroundPoint,
                     # Each offset's margin in the pixel active at it.
                     dark = geom.margins(offsets, spec.boresight_of(idx)) <= 0.0
                 else:
+                    # A line is dark when any of its dwells is dark at
+                    # either end.
                     uniq, inverse = np.unique(lines, return_inverse=True)
-                    dark = _line_dark_flags(shared, [geom], [uniq])[0][inverse]
+                    n = spec.samples_per_scan
+                    d0, d1 = _dwell_dark(shared, [geom], [np.add.outer(
+                        uniq * n, np.arange(n)).ravel()])[0]
+                    dark = (d0 | d1).reshape(-1, n).any(axis=1)[inverse]
                 # Assemble runs of consecutive dark samples.
                 padded_mask = np.concatenate(([False], dark, [False]))
                 edges = np.flatnonzero(np.diff(padded_mask.astype(np.int8)))

@@ -91,6 +91,9 @@ class TableModel:
         pts = sorted((float(e), float(l)) for e, l in points)
         if len(pts) < 1:
             raise ConfigError("atmosphere table needs at least one point")
+        if not np.all(np.isfinite(pts)):
+            raise ConfigError(
+                "atmosphere table elevations and losses must be finite")
         if any(l > 0 for _, l in pts):
             raise ConfigError("atmosphere table losses must be <= 0 dB")
         self.elevations = np.array([e for e, _ in pts])
@@ -98,17 +101,42 @@ class TableModel:
 
     @classmethod
     def from_csv(cls, path):
-        pts = []
-        with open(path, "r", encoding="utf-8") as fh:
-            for i, row in enumerate(fh):
-                row = row.strip()
-                if not row or row.startswith("#"):
-                    continue
-                if i == 0 and not row[0].isdigit() and row[0] not in "+-.":
+        """Read elevation_deg,loss_db rows.  Blank lines and lines that
+        start with '#' are skipped; the first other line is a header when
+        its first field is not a number.  A file that cannot be read as
+        UTF-8 text, or a malformed row, raises ConfigError naming the file
+        (and the line)."""
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                rows = fh.read().split("\n")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read atmosphere table {path}: "
+                              f"{exc}") from None
+        pts, first = [], True
+        for number, row in enumerate(rows, 1):
+            row = row.strip()
+            if not row or row.startswith("#"):
+                continue
+            fields = row.split(",")
+            if first:
+                first = False
+                try:
+                    float(fields[0])
+                except ValueError:
                     continue  # header
-                e, l = row.split(",")
-                pts.append((float(e), float(l)))
-        return cls(pts)
+            try:
+                e, l = map(float, fields)
+            except ValueError:
+                e = l = math.nan
+            if not (math.isfinite(e) and math.isfinite(l)):
+                raise ConfigError(
+                    f"{path}, line {number}: expected two finite numbers "
+                    f"elevation_deg,loss_db, got {row!r}")
+            pts.append((e, l))
+        try:
+            return cls(pts)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
 
     def loss_db(self, elevation_deg):
         el = np.asarray(elevation_deg, dtype=float)

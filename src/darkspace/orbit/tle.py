@@ -5,7 +5,7 @@ import re
 from dataclasses import dataclass
 from datetime import datetime
 
-from ..errors import ChecksumMismatch, FieldSyntax, LineLength
+from ..errors import ChecksumMismatch, FieldSyntax, LineLength, TleError
 from ..timeutil import tle_epoch_to_datetime
 
 TLE_LINE_LENGTH = 69
@@ -183,9 +183,14 @@ def parse_tle(text: str, verify_checksum: bool = True) -> OrbitalElements:
 
 
 def load_tle_file(path) -> OrbitalElements:
-    """Read a TLE (optionally with name line) from a text file."""
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_tle(fh.read())
+    """Read a TLE (optionally with name line) from a text file.  A file
+    that cannot be read as ASCII text raises TleError naming the path."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise TleError(f"cannot read TLE file {path}: {exc}") from None
+    return parse_tle(text)
 
 
 def format_tle(name: str | None, line1_body: str, line2_body: str) -> str:

@@ -156,8 +156,9 @@ class ScanLattice:
     tau(line, sample) + sample_dwell).  A dwell's key is line *
     samples_per_scan + sample.  This is the only code that maps time to
     scan line and sample, so schedules, pulses and exclusion records name
-    the same dwells.  offset and dwells take one instant or pulse; tau,
-    key_tau, line_at and index work elementwise on arrays.
+    the same dwells, and lines(a, b) is the only rule that covers a
+    window [a, b] with whole lines.  offset, dwells and lines take one
+    instant, pulse or window; tau, key_tau and index work elementwise.
     """
 
     def __init__(self, spec: RadiometerSpec, epoch: datetime):
@@ -183,15 +184,13 @@ class ScanLattice:
         n = self.spec.samples_per_scan
         return self.tau(keys // n, keys % n)
 
-    def line_at(self, tau):
-        """The line whose span holds tau, without the boundary snap.
-
-        Only for covering a window with whole lines: the line that holds
-        the window's first instant must not be dropped.  Use index to name
-        the dwell active at an instant.
-        """
-        return np.floor(np.asarray(tau, dtype=float)
-                        / self.spec.scan_period).astype(np.int64)
+    def lines(self, a, b):
+        """Ids of the lines whose spans meet [a, b], without the boundary
+        snap, so the line that holds a is never dropped.  Use index to name
+        the dwell active at an instant."""
+        period = self.spec.scan_period
+        return np.arange(int(np.floor(a / period)),
+                         int(np.floor(b / period)) + 1)
 
     def _locate(self, tau):
         line = np.floor(tau / self.spec.scan_period)

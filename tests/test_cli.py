@@ -284,6 +284,97 @@ def test_validate_tle_bad(tmp_path, capsys):
     assert "checksum" in capsys.readouterr().err.lower()
 
 
+@pytest.mark.parametrize("which", ["missing", "directory", "non-ascii"])
+def test_validate_tle_unreadable_file_fails(tmp_path, capsys, which):
+    """A TLE path that is missing, a directory or not ASCII text exits 2
+    and names the path."""
+    path = tmp_path / "sat.tle"
+    if which == "directory":
+        path.mkdir()
+    elif which == "non-ascii":
+        path.write_bytes(b"\xe9")
+    assert main(["validate-tle", str(path)]) == 2
+    assert str(path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["satellites", "atmosphere", "deployment"])
+def test_config_path_to_directory_fails(tmp_path, capsys, key):
+    """A config file path that names a directory exits 2 and names its
+    dotted key."""
+    config = json.loads(EXAMPLE_CONFIG.read_text())
+    config["satellites"][0]["tle"] = str(EXAMPLE_CONFIG.parent
+                                         / config["satellites"][0]["tle"])
+    command, dotted = {
+        "satellites": ("darkspaces", "satellites[0].tle"),
+        "atmosphere": ("linkbudget", "atmosphere.path"),
+        "deployment": ("itu-sim", "itu.deployment.path"),
+    }[key]
+    if key == "satellites":
+        config["satellites"][0]["tle"] = str(tmp_path)
+    elif key == "atmosphere":
+        config["atmosphere"] = {"model": "table", "path": str(tmp_path)}
+    else:
+        config["itu"]["deployment"]["path"] = str(tmp_path)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(bad), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert dotted in err and "not a regular file" in err
+
+
+@pytest.mark.parametrize("table,where", [
+    (b"elevation_deg,loss_db\n25.8,-10.9,1\n85.6,-6.1\n", "line 2"),
+    (b"elevation_deg,loss_db\n25.8,-10.9\nnan,-1\n", "line 3"),
+    (b"elevation_deg,loss_db\n25.8,-10.9\n85.6,inf\n", "line 3"),
+    (b"elevation_deg,loss_db\n\n25.8,-10.9\n85.6,abc\n", "line 4"),
+    (b"25.8,-10.9\nelevation_deg,loss_db\n85.6,-6.1\n", "line 2"),
+    (b"elevation_deg,loss_db\n25.8,-10.9\xe9\n", "utf-8"),
+], ids=["three-fields", "nan-elevation", "inf-loss", "text-loss",
+        "late-header", "not-utf-8"])
+def test_linkbudget_bad_atmosphere_table_fails(tmp_path, capsys, table,
+                                               where):
+    """A malformed atmosphere table row, or a table that is not UTF-8
+    text, exits 2 naming the file (and the line) before any output is
+    written."""
+    path = tmp_path / "atm.csv"
+    path.write_bytes(table)
+    config = json.loads(EXAMPLE_CONFIG.read_text())
+    config["satellites"][0]["tle"] = str(EXAMPLE_CONFIG.parent
+                                         / config["satellites"][0]["tle"])
+    config["atmosphere"] = {"model": "table", "path": str(path)}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["linkbudget", "--config", str(bad), "--out-dir",
+                 str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and where in err
+    assert not any(out.glob("*"))
+
+
+def test_linkbudget_atmosphere_table_with_comments(tmp_path):
+    """Comment lines may precede the header of an atmosphere table, and
+    the run matches the one on the bundled table."""
+    path = tmp_path / "atm.csv"
+    path.write_text("# elevation (deg), loss (dB)\n\nelevation_deg,loss_db\n"
+                    "# measured\n25.8,-10.9\n85.6,-6.1\n")
+    config = json.loads(EXAMPLE_CONFIG.read_text())
+    config["satellites"][0]["tle"] = str(EXAMPLE_CONFIG.parent
+                                         / config["satellites"][0]["tle"])
+    config["atmosphere"] = {"model": "table", "path": str(path)}
+    bad = tmp_path / "commented.json"
+    bad.write_text(json.dumps(config))
+    assert main(["linkbudget", "--config", str(bad), "--out-dir",
+                 str(tmp_path / "a")]) == 0
+    assert main(["linkbudget", "--config", str(EXAMPLE_CONFIG), "--out-dir",
+                 str(tmp_path / "b")]) == 0
+    a, b = (json.loads((tmp_path / d / "linkbudget.json").read_text())
+            for d in "ab")
+    assert a.pop("provenance") != b.pop("provenance")
+    assert a == b
+
+
 def test_unknown_config_key(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"satellite": []}))

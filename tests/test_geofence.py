@@ -1,22 +1,28 @@
 """Dark-interval engine vs oracle, scheduling properties, availability."""
 from dataclasses import replace
 from datetime import timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from darkspace import geofence
+from darkspace.config import ScenarioConfig
 from darkspace.errors import (EmptyConstellation, NotPhaseLocked,
                               WindowTooLarge)
 from darkspace.geofence import (SCHEDULE_FIELDS, availability,
                                 brute_force_oracle, dark_intervals,
                                 write_schedule_csv, write_schedule_jsonl)
 from darkspace.orbit import GroundPoint, propagate
-from darkspace.radiometer import BufferPolicy, PolicyKind
+from darkspace.radiometer import (BufferPolicy, PolicyKind, ScanLattice,
+                                  load_preset)
 from darkspace.timeutil import add_seconds
 
 from helpers import (EPOCH, random_leo_elements, schedules_match,
                      transmitter_near_track)
+
+EXAMPLE_CONFIG = (Path(__file__).parent.parent / "configs"
+                  / "example_scenario.json")
 
 PIXEL = BufferPolicy(PolicyKind.PIXEL_LEVEL, 2.0)
 SCANLINE = BufferPolicy(PolicyKind.SCAN_LINE, 2.0)
@@ -81,6 +87,39 @@ def test_scanline_superset_of_pixel(pass_setup):
     for iv in px.intervals:
         assert any(o.start <= iv.start and iv.end <= o.end
                    for o in sl.intervals), iv
+
+
+def test_scanline_keeps_line_straddling_window_start():
+    """A window that starts inside a dark scan line, after its last dark
+    pixel, opens dark at offset 0 on that line under the scan-line policy,
+    as the oracle does; the pixel-level schedule has nothing on it."""
+    config = ScenarioConfig.load(EXAMPLE_CONFIG)
+    (elements, atms), = config.satellites()
+    _, tx, _ = config.transmitters()[0]
+    start, end = config.window()
+    sats = [(elements, atms)]
+    line = dark_intervals(tx, sats, (start, end),
+                          SCANLINE).intervals[0].scan_line_index
+    last = [iv for iv in dark_intervals(tx, sats, (start, end),
+                                        PIXEL).intervals
+            if iv.scan_line_index == line][-1]
+    window = (last.end + timedelta(milliseconds=1), end)
+    for sched in (dark_intervals(tx, sats, window, SCANLINE),
+                  brute_force_oracle(tx, sats, window, SCANLINE, dt=0.05)):
+        first = sched.intervals[0]
+        assert (first.start, first.scan_line_index) == (window[0], line)
+    pixel = dark_intervals(tx, sats, window, PIXEL).intervals
+    assert pixel and all(iv.scan_line_index != line for iv in pixel)
+
+    # The same for a scanner that is not phase locked, 0.9 of a line in.
+    amsua = load_preset("amsua")
+    sats = [(elements, amsua)]
+    line = dark_intervals(tx, sats, (start, end),
+                          SCANLINE).intervals[0].scan_line_index
+    window = (add_seconds(elements.epoch, ScanLattice(
+        amsua, elements.epoch).tau(line + 0.9)), end)
+    first = dark_intervals(tx, sats, window, SCANLINE).intervals[0]
+    assert (first.start, first.scan_line_index) == (window[0], line)
 
 
 def test_buffer_monotonicity(pass_setup):

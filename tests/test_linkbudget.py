@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from darkspace.errors import (ElevationNonPositive, NonPositiveInput,
-                              RatioNotAboveOne, TableOutOfRange,
-                              ZeroDenominator)
+from darkspace.errors import (ConfigError, ElevationNonPositive,
+                              NonPositiveInput, RatioNotAboveOne,
+                              TableOutOfRange, ZeroDenominator)
 from darkspace.linkbudget import (BOLTZMANN, CosecantModel, TableModel,
                                   db_to_linear, dbm_to_watts, evaluate,
                                   fspl_db, noise_power, on_off_ratio,
@@ -51,6 +51,13 @@ def test_table_model_exact_points():
     model = TableModel(TABLE_POINTS)
     assert model.loss_db(25.8) == pytest.approx(-10.9)
     assert model.loss_db(85.6) == pytest.approx(-6.1)
+
+
+@pytest.mark.parametrize("point", [(math.nan, -1.0), (30.0, -math.inf),
+                                   (math.inf, -1.0)])
+def test_table_model_rejects_non_finite_points(point):
+    with pytest.raises(ConfigError, match="finite"):
+        TableModel(TABLE_POINTS + [point])
 
 
 def test_table_model_out_of_range():

@@ -258,7 +258,8 @@ def test_line_screen_does_not_depend_on_cached_lines(leo_tle, atms):
     were cached alone, after other lines, or for another site."""
     rng = np.random.default_rng(5)
     geom, _, _ = _pass_geometry(leo_tle, atms, rng, 1)
-    line0 = int(geom.shared.lattice.line_at(geom.shared.tau(240.0)))
+    line0 = int(geom.shared.lattice.lines(geom.shared.tau(240.0),
+                                          geom.shared.tau(240.0))[0])
     lines_a = np.arange(line0, line0 + 60)
     lines_b = np.arange(line0 - 30, line0 + 120, 3)
 

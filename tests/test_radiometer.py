@@ -89,6 +89,34 @@ def test_scan_phase_matches_lattice(preset):
         assert abs(start_us - k * d_us) <= Fraction(51, 100)
 
 
+@pytest.mark.parametrize("preset", ["atms", "amsua"])
+def test_scan_lattice_lines(preset):
+    """ScanLattice.lines(a, b) names the lines whose spans meet [a, b]:
+    the floor of a through the floor of b, in scan periods, the cover the
+    geofence and itu-sim's pixel search use."""
+    lattice = ScanLattice(load_preset(preset), T0)
+    tau = lattice.tau
+    cases = [
+        ((tau(5), tau(5) + 3.5 * lattice.spec.scan_period), range(5, 9)),
+        ((tau(7) + 0.3, tau(7) + 0.3), [7]),
+        ((tau(7.1), tau(7.9)), [7]),
+        ((tau(2.5), tau(4)), [2, 3, 4]),
+        ((tau(-3.5), tau(-0.8)), [-4, -3, -2, -1]),
+        ((tau(-0.5), tau(0.5)), [-1, 0]),
+    ]
+    for (a, b), expected in cases:
+        lines = lattice.lines(a, b)
+        assert lines.dtype == np.int64
+        assert lines.tolist() == list(expected)
+        # The spans [tau(l), tau(l + 1)) of exactly these lines meet [a, b].
+        assert np.all((tau(lines) <= b) & (tau(lines + 1) > a))
+        assert tau(lines[0]) <= a and tau(lines[-1] + 1) > b
+        # That is floor(a / T) through floor(b / T), T the scan period.
+        floor = np.floor(np.array([a, b]) / lattice.spec.scan_period)
+        assert lines.tolist() == list(range(int(floor[0]),
+                                            int(floor[1]) + 1))
+
+
 def test_nadir_footprint_centers_on_subsatellite_point(atms, nadir_state):
     fp = pixel_footprint(nadir_state, ScanSample(0, 48, T0, 0.0), atms)
     sub = GroundPoint(nadir_state.geodetic[0], nadir_state.geodetic[1], 0.0)
