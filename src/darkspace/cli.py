@@ -13,8 +13,6 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .config import ScenarioConfig
 from .errors import ComputeError, ConfigError, DarkspaceError
@@ -24,12 +22,10 @@ from .experiment import clearance_band, exclusion_records, plan_experiment, \
 # but bench/tracing.py patches them under this module's name, so they stay
 # importable from darkspace.cli.
 from .geofence import (availability, dark_intervals,  # noqa: F401
-                       dark_intervals_many, edge_footprints,
-                       inertial_states, write_schedule_csv,
-                       write_schedule_jsonl)
+                       dark_intervals_many, footprints_batch, pixels_in_box,
+                       write_schedule_csv, write_schedule_jsonl)
 from .linkbudget import evaluate, fspl_db, required_tx_power, total_loss_db
-from . import radiometer
-from .orbit import (GroundPoint, frames, load_tle_file,  # noqa: F401
+from .orbit import (GroundPoint, load_tle_file,  # noqa: F401
                     propagate_many, state_from_geodetic, topocentric)
 from .output import write_csv, write_json
 from .propagation import (PathModel, TransmitterKind,
@@ -37,7 +33,6 @@ from .propagation import (PathModel, TransmitterKind,
                           generate_deployment, read_deployment_jsonl,
                           write_deployment_jsonl,
                           write_interference_grid_csv)
-from .radiometer import ScanLattice, footprints_batch  # noqa: F401
 from .timeutil import iso_utc
 
 
@@ -186,104 +181,8 @@ def cmd_linkbudget(args) -> int:
     return 0
 
 
-#: Relative allowance on a line's edge reach for how the swath changes
-#: within one scan period.  The reach follows the altitude, which changes by
-#: tens of metres per second; a ~1,000 km reach gets 10 km here, and the
-#: ground-motion term adds |v| T, about 7 km per second of scan period.
-_REACH_SLACK = 0.01
-
-
-def _lines_near_box(elements, spec, start, line_offsets, bbox,
-                    ground_altitude):
-    """True for each scan line that can have a footprint centre in the box.
-
-    line_offsets are each line's first-sample time, seconds after start;
-    the bound is derived in _itu_pixels.
-    """
-    r, v = inertial_states(elements, start, line_offsets)
-    center, _, miss = edge_footprints(r, v, spec, ground_altitude)
-
-    lat, lon, _ = frames.ecef_to_geodetic(r)
-    ground = frames.geodetic_to_ecef(lat, lon, ground_altitude)
-    reach = np.linalg.norm(center - ground[:, :, None], axis=0)
-    reach = np.where(miss.any(axis=1), np.inf, reach.max(axis=1))
-    speed = np.linalg.norm(frames.earth_fixed_velocity(r, v), axis=0)
-    rho = (1.0 + _REACH_SLACK) * reach + speed * spec.scan_period
-
-    dlat, dlon = frames.surface_reach_deg(rho, bbox.lat_min, bbox.lat_max,
-                                          ground_altitude)
-    lon_mid = 0.5 * (bbox.lon_min + bbox.lon_max)
-    lon_off = np.abs(frames.wrap_longitude(lon - lon_mid))
-    return ((lat >= bbox.lat_min - dlat) & (lat <= bbox.lat_max + dlat)
-            & (lon_off <= 0.5 * (bbox.lon_max - bbox.lon_min) + dlon))
-
-
-def _itu_pixels(config, satellite, max_pixels, bbox):
-    """Radiometer pixels over the window whose centers fall in the box.
-
-    Returns (spec, footprints, sat_r), sat_r (3, n) the satellite's ECEF
-    position at the start of each footprint's sample.
-
-    Only scan lines within swath reach of the box are footprinted
-    (_lines_near_box).  Take one state per line, at its first sample: G
-    the ground point beneath the satellite, c_first and c_last the
-    footprint centres of the line's edge samples, v the satellite's
-    Earth-fixed velocity, T the scan period.  Every footprint centre c of
-    the line then satisfies
-
-        |c - G| <= rho = (1 + _REACH_SLACK) * max(|c_first - G|,
-                                                  |c_last - G|) + |v| T
-
-    because at one state the centre moves away from G monotonically with
-    |boresight| (the scan plane cuts the ellipsoid in a convex curve), the
-    line's last sample starts less than T later, in which time G moves less
-    than |v| T, and the edge reach changes by far less than _REACH_SLACK
-    of itself.  On the ground-altitude ellipsoid a chord rho reaches at
-    most dlat in latitude and dlon in longitude from the box
-    (frames.surface_reach_deg), so a line can only have a centre in the
-    box when G's geodetic latitude and longitude satisfy
-
-        lat_min - dlat <= lat_G <= lat_max + dlat
-        |lon_G - lon_mid| <= (lon_max - lon_min) / 2 + dlon
-
-    with the longitude difference wrapped into [-180, 180].  A line whose
-    edge rays miss the Earth gets rho = inf.  Every line that fails the
-    test has no sample centred in the box, and footprints do not depend on
-    which other samples are computed with them, so the in-box samples, and
-    the stride down to max_pixels, are those of footprinting every sample.
-    """
-    elements, spec = satellite
-    lattice = ScanLattice(spec, elements.epoch)
-    start, end = config.window()
-    duration = (end - start).total_seconds()
-    base = lattice.offset(start)
-    ground_altitude = config.ground_altitude()
-
-    line_ids = lattice.lines(base, base + duration)
-    line_ids = line_ids[_lines_near_box(
-        elements, spec, start, lattice.tau(line_ids) - base, bbox,
-        ground_altitude)]
-    idx = np.tile(np.arange(spec.samples_per_scan), line_ids.size)
-    offsets = lattice.tau(np.repeat(line_ids, spec.samples_per_scan),
-                          idx) - base
-    keep = (offsets >= 0) & (offsets <= duration)
-    r, v = inertial_states(elements, start, offsets[keep])
-    boresight = spec.boresight_of(idx[keep])
-    arrays = radiometer._footprint_arrays_latlon(r, v, boresight, spec,
-                                                 ground_altitude)
-    in_box = ((arrays["center_lat"] >= bbox.lat_min)
-              & (arrays["center_lat"] <= bbox.lat_max)
-              & (arrays["center_lon"] >= bbox.lon_min)
-              & (arrays["center_lon"] <= bbox.lon_max)
-              & ~arrays["miss"])
-    sel = np.flatnonzero(in_box)
-    if sel.size > max_pixels:
-        stride = int(np.ceil(sel.size / max_pixels))
-        sel = sel[::stride]
-
-    footprints = radiometer._footprints_from_arrays(arrays, ground_altitude,
-                                                    sel)
-    return spec, footprints, r[:, sel]
+# bench/tracing.py times and counts the pixel search under this name.
+_itu_pixels = pixels_in_box
 
 
 def cmd_itu_sim(args) -> int:
@@ -293,6 +192,7 @@ def cmd_itu_sim(args) -> int:
                            quantile=args.quantile)
     satellite = _sole_entry(config.satellites(), "satellites", "itu-sim",
                             lambda sat: sat[0].satellite_id)
+    spec = satellite[1]
     out = _out_dir(args)
     prov = config.provenance("itu-sim")
     itu = config.itu_params()
@@ -329,8 +229,9 @@ def cmd_itu_sim(args) -> int:
         writer.start()
 
     try:
-        spec, footprints, sat_r = _itu_pixels(config, satellite,
-                                              itu["max_pixels"], bbox)
+        sat_r, footprints = _itu_pixels(satellite, config.window(), bbox,
+                                        itu["max_pixels"],
+                                        config.ground_altitude())
         if not footprints:
             raise ComputeError("no radiometer pixels fall inside the area "
                                "during the window")

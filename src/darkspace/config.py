@@ -235,12 +235,15 @@ class ScenarioConfig:
             preset = entry.get("preset")
             if preset is None:
                 raise ConfigError(f"{key}.preset: missing radiometer preset")
-            if isinstance(preset, dict):
-                spec = spec_from_dict(preset)
-            else:
-                candidate = self._resolve_path(str(preset))
-                spec = load_preset(str(candidate) if candidate.exists()
-                                   else str(preset))
+            try:
+                if isinstance(preset, dict):
+                    spec = spec_from_dict(preset)
+                else:
+                    candidate = self._resolve_path(str(preset))
+                    spec = load_preset(str(candidate) if candidate.exists()
+                                       else str(preset))
+            except ConfigError as exc:
+                raise ConfigError(f"{key}.preset: {exc}") from exc
             sats.append((elements, spec))
         return sats
 

@@ -34,9 +34,10 @@ Both policies share one path through stages 3 and 4 (_dark_spans).
 Padding, merging and attribution (_finalize_schedule) run per site.
 Propagation, frames and footprints are elementwise in the samples, so a
 site's schedule does not depend on which other sites share the work.
-Every state comes from inertial_states, which itu-sim's pixel search and
-the flashlight planner call as well; the pixel search also screens scan
-lines by their edge_footprints.
+Every state comes from inertial_states, which the flashlight planner and
+itu-sim's pixel search (pixels_in_box) call as well.  The pixel search
+screens scan lines by their edge_footprints too, with the same slack
+(_SCREEN_SLACK) and motion bound (_speed_bound) as _lines_near_tx.
 
 brute_force_oracle implements the same subtension predicate by dense time
 sampling, without the screen; it is the reference semantics the engine is
@@ -57,7 +58,7 @@ from .orbit import (GroundPoint, OrbitalElements, _check_epoch_offset,
 from .output import write_csv, write_jsonl
 from .radiometer import (BufferPolicy, PolicyKind, RadiometerSpec,
                          ScanLattice, _ellipse_margins,
-                         _footprint_arrays, _scan_axis)
+                         _footprint_arrays, _scan_axis, footprints_batch)
 from .timeutil import add_seconds, ensure_utc, iso_utc, minutes_since
 
 #: Coarse prefilter: step (s) and below-horizon guard (deg).  The
@@ -84,10 +85,11 @@ MARGIN_CHUNK = 4096
 #: this bounds them to about 10 MB however many sites share a pass.
 BATCH_SAMPLES = 32 * MARGIN_CHUNK
 
-#: Scan-plane screen (_lines_near_tx): relative allowance on the edge
-#: semi-major for how it changes within one scan period, and a bound on
-#: the Earth-fixed acceleration of a LEO satellite (m/s^2): gravity at the
-#: surface, 9.8, plus Coriolis, 2 w |v| < 1.2, plus centrifugal, < 0.04.
+#: Line screens (_lines_near_tx, pixels_in_box): relative allowance on a
+#: line's edge reach for how the altitude changes it within one scan
+#: period, and a bound on the Earth-fixed acceleration of a LEO satellite
+#: (m/s^2): gravity, 9.8, plus Coriolis, 2 w |v| < 1.2, plus centrifugal,
+#: < 0.04.
 _SCREEN_SLACK = 0.01
 _ACCEL_BOUND = 12.0
 
@@ -196,6 +198,98 @@ def edge_footprints(r, v_inertial, spec: RadiometerSpec,
             miss.reshape(n, 2))
 
 
+def _speed_bound(r, v_inertial, period):
+    """V = |v| + w |r| + G T, both line screens' bound on the Earth-fixed
+    speed v - w x r over the T = period seconds after a state (columns of
+    inertial_states): at most |v| + w |r| then, changing by at most
+    G = _ACCEL_BOUND per second (w the Earth's rotation rate)."""
+    return (np.linalg.norm(v_inertial, axis=0)
+            + frames.OMEGA_EARTH * np.linalg.norm(r, axis=0)
+            + _ACCEL_BOUND * period)
+
+
+def pixels_in_box(satellite: tuple[OrbitalElements, RadiometerSpec],
+                  window: tuple[datetime, datetime], bbox, max_pixels: int,
+                  ground_altitude: float = 0.0):
+    """The radiometer pixels of the window whose centres fall in the box.
+
+    bbox is a propagation.GeoBox.  Returns (sat_r, footprints): the
+    PixelFootprints (footprints_batch) of every sample whose dwell starts
+    in the window and whose centre lies in the box, evenly strided down to
+    max_pixels, and sat_r (3, n), the satellite's ECEF position at the
+    start of each one's sample.  A centre is in the box when its latitude
+    is, and its longitude or that longitude + 360 is, so a box that crosses
+    the antimeridian (lon_max > 180) keeps the centres west of it.
+
+    Only scan lines within swath reach of the box are footprinted.  Take
+    one state per line, at its first sample: G the ground point beneath
+    the satellite, c_first and c_last the footprint centres of the line's
+    edge samples, V = _speed_bound, T the scan period.  Every footprint
+    centre c of the line then satisfies
+
+        |c - G| <= rho = (1 + s) max(|c_first - G|, |c_last - G|) + V T
+
+    with s = _SCREEN_SLACK, because at one state the centre moves away
+    from G monotonically with |boresight| (the scan plane cuts the
+    ellipsoid in a convex curve); the line's last sample starts less than
+    T later, in which time the satellite moves at most V T and G, its
+    nearest point on the convex ground-altitude surface, no farther; and
+    the edge reach changes by far less than s of itself.  On that surface
+    a chord rho reaches at most dlat in latitude and dlon in longitude
+    (frames.surface_reach_deg), so a line can only have a centre in the
+    box when G's geodetic latitude and longitude satisfy
+
+        lat_min - dlat <= lat_G <= lat_max + dlat
+        |lon_G - lon_mid| <= (lon_max - lon_min) / 2 + dlon
+
+    with the longitude difference wrapped into [-180, 180].  A line whose
+    edge rays miss the Earth gets rho = inf.  Every line that fails the
+    test has no sample centred in the box, and footprints do not depend on
+    which other samples are computed with them, so the pixels, the stride
+    and their bits are those of footprinting every sample of the window.
+    """
+    elements, spec = satellite
+    start, end = window
+    duration = (end - start).total_seconds()
+    lattice = ScanLattice(spec, elements.epoch)
+    base = lattice.offset(start)
+    period, n = spec.scan_period, spec.samples_per_scan
+
+    line_ids = lattice.lines(base, base + duration)
+    r, v = inertial_states(elements, start, lattice.tau(line_ids) - base)
+    center, _, miss = edge_footprints(r, v, spec, ground_altitude)
+    lat, lon, _ = frames.ecef_to_geodetic(r)
+    ground = frames.geodetic_to_ecef(lat, lon, ground_altitude)
+    reach = np.linalg.norm(center - ground[:, :, None], axis=0)
+    reach = np.where(miss.any(axis=1), np.inf, reach.max(axis=1))
+    rho = (1.0 + _SCREEN_SLACK) * reach + _speed_bound(r, v, period) * period
+    dlat, dlon = frames.surface_reach_deg(rho, bbox.lat_min, bbox.lat_max,
+                                          ground_altitude)
+    lon_off = np.abs(frames.wrap_longitude(
+        lon - 0.5 * (bbox.lon_min + bbox.lon_max)))
+    line_ids = line_ids[
+        (lat >= bbox.lat_min - dlat) & (lat <= bbox.lat_max + dlat)
+        & (lon_off <= 0.5 * (bbox.lon_max - bbox.lon_min) + dlon)]
+
+    idx = np.tile(np.arange(n), line_ids.size)
+    offsets = lattice.tau(np.repeat(line_ids, n), idx) - base
+    keep = (offsets >= 0) & (offsets <= duration)
+    r, v = inertial_states(elements, start, offsets[keep])
+    boresight = spec.boresight_of(idx[keep])
+    arrays = _footprint_arrays(r, v, boresight, spec, ground_altitude)
+    lat, lon, _ = frames.ecef_to_geodetic(arrays["center"])
+    # lon + 360 >= 180 >= lon_min (GeoBox), so only lon_max bounds it.
+    sel = np.flatnonzero(
+        (lat >= bbox.lat_min) & (lat <= bbox.lat_max)
+        & (((lon >= bbox.lon_min) & (lon <= bbox.lon_max))
+           | (lon + 360.0 <= bbox.lon_max))
+        & ~arrays["miss"])
+    if sel.size > max_pixels:
+        sel = sel[::int(np.ceil(sel.size / max_pixels))]
+    return r[:, sel], footprints_batch(r[:, sel], v[:, sel], boresight[sel],
+                                       spec, ground_altitude)
+
+
 class _SharedGeometry:
     """The site-independent geometry of one satellite/radiometer pair.
 
@@ -272,9 +366,7 @@ class _SharedGeometry:
         reach = ((1.0 + _SCREEN_SLACK) * self.policy.buffer_multiplier
                  * semi_major.max(axis=1))
         reach = np.where(miss.any(axis=1), np.inf, reach)
-        speed = (np.linalg.norm(v, axis=0)
-                 + frames.OMEGA_EARTH * np.linalg.norm(r, axis=0)
-                 + _ACCEL_BOUND * self.spec.scan_period)
+        speed = _speed_bound(r, v, self.spec.scan_period)
         computed = {"r": r, "axis": axis, "speed": speed, "reach": reach}
         ids = np.concatenate((self._line_ids, new))
         order = np.argsort(ids)
@@ -419,9 +511,10 @@ def _lines_near_tx(geom: _SatGeometry, lines: np.ndarray) -> np.ndarray:
                               + T (V + Omega (|tx - r| + V T))
 
     with A = buffer_multiplier * the larger semi_major of the two edge
-    samples, s = _SCREEN_SLACK, V = |v| + w |r| + G T (w the Earth's
-    rotation rate, G = _ACCEL_BOUND), M = B'**2 / A' the smallest radius
-    of curvature of the ground-altitude ellipsoid (semi-axes A', B') and
+    samples, s = _SCREEN_SLACK, V = _speed_bound = |v| + w |r| + G T (w
+    the Earth's rotation rate, G = _ACCEL_BOUND), M = B'**2 / A' the
+    smallest radius of curvature of the ground-altitude ellipsoid
+    (semi-axes A', B') and
 
         zeta  = |h_tx - h_ground| + ((1 + s) A)**2 / M
         Omega = 1.5 (n (1 + e)**2 / (1 - e**2)**1.5 + w)

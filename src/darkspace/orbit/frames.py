@@ -51,11 +51,6 @@ def inertial_velocity(r, v):
     return v + _cross(EARTH_ROTATION, r)
 
 
-def earth_fixed_velocity(r, v_inertial):
-    """v - w x r: the inverse of inertial_velocity."""
-    return v_inertial - _cross(EARTH_ROTATION, r)
-
-
 def teme_to_ecef(r_teme_km, v_teme_kms, jd_ut1):
     """Rotate TEME state vectors into the Earth-fixed frame.
 

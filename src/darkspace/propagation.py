@@ -129,13 +129,22 @@ def _two_ray_gain_db(antenna_height, sin_elevation, frequency_hz,
 
 @dataclass(frozen=True)
 class GeoBox:
-    """Geodetic bounding box (degrees)."""
+    """Geodetic bounding box (degrees).  Latitudes lie in [-90, 90] and
+    lon_min in [-180, 180]; lon_max may pass 180 (at most 360 degrees
+    east of lon_min), for a box that crosses the antimeridian."""
     lat_min: float
     lat_max: float
     lon_min: float
     lon_max: float
 
     def __post_init__(self):
+        for lat in (self.lat_min, self.lat_max):
+            if not -90.0 <= lat <= 90.0:
+                raise ValueError(f"latitude {lat} outside [-90, 90]")
+        if not -180.0 <= self.lon_min <= 180.0:
+            raise ValueError(f"lon_min {self.lon_min} outside [-180, 180]")
+        if not self.lon_max - self.lon_min <= 360.0:
+            raise ValueError("longitude span exceeds 360 degrees")
         if not (self.lat_max > self.lat_min and self.lon_max > self.lon_min):
             raise EmptyArea("bounding box is degenerate")
 

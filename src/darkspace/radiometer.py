@@ -10,12 +10,9 @@ cone's edge rays with the altitude-shifted ellipsoid; they lie in that
 ellipsoid's tangent plane at the centre, normal to its gradient.
 
 The margin kernel (_footprint_arrays) computes only what containment
-needs: centres, axes and misses, in ECEF.  The geodetic latitude and
-longitude of the centres come from a thin layer on top of it
-(_footprint_arrays_latlon), for itu-sim's pixel search and for
-footprints_batch.  _footprints_from_arrays builds PixelFootprints from
-those arrays: for footprints_batch (pixel_footprint and the flashlight
-planner's ON/OFF pairs) and for the pixels itu-sim keeps from its search.
+needs: centres, axes and misses, in ECEF.  footprints_batch is the only
+builder of PixelFootprints, which add each centre's geodetic latitude and
+longitude.
 
 All heavy math is vectorized over samples; the dataclass API wraps single
 samples of the same arrays so scalar and batched paths cannot diverge.
@@ -25,6 +22,7 @@ from __future__ import annotations
 import importlib.resources
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
@@ -85,16 +83,24 @@ class RadiometerSpec:
     phase_locked: bool
 
     def __post_init__(self):
-        if self.bandwidth <= 0:
-            raise ValueError("bandwidth must be > 0")
+        # Written as "not ... < ..." so that NaN fails too.
+        for name in ("center_frequency", "bandwidth", "scan_period"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0")
+        for name in ("antenna_max_gain", "n_temp"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not 0 < self.beamwidth_3db < 90:
             raise ValueError("beamwidth_3db must be in (0, 90)")
-        if self.scan_period <= 0:
-            raise ValueError("scan_period must be > 0")
-        if self.samples_per_scan < 1:
-            raise ValueError("samples_per_scan must be >= 1")
+        n = self.samples_per_scan
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+            raise ValueError(f"samples_per_scan must be an integer >= 1, "
+                             f"got {n!r}")
         if not 0 < self.scan_half_angle < 90:
             raise ValueError("scan_half_angle must be in (0, 90)")
+        if not isinstance(self.phase_locked, bool):
+            raise ValueError(f"phase_locked must be true or false, got "
+                             f"{self.phase_locked!r}")
 
     @property
     def sample_dwell(self) -> float:
@@ -294,7 +300,7 @@ def _footprint_arrays(sat_r, sat_v_inertial, boresight_deg, spec,
     ellipsoid.  The axes span the tangent plane of the altitude-shifted
     ellipsoid at the centre, whose normal is its gradient (x / A**2,
     y / A**2, z / B**2).  No geodetic coordinates are computed here;
-    _footprint_arrays_latlon adds them.
+    footprints_batch adds them.
     """
     sat_r = np.asarray(sat_r, dtype=float)
     sat_v = np.asarray(sat_v_inertial, dtype=float)
@@ -344,19 +350,6 @@ def _footprint_arrays(sat_r, sat_v_inertial, boresight_deg, spec,
         "u_minor": u_minor,
         "miss": miss,
     }
-
-
-def _footprint_arrays_latlon(sat_r, sat_v_inertial, boresight_deg, spec,
-                             ground_altitude):
-    """_footprint_arrays plus center_lat and center_lon, the geodetic
-    latitude and longitude (deg) of each centre, for the callers that
-    place or select pixels by position."""
-    arrays = _footprint_arrays(sat_r, sat_v_inertial, boresight_deg, spec,
-                               ground_altitude)
-    lat, lon, _ = frames.ecef_to_geodetic(arrays["center"])
-    arrays["center_lat"] = np.atleast_1d(lat)
-    arrays["center_lon"] = np.atleast_1d(lon)
-    return arrays
 
 
 def _ellipse_margins(arrays, tx_ecef, buffer_multiplier):
@@ -430,29 +423,22 @@ def footprints_batch(r_ecef, v_inertial, boresight_deg, spec: RadiometerSpec,
     (deg).  Samples whose rays miss the ellipsoid raise NoIntersection, as
     in the scalar path.
     """
-    arrays = _footprint_arrays_latlon(r_ecef, v_inertial, boresight_deg,
-                                      spec, ground_altitude)
+    arrays = _footprint_arrays(r_ecef, v_inertial, boresight_deg, spec,
+                               ground_altitude)
     if np.any(arrays["miss"]):
         bad = int(np.flatnonzero(arrays["miss"])[0])
         raise NoIntersection(
             f"boresight {boresight_deg[bad]:.2f} deg misses the Earth "
             "ellipsoid")
-    return _footprints_from_arrays(arrays, ground_altitude,
-                                   range(arrays["miss"].size))
-
-
-def _footprints_from_arrays(arrays, ground_altitude, sel) -> list:
-    """PixelFootprints of the samples sel of _footprint_arrays_latlon's
-    arrays; none of them may be a miss."""
+    lat, lon, _ = frames.ecef_to_geodetic(arrays["center"])
     return [PixelFootprint(
-        center=GroundPoint(float(arrays["center_lat"][i]),
-                           float(arrays["center_lon"][i]), ground_altitude),
+        center=GroundPoint(float(lat[i]), float(lon[i]), ground_altitude),
         semi_major=float(arrays["semi_major"][i]),
         semi_minor=float(arrays["semi_minor"][i]),
         center_ecef=tuple(arrays["center"][:, i].tolist()),
         u_major=tuple(arrays["u_major"][:, i].tolist()),
         u_minor=tuple(arrays["u_minor"][:, i].tolist()),
-    ) for i in sel]
+    ) for i in range(lat.size)]
 
 
 # --- presets -----------------------------------------------------------------
@@ -466,6 +452,8 @@ _SPEC_FIELDS = {
 
 def spec_from_dict(data: dict) -> RadiometerSpec:
     """Build a RadiometerSpec from preset JSON; unknown fields are rejected."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"radiometer preset must be an object, got {data!r}")
     unknown = set(data) - _SPEC_FIELDS
     if unknown:
         raise ConfigError(
@@ -484,7 +472,11 @@ def load_preset(name_or_path: str) -> RadiometerSpec:
     """Load a radiometer preset by bundled name ('atms') or JSON file path."""
     path = Path(name_or_path)
     if path.suffix == ".json" and path.exists():
-        data = json.loads(path.read_text())
+        try:
+            data = json.loads(path.read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"cannot read radiometer preset {path}: "
+                              f"{exc}") from exc
         return spec_from_dict(data)
     resource = importlib.resources.files("darkspace.presets")
     candidate = resource / f"{name_or_path.lower()}.json"

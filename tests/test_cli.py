@@ -1,4 +1,5 @@
 """End-to-end CLI: subcommands, exit codes, file formats, determinism."""
+import functools
 import hashlib
 import json
 import multiprocessing
@@ -10,17 +11,18 @@ import pytest
 
 import darkspace.cli
 from darkspace import geofence
-from darkspace.cli import _itu_pixels, main
+from darkspace.cli import main
 from darkspace.config import ScenarioConfig
 from darkspace.orbit import GroundPoint, frames, propagate, propagate_many
 from darkspace.propagation import (GeoBox, generate_deployment,
                                    write_deployment_jsonl)
-from darkspace.radiometer import _footprint_arrays_latlon
+from darkspace.radiometer import _footprint_arrays
 from darkspace.timeutil import add_seconds
 
 FIXTURES = Path(__file__).parent / "fixtures"
 EXAMPLE_CONFIG = Path(__file__).parent.parent / "configs" / \
     "example_scenario.json"
+SCANLINE_CONFIG = EXAMPLE_CONFIG.parent / "example_scanline.json"
 
 
 def _window(leo_tle, start_min, end_min):
@@ -523,7 +525,11 @@ def test_bad_transmitter_field_fails(scenario, capsys, command, key, value):
     ("experiment", "experiment.clearance_n", 2.7),
     ("experiment", "experiment.clearance_n", False),
     ("darkspaces", "seed", 7.9),
-    ("itu-sim", "seed", True)],
+    ("itu-sim", "seed", True),
+    ("itu-sim", "itu.deployment.bbox", [80.0, 95.0, -122.5, -120.5]),
+    ("itu-sim", "itu.deployment.bbox", [-95.0, -80.0, -122.5, -120.5]),
+    ("itu-sim", "itu.deployment.bbox", [39.8, 41.8, -190.0, -120.5]),
+    ("itu-sim", "itu.deployment.bbox", [39.8, 41.8, -122.5, 240.0])],
     ids=["null-seed", "null-ground-altitude", "text-ground-altitude",
          "null-itu-gamma", "text-itu-max-pixels", "null-bbox-entry",
          "short-bbox", "null-center-frequency", "text-emission-bandwidth",
@@ -548,7 +554,9 @@ def test_bad_transmitter_field_fails(scenario, capsys, command, key, value):
          "itu-gamma-below-minus-one", "itu-gamma-above-one",
          "fractional-max-pixels", "boolean-max-pixels",
          "fractional-clearance-n", "boolean-clearance-n", "fractional-seed",
-         "boolean-seed"])
+         "boolean-seed", "bbox-latitude-above-90",
+         "bbox-latitude-below-minus-90", "bbox-lon-min-below-minus-180",
+         "bbox-longitude-span-above-360"])
 def test_unconvertible_config_value_fails(tmp_path, capsys, command, key,
                                           value):
     """A typed value of the example config that does not convert, is not
@@ -568,6 +576,45 @@ def test_unconvertible_config_value_fails(tmp_path, capsys, command, key,
     assert main([command, "--config", str(bad), "--out-dir",
                  str(tmp_path / "out")]) == 2
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field,value", [
+    ("phase_locked", "false"), ("samples_per_scan", True),
+    ("samples_per_scan", 96.5), ("scan_period", float("nan")),
+    ("center_frequency", float("inf")), ("bandwidth", float("nan")),
+    ("antenna_max_gain", float("nan")), ("n_temp", float("inf"))],
+    ids=["text-phase-locked", "boolean-samples-per-scan",
+         "fractional-samples-per-scan", "nan-scan-period",
+         "infinite-center-frequency", "nan-bandwidth", "nan-antenna-gain",
+         "infinite-n-temp"])
+def test_unhonourable_inline_preset_fails(tmp_path, capsys, field, value):
+    """An inline radiometer preset that RadiometerSpec cannot honour exits
+    2 and names satellites[0].preset."""
+    config = json.loads(EXAMPLE_CONFIG.read_text())
+    preset = json.loads((Path(darkspace.cli.__file__).parent / "presets"
+                         / "atms.json").read_text())
+    config["satellites"][0]["preset"] = dict(preset, **{field: value})
+    shutil.copy(EXAMPLE_CONFIG.parent / "noaa21_like.tle", tmp_path)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(config))
+    assert main(["darkspaces", "--config", str(bad), "--out-dir",
+                 str(tmp_path / "out")]) == 2
+    assert f"satellites[0].preset: invalid radiometer preset: {field}" in \
+        capsys.readouterr().err
+
+
+def test_preset_file_not_json_fails(tmp_path, capsys):
+    """A preset .json file that does not parse exits 2 naming the file."""
+    config = json.loads(EXAMPLE_CONFIG.read_text())
+    config["satellites"][0]["preset"] = "broken.json"
+    (tmp_path / "broken.json").write_text('{"name": "atms",')
+    shutil.copy(EXAMPLE_CONFIG.parent / "noaa21_like.tle", tmp_path)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(config))
+    assert main(["darkspaces", "--config", str(bad), "--out-dir",
+                 str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "satellites[0].preset" in err and "broken.json" in err
 
 
 @pytest.mark.parametrize("model", ["los", "two-ray"])
@@ -734,11 +781,9 @@ def test_darkspaces_edge_footprints_in_chunks(scenario, monkeypatch):
 # --- itu-sim pixel search -------------------------------------------------
 
 
-@pytest.fixture(scope="module")
-def every_example_sample():
-    """Every radiometer sample of the example window, footprinted, with no
-    screening of scan lines: the reference _itu_pixels must reproduce."""
-    config = ScenarioConfig.load(EXAMPLE_CONFIG)
+@functools.cache
+def _every_sample(config_path):
+    config = ScenarioConfig.load(config_path)
     elements, spec = config.satellites()[0]
     start, end = config.window()
     duration = (end - start).total_seconds()
@@ -755,23 +800,33 @@ def every_example_sample():
     parts = []
     for chunk in np.array_split(np.arange(lines.size), 16):
         r, v = propagate_many(elements, start, offsets[chunk])
-        arrays = _footprint_arrays_latlon(
+        arrays = _footprint_arrays(
             r, v + np.cross(omega, r, axis=0), spec.boresight_of(idx[chunk]),
             spec, config.ground_altitude())
-        parts.append((arrays["center_lat"], arrays["center_lon"],
-                      arrays["miss"]))
+        lat, lon, _ = frames.ecef_to_geodetic(arrays["center"])
+        parts.append((lat, lon, arrays["miss"]))
     lat, lon, miss = (np.concatenate(col) for col in zip(*parts))
     return config, lines, idx, lat, lon, miss
+
+
+@pytest.fixture
+def every_example_sample(request):
+    """Every radiometer sample of an example window (the ATMS one unless
+    parametrised with another config), footprinted, with no screening of
+    scan lines: the reference pixels_in_box must reproduce."""
+    return _every_sample(getattr(request, "param", EXAMPLE_CONFIG))
 
 
 def _reference_selection(every, bbox, max_pixels):
     """The selection of footprinting every sample: its indices into every,
     and its centres (lat, lon), which a footprint no longer names by
-    sample."""
+    sample.  A longitude is in the box when it or the same meridian's
+    longitude + 360 is."""
     _, lines, idx, lat, lon, miss = every
+    in_lon = [(x >= bbox.lon_min) & (x <= bbox.lon_max)
+              for x in (lon, lon + 360.0)]
     sel = np.flatnonzero((lat >= bbox.lat_min) & (lat <= bbox.lat_max)
-                         & (lon >= bbox.lon_min) & (lon <= bbox.lon_max)
-                         & ~miss)
+                         & (in_lon[0] | in_lon[1]) & ~miss)
     if sel.size > max_pixels:
         sel = sel[::int(np.ceil(sel.size / max_pixels))]
     centers = [GroundPoint(float(lat[i]), float(lon[i])) for i in sel]
@@ -779,20 +834,35 @@ def _reference_selection(every, bbox, max_pixels):
 
 
 def _selection(config, bbox, max_pixels):
-    _, footprints, sat_r = _itu_pixels(config, config.satellites()[0],
-                                       max_pixels, bbox)
+    sat_r, footprints = geofence.pixels_in_box(
+        config.satellites()[0], config.window(), bbox, max_pixels,
+        config.ground_altitude())
     assert sat_r.shape == (3, len(footprints))
     return [(fp.center.latitude, fp.center.longitude) for fp in footprints]
 
 
+@pytest.mark.parametrize("every_example_sample", [EXAMPLE_CONFIG,
+                                                  SCANLINE_CONFIG],
+                         ids=["atms", "amsua"], indirect=True)
 def test_itu_pixels_screening_keeps_example_selection(every_example_sample):
     config = every_example_sample[0]
     bbox = config.itu_deployment()["bbox"]
-    for max_pixels in (1000, 40):
+    for max_pixels in (1000, 40, 5):
         _, expected = _reference_selection(every_example_sample, bbox,
                                            max_pixels)
         assert expected
         assert _selection(config, bbox, max_pixels) == expected
+
+
+def test_itu_pixels_box_across_antimeridian(every_example_sample):
+    """A box from 178 to 182 degrees east, where the example swath crosses
+    the antimeridian north of 75 degrees, keeps the centres on both sides
+    of it."""
+    config = every_example_sample[0]
+    bbox = GeoBox(75.0, 78.0, 178.0, 182.0)
+    _, expected = _reference_selection(every_example_sample, bbox, 1000)
+    assert min(x for _, x in expected) < 0 < max(x for _, x in expected)
+    assert _selection(config, bbox, 1000) == expected
 
 
 @pytest.mark.parametrize("where", ["near-site", "track-turn"])

@@ -15,7 +15,7 @@ from darkspace.orbit import (GroundPoint, frames, state_from_geodetic,
                              topocentric)
 from darkspace.radiometer import (BufferPolicy, PolicyKind, RadiometerSpec,
                                   ScanLattice, ScanSample, _ellipse_margins,
-                                  _footprint_arrays, _footprint_arrays_latlon,
+                                  _footprint_arrays, footprints_batch,
                                   load_preset, pixel_footprint,
                                   spec_from_dict, subtends)
 
@@ -151,22 +151,26 @@ def test_consecutive_pixels_overlap(atms, nadir_state):
     assert ellipse_overlap_fraction(a, b) > 0.0
 
 
-def test_latlon_layer_keeps_kernel_frame(atms, nadir_state):
-    """The lat/lon layer returns the kernel's centres, axes and unit
-    vectors bit for bit, and the axes lie in the tangent plane of the
-    altitude-shifted ellipsoid at the centre."""
+def test_footprints_batch_keeps_kernel_frame(atms, nadir_state):
+    """footprints_batch keeps the kernel's centres, axes and unit vectors
+    bit for bit, adds the centres' geodetic latitude and longitude, and
+    the axes lie in the tangent plane of the altitude-shifted ellipsoid at
+    the centre."""
     altitude = 1043.0
     boresight = atms.boresight_of(np.arange(atms.samples_per_scan))
     r = np.repeat(nadir_state.r[:, None], boresight.size, axis=1)
     v = np.repeat(nadir_state.v_inertial[:, None], boresight.size, axis=1)
     kernel = _footprint_arrays(r, v, boresight, atms, altitude)
-    described = _footprint_arrays_latlon(r, v, boresight, atms, altitude)
-    assert set(described) - set(kernel) == {"center_lat", "center_lon"}
-    for key, value in kernel.items():
-        assert np.array_equal(described[key], value), key
+    footprints = footprints_batch(r, v, boresight, atms, altitude)
     lat, lon, alt = frames.ecef_to_geodetic(kernel["center"])
-    assert np.array_equal(described["center_lat"], lat)
-    assert np.array_equal(described["center_lon"], lon)
+    assert len(footprints) == boresight.size
+    for i, fp in enumerate(footprints):
+        assert fp.center == GroundPoint(lat[i], lon[i], altitude)
+        assert fp.semi_major == kernel["semi_major"][i]
+        assert fp.semi_minor == kernel["semi_minor"][i]
+        for key, field in (("center", fp.center_ecef),
+                           ("u_major", fp.u_major), ("u_minor", fp.u_minor)):
+            assert field == tuple(kernel[key][:, i]), key
     assert np.allclose(alt, altitude, atol=0.5)
 
     a, b = frames.WGS84_A + altitude, frames.WGS84_B + altitude
