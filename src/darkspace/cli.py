@@ -28,7 +28,7 @@ from .linkbudget import evaluate, fspl_db, required_tx_power, total_loss_db
 from .orbit import (GroundPoint, load_tle_file,  # noqa: F401
                     propagate_many, state_from_geodetic, topocentric)
 from .output import write_csv, write_json
-from .propagation import (PathModel, TransmitterKind,
+from .propagation import (InterferenceSample, PathModel, TransmitterKind,
                           aggregate_interference, compliance,
                           generate_deployment, read_deployment_jsonl,
                           write_deployment_jsonl,
@@ -185,6 +185,63 @@ def cmd_linkbudget(args) -> int:
 _itu_pixels = pixels_in_box
 
 
+def _fork(target, *args):
+    """Start target(*args) in a forked process.  Flushing first keeps the
+    child from repeating this process's buffered output."""
+    # (Imported here, so other subcommands pay none of its start-up.)
+    import multiprocessing
+    sys.stdout.flush()
+    sys.stderr.flush()
+    process = multiprocessing.get_context("fork").Process(target=target,
+                                                          args=args)
+    process.start()
+    return process
+
+
+def _sweep(pixels, deployment, model, spec, atmosphere, itu):
+    """The aggregate of each (footprint, satellite position) pixel."""
+    return [aggregate_interference(fp, r, deployment, model, spec,
+                                   atmosphere=atmosphere,
+                                   reflection_coeff=complex(itu["gamma"]),
+                                   two_ray_floor_db=itu["two_ray_floor_db"],
+                                   include_contributors=False).aggregate
+            for fp, r in pixels]
+
+
+def _split_sweep(pixels, *sweep):
+    """_sweep of pixels: the first half here, the second in a forked
+    sweeper, whose aggregates come back through a one-way pipe.
+
+    Forked, the sweeper reads the deployment and its geometry in place,
+    shared copy-on-write.  The split is fixed, not claimed pixel by pixel,
+    so this process sweeps (and counts) the same pixels in every run.
+    Only the sweeper holds the send end (a writer is forked before the
+    pipe exists), so a sweeper that dies ends the pipe: recv raises
+    EOFError, reported as ComputeError, instead of waiting.  A failure
+    here stops the sweeper.
+    """
+    import multiprocessing
+    half = len(pixels) // 2
+    receive, send = multiprocessing.Pipe(duplex=False)
+    sweeper = _fork(lambda: send.send(_sweep(pixels[half:], *sweep)))
+    send.close()
+    try:
+        aggregates = _sweep(pixels[:half], *sweep)
+        aggregates += receive.recv()
+    except EOFError:
+        sweeper.join()
+        raise ComputeError(f"sweeping pixels {half} to {len(pixels) - 1} "
+                           f"failed (sweeper exit code {sweeper.exitcode})"
+                           ) from None
+    except BaseException:
+        sweeper.terminate()
+        raise
+    finally:
+        receive.close()
+        sweeper.join()
+    return aggregates
+
+
 def cmd_itu_sim(args) -> int:
     config = ScenarioConfig.load(args.config)
     config.apply_overrides(seed=args.seed, model=args.model,
@@ -213,20 +270,13 @@ def cmd_itu_sim(args) -> int:
             dep["scenario"], bbox, config.seed(),
             center_frequency=dep["center_frequency_hz"],
             emission_bandwidth=dep["emission_bandwidth_hz"])
-        # Formatting the JSONL is the slowest stage and shares nothing with
-        # the sweep, so a forked child writes it from the inherited columns
-        # while this process sweeps the pixels.  The child only formats and
-        # writes text, so the BLAS threads idle at the fork do not matter;
-        # flushing first keeps it from repeating this process's buffered
-        # output.
-        # (Imported here, so other subcommands pay none of its start-up.)
-        import multiprocessing
-        sys.stdout.flush()
-        sys.stderr.flush()
-        writer = multiprocessing.get_context("fork").Process(
-            target=write_deployment_jsonl,
-            args=(deployment, out / "deployment.jsonl"))
-        writer.start()
+        # Writing the JSONL shares nothing with the sweep, so a forked
+        # writer formats it from the inherited columns, started before the
+        # pixel search so that a run with no pixels still writes it.  It
+        # only formats and writes text, so the BLAS threads idle at the
+        # fork do not matter.
+        writer = _fork(write_deployment_jsonl, deployment,
+                       out / "deployment.jsonl")
 
     try:
         sat_r, footprints = _itu_pixels(satellite, config.window(), bbox,
@@ -235,15 +285,12 @@ def cmd_itu_sim(args) -> int:
         if not footprints:
             raise ComputeError("no radiometer pixels fall inside the area "
                                "during the window")
-
-        atmosphere = config.atmosphere("itu")
-        samples = [
-            aggregate_interference(fp, r, deployment, model, spec,
-                                   atmosphere=atmosphere,
-                                   reflection_coeff=complex(itu["gamma"]),
-                                   two_ray_floor_db=itu["two_ray_floor_db"],
-                                   include_contributors=False)
-            for fp, r in zip(footprints, sat_r.T)]
+        # The geometry is built once, here, so the sweeper forked next
+        # shares it copy-on-write; each aggregate is the same
+        # aggregate_interference call on the same inputs in either process.
+        deployment.build_geometry()
+        aggregates = _split_sweep(list(zip(footprints, sat_r.T)), deployment,
+                                  model, spec, config.atmosphere("itu"), itu)
     finally:
         if writer is not None:
             writer.join()
@@ -251,6 +298,9 @@ def cmd_itu_sim(args) -> int:
         raise ComputeError(f"writing {out / 'deployment.jsonl'} failed "
                            f"(writer exit code {writer.exitcode})")
 
+    samples = [InterferenceSample(pixel=fp, aggregate=aggregate,
+                                  contributors=())
+               for fp, aggregate in zip(footprints, aggregates)]
     report = compliance(samples, threshold=itu["threshold_dbm_mhz"],
                         quantile=itu["quantile"], area_km2=itu["area_km2"])
 

@@ -247,6 +247,10 @@ def pixels_in_box(satellite: tuple[OrbitalElements, RadiometerSpec],
     test has no sample centred in the box, and footprints do not depend on
     which other samples are computed with them, so the pixels, the stride
     and their bits are those of footprinting every sample of the window.
+    For the same reason the kept lines' samples are footprinted
+    MARGIN_CHUNK at a time, which bounds the footprint temporaries (a
+    global box over a 2-hour ATMS window peaked at 189 MB in one piece,
+    67 MB in pieces).
     """
     elements, spec = satellite
     start, end = window
@@ -276,14 +280,18 @@ def pixels_in_box(satellite: tuple[OrbitalElements, RadiometerSpec],
     keep = (offsets >= 0) & (offsets <= duration)
     r, v = inertial_states(elements, start, offsets[keep])
     boresight = spec.boresight_of(idx[keep])
-    arrays = _footprint_arrays(r, v, boresight, spec, ground_altitude)
-    lat, lon, _ = frames.ecef_to_geodetic(arrays["center"])
-    # lon + 360 >= 180 >= lon_min (GeoBox), so only lon_max bounds it.
-    sel = np.flatnonzero(
-        (lat >= bbox.lat_min) & (lat <= bbox.lat_max)
-        & (((lon >= bbox.lon_min) & (lon <= bbox.lon_max))
-           | (lon + 360.0 <= bbox.lon_max))
-        & ~arrays["miss"])
+    inside = np.empty(boresight.size, dtype=bool)
+    for i in range(0, boresight.size, MARGIN_CHUNK):
+        part = slice(i, i + MARGIN_CHUNK)
+        arrays = _footprint_arrays(r[:, part], v[:, part], boresight[part],
+                                   spec, ground_altitude)
+        lat, lon, _ = frames.ecef_to_geodetic(arrays["center"])
+        # lon + 360 >= 180 >= lon_min (GeoBox), so only lon_max bounds it.
+        inside[part] = ((lat >= bbox.lat_min) & (lat <= bbox.lat_max)
+                        & (((lon >= bbox.lon_min) & (lon <= bbox.lon_max))
+                           | (lon + 360.0 <= bbox.lon_max))
+                        & ~arrays["miss"])
+    sel = np.flatnonzero(inside)
     if sel.size > max_pixels:
         sel = sel[::int(np.ceil(sel.size / max_pixels))]
     return r[:, sel], footprints_batch(r[:, sel], v[:, sel], boresight[sel],

@@ -330,8 +330,9 @@ class DeploymentArrays:
     emission_bandwidth, pointing_az and pointing_el.  The ECEF geometry
     (ground_ecef, antenna_ecef), each emitter's frames.site_trig (trig)
     and the bounds _near_pixel needs (alt_span, sink) are computed on
-    first use and kept, so build one once and reuse it across pixels; a
-    process that only writes the columns never computes them.
+    first use, or by build_geometry, and kept, so build one once and
+    reuse it across pixels; a process that only writes the columns never
+    computes them.
     """
 
     _FLOAT_COLUMNS = tuple(column for _, column, _ in _RECORD_FIELDS
@@ -369,6 +370,13 @@ class DeploymentArrays:
         does)."""
         return (max(0.0, -float(np.min(self.alt + self.antenna_height)))
                 if len(self) else 0.0)
+
+    def build_geometry(self) -> None:
+        """Compute the geometry the sweep reads now rather than in its
+        first pixel, say before forking processes that share it."""
+        for name in ("ground_ecef", "antenna_ecef", "trig", "alt_span",
+                     "sink"):
+            getattr(self, name)
 
     @classmethod
     def from_records(cls, records) -> "DeploymentArrays":
@@ -599,7 +607,14 @@ _JSONL_CHUNK = 1 << 14
 
 def _json_texts(column):
     """JSON text of each value, as json.dumps writes it; a single str when
-    the whole (non-empty) column holds one value, bit for bit."""
+    the whole (non-empty) column holds one value, bit for bit.
+
+    A float column is formatted by one orjson call (shortest round-trip
+    digits, as repr), whose text equals json.dumps for ±0 and every
+    1e-4 <= |x| < 1e16; the rest (NaN and ±inf, which orjson writes as
+    null, and the exponent forms, which it writes otherwise) go through
+    json.dumps one by one.
+    """
     if isinstance(column, list):
         if len(set(column)) == 1:
             return encode_basestring_ascii(column[0])
@@ -607,9 +622,16 @@ def _json_texts(column):
     bits = column.view(np.int64)
     if np.all(bits == bits[0]):
         return json.dumps(float(column[0]))
-    if np.all(np.isfinite(column)):
-        return list(map(str, column.tolist()))
-    return list(map(json.dumps, column.tolist()))
+    # (Imported here, so only the writer pays its start-up.)
+    import orjson
+    column = np.ascontiguousarray(column)
+    texts = orjson.dumps(column, option=orjson.OPT_SERIALIZE_NUMPY)[
+        1:-1].decode().split(",")
+    size = np.abs(column)
+    for i in np.flatnonzero(~((size >= 1e-4) & (size < 1e16))
+                            & (column != 0.0)):
+        texts[i] = json.dumps(float(column[i]))
+    return texts
 
 
 def write_deployment_jsonl(deployment: DeploymentArrays, path) -> None:

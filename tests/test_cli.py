@@ -3,7 +3,9 @@ import functools
 import hashlib
 import json
 import multiprocessing
+import os
 import shutil
+import signal
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +16,11 @@ from darkspace import geofence
 from darkspace.cli import main
 from darkspace.config import ScenarioConfig
 from darkspace.orbit import GroundPoint, frames, propagate, propagate_many
-from darkspace.propagation import (GeoBox, generate_deployment,
-                                   write_deployment_jsonl)
+from darkspace.propagation import (GeoBox, PathModel, aggregate_interference,
+                                   compliance, generate_deployment,
+                                   read_deployment_jsonl,
+                                   write_deployment_jsonl,
+                                   write_interference_grid_csv)
 from darkspace.radiometer import _footprint_arrays
 from darkspace.timeutil import add_seconds
 
@@ -763,6 +768,126 @@ def test_itu_sim_calls_patched_writer(scenario, monkeypatch):
     assert hashlib.sha256((tmp / "patched" / "deployment.jsonl")
                           .read_bytes()).hexdigest() == \
         recorded["deployment.jsonl"]
+
+
+@pytest.mark.parametrize("fail_in", ["sweeper", "parent"])
+def test_itu_sim_failed_sweep_stops_both_halves(scenario, capsys, monkeypatch,
+                                                fail_in):
+    """An aggregate that fails in the forked sweeper exits 3; one that
+    fails here raises, and either way no process is left running.  An
+    alarm turns a run that waits forever into a failure."""
+    path, _, tmp = scenario
+    parent = os.getpid()
+    aggregate = darkspace.cli.aggregate_interference
+
+    def failing(*args, **kwargs):
+        if (os.getpid() == parent) == (fail_in == "parent"):
+            raise RuntimeError(f"aggregate failed in the {fail_in}")
+        return aggregate(*args, **kwargs)
+
+    def stuck(signum, frame):
+        raise TimeoutError("itu-sim still running after 60 s")
+
+    monkeypatch.setattr(darkspace.cli, "aggregate_interference", failing)
+    argv = ["itu-sim", "--config", str(path), "--out-dir", str(tmp / "out")]
+    previous = signal.signal(signal.SIGALRM, stuck)
+    signal.alarm(60)
+    try:
+        if fail_in == "sweeper":
+            assert main(argv) == 3
+            assert "compute error: sweeping pixels" in capsys.readouterr().err
+        else:
+            with pytest.raises(RuntimeError, match="in the parent"):
+                main(argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert multiprocessing.active_children() == []
+
+
+def _serial_sweep(config_path, out_path):
+    """interference_grid.csv (written to out_path) and the compliance
+    report of sweeping the CLI's pixels in one in-process loop."""
+    config = ScenarioConfig.load(config_path)
+    itu = config.itu_params()
+    dep = config.itu_deployment()
+    if dep["path"] is not None:
+        deployment = read_deployment_jsonl(dep["path"])
+    else:
+        deployment = generate_deployment(
+            dep["scenario"], dep["bbox"], config.seed(),
+            center_frequency=dep["center_frequency_hz"],
+            emission_bandwidth=dep["emission_bandwidth_hz"])
+    satellite = config.satellites()[0]
+    sat_r, footprints = geofence.pixels_in_box(
+        satellite, config.window(), dep["bbox"], itu["max_pixels"],
+        config.ground_altitude())
+    model = PathModel(itu["model"])
+    samples = [aggregate_interference(
+        fp, r, deployment, model, satellite[1],
+        atmosphere=config.atmosphere("itu"),
+        reflection_coeff=complex(itu["gamma"]),
+        two_ray_floor_db=itu["two_ray_floor_db"],
+        include_contributors=False) for fp, r in zip(footprints, sat_r.T)]
+    write_interference_grid_csv(samples, model, out_path,
+                                config.provenance("itu-sim"))
+    report = compliance(samples, threshold=itu["threshold_dbm_mhz"],
+                        quantile=itu["quantile"], area_km2=itu["area_km2"])
+    return report, len(deployment)
+
+
+@pytest.mark.parametrize("model", ["los", "two-ray"])
+@pytest.mark.parametrize("source", ["generated", "read"])
+def test_itu_sim_split_sweep_equals_serial(scenario, model, source):
+    """The sweep split between this process and a forked sweeper writes
+    what one serial loop over the pixels does: with 1 pixel (an empty
+    half here), 2, 3 and the config's cap, on a generated deployment and
+    on one read back from its deployment.jsonl."""
+    path, config, tmp = scenario
+    config["itu"]["model"] = model
+    # A twelfth of the fixture's box, so reading the deployment back is
+    # quick.
+    lat_min, lat_max, lon_min, lon_max = config["itu"]["deployment"]["bbox"]
+    config["itu"]["deployment"]["bbox"] = [lat_min + 1.0, lat_max - 1.0,
+                                           lon_min + 1.5, lon_max - 1.5]
+    path.write_text(json.dumps(config))
+    if source == "read":
+        assert main(["itu-sim", "--config", str(path), "--out-dir",
+                     str(tmp / "generated")]) == 0
+        config["itu"]["deployment"] = {
+            "path": str(tmp / "generated" / "deployment.jsonl"),
+            "bbox": config["itu"]["deployment"]["bbox"]}
+    for max_pixels in (1, 2, 3, config["itu"]["max_pixels"]):
+        config["itu"]["max_pixels"] = max_pixels
+        cfg = tmp / f"split-{max_pixels}.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp / f"split-{max_pixels}"
+        assert main(["itu-sim", "--config", str(cfg),
+                     "--out-dir", str(out)]) == 0
+        report, n_transmitters = _serial_sweep(cfg, tmp / "serial.csv")
+        assert (report.n_pixels == max_pixels if max_pixels < 4
+                else report.n_pixels > 4)
+        assert ((out / "interference_grid.csv").read_bytes()
+                == (tmp / "serial.csv").read_bytes())
+        written = json.loads((out / "compliance.json").read_text())
+        assert written["model"] == model
+        assert (written["n_pixels"], written["fraction_compliant"],
+                written["pass"], written["n_transmitters"]) == (
+            report.n_pixels, report.fraction_compliant, report.passed,
+            n_transmitters)
+
+
+def test_itu_pixels_in_chunks(monkeypatch):
+    """Footprinting the pixel search's samples a few at a time keeps every
+    pixel and satellite position bit for bit."""
+    config = ScenarioConfig.load(EXAMPLE_CONFIG)
+    args = (config.satellites()[0], config.window(),
+            config.itu_deployment()["bbox"], 1000, config.ground_altitude())
+    sat_r, footprints = geofence.pixels_in_box(*args)
+    monkeypatch.setattr(geofence, "MARGIN_CHUNK", 7)
+    chunked_r, chunked = geofence.pixels_in_box(*args)
+    assert len(footprints) > 100
+    assert np.array_equal(chunked_r, sat_r) and chunked == footprints
 
 
 def test_darkspaces_edge_footprints_in_chunks(scenario, monkeypatch):

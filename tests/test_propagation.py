@@ -1,6 +1,7 @@
 """Two-ray model, Monte Carlo deployments, aggregation, compliance."""
 import json
 import math
+from array import array
 from datetime import datetime, timezone
 
 import numpy as np
@@ -309,6 +310,46 @@ def test_deployment_jsonl_lines_match_json_dumps(tmp_path):
         path = tmp_path / "dep.jsonl"
         write_deployment_jsonl(_dep(dep), path)
         assert path.read_text(encoding="utf-8") == _jsonl(dep)
+
+
+#: Floats at the edges of the range orjson formats as json.dumps does
+#: (1e-4 <= |x| < 1e16, and +-0): each bound and its neighbours, the
+#: non-finite values and subnormals.
+_EDGE_FLOATS = [
+    sign * value for sign in (1.0, -1.0) for value in (
+        0.0, math.nan, math.inf, 5e-324, 2.225073858507201e-308,
+        math.ulp(0.0) * 12345, 1e-5, 1e17, *(
+            np.nextafter(bound, toward)
+            for bound in (1e-4, 1e16) for toward in (0.0, bound, math.inf)))]
+
+
+def _texts_of(column):
+    """_json_texts of column, one text per value."""
+    texts = propagation._json_texts(column)
+    return [texts] * len(column) if isinstance(texts, str) else texts
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.floats() | st.sampled_from(_EDGE_FLOATS),
+                       min_size=1, max_size=40),
+       read_only=st.booleans())
+def test_json_texts_match_json_dumps(values, read_only):
+    """Every float64 column, as an array or read-only over a buffer as
+    from_records builds it, formats as json.dumps formats each value."""
+    column = (np.frombuffer(array("d", values), dtype=float) if read_only
+              else np.array(values, dtype=float))
+    assert _texts_of(column) == [json.dumps(v) for v in column.tolist()]
+
+
+def test_deployment_jsonl_edge_floats_match_json_dumps(tmp_path):
+    """A deployment whose EIRPs are the edge floats writes each record as
+    json.dumps does, line by line."""
+    records = [_tx(i, 40.0 + 1e-3 * i, -105.0, eirp=float(eirp))
+               for i, eirp in enumerate(_EDGE_FLOATS)]
+    path = tmp_path / "dep.jsonl"
+    write_deployment_jsonl(_dep(records), path)
+    lines = path.read_text().splitlines()
+    assert lines == [json.dumps(r, sort_keys=True) for r in records]
 
 
 def test_deployment_jsonl_spans_chunks(tmp_path, monkeypatch):
