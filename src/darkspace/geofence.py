@@ -14,18 +14,19 @@ _SatGeometry(shared, tx) that holds only its transmitter:
    site: visibility_windows keeps the times when the satellite is above
    HORIZON_GUARD_DEG at the transmitter (a satellite below the horizon
    cannot subtend anything).
-2. Screen.  Shared: one state, scan axis and edge-footprint reach
-   (edge_footprints) per scan line, for the union of the sites' window
-   lines.  Per site:
-   _lines_near_tx keeps the lines whose scan plane passes close enough to
-   the transmitter for a sample to subtend it.
+2. Screen.  Shared: one state, geodetic up, scan axis and edge-footprint
+   reach (edge_footprints) per scan line, for the union of the sites'
+   window lines.  Per site: _lines_near_tx keeps the lines whose scan
+   plane passes close enough to the transmitter for a sample to subtend
+   it, and _samples_near_tx keeps, on each of those lines, the range of
+   samples whose scan angle comes close enough to the transmitter's.
 3. Sample margins.  Shared, a few passes at a time (_pass_batches):
-   one state per boundary of the sample dwells that any site keeps (every
-   sample of the kept lines in scan-line mode), on the scanner's own
-   sample grid, where a dwell's end is the next dwell's start; from those,
-   footprints at the start and end of every dwell, MARGIN_CHUNK samples at
-   a time.  Per site (_dwell_dark): whether the transmitter is dark at
-   each end of the dwells it kept.
+   one state per boundary of the dwells the screens keep for any site
+   (pixel level: only those that overlap a visibility window), on the
+   scanner's own sample grid, where a dwell's end is the next dwell's
+   start; from those, footprints at the start and end of every dwell,
+   MARGIN_CHUNK samples at a time.  Per site (_dwell_dark): whether the
+   transmitter is dark at each end of the dwells it kept.
 4. Bisection, per site, pixel level only: a dwell dark at one end only
    has its boundary refined to BISECT_TOL_S, well under 10 ms, in one
    _bisect_boundary call per site and batch.
@@ -40,8 +41,8 @@ screens scan lines by their edge_footprints too, with the same slack
 (_SCREEN_SLACK) and motion bound (_speed_bound) as _lines_near_tx.
 
 brute_force_oracle implements the same subtension predicate by dense time
-sampling, without the screen; it is the reference semantics the engine is
-tested against.
+sampling, without either screen; it is the reference semantics the engine
+is tested against.
 """
 from __future__ import annotations
 
@@ -80,7 +81,7 @@ BISECT_TOL_S = 0.002
 MARGIN_CHUNK = 4096
 
 #: A batch of sites' windows (_pass_batches) closes once it holds this
-#: many samples of kept lines, summed over sites, even within a pass.  The
+#: many kept samples, summed over sites, even within a pass.  The
 #: sites' dwell arrays and margins take under 100 bytes per sample, so
 #: this bounds them to about 10 MB however many sites share a pass.
 BATCH_SAMPLES = 32 * MARGIN_CHUNK
@@ -247,10 +248,11 @@ def pixels_in_box(satellite: tuple[OrbitalElements, RadiometerSpec],
     test has no sample centred in the box, and footprints do not depend on
     which other samples are computed with them, so the pixels, the stride
     and their bits are those of footprinting every sample of the window.
-    For the same reason the kept lines' samples are footprinted
-    MARGIN_CHUNK at a time, which bounds the footprint temporaries (a
-    global box over a 2-hour ATMS window peaked at 189 MB in one piece,
-    67 MB in pieces).
+    For the same reason the kept lines are propagated and footprinted
+    about MARGIN_CHUNK samples at a time, keeping only the in-box
+    samples' dwell keys (line * samples_per_scan + sample), and the
+    strided selection is propagated again: memory grows by 8 bytes per
+    in-box sample, not by the states and footprints of every sample.
     """
     elements, spec = satellite
     start, end = window
@@ -275,27 +277,28 @@ def pixels_in_box(satellite: tuple[OrbitalElements, RadiometerSpec],
         (lat >= bbox.lat_min - dlat) & (lat <= bbox.lat_max + dlat)
         & (lon_off <= 0.5 * (bbox.lon_max - bbox.lon_min) + dlon)]
 
-    idx = np.tile(np.arange(n), line_ids.size)
-    offsets = lattice.tau(np.repeat(line_ids, n), idx) - base
-    keep = (offsets >= 0) & (offsets <= duration)
-    r, v = inertial_states(elements, start, offsets[keep])
-    boresight = spec.boresight_of(idx[keep])
-    inside = np.empty(boresight.size, dtype=bool)
-    for i in range(0, boresight.size, MARGIN_CHUNK):
-        part = slice(i, i + MARGIN_CHUNK)
-        arrays = _footprint_arrays(r[:, part], v[:, part], boresight[part],
+    keys = [np.zeros(0, dtype=np.int64)]
+    per = max(1, MARGIN_CHUNK // n)
+    for i in range(0, line_ids.size, per):
+        piece = (line_ids[i:i + per, None] * n + np.arange(n)).ravel()
+        offsets = lattice.key_tau(piece) - base
+        keep = (offsets >= 0) & (offsets <= duration)
+        r, v = inertial_states(elements, start, offsets[keep])
+        arrays = _footprint_arrays(r, v, spec.boresight_of(piece[keep] % n),
                                    spec, ground_altitude)
         lat, lon, _ = frames.ecef_to_geodetic(arrays["center"])
         # lon + 360 >= 180 >= lon_min (GeoBox), so only lon_max bounds it.
-        inside[part] = ((lat >= bbox.lat_min) & (lat <= bbox.lat_max)
-                        & (((lon >= bbox.lon_min) & (lon <= bbox.lon_max))
-                           | (lon + 360.0 <= bbox.lon_max))
-                        & ~arrays["miss"])
-    sel = np.flatnonzero(inside)
-    if sel.size > max_pixels:
-        sel = sel[::int(np.ceil(sel.size / max_pixels))]
-    return r[:, sel], footprints_batch(r[:, sel], v[:, sel], boresight[sel],
-                                       spec, ground_altitude)
+        inside = ((lat >= bbox.lat_min) & (lat <= bbox.lat_max)
+                  & (((lon >= bbox.lon_min) & (lon <= bbox.lon_max))
+                     | (lon + 360.0 <= bbox.lon_max))
+                  & ~arrays["miss"])
+        keys.append(piece[keep][inside])
+    keys = np.concatenate(keys)
+    if keys.size > max_pixels:
+        keys = keys[::int(np.ceil(keys.size / max_pixels))]
+    r, v = inertial_states(elements, start, lattice.key_tau(keys) - base)
+    return r, footprints_batch(r, v, spec.boresight_of(keys % n), spec,
+                               ground_altitude)
 
 
 class _SharedGeometry:
@@ -321,8 +324,9 @@ class _SharedGeometry:
         self.lattice = ScanLattice(spec, elements.epoch)
         self.base = self.lattice.offset(window_start)
         self._line_ids = np.zeros(0, dtype=np.int64)
-        self._lines = {"r": np.zeros((3, 0)), "axis": np.zeros((3, 0)),
-                       "speed": np.zeros(0), "reach": np.zeros(0)}
+        self._lines = {"r": np.zeros((3, 0)), "up": np.zeros((3, 0)),
+                       "axis": np.zeros((3, 0)), "speed": np.zeros(0),
+                       "reach": np.zeros(0)}
 
     def tau(self, offsets):
         """Window offsets (s) -> scan-phase offsets from the epoch."""
@@ -344,9 +348,9 @@ class _SharedGeometry:
     def cache_lines(self, lines) -> None:
         """Compute the screen geometry of the lines not yet cached.
 
-        Per line, at its first sample: the position r, the scan axis, the
-        speed bound V and the edge reach (1 + s) A of _lines_near_tx, from
-        the line's edge_footprints.
+        Per line, at its first sample: the position r, the geodetic up and
+        the scan axis, the speed bound V and the edge reach (1 + s) A of
+        _lines_near_tx, from the line's edge_footprints.
 
         The incremental, sorted cache stays although every caller passes
         the union of its lines once.  The sorted copy is allocated late,
@@ -354,11 +358,12 @@ class _SharedGeometry:
         trim the top of the heap between the MARGIN_CHUNK pieces of the
         margin stage and fault it back in.  How often it does depends on
         the heap layout, which in a fresh process moves with the length of
-        argv[0].  Over 12 such lengths (2-day ATMS darkspaces, bench seed
-        1, 2 vCPUs, 3 runs each) the margin stage took a median of 1.9 k
-        minor faults (45 to 12.4 k); keeping the first computed arrays as
-        they are gave byte-identical schedules but a median of 10.7 k (9
-        to 14.9 k) and a 3 % higher mean time (0.258 s against 0.250 s).
+        argv[0].  Over 12 such lengths (2-day ATMS darkspaces, bench seeds
+        0 and 7, 2 vCPUs, 2 runs each, with the sample screen) the margin
+        stage (_dwell_dark) took a median of 49 and 44 minor faults (22 to
+        824); keeping the first computed arrays as they are gave
+        byte-identical schedules but a median of 2.2 k and 2.1 k (1.7 k to
+        4.1 k).
         """
         new = _unique_ids(np.asarray(lines, dtype=np.int64))
         if self._line_ids.size:
@@ -368,14 +373,15 @@ class _SharedGeometry:
         if new.size == 0:
             return
         r, v = self.states(self.lattice.tau(new) - self.base)
-        _, axis = _scan_axis(r, v)
+        up, axis = _scan_axis(r, v)
         _, semi_major, miss = edge_footprints(r, v, self.spec,
                                               self.ground_altitude)
         reach = ((1.0 + _SCREEN_SLACK) * self.policy.buffer_multiplier
                  * semi_major.max(axis=1))
         reach = np.where(miss.any(axis=1), np.inf, reach)
         speed = _speed_bound(r, v, self.spec.scan_period)
-        computed = {"r": r, "axis": axis, "speed": speed, "reach": reach}
+        computed = {"r": r, "up": up, "axis": axis, "speed": speed,
+                    "reach": reach}
         ids = np.concatenate((self._line_ids, new))
         order = np.argsort(ids)
         self._line_ids = ids[order]
@@ -566,55 +572,173 @@ def _lines_near_tx(geom: _SatGeometry, lines: np.ndarray) -> np.ndarray:
     shared = geom.shared
     period = shared.spec.scan_period
     line = shared.line_geometry(lines)
-    reach, speed = line["reach"], line["speed"]
-    big_m = frames.min_curvature_radius(shared.ground_altitude)
-    zeta = abs(geom.tx.altitude - shared.ground_altitude) + reach ** 2 / big_m
-    mean_motion = shared.elements.mean_motion * 2.0 * np.pi / 86400.0
-    ecc = shared.elements.eccentricity
-    turn_rate = 1.5 * (mean_motion * (1.0 + ecc) ** 2
-                       / (1.0 - ecc ** 2) ** 1.5 + frames.OMEGA_EARTH)
+    speed = line["speed"]
     to_tx = geom.tx_ecef.reshape(3, 1) - line["r"]
-    bound = reach + zeta + period * (
-        speed + turn_rate * (np.linalg.norm(to_tx, axis=0) + speed * period))
+    bound = _tx_reach(geom, line) + period * (
+        speed + _turn_rate(shared.elements)
+        * (np.linalg.norm(to_tx, axis=0) + speed * period))
     return np.abs(np.sum(line["axis"] * to_tx, axis=0)) <= bound
 
 
+def _tx_reach(geom: _SatGeometry, line) -> np.ndarray:
+    """(1 + s) A + zeta of _lines_near_tx, per line of line_geometry: how
+    far from a footprint centre of the line a transmitter with margin <= 0
+    can lie."""
+    reach = line["reach"]
+    big_m = frames.min_curvature_radius(geom.shared.ground_altitude)
+    zeta = (abs(geom.tx.altitude - geom.shared.ground_altitude)
+            + reach ** 2 / big_m)
+    return reach + zeta
+
+
+def _turn_rate(elements: OrbitalElements) -> float:
+    """Omega of _lines_near_tx, a bound on the turn rate of the scan axis
+    (rad/s)."""
+    mean_motion = elements.mean_motion * 2.0 * np.pi / 86400.0
+    ecc = elements.eccentricity
+    return 1.5 * (mean_motion * (1.0 + ecc) ** 2 / (1.0 - ecc ** 2) ** 1.5
+                  + frames.OMEGA_EARTH)
+
+
+def _samples_near_tx(geom: _SatGeometry, lines: np.ndarray):
+    """Per line, the range lo <= j < hi of the samples that can subtend the
+    transmitter: the per-sample screen behind _lines_near_tx.
+
+    Take the line's state at its first sample (time t0) as _lines_near_tx
+    does: r, the geodetic up u (nadir = -u), the scan axis a, V and
+    rho = _tx_reach = (1 + s) A + zeta; T is the scan period and w the
+    transmitter's offset tx - r.  Sample j's boresight is
+    _rotate(nadir, a, theta_j) = cos(theta_j) nadir + sin(theta_j)
+    (a x nadir), since a is orthogonal to nadir, so the transmitter's
+    angle in the scan plane, in the same sense, is
+
+        psi = atan2((a x nadir) . w, nadir . w).
+
+    The line keeps the samples with |psi - theta_j| <= Delta, and
+    boresight_of is linear in j, so they form one range.  With M0 the
+    smallest radius of curvature of the WGS-84 ellipsoid, Omega =
+    _turn_rate, A' = WGS84_A + ground altitude and
+
+        L      = |r| - A' - V T
+        D      = |w| - V T
+        Omega' = Omega + V / (M0 + |r| - V T - WGS84_A)
+        Delta  = asin(rho / L) + T (V / D + Omega'),
+
+    a sample has margin > 0 throughout its dwell, which lies in
+    [t0, t0 + T], when |psi - theta_j| > Delta.  Why, at any t in
+    [t0, t0 + T] (X(t) a quantity at t, X the one at t0):
+
+    - Angle at the satellite.  margin <= 0 puts tx within rho of the
+      footprint centre c (in the tangent plane at c within (1 + s) A, off
+      it by at most zeta, as in _lines_near_tx).  c - r(t) lies along the
+      boresight d_j(t), and |c - r(t)| >= |r(t)| - A' >= L, because c is
+      on the ground-altitude ellipsoid and the satellite moves at most
+      V T.  So w(t) and d_j(t) are at most asin(rho / L) apart.
+    - Motion of w.  w changes at most V per second and stays at least D
+      long, so its direction turns by at most V T / D.
+    - Turn of the frame.  d_j is fixed in the orthonormal frame (nadir,
+      a x nadir, a), whose angular speed is at most the turn rate of
+      nadir plus that of a.  Geodetic up turns at most |dr/dt| over the
+      radius of curvature of the surface at the point's height, which is
+      at least M0 plus the height, and the height is at least
+      |r(t)| - WGS84_A; a turns at most Omega (see _lines_near_tx).  So
+      d_j(t) is within T Omega' of d_j.
+    - So w and d_j are less than Delta apart, and when Delta < 90 degrees
+      the projection of w into the scan plane is too: for an in-plane
+      unit vector d, tan of the in-plane angle between w and d is at most
+      tan of the angle itself.
+
+    Every sample is kept where the bound does not apply: rho >= L (a line
+    whose edge rays miss the Earth has rho = inf), D <= 0, or Delta >= 90
+    degrees.  With one sample per scan theta_0 = 0, and the range is
+    [0, 1) or empty.
+    """
+    shared = geom.shared
+    spec, period = shared.spec, shared.spec.scan_period
+    line = shared.line_geometry(lines)
+    r, up, speed = line["r"], line["up"], line["speed"]
+    to_tx = geom.tx_ecef.reshape(3, 1) - r
+    motion = speed * period
+    height = np.linalg.norm(r, axis=0) - motion
+    near = height - (frames.WGS84_A + shared.ground_altitude)
+    far = np.linalg.norm(to_tx, axis=0) - motion
+    rho = _tx_reach(geom, line)
+    ok = (rho < near) & (far > 0.0)
+    frame_rate = _turn_rate(shared.elements) + speed / (
+        frames.min_curvature_radius(0.0) + height - frames.WGS84_A)
+    delta = (np.arcsin(np.where(ok, rho, 0.0) / np.where(ok, near, 1.0))
+             + period * (speed / np.where(ok, far, 1.0) + frame_rate))
+    delta = np.where(ok & (delta < 0.5 * np.pi), np.degrees(delta), np.inf)
+    across = frames._cross(up, line["axis"])
+    psi = np.degrees(np.arctan2(np.sum(across * to_tx, axis=0),
+                                -np.sum(up * to_tx, axis=0)))
+    n = spec.samples_per_scan
+    first = float(spec.boresight_of(0))
+    step = 2.0 * spec.scan_half_angle / max(n - 1, 1)
+    lo = np.clip(np.ceil((psi - delta - first) / step), 0, n)
+    hi = np.clip(np.floor((psi + delta - first) / step) + 1, lo, n)
+    return lo.astype(np.int64), hi.astype(np.int64)
+
+
+def _range_keys(lines, lo, hi, n):
+    """The dwell keys line * n + j, lo <= j < hi, line after line."""
+    counts = hi - lo
+    first = lines * n + lo - (np.cumsum(counts) - counts)
+    return np.repeat(first, counts) + np.arange(counts.sum())
+
+
 def _screen_windows(shared: _SharedGeometry, geoms):
-    """Per site, (w0, w1, kept line ids) for each of its visibility windows.
+    """Per site, (w0, w1, kept dwell keys) for each of its visibility
+    windows, keys as in _dwell_dark.
 
     A window's lines are those whose spans meet it (ScanLattice.lines).
     The shared line geometry is computed for the union of every site's
     window lines at once; then each site screens the lines of all its
-    windows with one _lines_near_tx call.
+    windows with one _lines_near_tx call, and the samples of the lines it
+    keeps with one _samples_near_tx call.  Pixel level keeps only the
+    dwells that overlap the window.  Scan line keeps every dwell the
+    screens keep, so a line that straddles the window start stays dark.
     """
-    ranges = [[(w0, w1, shared.lattice.lines(shared.tau(w0),
-                                             shared.tau(w1)))
+    lattice, base = shared.lattice, shared.base
+    n = shared.spec.samples_per_scan
+    pixel = shared.policy.kind is PolicyKind.PIXEL_LEVEL
+    ranges = [[(w0, w1, lattice.lines(shared.tau(w0), shared.tau(w1)))
                for w0, w1 in geom.visibility_windows()]
               for geom in geoms]
     shared.cache_lines(_concat_ids(ids for site in ranges
                                    for _, _, ids in site))
     out = []
     for geom, site in zip(geoms, ranges):
-        lines = [ids for _, _, ids in site]
-        keep = np.split(_lines_near_tx(geom, _concat_ids(lines)),
-                        np.cumsum([ids.size for ids in lines])[:-1])
-        out.append([(w0, w1, ids[k])
-                    for (w0, w1, ids), k in zip(site, keep)])
+        lines = _concat_ids(ids for _, _, ids in site)
+        window = np.repeat(np.arange(len(site)),
+                           [ids.size for _, _, ids in site])
+        keep = _lines_near_tx(geom, lines)
+        lo, hi = _samples_near_tx(geom, lines[keep])
+        keys = _range_keys(lines[keep], lo, hi, n)
+        window = np.repeat(window[keep], hi - lo)
+        windows = []
+        for (w0, w1, _), part in zip(site, np.split(
+                keys, np.searchsorted(window, np.arange(1, len(site))))):
+            if pixel:
+                part = part[(lattice.key_tau(part + 1) - base > w0)
+                            & (lattice.key_tau(part) - base < w1)]
+            windows.append((w0, w1, part))
+        out.append(windows)
     return out
 
 
-def _pass_batches(sites, samples_per_scan: int):
+def _pass_batches(sites):
     """Group the sites' screened windows into batches.
 
     A pass is a maximal run of windows, across all sites, that overlap or
     touch in time.  A batch takes windows in time order and closes at the
-    end of a pass once its windows hold MARGIN_CHUNK samples of kept
-    lines, so that footprints are built in full chunks and shared by the
+    end of a pass once its windows hold MARGIN_CHUNK kept samples (dwell
+    keys), so that footprints are built in full chunks and shared by the
     sites of each pass; it also closes within a pass at BATCH_SAMPLES, so
     that memory stays bounded by one batch rather than by the window or
-    the number of sites.  sites[k] holds site k's (w0, w1, kept line ids)
-    windows in time order.  Returns, per batch, (k, site k's windows in
-    the batch) for every site with a window in it.
+    the number of sites.  sites[k] holds site k's (w0, w1, kept dwell
+    keys) windows in time order.  Returns, per batch, (k, site k's windows
+    in the batch) for every site with a window in it.
     """
     batches = []
     end = -np.inf
@@ -626,7 +750,7 @@ def _pass_batches(sites, samples_per_scan: int):
             batches.append({})
             size = 0
         end = max(end, w1)
-        size += sites[k][j][2].size * samples_per_scan
+        size += sites[k][j][2].size
         batches[-1].setdefault(k, []).append(sites[k][j])
     return [sorted(batch.items()) for batch in batches]
 
@@ -676,41 +800,32 @@ def _dwell_dark(shared: _SharedGeometry, geoms, keys):
 def _dark_spans(shared: _SharedGeometry, geoms):
     """Dark (start, end, line) spans in window offsets, one list per site.
 
-    Both policies take one path: per batch (_pass_batches), list each
-    site's dwells as keys, make one _dwell_dark call, and read each site's
-    spans off its flags.  Pixel level keeps only the dwells that overlap
-    one of the site's windows; a dwell dark at both ends is dark
-    throughout, and one dark at one end only is dark up to or from its
-    margin's crossing, found by one _bisect_boundary call per site and
-    batch.  Every bracket is one sample_dwell long, so every element takes
-    the same number of halvings and gets the bits of a call of its own.
-    Scan line keeps every dwell of the kept lines, so a line that
-    straddles the window start stays dark, and a line is dark, whole, when
-    any of its dwells is dark at either end: scan-line schedules are an
-    exact superset of pixel-level ones.
+    Both policies take one path: per batch (_pass_batches), gather each
+    site's kept dwells (_screen_windows), make one _dwell_dark call, and
+    read each site's spans off its flags.  Pixel level: a dwell dark at
+    both ends is dark throughout, and one dark at one end only is dark up
+    to or from its margin's crossing, found by one _bisect_boundary call
+    per site and batch.  Every bracket is one sample_dwell long, so every
+    element takes the same number of halvings and gets the bits of a call
+    of its own.  Scan line: a line is dark, whole, when any of its kept
+    dwells is dark at either end; the screens drop only dwells whose
+    margin stays above 0, so scan-line schedules are an exact superset of
+    pixel-level ones.
     """
     spec, lattice, base = shared.spec, shared.lattice, shared.base
     n = spec.samples_per_scan
     pixel = shared.policy.kind is PolicyKind.PIXEL_LEVEL
     out = [[] for _ in geoms]
-    for group in _pass_batches(_screen_windows(shared, geoms), n):
-        keys = []
-        for _, windows in group:
-            w0, w1, ids = zip(*windows)
-            site = (_concat_ids(ids)[:, None] * n + np.arange(n)).ravel()
-            if pixel:
-                w0, w1 = (np.repeat(w, [i.size * n for i in ids])
-                          for w in (w0, w1))
-                site = site[(lattice.key_tau(site + 1) - base > w0)
-                            & (lattice.key_tau(site) - base < w1)]
-            keys.append(site)
+    for group in _pass_batches(_screen_windows(shared, geoms)):
+        keys = [_concat_ids(part for _, _, part in windows)
+                for _, windows in group]
         flags = _dwell_dark(shared, [geoms[k] for k, _ in group], keys)
         for (k, _), site, (d0, d1) in zip(group, keys, flags):
             dark = d0 | d1
             if not dark.any():
                 continue
             if not pixel:
-                lines = site[::n][dark.reshape(-1, n).any(axis=1)] // n
+                lines = _unique_ids(site[dark] // n)
                 s = lattice.tau(lines) - base
                 out[k].extend(zip(s.tolist(), (s + spec.scan_period).tolist(),
                                   lines.tolist()))
@@ -834,9 +949,9 @@ def brute_force_oracle(tx: GroundPoint,
     Cost is O(window / dt); intervals shorter than dt can be missed, so
     tests must choose dt well below the expected interval durations.
 
-    The oracle does not use the engine's scan-plane screen
-    (_lines_near_tx): it evaluates every dt sample of every visibility
-    window.  It does share visibility_windows (the horizon prefilter),
+    The oracle uses neither of the engine's screens (_lines_near_tx,
+    _samples_near_tx): it evaluates every dt sample of every visibility
+    window, and in scan-line mode every dwell of every line it meets.  It does share visibility_windows (the horizon prefilter),
     _footprint_arrays and _ellipse_margins with the engine, so engine and
     oracle agree on a defect in those.
     """

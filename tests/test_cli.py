@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import shutil
 import signal
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -888,6 +889,24 @@ def test_itu_pixels_in_chunks(monkeypatch):
     chunked_r, chunked = geofence.pixels_in_box(*args)
     assert len(footprints) > 100
     assert np.array_equal(chunked_r, sat_r) and chunked == footprints
+
+
+def test_itu_pixels_global_box_memory():
+    """A global box over the 2-hour ATMS example window (about 260 k
+    samples, all in the box) allocates a few MB: the search keeps the
+    in-box samples' dwell keys, not their states or footprints."""
+    config = ScenarioConfig.load(EXAMPLE_CONFIG)
+    tracemalloc.start()
+    try:
+        _, footprints = geofence.pixels_in_box(
+            config.satellites()[0], config.window(),
+            GeoBox(-90.0, 90.0, -180.0, 180.0), 1000,
+            config.ground_altitude())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(footprints) > 900
+    assert peak < 16e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_darkspaces_edge_footprints_in_chunks(scenario, monkeypatch):

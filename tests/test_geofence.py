@@ -13,7 +13,7 @@ from darkspace.errors import (EmptyConstellation, NotPhaseLocked,
 from darkspace.geofence import (SCHEDULE_FIELDS, availability,
                                 brute_force_oracle, dark_intervals,
                                 write_schedule_csv, write_schedule_jsonl)
-from darkspace.orbit import GroundPoint, propagate
+from darkspace.orbit import GroundPoint, frames, propagate
 from darkspace.radiometer import (BufferPolicy, PolicyKind, ScanLattice,
                                   load_preset)
 from darkspace.timeutil import add_seconds
@@ -293,7 +293,8 @@ def _screen_fixture(rng, kind, max_cross_km):
 
 
 def test_screen_matches_unscreened_engine(atms, amsua, monkeypatch):
-    """The screened engine equals the engine that keeps every scan line."""
+    """The screened engine equals the engine that keeps every sample of
+    every scan line."""
     rng = np.random.default_rng(20231018)
     specs = _screen_specs(atms, amsua)
     fixtures = [_screen_fixture(rng, (PolicyKind.PIXEL_LEVEL,
@@ -309,10 +310,22 @@ def test_screen_matches_unscreened_engine(atms, amsua, monkeypatch):
     screened = run()
     monkeypatch.setattr(geofence, "_lines_near_tx",
                         lambda geom, lines: np.ones(len(lines), dtype=bool))
+    monkeypatch.setattr(geofence, "_samples_near_tx", lambda geom, lines: (
+        np.zeros(len(lines), dtype=np.int64),
+        np.full(len(lines), geom.shared.spec.samples_per_scan)))
     unscreened = run()
     for i, (a, b) in enumerate(zip(screened, unscreened)):
         assert a == b, f"fixture {i}"
     assert sum(bool(s.intervals) for s in screened) >= 6
+
+
+def _window_lines(geom):
+    """The ids of the lines that meet the site's visibility windows."""
+    shared, period = geom.shared, geom.shared.spec.scan_period
+    return np.concatenate([
+        np.arange(np.floor(shared.tau(w0) / period),
+                  np.floor(shared.tau(w1) / period) + 1, dtype=np.int64)
+        for w0, w1 in geom.visibility_windows()])
 
 
 @pytest.mark.parametrize("which", [0, 1, 2])
@@ -334,10 +347,7 @@ def test_screen_keeps_every_dark_line(atms, amsua, which):
         shared = geofence._SharedGeometry(elements, spec, window[0], 7200.0,
                                           policy, ground)
         geom = geofence._SatGeometry(shared, tx)
-        lines = np.concatenate([
-            np.arange(np.floor(shared.tau(w0) / period),
-                      np.floor(shared.tau(w1) / period) + 1, dtype=np.int64)
-            for w0, w1 in geom.visibility_windows()])
+        lines = _window_lines(geom)
         keep = geofence._lines_near_tx(geom, lines)
         offsets = (lines[:, None] * period - shared.base + within).ravel()
         boresight = np.tile(spec.boresight_of(idx), lines.size)
@@ -349,3 +359,106 @@ def test_screen_keeps_every_dark_line(atms, amsua, which):
         n_lines += lines.size
     assert n_dark > 0
     assert n_kept < 0.5 * n_lines
+
+
+@pytest.mark.parametrize("which", [0, 1, 2])
+def test_sample_screen_keeps_every_dark_dwell(atms, amsua, which):
+    """Every sample of a kept line with margin <= 0, at instants spread over
+    its dwell, lies in the range _samples_near_tx keeps on that line (that
+    every dark sample is on a kept line is test_screen_keeps_every_dark_line).
+    """
+    spec, max_cross_km = _screen_specs(atms, amsua)[which]
+    n = spec.samples_per_scan
+    steps = max(2, int(np.ceil(spec.sample_dwell / 0.05)))
+    frac = np.arange(steps + 1) / steps
+    idx = np.repeat(np.arange(n), frac.size)
+    within = (idx + np.tile(frac, n)) * spec.sample_dwell
+    n_dark = n_kept = n_samples = 0
+    for seed in range(10):
+        rng = np.random.default_rng(100 * which + seed)
+        tx, elements, window, policy, ground = _screen_fixture(
+            rng, PolicyKind.PIXEL_LEVEL, max_cross_km)
+        shared = geofence._SharedGeometry(elements, spec, window[0], 7200.0,
+                                          policy, ground)
+        geom = geofence._SatGeometry(shared, tx)
+        lines = _window_lines(geom)
+        lines = lines[geofence._lines_near_tx(geom, lines)]
+        lo, hi = geofence._samples_near_tx(geom, lines)
+        offsets = (shared.lattice.tau(lines)[:, None] - shared.base
+                   + within).ravel()
+        boresight = np.tile(spec.boresight_of(idx), lines.size)
+        dark = (geom.margins(offsets, boresight) <= 0.0).reshape(
+            lines.size, n, frac.size).any(axis=2)
+        kept = ((np.arange(n) >= lo[:, None])
+                & (np.arange(n) < hi[:, None]))
+        assert not np.any(dark & ~kept), (seed, np.argwhere(dark & ~kept))
+        n_dark += int(dark.sum())
+        n_kept += int(kept.sum())
+        n_samples += kept.size
+    assert n_dark > 0
+    if which == 0:
+        # Buffers up to 8 keep whole lines (rho >= L); the rest do not.
+        assert n_kept < 0.9 * n_samples
+
+
+def test_sample_screen_keeps_footprint_boundary(atms):
+    """A transmitter just inside a buffered footprint, at the start or the
+    end of the dwell, lies in the range of samples its line keeps.
+
+    These are the points the bound is tightest at: on a wide nadir
+    scanner the angle term is within a few per cent of the footprint's
+    angular size, and on the long-dwell scanner at buffer 1 the scan
+    plane's drift over the line exceeds the slack of the angle term.
+    """
+    specs = [
+        (atms, 2.0),
+        (replace(atms, name="wide-nadir", samples_per_scan=1,
+                 scan_period=1.0, beamwidth_3db=6.0), 1.0),
+        (replace(atms, name="long-dwell", samples_per_scan=1,
+                 scan_period=8.0, beamwidth_3db=1.0), 1.0),
+    ]
+    rng = np.random.default_rng(20)
+    angles = np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False)
+    for spec, buffer in specs:
+        n = spec.samples_per_scan
+        shared = geofence._SharedGeometry(
+            random_leo_elements(rng), spec, EPOCH, 7200.0,
+            BufferPolicy(PolicyKind.PIXEL_LEVEL, buffer), 0.0)
+        lines = rng.choice(shared.lattice.lines(shared.base,
+                                                shared.base + 7000.0), 24)
+        samples = rng.integers(0, n, lines.size)
+        for line, j in zip(lines.tolist(), samples.tolist()):
+            for end in (0, 1):
+                offset = shared.lattice.tau(line, j + end) - shared.base
+                r, v = shared.states([offset])
+                fp = geofence._footprint_arrays(
+                    r, v, [spec.boresight_of(j)], spec, 0.0)
+                edge = 0.999 * buffer * (
+                    fp["semi_major"] * np.cos(angles) * fp["u_major"]
+                    + fp["semi_minor"] * np.sin(angles) * fp["u_minor"])
+                for point in (fp["center"] + edge).T:
+                    lat, lon, alt = frames.ecef_to_geodetic(point)
+                    geom = geofence._SatGeometry(shared,
+                                                 GroundPoint(lat, lon, alt))
+                    assert geom.margins([offset],
+                                        [spec.boresight_of(j)])[0] <= 0.0
+                    assert geofence._lines_near_tx(geom, [line])[0]
+                    lo, hi = geofence._samples_near_tx(geom, [line])
+                    assert lo[0] <= j < hi[0], (spec.name, line, j, end)
+
+
+def test_sample_screen_selects_on_example_site():
+    """At the example site (ATMS, buffer 2) over two days, the kept lines
+    keep fewer than 0.3 of their samples."""
+    config = ScenarioConfig.load(EXAMPLE_CONFIG)
+    elements, spec = config.satellites()[0]
+    start = config.window()[0]
+    shared = geofence._SharedGeometry(elements, spec, start, 2 * 86400.0,
+                                      config.policy(),
+                                      config.ground_altitude())
+    geom = geofence._SatGeometry(shared, config.transmitters()[0][1])
+    lines = _window_lines(geom)
+    lines = lines[geofence._lines_near_tx(geom, lines)]
+    lo, hi = geofence._samples_near_tx(geom, lines)
+    assert lines.size > 100
+    assert np.sum(hi - lo) < 0.3 * lines.size * spec.samples_per_scan
