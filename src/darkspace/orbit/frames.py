@@ -81,13 +81,17 @@ def teme_to_ecef(r_teme_km, v_teme_kms, jd_ut1):
 
 def geodetic_to_ecef(lat_deg, lon_deg, alt_m):
     """WGS-84 geodetic coordinates to ECEF metres; broadcasts elementwise."""
-    lat = np.radians(np.asarray(lat_deg, dtype=float))
-    lon = np.radians(np.asarray(lon_deg, dtype=float))
+    return trig_to_ecef(site_trig(lat_deg, lon_deg), alt_m)
+
+
+def trig_to_ecef(trig, alt_m):
+    """geodetic_to_ecef of the sites whose site_trig is trig, at altitude
+    alt_m, so one site_trig serves several altitudes."""
+    sin_lat, cos_lat, sin_lon, cos_lon = trig
     alt = np.asarray(alt_m, dtype=float)
-    sin_lat = np.sin(lat)
     n = WGS84_A / np.sqrt(1.0 - WGS84_E2 * sin_lat**2)
-    x = (n + alt) * np.cos(lat) * np.cos(lon)
-    y = (n + alt) * np.cos(lat) * np.sin(lon)
+    x = (n + alt) * cos_lat * cos_lon
+    y = (n + alt) * cos_lat * sin_lon
     z = (n * (1.0 - WGS84_E2) + alt) * sin_lat
     return np.stack([x, y, z])
 

@@ -18,7 +18,6 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from itertools import accumulate
 from json.encoder import encode_basestring_ascii
 
@@ -199,7 +198,10 @@ def generate_deployment(scenario, area: GeoBox, seed: int,
     the first uniform draw of each class's stream, so expectations match the
     configured density exactly while staying integer and deterministic.
     Emitter ids are "<scenario>-<kind>-<index within the class>", the
-    index as %06d; they come as GeneratedIds, built on demand.
+    index as %06d; they come as GeneratedIds, and the kinds as
+    GeneratedKinds, both built on demand.  The columns that hold one
+    value for every emitter (alt, center_frequency, emission_bandwidth,
+    pointing_az, pointing_el) are read-only views of that one value.
     """
     if classes is None:
         try:
@@ -238,16 +240,19 @@ def generate_deployment(scenario, area: GeoBox, seed: int,
         height.append(np.full(count, cls.antenna_height_m))
         prefixes.append(f"{scenario}-{cls.kind.value}-")
         counts.append(count)
-        kinds.extend([cls.kind.value] * count)
+        kinds.append(cls.kind.value)
 
-    n = len(kinds)
+    def constant(value):
+        return np.broadcast_to(float(value), sum(counts))
+
     return DeploymentArrays(
-        GeneratedIds(prefixes, counts), kinds, lat=np.concatenate(lat),
-        lon=frames.wrap_longitude(np.concatenate(lon)), alt=np.zeros(n),
+        GeneratedIds(prefixes, counts), GeneratedKinds(kinds, counts),
+        lat=np.concatenate(lat),
+        lon=frames.wrap_longitude(np.concatenate(lon)), alt=constant(0.0),
         antenna_height=np.concatenate(height), eirp=np.concatenate(eirp),
-        center_frequency=np.full(n, float(center_frequency)),
-        emission_bandwidth=np.full(n, float(emission_bandwidth)),
-        pointing_az=np.zeros(n), pointing_el=np.zeros(n))
+        center_frequency=constant(center_frequency),
+        emission_bandwidth=constant(emission_bandwidth),
+        pointing_az=constant(0.0), pointing_el=constant(0.0))
 
 
 class GeneratedIds(Sequence):
@@ -266,13 +271,18 @@ class GeneratedIds(Sequence):
     def __len__(self):
         return self._ends[-1]
 
+    @staticmethod
+    def _run(prefix, lo, hi):
+        """The items lo to hi - 1 (none if hi <= lo) of prefix's run."""
+        return [f"{prefix}{i:06d}" for i in range(lo, hi)]
+
     def _build(self, lo, hi):
-        """The ids of positions lo to hi - 1, for 0 <= lo, hi <= len."""
+        """The items of positions lo to hi - 1, for 0 <= lo, hi <= len."""
         out = []
         for prefix, start, end in zip(self._prefixes, self._ends,
                                       self._ends[1:]):
-            out += [f"{prefix}{i - start:06d}"
-                    for i in range(max(lo, start), min(hi, end))]
+            out += self._run(prefix, max(lo, start) - start,
+                             min(hi, end) - start)
         return out
 
     def __getitem__(self, index):
@@ -283,9 +293,10 @@ class GeneratedIds(Sequence):
         if i < 0:
             i += len(self)
         if not 0 <= i < len(self):
-            raise IndexError("emitter id index out of range")
+            raise IndexError("emitter index out of range")
         k = bisect_right(self._ends, i) - 1
-        return f"{self._prefixes[k]}{i - self._ends[k]:06d}"
+        return self._run(self._prefixes[k], i - self._ends[k],
+                         i - self._ends[k] + 1)[0]
 
     def __iter__(self):
         return iter(self[:])
@@ -296,6 +307,15 @@ class GeneratedIds(Sequence):
         if not isinstance(other, list):
             return NotImplemented
         return self[:] == other
+
+
+class GeneratedKinds(GeneratedIds):
+    """The kinds of a generated deployment: for each (kind, count) in turn,
+    the kind count times, built on demand as GeneratedIds are."""
+
+    @staticmethod
+    def _run(kind, lo, hi):
+        return [kind] * (hi - lo)
 
 
 # --- deployment records and columns -------------------------------------------
@@ -324,15 +344,14 @@ class DeploymentArrays:
 
     generate_deployment builds one, and from_records (read_deployment_jsonl)
     fills one from deployment records.  Columns: ids and kinds (sequences
-    of str, kinds as TransmitterKind values; ids are GeneratedIds, built
-    on demand, in a generated deployment and a list otherwise) and the
-    float arrays lat, lon, alt, antenna_height, eirp, center_frequency,
-    emission_bandwidth, pointing_az and pointing_el.  The ECEF geometry
-    (ground_ecef, antenna_ecef), each emitter's frames.site_trig (trig)
-    and the bounds _near_pixel needs (alt_span, sink) are computed on
-    first use, or by build_geometry, and kept, so build one once and
-    reuse it across pixels; a process that only writes the columns never
-    computes them.
+    of str, kinds as TransmitterKind values; GeneratedIds and
+    GeneratedKinds, built on demand, in a generated deployment and lists
+    otherwise) and the float arrays lat, lon, alt, antenna_height, eirp,
+    center_frequency, emission_bandwidth, pointing_az and pointing_el, all
+    in deployment order.  The sweep reads a SweepGeometry instead, the
+    emitters in latitude order, which build_geometry computes on first use
+    and keeps, so build one once and reuse it across pixels; a process
+    that only writes the columns never computes it.
     """
 
     _FLOAT_COLUMNS = tuple(column for _, column, _ in _RECORD_FIELDS
@@ -341,42 +360,19 @@ class DeploymentArrays:
     def __init__(self, ids, kinds, **floats):
         """Wrap columns of equal length: floats holds each float column,
         by name; longitudes must already be in (-180, 180]."""
-        self.ids = ids if isinstance(ids, GeneratedIds) else list(ids)
-        self.kinds = list(kinds)
+        self.ids, self.kinds = (
+            column if isinstance(column, GeneratedIds) else list(column)
+            for column in (ids, kinds))
         for name in self._FLOAT_COLUMNS:
             setattr(self, name, np.asarray(floats[name], dtype=float))
+        self._geometry = None
 
-    @cached_property
-    def ground_ecef(self):
-        return frames.geodetic_to_ecef(self.lat, self.lon, self.alt)
-
-    @cached_property
-    def antenna_ecef(self):
-        return frames.geodetic_to_ecef(self.lat, self.lon,
-                                       self.alt + self.antenna_height)
-
-    @cached_property
-    def trig(self):
-        return frames.site_trig(self.lat, self.lon)
-
-    @cached_property
-    def alt_span(self) -> float:
-        """The largest |altitude| (0 if empty)."""
-        return float(np.max(np.abs(self.alt))) if len(self) else 0.0
-
-    @cached_property
-    def sink(self) -> float:
-        """How far the lowest antenna lies below the ellipsoid (0 if none
-        does)."""
-        return (max(0.0, -float(np.min(self.alt + self.antenna_height)))
-                if len(self) else 0.0)
-
-    def build_geometry(self) -> None:
-        """Compute the geometry the sweep reads now rather than in its
-        first pixel, say before forking processes that share it."""
-        for name in ("ground_ecef", "antenna_ecef", "trig", "alt_span",
-                     "sink"):
-            getattr(self, name)
+    def build_geometry(self) -> "SweepGeometry":
+        """The SweepGeometry of these columns, built on the first call and
+        kept; call it before forking processes that share it."""
+        if self._geometry is None:
+            self._geometry = SweepGeometry(self)
+        return self._geometry
 
     @classmethod
     def from_records(cls, records) -> "DeploymentArrays":
@@ -388,9 +384,9 @@ class DeploymentArrays:
         number through float(); a kind must be a TransmitterKind value;
         longitudes are wrapped into (-180, 180].  ConfigError names, by
         its position from 1, a record that is not an object, lacks a
-        required key, holds a value that does not convert, or has a
-        latitude outside [-90, 90] (or NaN), an emission_bandwidth_hz
-        <= 0 or an antenna_height_m < 0.
+        required key, holds a value that does not convert, a number that
+        is not finite, a latitude outside [-90, 90], an
+        emission_bandwidth_hz <= 0 or an antenna_height_m < 0.
         """
         convert = {"ids": str,  # float() for the others
                    "kinds": lambda value: TransmitterKind(value).value}
@@ -419,15 +415,14 @@ class DeploymentArrays:
 
         floats = {column: np.frombuffer(columns.pop(column), dtype=float)
                   for column in cls._FLOAT_COLUMNS}
-        # A NaN latitude is rejected; a NaN bandwidth or antenna height is
-        # not, since only values that compare <= 0 and < 0 are.
         lat, bandwidth, height = (floats[column] for column in (
             "lat", "emission_bandwidth", "antenna_height"))
         for key, values, ok, rule in (
+                *((key, floats[column], np.isfinite(floats[column]), "finite")
+                  for key, column, _ in _RECORD_FIELDS if column in floats),
                 ("lat", lat, np.abs(lat) <= 90.0, "in [-90, 90]"),
-                ("emission_bandwidth_hz", bandwidth, ~(bandwidth <= 0.0),
-                 "> 0"),
-                ("antenna_height_m", height, ~(height < 0.0), ">= 0")):
+                ("emission_bandwidth_hz", bandwidth, bandwidth > 0.0, "> 0"),
+                ("antenna_height_m", height, height >= 0.0, ">= 0")):
             if not ok.all():
                 i = int(np.argmin(ok))
                 raise ConfigError(f"bad transmitter record {i + 1}: {key} "
@@ -446,6 +441,62 @@ class DeploymentArrays:
                         for c in self._FLOAT_COLUMNS))
 
 
+#: Emitters whose geometry SweepGeometry computes at a time, so that its
+#: temporaries stay small.
+_GEOMETRY_CHUNK = 1 << 15
+
+
+def _latitude_order(lat):
+    """np.argsort(lat, kind="stable"), several times faster: the default
+    sort, then a stable pass unless the latitudes all differ."""
+    order = np.argsort(lat)
+    sorted_lat = lat[order]
+    if np.all(sorted_lat[1:] > sorted_lat[:-1]):
+        return order
+    return order[np.lexsort((order, sorted_lat))]
+
+
+class SweepGeometry:
+    """What the pixel sweep reads of a deployment, in latitude order.
+
+    order = np.argsort(lat, kind="stable") holds the deployment index of
+    each sweep position; equal latitudes keep deployment order, so the
+    order is the same on every machine.  In that order: lon,
+    antenna_height and eirp, ground_ecef and antenna_ecef (rows x, y, z
+    of each ground point and antenna) and trig (the rows of
+    frames.site_trig); the latitudes are searched in the deployment's
+    column through order, with no sorted copy.  alt_span is the largest
+    |altitude| and sink how far the lowest antenna lies below the
+    ellipsoid (each 0 if none), the bounds _near_pixel needs.  The ECEF
+    rows and trig are computed _GEOMETRY_CHUNK emitters at a time.
+    """
+
+    def __init__(self, deployment: DeploymentArrays):
+        self.order = _latitude_order(deployment.lat)
+        self.lon, self.antenna_height, self.eirp = (
+            getattr(deployment, column)[self.order]
+            for column in ("lon", "antenna_height", "eirp"))
+        n = len(self.order)
+        self.ground_ecef, self.antenna_ecef, self.trig = (
+            np.empty((rows, n)) for rows in (3, 3, 4))
+        self.alt_span = self.sink = 0.0
+        for lo in range(0, n, _GEOMETRY_CHUNK):
+            rows = slice(lo, lo + _GEOMETRY_CHUNK)
+            index = self.order[rows]
+            alt = deployment.alt[index]
+            antenna_alt = alt + self.antenna_height[rows]
+            trig = frames.site_trig(deployment.lat[index], self.lon[rows])
+            self.ground_ecef[:, rows] = frames.trig_to_ecef(trig, alt)
+            self.antenna_ecef[:, rows] = frames.trig_to_ecef(trig,
+                                                             antenna_alt)
+            self.trig[:, rows] = trig
+            self.alt_span = max(self.alt_span, float(np.max(np.abs(alt))))
+            self.sink = max(self.sink, -float(np.min(antenna_alt)))
+
+    def __len__(self):
+        return len(self.order)
+
+
 # --- aggregation ---------------------------------------------------------------
 
 
@@ -454,8 +505,11 @@ class DeploymentArrays:
 _SCREEN_SLACK_M = 1.0
 
 
-def _near_pixel(arrays: DeploymentArrays, pixel: PixelFootprint, sat_r):
-    """Indices (ascending) of the emitters that can count in this pixel.
+def _screen_reach(pixel: PixelFootprint, sat_r, alt_span: float,
+                  sink: float):
+    """(dlat, dlon): the latitude and longitude reach, in degrees, around
+    the pixel centre's, beyond which no emitter can count in this pixel,
+    or None when the reach cannot be bounded so.
 
     An emitter counts when its ground point p is inside the pixel ellipse
     and its antenna sees the satellite S above the horizon.  Work on the
@@ -464,7 +518,7 @@ def _near_pixel(arrays: DeploymentArrays, pixel: PixelFootprint, sat_r):
     normal at c0, to which the ellipse axes are orthogonal, and
     M = B**2 / A, the smallest radius of curvature of K.  Take a the semi-
     major axis, H the largest |altitude| of the emitters (alt_span), sink
-    how far the lowest antenna lies below K (0 if none does) and s the
+    how far their lowest antenna lies below K (0 if none does) and s the
     distance of q from the line c0 + t n.
 
     Since |u_major.(p - c)|**2 + |u_minor.(p - c)|**2 <= a**2 inside the
@@ -478,11 +532,11 @@ def _near_pixel(arrays: DeploymentArrays, pixel: PixelFootprint, sat_r):
 
     Far is ruled out when the satellite sees the pixel centre,
     n.(S - c0) >= 0, and s + (1 - M / (2A)) |S - c0| < M - sink (for a
-    LEO satellite, thousands of km to spare); otherwise every emitter is
-    kept.  The segment from a far q to S crosses the plane of the ball's
-    centre o at w = q + t (S - q) with t <= 1 - M / (2A) (q lies at most
-    2A below c0), and |w - o| <= s + t |S - c0|, so w lies sink deep
-    inside K, n_q.(S - q) < -sink and the antenna, at
+    LEO satellite, thousands of km to spare); otherwise there is no
+    reach (None).  The segment from a far q to S crosses the plane of the
+    ball's centre o at w = q + t (S - q) with t <= 1 - M / (2A) (q lies
+    at most 2A below c0), and |w - o| <= s + t |S - c0|, so w lies sink
+    deep inside K, n_q.(S - q) < -sink and the antenna, at
     q + (alt + antenna_height) n_q, sees S below its horizon.
 
     Near: the chord is |q - c0| <= rho = sqrt(s**2 + (M - sqrt(M**2 -
@@ -500,19 +554,45 @@ def _near_pixel(arrays: DeploymentArrays, pixel: PixelFootprint, sat_r):
     to_sat = sat_r - frames.geodetic_to_ecef(lat, lon, 0.0)
     big_a = frames.WGS84_A
     big_m = frames.min_curvature_radius(0.0)
-    a, span = pixel.semi_major, arrays.alt_span
-    far = a + span + _SCREEN_SLACK_M
+    a = pixel.semi_major
+    far = a + alt_span + _SCREEN_SLACK_M
     if (float(np.dot(up, to_sat)) < 0.0
             or far + (1.0 - big_m / (2.0 * big_a)) * np.linalg.norm(to_sat)
-            + arrays.sink >= big_m):
-        return np.arange(len(arrays))
-    s = a + span * (a + span) / big_m + _SCREEN_SLACK_M
+            + sink >= big_m):
+        return None
+    s = a + alt_span * (a + alt_span) / big_m + _SCREEN_SLACK_M
     chord = math.hypot(s, s * s / (big_m + math.sqrt(big_m ** 2 - s * s)))
-    dlat, dlon = frames.surface_reach_deg(chord, lat, lat, 0.0)
-    band = np.flatnonzero((arrays.lat >= lat - dlat)
-                          & (arrays.lat <= lat + dlat))
-    lon_off = np.abs(arrays.lon[band] - lon)
-    return band[(lon_off <= dlon) | (lon_off >= 360.0 - dlon)]
+    return frames.surface_reach_deg(chord, lat, lat, 0.0)
+
+
+def _near_pixel(deployment: DeploymentArrays, pixel: PixelFootprint,
+                sat_r):
+    """Positions (ascending) in the deployment's SweepGeometry of the
+    emitters that can count in this pixel: all of them when _screen_reach
+    has no reach, else those whose latitude lat_e and longitude lon_e
+    pass
+
+        lat - dlat <= lat_e <= lat + dlat, and
+        d <= dlon or d >= 360 - dlon, with d = |lon_e - lon|,
+
+    (lat, lon) the pixel centre.  The geometry is in latitude order, so
+    the latitude band is one run of positions, found by two binary
+    searches of the latitudes through that order (side "left" keeps
+    lat_e == lat - dlat, side "right" lat_e == lat + dlat), and only that
+    run takes the longitude test: the cost grows with the emitters in the
+    band, not with the deployment.
+    """
+    geometry = deployment.build_geometry()
+    reach = _screen_reach(pixel, sat_r, geometry.alt_span, geometry.sink)
+    if reach is None:
+        return np.arange(len(geometry))
+    dlat, dlon = reach
+    lat, lon = pixel.center.latitude, pixel.center.longitude
+    lo, hi = (np.searchsorted(deployment.lat, edge, side=side,
+                              sorter=geometry.order)
+              for edge, side in ((lat - dlat, "left"), (lat + dlat, "right")))
+    lon_off = np.abs(geometry.lon[lo:hi] - lon)
+    return lo + np.flatnonzero((lon_off <= dlon) | (lon_off >= 360.0 - dlon))
 
 
 def aggregate_interference(pixel: PixelFootprint, sat_r,
@@ -536,20 +616,27 @@ def aggregate_interference(pixel: PixelFootprint, sat_r,
     degrees); the aggregate is their linear power sum.  Reuse one
     DeploymentArrays when sweeping many pixels; disable
     include_contributors to drop the per-transmitter audit tuples on large
-    grids (the aggregate is unchanged).  Only the emitters of the proven
-    box of _near_pixel are tested against the ellipse; every step is
-    elementwise, so the result is that of testing all of them.
+    grids (the aggregate is unchanged).
+
+    The sweep reads the deployment's SweepGeometry: only the emitters of
+    the proven box of _near_pixel are tested against the ellipse, and
+    every step is elementwise, so each contribution is that of testing
+    all of them.  Contributions are summed in latitude order, so the
+    aggregate can differ in its last bits from a sum in deployment order;
+    contributors are listed in deployment order.
     """
-    idx = _near_pixel(deployment, pixel, sat_r)
-    idx = idx[_ellipse_margins(_frame(pixel),
-                               (row[idx] for row in deployment.ground_ecef),
-                               1.0) <= 0.0]
+    geometry = deployment.build_geometry()
+    rows = _near_pixel(deployment, pixel, sat_r)
+    rows = rows[_ellipse_margins(_frame(pixel),
+                                 (column[rows]
+                                  for column in geometry.ground_ecef),
+                                 1.0) <= 0.0]
     _, _, elevation, slant, sin_el = frames.enu_look(
-        [r - row[idx] for r, row in zip(sat_r, deployment.antenna_ecef)],
-        [trig[idx] for trig in deployment.trig])
+        [r - column[rows] for r, column in zip(sat_r, geometry.antenna_ecef)],
+        [trig[rows] for trig in geometry.trig])
     visible = elevation > 0.0
-    idx = idx[visible]
-    if idx.size == 0:
+    rows = rows[visible]
+    if rows.size == 0:
         return InterferenceSample(pixel=pixel, aggregate=float("-inf"),
                                   contributors=())
     elevation = elevation[visible]
@@ -564,19 +651,21 @@ def aggregate_interference(pixel: PixelFootprint, sat_r,
     path = "LOS"
     if model is PathModel.TWO_RAY:
         loss = loss + _two_ray_gain_db(
-            deployment.antenna_height[idx], sin_el,
+            geometry.antenna_height[rows], sin_el,
             radiometer.center_frequency, reflection_coeff, two_ray_floor_db)
         path = "TwoRay"
 
-    contributions = deployment.eirp[idx] + loss
+    contributions = geometry.eirp[rows] + loss
     linear_sum = float(np.sum(10.0 ** (contributions / 10.0)))
     aggregate = (10.0 * math.log10(linear_sum) if linear_sum > 0.0
                  else float("-inf"))
     contributors = ()
     if include_contributors:
+        index = geometry.order[rows]
+        by_index = np.argsort(index)
         contributors = tuple(
             (deployment.ids[i], float(c), path)
-            for i, c in zip(idx, contributions))
+            for i, c in zip(index[by_index], contributions[by_index]))
     return InterferenceSample(pixel=pixel, aggregate=aggregate,
                               contributors=contributors)
 

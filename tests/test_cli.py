@@ -7,6 +7,7 @@ import os
 import shutil
 import signal
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -712,6 +713,26 @@ def test_itu_sim_bad_deployment_line_fails(scenario, capsys, line):
     assert "bad transmitter record 1" in capsys.readouterr().err
 
 
+def test_itu_sim_non_finite_deployment_value_fails(scenario, capsys):
+    """A deployment value that is not finite (json reads NaN and Infinity)
+    exits 2 naming the record and key; a NaN altitude once dropped every
+    emitter from the sweep and passed."""
+    path, config, tmp = scenario
+    dep = tmp / "nan_dep.jsonl"
+    dep.write_text(json.dumps(dict(_RECORD, alt_m=float("nan"))) + "\n"
+                   + json.dumps(dict(_RECORD, id="b")) + "\n")
+    config["itu"]["deployment"] = {
+        "path": str(dep), "bbox": config["itu"]["deployment"]["bbox"]}
+    bad = tmp / "nan_dep.json"
+    bad.write_text(json.dumps(config))
+    out = tmp / "nan_dep"
+    assert main(["itu-sim", "--config", str(bad),
+                 "--out-dir", str(out)]) == 2
+    assert ("bad transmitter record 1: alt_m nan is not finite"
+            in capsys.readouterr().err)
+    assert not (out / "compliance.json").exists()
+
+
 def test_itu_sim_zero_emission_bandwidth(scenario, capsys):
     path, config, tmp = scenario
     config = json.loads(Path(path).read_text())
@@ -926,9 +947,12 @@ def test_darkspaces_edge_footprints_in_chunks(scenario, monkeypatch):
 
 
 @functools.cache
-def _every_sample(config_path):
+def _every_sample(config_path, spec_changes=()):
+    """Every sample of the config's window, footprinted, with its first
+    satellite's spec changed as the (field, value) pairs say."""
     config = ScenarioConfig.load(config_path)
     elements, spec = config.satellites()[0]
+    spec = replace(spec, **dict(spec_changes))
     start, end = config.window()
     duration = (end - start).total_seconds()
     base = (start - elements.epoch).total_seconds()
@@ -1028,6 +1052,33 @@ def test_itu_pixels_screening_keeps_swath_edge(every_example_sample, where):
     sel, expected = _reference_selection(every_example_sample, bbox, 1000)
     assert expected and idx[sel].min() > idx.max() - 4
     assert _selection(config, bbox, 1000) == expected
+
+
+#: An ATMS that scans 0.1 degrees either side of nadir in 8 s lines: each
+#: line's centres lie within about 1.5 km of the ground point beneath the
+#: satellite at its first sample across the track, but up to about 60 km
+#: from it along the track.
+_NARROW_SCAN = (("scan_half_angle", 0.1), ("scan_period", 8.0))
+
+
+def test_itu_pixels_screening_keeps_late_samples():
+    """Tiny boxes around the last samples of lines keep what footprinting
+    every sample keeps: only the satellite's motion over the line (the
+    screen's V T) reaches those samples from the line's first state."""
+    every = _every_sample(EXAMPLE_CONFIG, _NARROW_SCAN)
+    config, lines, idx, lat, lon, miss = every
+    elements, spec = config.satellites()[0]
+    satellite = (elements, replace(spec, **dict(_NARROW_SCAN)))
+    last = np.flatnonzero((idx == idx.max()) & ~miss & (np.abs(lon) < 179.0))
+    for k in last[::last.size // 8]:
+        bbox = GeoBox(lat[k] - 0.01, lat[k] + 0.01, lon[k] - 0.01,
+                      lon[k] + 0.01)
+        _, expected = _reference_selection(every, bbox, 1000)
+        assert (lat[k], lon[k]) in expected
+        _, footprints = geofence.pixels_in_box(
+            satellite, config.window(), bbox, 1000, config.ground_altitude())
+        assert [(fp.center.latitude, fp.center.longitude)
+                for fp in footprints] == expected
 
 
 def test_darkspaces_network_matches_single_sites(scenario):

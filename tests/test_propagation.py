@@ -42,6 +42,16 @@ def _jsonl(records):
 _dep = DeploymentArrays.from_records
 
 
+def _unchecked(records):
+    """Columns of complete records as DeploymentArrays holds them, without
+    from_records' checks, for values (NaN, infinities) it rejects."""
+    return DeploymentArrays(
+        [r["id"] for r in records], [r["kind"] for r in records],
+        **{column: [r[key] for r in records]
+           for key, column, _ in propagation._RECORD_FIELDS
+           if column not in ("ids", "kinds")})
+
+
 @pytest.fixture
 def pixel_and_sat(atms):
     sat = state_from_geodetic(T0, 40.0, -105.0, 832.1e3,
@@ -242,6 +252,18 @@ def test_generated_ids_skip_empty_classes():
     assert propagation.GeneratedIds([], []) == []
 
 
+def test_generated_kinds_repeat_each_kind():
+    kinds = propagation.GeneratedKinds(["gNB", "UE", "IAB"], [2, 0, 3])
+    eager = ["gNB"] * 2 + ["IAB"] * 3
+    assert len(kinds) == 5 and kinds == eager and eager == kinds
+    assert [kinds[k] for k in range(-5, 5)] == eager + eager
+    assert kinds[1:4] == eager[1:4] and kinds[::2] == eager[::2]
+    assert list(kinds) == eager and kinds[4:1] == []
+    dep = generate_deployment("rural", GeoBox(39.9, 40.0, -105.1, -105.0),
+                              seed=11)
+    assert isinstance(dep.kinds, propagation.GeneratedKinds)
+
+
 def test_generated_ids_name_the_contributors(pixel_and_sat, atms):
     """include_contributors gives the same id strings from the ids built on
     demand as from the eager list."""
@@ -308,7 +330,7 @@ def test_deployment_jsonl_lines_match_json_dumps(tmp_path):
     ]
     for dep in (records, records[:1], records[1:2] * 3):
         path = tmp_path / "dep.jsonl"
-        write_deployment_jsonl(_dep(dep), path)
+        write_deployment_jsonl(_unchecked(dep), path)
         assert path.read_text(encoding="utf-8") == _jsonl(dep)
 
 
@@ -347,7 +369,7 @@ def test_deployment_jsonl_edge_floats_match_json_dumps(tmp_path):
     records = [_tx(i, 40.0 + 1e-3 * i, -105.0, eirp=float(eirp))
                for i, eirp in enumerate(_EDGE_FLOATS)]
     path = tmp_path / "dep.jsonl"
-    write_deployment_jsonl(_dep(records), path)
+    write_deployment_jsonl(_unchecked(records), path)
     lines = path.read_text().splitlines()
     assert lines == [json.dumps(r, sort_keys=True) for r in records]
 
@@ -398,6 +420,20 @@ def test_from_records_names_the_bad_record(tmp_path):
     path.write_text("\n" + _jsonl(records[:1]) + "  \n" + _jsonl(records[1:]))
     with pytest.raises(ConfigError, match="record 2: antenna_height_m"):
         read_deployment_jsonl(path)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("key", [
+    key for key, column, _ in propagation._RECORD_FIELDS
+    if column in DeploymentArrays._FLOAT_COLUMNS])
+def test_from_records_rejects_non_finite_values(key, value):
+    """Every number must be finite: a NaN altitude, longitude or EIRP
+    would otherwise drop emitters from the sweep, or all of them."""
+    records = [_tx(0, 40.0, -105.0), dict(_tx(1, 40.0, -105.0),
+                                          **{key: value})]
+    with pytest.raises(ConfigError,
+                       match=f"record 2: {key} -?(nan|inf) is not finite"):
+        _dep(records)
 
 
 def test_from_records_defaults_and_conversions():
@@ -502,6 +538,20 @@ def _ground_point_at(center, u_major, u_minor, x, y, alt):
     return float(lat), float(lon)
 
 
+def _columns(lat, lon, alt=None, seed=0):
+    """DeploymentArrays of emitters at these latitudes and longitudes, with
+    ids "t<index>" and seeded antenna heights and EIRPs."""
+    n = len(lat)
+    rng = np.random.default_rng(seed)
+    return DeploymentArrays(
+        [f"t{i}" for i in range(n)], ["gNB"] * n, lat=lat, lon=lon,
+        alt=np.zeros(n) if alt is None else alt,
+        antenna_height=rng.uniform(0.0, 30.0, n),
+        eirp=rng.uniform(-40.0, -10.0, n), center_frequency=np.full(n, F),
+        emission_bandwidth=np.full(n, 2.0e8), pointing_az=np.zeros(n),
+        pointing_el=np.zeros(n))
+
+
 @settings(max_examples=40, deadline=None)
 @given(lat=st.floats(0.0, 85.0), lon=st.floats(178.0, 182.0),
        heading=st.floats(0.0, 360.0), sample=st.integers(0, 95),
@@ -544,15 +594,11 @@ def test_screen_keeps_every_contributor(atms, lat, lon, heading, sample,
     cols["lon"].append(float(far_lon))
     cols["alt"].append(0.0)
     n = len(cols["lat"])
-    arrays = DeploymentArrays(
-        [f"t{i}" for i in range(n)], ["gNB"] * n,
-        lat=cols["lat"], lon=cols["lon"], alt=cols["alt"],
-        antenna_height=rng.uniform(0.0, 30.0, n),
-        eirp=rng.uniform(-40.0, -10.0, n), center_frequency=np.full(n, F),
-        emission_bandwidth=np.full(n, 2.0e8), pointing_az=np.zeros(n),
-        pointing_el=np.zeros(n))
+    arrays = _columns(cols["lat"], cols["lon"], cols["alt"], seed)
 
-    assert n - 1 not in propagation._near_pixel(arrays, fp, sat.r)
+    # _near_pixel returns sweep positions; order maps them to indices.
+    assert n - 1 not in arrays.build_geometry().order[
+        propagation._near_pixel(arrays, fp, sat.r)]
 
     def run():
         return aggregate_interference(fp, sat.r, arrays, PathModel.TWO_RAY,
@@ -565,6 +611,109 @@ def test_screen_keeps_every_contributor(atms, lat, lon, heading, sample,
     assert len(unscreened.contributors) >= 16
     assert screened.contributors == unscreened.contributors
     assert screened.aggregate == unscreened.aggregate
+
+
+@settings(max_examples=60, deadline=None)
+@given(lats=st.lists(st.sampled_from([-0.0, 0.0, -1.5, 2.0, 40.0, 90.0])
+                     | st.floats(-90.0, 90.0), max_size=30))
+def test_sweep_order_is_the_stable_latitude_order(lats):
+    """The sweep geometry holds the emitters in np.argsort(lat,
+    kind="stable") order, ties (signed zeros among them) in deployment
+    order, and its columns are the deployment's in that order."""
+    arrays = _columns(lats, np.zeros(len(lats)))
+    geometry = arrays.build_geometry()
+    order = np.argsort(arrays.lat, kind="stable")
+    assert geometry.order.tolist() == order.tolist()
+    for column in ("lon", "antenna_height", "eirp"):
+        assert np.array_equal(getattr(geometry, column),
+                              getattr(arrays, column)[order])
+    assert np.array_equal(geometry.ground_ecef, frames.geodetic_to_ecef(
+        arrays.lat[order], arrays.lon[order], 0.0))
+    assert arrays.build_geometry() is geometry
+
+
+@settings(max_examples=60, deadline=None)
+@given(lat=st.floats(0.0, 89.9), lon=st.floats(-180.0, 180.0),
+       heading=st.floats(0.0, 360.0), sample=st.integers(0, 95),
+       span=st.floats(0.0, 5000.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_screen_keeps_the_lat_lon_box(atms, lat, lon, heading, sample, span,
+                                      seed):
+    """_near_pixel keeps exactly the emitters that the O(N) latitude and
+    longitude test of every emitter keeps, with duplicate latitudes and
+    emitters exactly on, and one ulp beyond, each edge of the band."""
+    east, north, _ = frames.enu_basis(lat, lon)
+    h = math.radians(heading)
+    sat = state_from_geodetic(
+        T0, lat, lon, 832.1e3,
+        velocity_ecef=tuple(7.4e3 * (math.sin(h) * east
+                                     + math.cos(h) * north)))
+    fp = pixel_footprint(sat, ScanSample(0, sample, T0,
+                                         float(atms.boresight_of(sample))),
+                         atms)
+    reach = propagation._screen_reach(fp, sat.r, span, 0.0)
+    assert reach is not None
+    dlat, dlon = reach
+    c_lat, c_lon = fp.center.latitude, fp.center.longitude
+    edges = [c_lat - dlat, c_lat + dlat]
+    edges += [np.nextafter(edges[0], -90.0), np.nextafter(edges[1], 90.0)]
+    lons = [c_lon - dlon, c_lon + dlon, c_lon + 180.0, c_lon,
+            c_lon - 360.0 + dlon, c_lon + 360.0 - dlon]
+    rng = np.random.default_rng(seed)
+    near = list(rng.uniform(c_lat - 2.0 * dlat, c_lat + 2.0 * dlat, 40))
+    e_lat = np.clip(edges * len(lons) + near + near[:10] + edges, -90.0, 90.0)
+    e_lon = frames.wrap_longitude(np.concatenate((
+        np.repeat(lons, len(edges)),
+        rng.uniform(c_lon - 2.0 * dlon, c_lon + 2.0 * dlon, 50 + len(edges)))))
+    alt = rng.uniform(0.0, span, len(e_lat))
+    alt[0] = span
+    arrays = _columns(e_lat, e_lon, alt, seed)
+    geometry = arrays.build_geometry()
+    assert geometry.alt_span == span and geometry.sink == 0.0
+
+    lon_off = np.abs(arrays.lon - c_lon)
+    reference = np.flatnonzero(
+        (arrays.lat >= c_lat - dlat) & (arrays.lat <= c_lat + dlat)
+        & ((lon_off <= dlon) | (lon_off >= 360.0 - dlon)))
+    kept = propagation._near_pixel(arrays, fp, sat.r)
+    assert np.all(np.diff(kept) > 0)
+    assert sorted(geometry.order[kept].tolist()) == reference.tolist()
+    # At the centre's longitude, the emitters on the band's edges count
+    # and those one ulp beyond do not (unless clipped back at the pole).
+    at_centre = 3 * len(edges)
+    assert [i in reference for i in range(at_centre, at_centre + 4)] == [
+        True, True, False, edges[1] >= 90.0]
+
+
+def test_aggregate_does_not_depend_on_deployment_order(pixel_and_sat, atms):
+    """A row-permuted copy of a deployment, with tied latitudes, gives the
+    same contributors (ids and values, listed in each deployment's order)
+    and an aggregate within 1e-9 dB."""
+    fp, sat = pixel_and_sat
+    c_lat, c_lon = fp.center.latitude, fp.center.longitude
+    dep = generate_deployment("rural", GeoBox(c_lat - 0.5, c_lat + 0.5,
+                                              c_lon - 0.5, c_lon + 0.5),
+                              seed=8)
+    lat = dep.lat.copy()
+    lat[1::7] = lat[::7][:len(lat[1::7])]
+    rng = np.random.default_rng(3)
+    perm = rng.permutation(len(dep))
+    ids = list(dep.ids)
+    columns = {c: getattr(dep, c) for c in DeploymentArrays._FLOAT_COLUMNS}
+    columns["lat"] = lat
+    original = DeploymentArrays(ids, dep.kinds, **columns)
+    permuted = DeploymentArrays(
+        [ids[i] for i in perm], [dep.kinds[i] for i in perm],
+        **{c: np.asarray(v)[perm] for c, v in columns.items()})
+    for model in PathModel:
+        a, b = (aggregate_interference(fp, sat.r, arrays, model, atms)
+                for arrays in (original, permuted))
+        assert len(a.contributors) > 100
+        assert sorted(a.contributors) == sorted(b.contributors)
+        for arrays, sample in ((original, a), (permuted, b)):
+            where = {tx_id: i for i, tx_id in enumerate(arrays.ids)}
+            positions = [where[tx_id] for tx_id, _, _ in sample.contributors]
+            assert positions == sorted(positions)
+        assert abs(a.aggregate - b.aggregate) <= 1e-9
 
 
 # --- compliance ------------------------------------------------------------------
