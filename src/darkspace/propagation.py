@@ -198,10 +198,10 @@ def generate_deployment(scenario, area: GeoBox, seed: int,
     the first uniform draw of each class's stream, so expectations match the
     configured density exactly while staying integer and deterministic.
     Emitter ids are "<scenario>-<kind>-<index within the class>", the
-    index as %06d; they come as GeneratedIds, and the kinds as
-    GeneratedKinds, both built on demand.  The columns that hold one
-    value for every emitter (alt, center_frequency, emission_bandwidth,
-    pointing_az, pointing_el) are read-only views of that one value.
+    index as %06d; they come as GeneratedIds, built on demand.  The
+    columns that hold one value for every emitter (alt, center_frequency,
+    emission_bandwidth, pointing_az, pointing_el) are read-only views of
+    that one value.
     """
     if classes is None:
         try:
@@ -240,14 +240,13 @@ def generate_deployment(scenario, area: GeoBox, seed: int,
         height.append(np.full(count, cls.antenna_height_m))
         prefixes.append(f"{scenario}-{cls.kind.value}-")
         counts.append(count)
-        kinds.append(cls.kind.value)
+        kinds.extend([cls.kind.value] * count)
 
     def constant(value):
-        return np.broadcast_to(float(value), sum(counts))
+        return np.broadcast_to(float(value), len(kinds))
 
     return DeploymentArrays(
-        GeneratedIds(prefixes, counts), GeneratedKinds(kinds, counts),
-        lat=np.concatenate(lat),
+        GeneratedIds(prefixes, counts), kinds, lat=np.concatenate(lat),
         lon=frames.wrap_longitude(np.concatenate(lon)), alt=constant(0.0),
         antenna_height=np.concatenate(height), eirp=np.concatenate(eirp),
         center_frequency=constant(center_frequency),
@@ -271,18 +270,13 @@ class GeneratedIds(Sequence):
     def __len__(self):
         return self._ends[-1]
 
-    @staticmethod
-    def _run(prefix, lo, hi):
-        """The items lo to hi - 1 (none if hi <= lo) of prefix's run."""
-        return [f"{prefix}{i:06d}" for i in range(lo, hi)]
-
     def _build(self, lo, hi):
-        """The items of positions lo to hi - 1, for 0 <= lo, hi <= len."""
+        """The ids of positions lo to hi - 1, for 0 <= lo, hi <= len."""
         out = []
         for prefix, start, end in zip(self._prefixes, self._ends,
                                       self._ends[1:]):
-            out += self._run(prefix, max(lo, start) - start,
-                             min(hi, end) - start)
+            out += [f"{prefix}{i - start:06d}"
+                    for i in range(max(lo, start), min(hi, end))]
         return out
 
     def __getitem__(self, index):
@@ -293,10 +287,9 @@ class GeneratedIds(Sequence):
         if i < 0:
             i += len(self)
         if not 0 <= i < len(self):
-            raise IndexError("emitter index out of range")
+            raise IndexError("emitter id index out of range")
         k = bisect_right(self._ends, i) - 1
-        return self._run(self._prefixes[k], i - self._ends[k],
-                         i - self._ends[k] + 1)[0]
+        return f"{self._prefixes[k]}{i - self._ends[k]:06d}"
 
     def __iter__(self):
         return iter(self[:])
@@ -307,15 +300,6 @@ class GeneratedIds(Sequence):
         if not isinstance(other, list):
             return NotImplemented
         return self[:] == other
-
-
-class GeneratedKinds(GeneratedIds):
-    """The kinds of a generated deployment: for each (kind, count) in turn,
-    the kind count times, built on demand as GeneratedIds are."""
-
-    @staticmethod
-    def _run(kind, lo, hi):
-        return [kind] * (hi - lo)
 
 
 # --- deployment records and columns -------------------------------------------
@@ -344,14 +328,14 @@ class DeploymentArrays:
 
     generate_deployment builds one, and from_records (read_deployment_jsonl)
     fills one from deployment records.  Columns: ids and kinds (sequences
-    of str, kinds as TransmitterKind values; GeneratedIds and
-    GeneratedKinds, built on demand, in a generated deployment and lists
-    otherwise) and the float arrays lat, lon, alt, antenna_height, eirp,
-    center_frequency, emission_bandwidth, pointing_az and pointing_el, all
-    in deployment order.  The sweep reads a SweepGeometry instead, the
-    emitters in latitude order, which build_geometry computes on first use
-    and keeps, so build one once and reuse it across pixels; a process
-    that only writes the columns never computes it.
+    of str, kinds as TransmitterKind values; ids are GeneratedIds, built
+    on demand, in a generated deployment and a list otherwise) and the
+    float arrays lat, lon, alt, antenna_height, eirp, center_frequency,
+    emission_bandwidth, pointing_az and pointing_el, all in deployment
+    order.  The sweep reads a SweepGeometry as well, the emitters in
+    latitude order, which build_geometry computes on first use and keeps,
+    so build one once and reuse it across pixels; a process that only
+    writes the columns never computes it.
     """
 
     _FLOAT_COLUMNS = tuple(column for _, column, _ in _RECORD_FIELDS
@@ -360,9 +344,8 @@ class DeploymentArrays:
     def __init__(self, ids, kinds, **floats):
         """Wrap columns of equal length: floats holds each float column,
         by name; longitudes must already be in (-180, 180]."""
-        self.ids, self.kinds = (
-            column if isinstance(column, GeneratedIds) else list(column)
-            for column in (ids, kinds))
+        self.ids = ids if isinstance(ids, GeneratedIds) else list(ids)
+        self.kinds = list(kinds)
         for name in self._FLOAT_COLUMNS:
             setattr(self, name, np.asarray(floats[name], dtype=float))
         self._geometry = None
@@ -446,36 +429,26 @@ class DeploymentArrays:
 _GEOMETRY_CHUNK = 1 << 15
 
 
-def _latitude_order(lat):
-    """np.argsort(lat, kind="stable"), several times faster: the default
-    sort, then a stable pass unless the latitudes all differ."""
-    order = np.argsort(lat)
-    sorted_lat = lat[order]
-    if np.all(sorted_lat[1:] > sorted_lat[:-1]):
-        return order
-    return order[np.lexsort((order, sorted_lat))]
-
-
 class SweepGeometry:
     """What the pixel sweep reads of a deployment, in latitude order.
 
     order = np.argsort(lat, kind="stable") holds the deployment index of
     each sweep position; equal latitudes keep deployment order, so the
     order is the same on every machine.  In that order: lon,
-    antenna_height and eirp, ground_ecef and antenna_ecef (rows x, y, z
-    of each ground point and antenna) and trig (the rows of
-    frames.site_trig); the latitudes are searched in the deployment's
-    column through order, with no sorted copy.  alt_span is the largest
+    ground_ecef and antenna_ecef (rows x, y, z of each ground point and
+    antenna) and trig (the rows of frames.site_trig), the columns read
+    for every emitter near a pixel.  The rest is read in the
+    deployment's own columns, with no sorted copy: the latitudes are
+    searched through order, and antenna_height and eirp are gathered
+    through it for the emitters that count.  alt_span is the largest
     |altitude| and sink how far the lowest antenna lies below the
     ellipsoid (each 0 if none), the bounds _near_pixel needs.  The ECEF
     rows and trig are computed _GEOMETRY_CHUNK emitters at a time.
     """
 
     def __init__(self, deployment: DeploymentArrays):
-        self.order = _latitude_order(deployment.lat)
-        self.lon, self.antenna_height, self.eirp = (
-            getattr(deployment, column)[self.order]
-            for column in ("lon", "antenna_height", "eirp"))
+        self.order = np.argsort(deployment.lat, kind="stable")
+        self.lon = deployment.lon[self.order]
         n = len(self.order)
         self.ground_ecef, self.antenna_ecef, self.trig = (
             np.empty((rows, n)) for rows in (3, 3, 4))
@@ -484,7 +457,7 @@ class SweepGeometry:
             rows = slice(lo, lo + _GEOMETRY_CHUNK)
             index = self.order[rows]
             alt = deployment.alt[index]
-            antenna_alt = alt + self.antenna_height[rows]
+            antenna_alt = alt + deployment.antenna_height[index]
             trig = frames.site_trig(deployment.lat[index], self.lon[rows])
             self.ground_ecef[:, rows] = frames.trig_to_ecef(trig, alt)
             self.antenna_ecef[:, rows] = frames.trig_to_ecef(trig,
@@ -621,7 +594,8 @@ def aggregate_interference(pixel: PixelFootprint, sat_r,
     The sweep reads the deployment's SweepGeometry: only the emitters of
     the proven box of _near_pixel are tested against the ellipse, and
     every step is elementwise, so each contribution is that of testing
-    all of them.  Contributions are summed in latitude order, so the
+    all of them; antenna heights and EIRPs are read for the emitters
+    that count only.  Contributions are summed in latitude order, so the
     aggregate can differ in its last bits from a sum in deployment order;
     contributors are listed in deployment order.
     """
@@ -642,6 +616,7 @@ def aggregate_interference(pixel: PixelFootprint, sat_r,
     elevation = elevation[visible]
     slant = slant[visible]
     sin_el = sin_el[visible]
+    index = geometry.order[rows]
 
     loss = np.asarray(fspl_db(slant, radiometer.center_frequency),
                       dtype=float)
@@ -651,17 +626,16 @@ def aggregate_interference(pixel: PixelFootprint, sat_r,
     path = "LOS"
     if model is PathModel.TWO_RAY:
         loss = loss + _two_ray_gain_db(
-            geometry.antenna_height[rows], sin_el,
+            deployment.antenna_height[index], sin_el,
             radiometer.center_frequency, reflection_coeff, two_ray_floor_db)
         path = "TwoRay"
 
-    contributions = geometry.eirp[rows] + loss
+    contributions = deployment.eirp[index] + loss
     linear_sum = float(np.sum(10.0 ** (contributions / 10.0)))
     aggregate = (10.0 * math.log10(linear_sum) if linear_sum > 0.0
                  else float("-inf"))
     contributors = ()
     if include_contributors:
-        index = geometry.order[rows]
         by_index = np.argsort(index)
         contributors = tuple(
             (deployment.ids[i], float(c), path)

@@ -252,16 +252,18 @@ def test_generated_ids_skip_empty_classes():
     assert propagation.GeneratedIds([], []) == []
 
 
-def test_generated_kinds_repeat_each_kind():
-    kinds = propagation.GeneratedKinds(["gNB", "UE", "IAB"], [2, 0, 3])
-    eager = ["gNB"] * 2 + ["IAB"] * 3
-    assert len(kinds) == 5 and kinds == eager and eager == kinds
-    assert [kinds[k] for k in range(-5, 5)] == eager + eager
-    assert kinds[1:4] == eager[1:4] and kinds[::2] == eager[::2]
-    assert list(kinds) == eager and kinds[4:1] == []
+def test_generated_constant_columns_are_read_only():
+    """The columns that hold one value for every emitter are read-only
+    views of it, equal to the full columns."""
     dep = generate_deployment("rural", GeoBox(39.9, 40.0, -105.1, -105.0),
-                              seed=11)
-    assert isinstance(dep.kinds, propagation.GeneratedKinds)
+                              seed=11, center_frequency=2.0e10,
+                              emission_bandwidth=1.0e8)
+    for column, value in (("alt", 0.0), ("center_frequency", 2.0e10),
+                          ("emission_bandwidth", 1.0e8),
+                          ("pointing_az", 0.0), ("pointing_el", 0.0)):
+        values = getattr(dep, column)
+        assert np.array_equal(values, np.full(len(dep), value))
+        assert not values.flags.writeable
 
 
 def test_generated_ids_name_the_contributors(pixel_and_sat, atms):
@@ -619,14 +621,13 @@ def test_screen_keeps_every_contributor(atms, lat, lon, heading, sample,
 def test_sweep_order_is_the_stable_latitude_order(lats):
     """The sweep geometry holds the emitters in np.argsort(lat,
     kind="stable") order, ties (signed zeros among them) in deployment
-    order, and its columns are the deployment's in that order."""
+    order, and its longitudes and geometry are the deployment's in that
+    order."""
     arrays = _columns(lats, np.zeros(len(lats)))
     geometry = arrays.build_geometry()
     order = np.argsort(arrays.lat, kind="stable")
     assert geometry.order.tolist() == order.tolist()
-    for column in ("lon", "antenna_height", "eirp"):
-        assert np.array_equal(getattr(geometry, column),
-                              getattr(arrays, column)[order])
+    assert np.array_equal(geometry.lon, arrays.lon[order])
     assert np.array_equal(geometry.ground_ecef, frames.geodetic_to_ecef(
         arrays.lat[order], arrays.lon[order], 0.0))
     assert arrays.build_geometry() is geometry
