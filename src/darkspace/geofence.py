@@ -7,42 +7,47 @@ footprint or scan-line strip subtends each transmitter.  For each
 satellite it runs four stages.  What does not depend on the site is
 computed once per satellite and window by
 _SharedGeometry(elements, spec, window_start, duration_s, policy,
-ground_altitude) and shared by every site; the rest runs per site, on a
-_SatGeometry(shared, tx) that holds only its transmitter:
+ground_altitude) and shared by every site.  The sites are held as
+columns by _SatGeometry(shared, points), and each stage runs once over
+the rows of all sites (a row names its site by index), in blocks of
+sites (_site_blocks) or rows that keep the temporaries bounded:
 
-1. Prefilter.  Shared: one propagation on a COARSE_STEP_S grid.  Per
-   site: visibility_windows keeps the times when the satellite is above
-   HORIZON_GUARD_DEG at the transmitter (a satellite below the horizon
-   cannot subtend anything).
+1. Prefilter.  Shared: one propagation on a COARSE_STEP_S grid.  Over
+   (site, grid point): _visibility keeps, per site, the times when the
+   satellite is above HORIZON_GUARD_DEG at the transmitter (a satellite
+   below the horizon cannot subtend anything).
 2. Screen.  Shared: one state, geodetic up, scan axis and edge-footprint
    reach (edge_footprints) per scan line, for the union of the sites'
-   window lines.  Per site: _lines_near_tx keeps the lines whose scan
-   plane passes close enough to the transmitter for a sample to subtend
-   it, and _samples_near_tx keeps, on each of those lines, the range of
-   samples whose scan angle comes close enough to the transmitter's.
-3. Sample margins.  Shared, a few passes at a time (_pass_batches):
-   one state per boundary of the dwells the screens keep for any site
-   (pixel level: only those that overlap a visibility window), on the
-   scanner's own sample grid, where a dwell's end is the next dwell's
-   start; from those, footprints at the start and end of every dwell,
-   MARGIN_CHUNK samples at a time.  Per site (_dwell_dark): whether the
-   transmitter is dark at each end of the dwells it kept.
-4. Bisection, per site, pixel level only: a dwell dark at one end only
-   has its boundary refined to BISECT_TOL_S, well under 10 ms, in one
-   _bisect_boundary call per site and batch.
+   window lines.  Over (site, window, line) rows: _lines_near_tx keeps
+   the lines whose scan plane passes close enough to the site's
+   transmitter for a sample to subtend it, and _samples_near_tx keeps,
+   on each of those lines, the range of samples whose scan angle comes
+   close enough to the transmitter's.
+3. Sample margins, a few passes at a time (_pass_batches).  Shared: one
+   state per boundary of the dwells the screens keep for any site (pixel
+   level: only those that overlap a visibility window), on the scanner's
+   own sample grid, where a dwell's end is the next dwell's start; from
+   those, footprints at the start and end of every dwell, MARGIN_CHUNK
+   samples at a time.  Over (site, dwell) rows (_dwell_dark): whether the
+   transmitter is dark at each end of the dwell.
+4. Bisection, pixel level only: a dwell dark at one end only has its
+   boundary refined to BISECT_TOL_S, well under 10 ms, in one
+   _bisect_boundary call per batch over every site's brackets.
 
 Both policies share one path through stages 3 and 4 (_dark_spans).
 Padding, merging and attribution (_finalize_schedule) run per site.
-Propagation, frames and footprints are elementwise in the samples, so a
-site's schedule does not depend on which other sites share the work.
-Every state comes from inertial_states, which the flashlight planner and
-itu-sim's pixel search (pixels_in_box) call as well.  The pixel search
-screens scan lines by their edge_footprints too, with the same slack
-(_SCREEN_SLACK) and motion bound (_speed_bound) as _lines_near_tx.
+Propagation, frames, screens and footprints are elementwise in the rows,
+so a site's schedule does not depend on which other sites share the work
+or a block.  _SatGeometry.visibility_windows and _SatGeometry.margins are
+the one-site views of stages 1 and 3.  Every state comes from
+inertial_states, which the flashlight planner and itu-sim's pixel search
+(pixels_in_box) call as well.  The pixel search screens scan lines by
+their edge_footprints too, with the same slack (_SCREEN_SLACK) and motion
+bound (_speed_bound) as _lines_near_tx.
 
 brute_force_oracle implements the same subtension predicate by dense time
-sampling, without either screen; it is the reference semantics the engine
-is tested against.
+sampling, without either screen, one site at a time; it is the reference
+semantics the engine is tested against.
 """
 from __future__ import annotations
 
@@ -58,8 +63,8 @@ from .orbit import (GroundPoint, OrbitalElements, _check_epoch_offset,
                     propagate_many, frames)
 from .output import write_csv, write_jsonl
 from .radiometer import (BufferPolicy, PolicyKind, RadiometerSpec,
-                         ScanLattice, _ellipse_margins,
-                         _footprint_arrays, _scan_axis, footprints_batch)
+                         ScanLattice, _ellipse_margins, _footprint_arrays,
+                         _ranges, _scan_axis, footprints_batch)
 from .timeutil import add_seconds, ensure_utc, iso_utc, minutes_since
 
 #: Coarse prefilter: step (s) and below-horizon guard (deg).  The
@@ -248,11 +253,13 @@ def pixels_in_box(satellite: tuple[OrbitalElements, RadiometerSpec],
     test has no sample centred in the box, and footprints do not depend on
     which other samples are computed with them, so the pixels, the stride
     and their bits are those of footprinting every sample of the window.
-    For the same reason the kept lines are propagated and footprinted
-    about MARGIN_CHUNK samples at a time, keeping only the in-box
-    samples' dwell keys (line * samples_per_scan + sample), and the
-    strided selection is propagated again: memory grows by 8 bytes per
-    in-box sample, not by the states and footprints of every sample.
+    For the same reason the window's lines are screened 4 * MARGIN_CHUNK
+    at a time, keeping only the kept lines' ids, and the kept lines are
+    propagated and footprinted about MARGIN_CHUNK samples at a time,
+    keeping only the in-box samples' dwell keys (line * samples_per_scan
+    + sample); the strided selection is propagated again.  Memory grows
+    by 8 bytes per kept line and per in-box sample, not by the states and
+    footprints of every line or sample of the window.
     """
     elements, spec = satellite
     start, end = window
@@ -261,21 +268,30 @@ def pixels_in_box(satellite: tuple[OrbitalElements, RadiometerSpec],
     base = lattice.offset(start)
     period, n = spec.scan_period, spec.samples_per_scan
 
-    line_ids = lattice.lines(base, base + duration)
-    r, v = inertial_states(elements, start, lattice.tau(line_ids) - base)
-    center, _, miss = edge_footprints(r, v, spec, ground_altitude)
-    lat, lon, _ = frames.ecef_to_geodetic(r)
-    ground = frames.geodetic_to_ecef(lat, lon, ground_altitude)
-    reach = np.linalg.norm(center - ground[:, :, None], axis=0)
-    reach = np.where(miss.any(axis=1), np.inf, reach.max(axis=1))
-    rho = (1.0 + _SCREEN_SLACK) * reach + _speed_bound(r, v, period) * period
-    dlat, dlon = frames.surface_reach_deg(rho, bbox.lat_min, bbox.lat_max,
-                                          ground_altitude)
-    lon_off = np.abs(frames.wrap_longitude(
-        lon - 0.5 * (bbox.lon_min + bbox.lon_max)))
-    line_ids = line_ids[
-        (lat >= bbox.lat_min - dlat) & (lat <= bbox.lat_max + dlat)
-        & (lon_off <= 0.5 * (bbox.lon_max - bbox.lon_min) + dlon)]
+    first, stop = (int(i) for i in lattice.line_span(base, base + duration))
+    # The epoch guard of inertial_states, over the whole window at once.
+    _check_epoch_offset(elements, minutes_since(start, elements.epoch)
+                        + (lattice.tau(np.array([first, stop - 1])) - base)
+                        / 60.0)
+    kept = [np.zeros(0, dtype=np.int64)]
+    for i in range(first, stop, 4 * MARGIN_CHUNK):
+        line_ids = np.arange(i, min(i + 4 * MARGIN_CHUNK, stop))
+        r, v = inertial_states(elements, start, lattice.tau(line_ids) - base)
+        center, _, miss = edge_footprints(r, v, spec, ground_altitude)
+        lat, lon, _ = frames.ecef_to_geodetic(r)
+        ground = frames.geodetic_to_ecef(lat, lon, ground_altitude)
+        reach = np.linalg.norm(center - ground[:, :, None], axis=0)
+        reach = np.where(miss.any(axis=1), np.inf, reach.max(axis=1))
+        rho = ((1.0 + _SCREEN_SLACK) * reach
+               + _speed_bound(r, v, period) * period)
+        dlat, dlon = frames.surface_reach_deg(rho, bbox.lat_min,
+                                              bbox.lat_max, ground_altitude)
+        lon_off = np.abs(frames.wrap_longitude(
+            lon - 0.5 * (bbox.lon_min + bbox.lon_max)))
+        kept.append(line_ids[
+            (lat >= bbox.lat_min - dlat) & (lat <= bbox.lat_max + dlat)
+            & (lon_off <= 0.5 * (bbox.lon_max - bbox.lon_min) + dlon)])
+    line_ids = np.concatenate(kept)
 
     keys = [np.zeros(0, dtype=np.int64)]
     per = max(1, MARGIN_CHUNK // n)
@@ -397,43 +413,101 @@ class _SharedGeometry:
 
 
 class _SatGeometry:
-    """One transmitter's view of a satellite/radiometer pair; the
-    site-independent work lives in shared, which every site of a network
-    reads."""
+    """The sites' view of a satellite/radiometer pair, the sites held as
+    columns in the style of propagation.DeploymentArrays: latitude,
+    longitude and altitude (k,), their frames.site_trig and their ECEF
+    positions tx_ecef (3, k).  Every stage runs once over the rows of all
+    sites, each row naming its site by index; a one-site geometry gives
+    the one-site views (visibility_windows, margins).  The
+    site-independent work lives in shared, which every site reads.
+    """
 
-    def __init__(self, shared: _SharedGeometry, tx: GroundPoint):
+    def __init__(self, shared: _SharedGeometry,
+                 points: Sequence[GroundPoint]):
         self.shared = shared
-        self.tx = tx
-        self.tx_ecef = tx.ecef()
+        self.points = points
+        self.lat = np.array([p.latitude for p in points], dtype=float)
+        self.lon = np.array([p.longitude for p in points], dtype=float)
+        self.alt = np.array([p.altitude for p in points], dtype=float)
+        self.trig = frames.site_trig(self.lat, self.lon)
+        self.tx_ecef = frames.trig_to_ecef(self.trig, self.alt)
 
-    def margins(self, offsets, boresight_deg):
-        """Inflated-ellipse margin of the transmitter for given samples,
-        each propagated at its own offset."""
+    def column(self, site):
+        """An index of the site arrays' last axis: site, or for a one-site
+        geometry a view of its one column, which broadcasts over any rows
+        (so site may be None there)."""
+        return slice(None) if self.lat.size == 1 else site
+
+    def margins(self, offsets, boresight_deg, site=None):
+        """Inflated-ellipse margin of site[i] in sample i, each sample
+        propagated at its own offset; site may be None for a one-site
+        geometry."""
         offsets = np.asarray(offsets, dtype=float)
+        if site is None:
+            site = np.zeros(offsets.size, dtype=np.int64)
         return _margins_many(
-            self.shared, [self], [np.arange(offsets.size)],
+            self, site, np.arange(offsets.size),
             np.asarray(boresight_deg, dtype=float),
-            lambda part: self.shared.states(offsets[part]))[0]
+            lambda part: self.shared.states(offsets[part]))
 
     def visibility_windows(self):
-        """Coarse intervals (s offsets) when the satellite may be in view."""
-        offsets, r = self.shared.coarse
-        el, _, _ = frames.look_angles_from_ecef(
-            r, self.tx_ecef.reshape(3, 1), self.tx.latitude,
-            self.tx.longitude)
-        # Each run of grid points above the guard, widened by one step on
-        # both sides; runs whose widened spans touch are merged.
-        mask = np.concatenate(([False], np.atleast_1d(el) > HORIZON_GUARD_DEG,
-                               [False]))
+        """Coarse intervals (s offsets) when the satellite may be in view of
+        a one-site geometry's site (_visibility)."""
+        _, lo, hi = _visibility(self)
+        return list(zip(lo.tolist(), hi.tolist()))
+
+
+def _site_blocks(sizes):
+    """Slices of consecutive sites, in order, whose rows (sizes[k] for site
+    k) sum to at most MARGIN_CHUNK, so each stage's temporaries stay as
+    small as one site's however many sites there are; a site with more
+    rows makes a block of its own.  4 * MARGIN_CHUNK rows raised the peak
+    RSS of a 25-site, 12-hour AMSU-A darkspaces run by 0.9 MB, at the
+    same speed."""
+    blocks, first, total = [], 0, 0
+    for k, size in enumerate(np.asarray(sizes).tolist()):
+        if total + size > MARGIN_CHUNK and k > first:
+            blocks.append(slice(first, k))
+            first, total = k, 0
+        total += size
+    if len(sizes) > first:
+        blocks.append(slice(first, len(sizes)))
+    return blocks
+
+
+def _visibility(geom: _SatGeometry):
+    """(site, lo, hi): every site's coarse windows (s offsets) when the
+    satellite may be in view, site after site, each site's in time order.
+
+    One frames.enu_look per block of sites over (site, coarse point)
+    gives the elevations; each run of a site's grid points above
+    HORIZON_GUARD_DEG is widened by one step on both sides, and a site's
+    runs whose widened spans touch are merged.
+    """
+    shared = geom.shared
+    offsets, r = shared.coarse
+    width = offsets.size + 2
+    out = [(np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0))]
+    for part in _site_blocks(np.full(geom.lat.size, offsets.size)):
+        rho = r[:, None, :] - geom.tx_ecef[:, part, None]
+        _, _, el, _, _ = frames.enu_look(
+            rho, [t[part, None] for t in geom.trig])
+        # Each row starts and ends False, so no run crosses a site.
+        mask = np.zeros((el.shape[0], width), dtype=bool)
+        mask[:, 1:-1] = el > HORIZON_GUARD_DEG
+        mask = mask.ravel()
         edges = np.flatnonzero(mask[1:] != mask[:-1])
         if edges.size == 0:
-            return []
-        lo = np.maximum(0.0, offsets[edges[::2]] - COARSE_STEP_S)
-        hi = np.minimum(self.shared.duration_s,
-                        offsets[edges[1::2] - 1] + COARSE_STEP_S)
-        apart = np.flatnonzero(lo[1:] > hi[:-1])
-        return list(zip(lo[np.concatenate(([0], apart + 1))].tolist(),
-                        hi[np.concatenate((apart, [hi.size - 1]))].tolist()))
+            continue
+        row = edges[::2] // width
+        lo = np.maximum(0.0, offsets[edges[::2] % width] - COARSE_STEP_S)
+        hi = np.minimum(shared.duration_s,
+                        offsets[edges[1::2] % width - 1] + COARSE_STEP_S)
+        apart = np.flatnonzero((lo[1:] > hi[:-1]) | (row[1:] != row[:-1]))
+        first = np.concatenate(([0], apart + 1))
+        out.append((row[first] + part.start, lo[first],
+                    hi[np.concatenate((apart, [hi.size - 1]))]))
+    return tuple(np.concatenate(column) for column in zip(*out))
 
 
 #: The footprint fields _ellipse_margins reads.
@@ -441,35 +515,35 @@ _MARGIN_FIELDS = ("center", "u_major", "u_minor", "semi_major", "semi_minor",
                   "miss")
 
 
-def _margins_many(shared: _SharedGeometry, geoms, columns, boresight_deg,
-                  states):
-    """Margins of several sites over one set of samples of a satellite.
+def _margins_many(geom: _SatGeometry, site, columns, boresight_deg, states):
+    """Margins of site[i] in sample columns[i], over one set of samples.
 
     boresight_deg gives the samples' boresights and states(part) the
     ECEF positions and inertial velocities of the samples in slice part,
-    each (3, part size); columns[k] lists the samples site geoms[k] needs.
-    Footprints are built once per MARGIN_CHUNK samples, and every site
-    that needs samples of the chunk evaluates its margins there.
-    Footprints do not depend on which other samples are computed with
-    them, so each site gets the margins of evaluating its own samples
-    alone.
+    each (3, part size).  Footprints are built once per MARGIN_CHUNK
+    samples; the rows that read samples of the chunk gather them,
+    MARGIN_CHUNK rows at a time, with their sites' positions, for one
+    _ellipse_margins call.  Footprints and margins are elementwise, so
+    each row gets the bits of evaluating its sample for its site alone.
     """
-    out = [np.empty(cols.size) for cols in columns]
-    order = [np.argsort(cols, kind="stable") for cols in columns]
-    columns = [cols[o] for cols, o in zip(columns, order)]
+    shared = geom.shared
+    out = np.empty(columns.size)
+    order = np.argsort(columns, kind="stable")
+    columns, site = columns[order], site[order]
     for i in range(0, boresight_deg.size, MARGIN_CHUNK):
-        part = slice(i, i + MARGIN_CHUNK)
-        r, v = states(part)
-        arrays = _footprint_arrays(r, v, boresight_deg[part], shared.spec,
-                                   shared.ground_altitude)
-        for geom, cols, o, margins in zip(geoms, columns, order, out):
-            a, b = np.searchsorted(cols, (i, i + MARGIN_CHUNK))
-            if a == b:
-                continue
-            at = cols[a:b] - i
-            margins[o[a:b]] = _ellipse_margins(
+        a, b = np.searchsorted(columns, (i, i + MARGIN_CHUNK))
+        if a == b:
+            continue
+        r, v = states(slice(i, i + MARGIN_CHUNK))
+        arrays = _footprint_arrays(r, v, boresight_deg[i:i + MARGIN_CHUNK],
+                                   shared.spec, shared.ground_altitude)
+        for j in range(a, b, MARGIN_CHUNK):
+            rows = slice(j, min(j + MARGIN_CHUNK, b))
+            at = columns[rows] - i
+            out[order[rows]] = _ellipse_margins(
                 {key: arrays[key][..., at] for key in _MARGIN_FIELDS},
-                geom.tx_ecef, shared.policy.buffer_multiplier)
+                geom.tx_ecef[:, geom.column(site[rows])],
+                shared.policy.buffer_multiplier)
     return out
 
 
@@ -491,26 +565,39 @@ def _merge_spans(spans, gap: float = 0.0):
 
 def _bisect_boundary(geom: _SatGeometry, boresight: np.ndarray,
                      lo: np.ndarray, hi: np.ndarray,
-                     dark_at_lo: np.ndarray) -> np.ndarray:
-    """Locate the margin zero crossing inside (lo, hi) per element.
+                     dark_at_lo: np.ndarray, site=None) -> np.ndarray:
+    """Locate the margin zero crossing of site[i] inside (lo[i], hi[i]);
+    site may be None for a one-site geometry.
 
     dark_at_lo says which end of the bracket is inside the subtension
-    region; the returned offsets are accurate to BISECT_TOL_S.
+    region; the returned offsets are accurate to BISECT_TOL_S.  Each
+    halving is one margins call over every element still wider than
+    BISECT_TOL_S, whatever its site, and an element stops once its own
+    bracket is that narrow, so it gets the bits of a call of its own.
+    (Brackets one sample_dwell long differ in rounding: with a dwell of
+    8 BISECT_TOL_S, about one in nine needs a halving fewer than the
+    rest.)
     """
     lo = lo.copy()
     hi = hi.copy()
-    while np.any(hi - lo > BISECT_TOL_S):
-        mid = 0.5 * (lo + hi)
-        dark_mid = geom.margins(mid, boresight) <= 0.0
+    active = np.flatnonzero(hi - lo > BISECT_TOL_S)
+    while active.size:
+        a_lo, a_hi = lo[active], hi[active]
+        mid = 0.5 * (a_lo + a_hi)
+        dark_mid = geom.margins(mid, boresight[active],
+                                None if site is None else site[active]) <= 0.0
         # When lo is dark the boundary sits where dark ends.
-        go_right = dark_mid == dark_at_lo
-        lo = np.where(go_right, mid, lo)
-        hi = np.where(go_right, hi, mid)
+        go_right = dark_mid == dark_at_lo[active]
+        lo[active] = np.where(go_right, mid, a_lo)
+        hi[active] = np.where(go_right, a_hi, mid)
+        active = active[hi[active] - lo[active] > BISECT_TOL_S]
     return 0.5 * (lo + hi)
 
 
-def _lines_near_tx(geom: _SatGeometry, lines: np.ndarray) -> np.ndarray:
-    """Keep-mask: True for each scan line that can subtend the transmitter.
+def _lines_near_tx(geom: _SatGeometry, lines: np.ndarray,
+                   site=None) -> np.ndarray:
+    """Keep-mask: True for each scan line lines[i] that can subtend the
+    transmitter of site[i]; site may be None for a one-site geometry.
 
     Take one state per line, at its first sample (time t0): r the
     satellite position, v the velocity that _SharedGeometry.states returns
@@ -536,7 +623,8 @@ def _lines_near_tx(geom: _SatGeometry, lines: np.ndarray) -> np.ndarray:
     n the mean motion and e the eccentricity of the element set.  r, a, V
     and (1 + s) A do not depend on the transmitter: geom.shared computes
     them once per line for every site (_SharedGeometry.cache_lines), and
-    only the terms in tx are evaluated here.  Why the bound holds:
+    only the terms in tx are evaluated here, row by row.  Why the bound
+    holds:
 
     - Every boresight is nadir rotated about a, and a is orthogonal to
       nadir, so every footprint centre c(t) lies in the scan plane through
@@ -571,22 +659,23 @@ def _lines_near_tx(geom: _SatGeometry, lines: np.ndarray) -> np.ndarray:
     """
     shared = geom.shared
     period = shared.spec.scan_period
+    site = geom.column(site)
     line = shared.line_geometry(lines)
     speed = line["speed"]
-    to_tx = geom.tx_ecef.reshape(3, 1) - line["r"]
-    bound = _tx_reach(geom, line) + period * (
+    to_tx = geom.tx_ecef[:, site] - line["r"]
+    bound = _tx_reach(geom, line, site) + period * (
         speed + _turn_rate(shared.elements)
         * (np.linalg.norm(to_tx, axis=0) + speed * period))
     return np.abs(np.sum(line["axis"] * to_tx, axis=0)) <= bound
 
 
-def _tx_reach(geom: _SatGeometry, line) -> np.ndarray:
-    """(1 + s) A + zeta of _lines_near_tx, per line of line_geometry: how
-    far from a footprint centre of the line a transmitter with margin <= 0
-    can lie."""
+def _tx_reach(geom: _SatGeometry, line, site) -> np.ndarray:
+    """(1 + s) A + zeta of _lines_near_tx, per row of line_geometry and
+    site (a geom.column index): how far from a footprint centre of the
+    line the site's transmitter can lie with margin <= 0."""
     reach = line["reach"]
     big_m = frames.min_curvature_radius(geom.shared.ground_altitude)
-    zeta = (abs(geom.tx.altitude - geom.shared.ground_altitude)
+    zeta = (np.abs(geom.alt[site] - geom.shared.ground_altitude)
             + reach ** 2 / big_m)
     return reach + zeta
 
@@ -600,9 +689,10 @@ def _turn_rate(elements: OrbitalElements) -> float:
                   + frames.OMEGA_EARTH)
 
 
-def _samples_near_tx(geom: _SatGeometry, lines: np.ndarray):
-    """Per line, the range lo <= j < hi of the samples that can subtend the
-    transmitter: the per-sample screen behind _lines_near_tx.
+def _samples_near_tx(geom: _SatGeometry, lines: np.ndarray, site=None):
+    """Per row i, the range lo <= j < hi of the samples of line lines[i]
+    that can subtend the transmitter of site[i] (site may be None for a
+    one-site geometry): the per-sample screen behind _lines_near_tx.
 
     Take the line's state at its first sample (time t0) as _lines_near_tx
     does: r, the geodetic up u (nadir = -u), the scan axis a, V and
@@ -655,14 +745,15 @@ def _samples_near_tx(geom: _SatGeometry, lines: np.ndarray):
     """
     shared = geom.shared
     spec, period = shared.spec, shared.spec.scan_period
+    site = geom.column(site)
     line = shared.line_geometry(lines)
     r, up, speed = line["r"], line["up"], line["speed"]
-    to_tx = geom.tx_ecef.reshape(3, 1) - r
+    to_tx = geom.tx_ecef[:, site] - r
     motion = speed * period
     height = np.linalg.norm(r, axis=0) - motion
     near = height - (frames.WGS84_A + shared.ground_altitude)
     far = np.linalg.norm(to_tx, axis=0) - motion
-    rho = _tx_reach(geom, line)
+    rho = _tx_reach(geom, line, site)
     ok = (rho < near) & (far > 0.0)
     frame_rate = _turn_rate(shared.elements) + speed / (
         frames.min_curvature_radius(0.0) + height - frames.WGS84_A)
@@ -680,50 +771,47 @@ def _samples_near_tx(geom: _SatGeometry, lines: np.ndarray):
     return lo.astype(np.int64), hi.astype(np.int64)
 
 
-def _range_keys(lines, lo, hi, n):
-    """The dwell keys line * n + j, lo <= j < hi, line after line."""
-    counts = hi - lo
-    first = lines * n + lo - (np.cumsum(counts) - counts)
-    return np.repeat(first, counts) + np.arange(counts.sum())
-
-
-def _screen_windows(shared: _SharedGeometry, geoms):
+def _screen_windows(geom: _SatGeometry):
     """Per site, (w0, w1, kept dwell keys) for each of its visibility
     windows, keys as in _dwell_dark.
 
-    A window's lines are those whose spans meet it (ScanLattice.lines).
-    The shared line geometry is computed for the union of every site's
-    window lines at once; then each site screens the lines of all its
-    windows with one _lines_near_tx call, and the samples of the lines it
-    keeps with one _samples_near_tx call.  Pixel level keeps only the
-    dwells that overlap the window.  Scan line keeps every dwell the
-    screens keep, so a line that straddles the window start stays dark.
+    A window's lines are those whose spans meet it (ScanLattice.lines),
+    one row per (site, window, line).  The shared line geometry is
+    computed for the union of every site's window lines at once; then,
+    one block of sites at a time (_site_blocks), one _lines_near_tx call
+    screens the rows and one _samples_near_tx call the samples of the
+    rows it keeps.  Pixel level keeps only the dwells that overlap the
+    window.  Scan line keeps every dwell the screens keep, so a line that
+    straddles the window start stays dark.
     """
+    shared = geom.shared
     lattice, base = shared.lattice, shared.base
     n = shared.spec.samples_per_scan
     pixel = shared.policy.kind is PolicyKind.PIXEL_LEVEL
-    ranges = [[(w0, w1, lattice.lines(shared.tau(w0), shared.tau(w1)))
-               for w0, w1 in geom.visibility_windows()]
-              for geom in geoms]
-    shared.cache_lines(_concat_ids(ids for site in ranges
-                                   for _, _, ids in site))
-    out = []
-    for geom, site in zip(geoms, ranges):
-        lines = _concat_ids(ids for _, _, ids in site)
-        window = np.repeat(np.arange(len(site)),
-                           [ids.size for _, _, ids in site])
-        keep = _lines_near_tx(geom, lines)
-        lo, hi = _samples_near_tx(geom, lines[keep])
-        keys = _range_keys(lines[keep], lo, hi, n)
-        window = np.repeat(window[keep], hi - lo)
-        windows = []
-        for (w0, w1, _), part in zip(site, np.split(
-                keys, np.searchsorted(window, np.arange(1, len(site))))):
-            if pixel:
-                part = part[(lattice.key_tau(part + 1) - base > w0)
-                            & (lattice.key_tau(part) - base < w1)]
-            windows.append((w0, w1, part))
-        out.append(windows)
+    site, w0, w1 = _visibility(geom)
+    first, stop = lattice.line_span(shared.tau(w0), shared.tau(w1))
+    lines = _ranges(first, stop)
+    row_window = np.repeat(np.arange(site.size), stop - first)
+    shared.cache_lines(lines)
+    # Windows, and so rows, run site after site.
+    window_of = np.searchsorted(site, np.arange(geom.lat.size + 1))
+    row_of = np.searchsorted(row_window, window_of)
+    out = [[] for _ in geom.points]
+    for part in _site_blocks(np.diff(row_of)):
+        rows = slice(row_of[part.start], row_of[part.stop])
+        keep = _lines_near_tx(geom, lines[rows], site[row_window[rows]])
+        kept, window = lines[rows][keep], row_window[rows][keep]
+        lo, hi = _samples_near_tx(geom, kept, site[window])
+        keys = _ranges(kept * n + lo, kept * n + hi)
+        window = np.repeat(window, hi - lo)
+        if pixel:
+            overlap = ((lattice.key_tau(keys + 1) - base > w0[window])
+                       & (lattice.key_tau(keys) - base < w1[window]))
+            keys, window = keys[overlap], window[overlap]
+        ids = range(window_of[part.start], window_of[part.stop])
+        for j, keys_j in zip(ids, np.split(
+                keys, np.searchsorted(window, ids[1:]))):
+            out[site[j]].append((float(w0[j]), float(w1[j]), keys_j))
     return out
 
 
@@ -770,75 +858,82 @@ def _concat_ids(parts):
     return np.concatenate([np.zeros(0, dtype=np.int64), *parts])
 
 
-def _dwell_dark(shared: _SharedGeometry, geoms, keys):
-    """Whether each site is dark at the start and at the end of its dwells.
+def _dwell_dark(geom: _SatGeometry, site, keys):
+    """Whether site[i] is dark at the start and at the end of dwell keys[i].
 
-    keys[k] names the dwells site geoms[k] needs, as
-    line * samples_per_scan + sample.  Dwell key j runs from boundary j to
-    boundary j + 1 (ScanLattice.key_tau), so the sorted union of the
-    sites' dwell boundaries is propagated once, one state per boundary,
-    and every dwell of the sites' union is footprinted once at each end
-    from the states of its two boundaries (_margins_many), gathered one
-    chunk at a time.  Returns (dark at start, dark at end) boolean arrays
-    per site, in the order of its keys.
+    Keys name dwells as line * samples_per_scan + sample.  Dwell key j
+    runs from boundary j to boundary j + 1 (ScanLattice.key_tau), so the
+    sorted union of the rows' dwell boundaries is propagated once, one
+    state per boundary, and every dwell of the union is footprinted once
+    at each end from the states of its two boundaries (_margins_many),
+    gathered one chunk at a time.  Returns (dark at start, dark at end),
+    boolean arrays in the order of keys.
     """
-    union = _unique_ids(_concat_ids(keys))
+    shared = geom.shared
+    union = _unique_ids(keys)
     bounds = _unique_ids(np.concatenate((union, union + 1)))
     r, v = shared.states(shared.lattice.key_tau(bounds) - shared.base)
     boresight = shared.spec.boresight_of(union % shared.spec.samples_per_scan)
-    columns = [np.searchsorted(union, k) for k in keys]
-    dark = []
-    for at in (np.searchsorted(bounds, union),
-               np.searchsorted(bounds, union + 1)):
-        margins = _margins_many(shared, geoms, columns, boresight,
-                                lambda part, at=at: (r[:, at[part]],
-                                                     v[:, at[part]]))
-        dark.append([m <= 0.0 for m in margins])
-    return list(zip(*dark))
+    columns = np.searchsorted(union, keys)
+    return tuple(
+        _margins_many(geom, site, columns, boresight,
+                      lambda part, at=at: (r[:, at[part]], v[:, at[part]]))
+        <= 0.0
+        for at in (np.searchsorted(bounds, union),
+                   np.searchsorted(bounds, union + 1)))
 
 
-def _dark_spans(shared: _SharedGeometry, geoms):
+def _dark_spans(geom: _SatGeometry):
     """Dark (start, end, line) spans in window offsets, one list per site.
 
-    Both policies take one path: per batch (_pass_batches), gather each
-    site's kept dwells (_screen_windows), make one _dwell_dark call, and
-    read each site's spans off its flags.  Pixel level: a dwell dark at
-    both ends is dark throughout, and one dark at one end only is dark up
-    to or from its margin's crossing, found by one _bisect_boundary call
-    per site and batch.  Every bracket is one sample_dwell long, so every
-    element takes the same number of halvings and gets the bits of a call
-    of its own.  Scan line: a line is dark, whole, when any of its kept
-    dwells is dark at either end; the screens drop only dwells whose
-    margin stays above 0, so scan-line schedules are an exact superset of
-    pixel-level ones.
+    Both policies take one path: per batch (_pass_batches), gather the
+    kept dwells of every site (_screen_windows) as rows (site, key), make
+    one _dwell_dark call, and read the spans off the flags.  Pixel level:
+    a dwell dark at both ends is dark throughout, and one dark at one end
+    only is dark up to or from its margin's crossing, found by one
+    _bisect_boundary call per batch over every site's brackets, which
+    gives each the bits of a call of its own.  Scan line: a line is dark,
+    whole, when any of its kept dwells is dark at either end; the screens
+    drop only dwells whose margin stays above 0, so scan-line schedules
+    are an exact superset of pixel-level ones.  Each site's spans come in
+    the order of its own keys, batch by batch.
     """
+    shared = geom.shared
     spec, lattice, base = shared.spec, shared.lattice, shared.base
     n = spec.samples_per_scan
     pixel = shared.policy.kind is PolicyKind.PIXEL_LEVEL
-    out = [[] for _ in geoms]
-    for group in _pass_batches(_screen_windows(shared, geoms)):
-        keys = [_concat_ids(part for _, _, part in windows)
-                for _, windows in group]
-        flags = _dwell_dark(shared, [geoms[k] for k, _ in group], keys)
-        for (k, _), site, (d0, d1) in zip(group, keys, flags):
-            dark = d0 | d1
-            if not dark.any():
-                continue
-            if not pixel:
-                lines = _unique_ids(site[dark] // n)
-                s = lattice.tau(lines) - base
-                out[k].extend(zip(s.tolist(), (s + spec.scan_period).tolist(),
-                                  lines.tolist()))
-                continue
-            site, d0, one = site[dark], d0[dark], (d0 != d1)[dark]
-            s, e = (lattice.key_tau(site + j) - base for j in (0, 1))
+    out = [[] for _ in geom.points]
+    for group in _pass_batches(_screen_windows(geom)):
+        parts = [(k, part) for k, windows in group for _, _, part in windows]
+        keys = _concat_ids(part for _, part in parts)
+        site = np.repeat([k for k, _ in parts],
+                         [part.size for _, part in parts]).astype(np.int64)
+        d0, d1 = _dwell_dark(geom, site, keys)
+        dark = d0 | d1
+        site, keys = site[dark], keys[dark]
+        if not pixel:
+            # Each site's dark lines, distinct and in order.
+            order = np.lexsort((keys // n, site))
+            site, lines = site[order], keys[order] // n
+            new = np.concatenate((site[:1] == site[:1],
+                                  (site[1:] != site[:-1])
+                                  | (lines[1:] != lines[:-1])))
+            site, lines = site[new], lines[new]
+            s = lattice.tau(lines) - base
+            spans = zip(s.tolist(), (s + spec.scan_period).tolist(),
+                        lines.tolist())
+        else:
+            d0, one = d0[dark], (d0 != d1)[dark]
+            s, e = (lattice.key_tau(keys + j) - base for j in (0, 1))
             if np.any(one):
                 cross = _bisect_boundary(
-                    geoms[k], spec.boresight_of(site[one] % n), s[one],
-                    e[one], dark_at_lo=d0[one])
+                    geom, spec.boresight_of(keys[one] % n), s[one], e[one],
+                    dark_at_lo=d0[one], site=site[one])
                 e[one] = np.where(d0[one], cross, e[one])
                 s[one] = np.where(d0[one], s[one], cross)
-            out[k].extend(zip(s.tolist(), e.tolist(), (site // n).tolist()))
+            spans = zip(s.tolist(), e.tolist(), (keys // n).tolist())
+        for k, span in zip(site.tolist(), spans):
+            out[k].append(span)
     return out
 
 
@@ -908,11 +1003,11 @@ def dark_intervals_many(txs: Sequence[tuple[str, GroundPoint]],
     start, end = _validate_inputs(sats, window, policy)
     duration = (end - start).total_seconds()
     per_site = [[] for _ in txs]
+    points = [point for _, point in txs]
     for elements, spec in sats:
         shared = _SharedGeometry(elements, spec, start, duration, policy,
                                  ground_altitude)
-        spans = _dark_spans(shared, [_SatGeometry(shared, point)
-                                     for _, point in txs])
+        spans = _dark_spans(_SatGeometry(shared, points))
         for site, site_spans in zip(per_site, spans):
             site.append((elements.satellite_id, site_spans))
     return [_finalize_schedule(site, tx_id, (start, end), policy)
@@ -951,9 +1046,10 @@ def brute_force_oracle(tx: GroundPoint,
 
     The oracle uses neither of the engine's screens (_lines_near_tx,
     _samples_near_tx): it evaluates every dt sample of every visibility
-    window, and in scan-line mode every dwell of every line it meets.  It does share visibility_windows (the horizon prefilter),
-    _footprint_arrays and _ellipse_margins with the engine, so engine and
-    oracle agree on a defect in those.
+    window, and in scan-line mode every dwell of every line it meets.  It
+    does share the horizon prefilter (_visibility, through
+    visibility_windows), _footprint_arrays and _ellipse_margins with the
+    engine, so engine and oracle agree on a defect in those.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -963,7 +1059,7 @@ def brute_force_oracle(tx: GroundPoint,
     for elements, spec in sats:
         shared = _SharedGeometry(elements, spec, start, duration, policy,
                                  ground_altitude)
-        geom = _SatGeometry(shared, tx)
+        geom = _SatGeometry(shared, [tx])
         spans = []
         for w0, w1 in geom.visibility_windows():
             i0 = int(np.ceil(w0 / dt))
@@ -991,8 +1087,9 @@ def brute_force_oracle(tx: GroundPoint,
                     # either end.
                     uniq, inverse = np.unique(lines, return_inverse=True)
                     n = spec.samples_per_scan
-                    d0, d1 = _dwell_dark(shared, [geom], [np.add.outer(
-                        uniq * n, np.arange(n)).ravel()])[0]
+                    keys = np.add.outer(uniq * n, np.arange(n)).ravel()
+                    d0, d1 = _dwell_dark(
+                        geom, np.zeros(keys.size, dtype=np.int64), keys)
                     dark = (d0 | d1).reshape(-1, n).any(axis=1)[inverse]
                 # Assemble runs of consecutive dark samples.
                 padded_mask = np.concatenate(([False], dark, [False]))

@@ -162,9 +162,9 @@ class ScanLattice:
     tau(line, sample) + sample_dwell).  A dwell's key is line *
     samples_per_scan + sample.  This is the only code that maps time to
     scan line and sample, so schedules, pulses and exclusion records name
-    the same dwells, and lines(a, b) is the only rule that covers a
-    window [a, b] with whole lines.  offset, dwells and lines take one
-    instant, pulse or window; tau, key_tau and index work elementwise.
+    the same dwells, and line_span(a, b) is the only rule that covers a
+    window [a, b] with whole lines.  offset and dwells take one instant
+    or pulse; tau, key_tau, index, line_span and lines work elementwise.
     """
 
     def __init__(self, spec: RadiometerSpec, epoch: datetime):
@@ -190,13 +190,21 @@ class ScanLattice:
         n = self.spec.samples_per_scan
         return self.tau(keys // n, keys % n)
 
-    def lines(self, a, b):
-        """Ids of the lines whose spans meet [a, b], without the boundary
-        snap, so the line that holds a is never dropped.  Use index to name
-        the dwell active at an instant."""
+    def line_span(self, a, b):
+        """(first, stop), elementwise: the lines whose spans meet [a, b]
+        are first <= line < stop, the floor of a through the floor of b in
+        scan periods, without the boundary snap, so the line that holds a
+        is never dropped.  Use index to name the dwell active at an
+        instant."""
         period = self.spec.scan_period
-        return np.arange(int(np.floor(a / period)),
-                         int(np.floor(b / period)) + 1)
+        first = np.floor(np.asarray(a, dtype=float) / period).astype(np.int64)
+        last = np.floor(np.asarray(b, dtype=float) / period).astype(np.int64)
+        return first, np.maximum(last + 1, first)
+
+    def lines(self, a, b):
+        """Ids of the lines of line_span(a, b), one window after another
+        when a and b are arrays."""
+        return _ranges(*self.line_span(a, b))
 
     def _locate(self, tau):
         line = np.floor(tau / self.spec.scan_period)
@@ -234,6 +242,14 @@ class ScanLattice:
             t=add_seconds(self.epoch, self.tau(line, sample)),
             boresight_angle=float(self.spec.boresight_of(sample)),
         )
+
+
+def _ranges(first, stop):
+    """The integers first[i] <= j < stop[i], one range after another."""
+    first, stop = np.atleast_1d(first), np.atleast_1d(stop)
+    counts = stop - first
+    return (np.repeat(first - (np.cumsum(counts) - counts), counts)
+            + np.arange(counts.sum()))
 
 
 # --- vectorized footprint core ----------------------------------------------

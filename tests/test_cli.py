@@ -930,6 +930,29 @@ def test_itu_pixels_global_box_memory():
     assert peak < 16e6, f"peak {peak / 1e6:.1f} MB"
 
 
+def test_itu_pixels_memory_does_not_grow_with_the_window():
+    """The example box over 7 days peaks within 1.5x of its peak over 1
+    day: the line screen runs a piece of the window's lines at a time and
+    keeps only the ids of the lines it keeps."""
+    config = ScenarioConfig.load(EXAMPLE_CONFIG)
+    start = config.window()[0]
+    peaks, pixels = [], []
+    for days in (1, 7):
+        tracemalloc.start()
+        try:
+            _, footprints = geofence.pixels_in_box(
+                config.satellites()[0],
+                (start, add_seconds(start, days * 86400.0)),
+                config.itu_deployment()["bbox"], 1000,
+                config.ground_altitude())
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        pixels.append(len(footprints))
+    assert pixels[1] > 2 * pixels[0] > 200
+    assert peaks[1] < 1.5 * peaks[0], [f"{p / 1e6:.1f} MB" for p in peaks]
+
+
 def test_darkspaces_edge_footprints_in_chunks(scenario, monkeypatch):
     """Footprinting the screen's edge samples a few lines at a time keeps
     schedule.csv byte for byte."""

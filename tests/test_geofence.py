@@ -302,21 +302,37 @@ def test_screen_matches_unscreened_engine(atms, amsua, monkeypatch):
                                 specs[i % 3][1])
                 + (specs[i % 3][0],) for i in range(12)]
 
+    margins = []
+
+    def counting(arrays, tx_ecef, buffer, real=geofence._ellipse_margins):
+        out = real(arrays, tx_ecef, buffer)
+        margins[-1] += out.size
+        return out
+
+    monkeypatch.setattr(geofence, "_ellipse_margins", counting)
+
     def run():
+        margins.append(0)
         return [dark_intervals(tx, [(els, spec)], window, policy,
                                ground_altitude=ground)
                 for tx, els, window, policy, ground, spec in fixtures]
 
     screened = run()
     monkeypatch.setattr(geofence, "_lines_near_tx",
-                        lambda geom, lines: np.ones(len(lines), dtype=bool))
-    monkeypatch.setattr(geofence, "_samples_near_tx", lambda geom, lines: (
-        np.zeros(len(lines), dtype=np.int64),
-        np.full(len(lines), geom.shared.spec.samples_per_scan)))
+                        lambda geom, lines, site: np.ones(len(lines),
+                                                          dtype=bool))
+    monkeypatch.setattr(geofence, "_samples_near_tx",
+                        lambda geom, lines, site: (
+                            np.zeros(len(lines), dtype=np.int64),
+                            np.full(len(lines),
+                                    geom.shared.spec.samples_per_scan)))
     unscreened = run()
     for i, (a, b) in enumerate(zip(screened, unscreened)):
         assert a == b, f"fixture {i}"
     assert sum(bool(s.intervals) for s in screened) >= 6
+    # The switch took the screens off: every sample of every window line
+    # had its margins evaluated.
+    assert margins[1] > 2 * margins[0]
 
 
 def _window_lines(geom):
@@ -346,7 +362,7 @@ def test_screen_keeps_every_dark_line(atms, amsua, which):
             rng, PolicyKind.PIXEL_LEVEL, max_cross_km)
         shared = geofence._SharedGeometry(elements, spec, window[0], 7200.0,
                                           policy, ground)
-        geom = geofence._SatGeometry(shared, tx)
+        geom = geofence._SatGeometry(shared, [tx])
         lines = _window_lines(geom)
         keep = geofence._lines_near_tx(geom, lines)
         offsets = (lines[:, None] * period - shared.base + within).ravel()
@@ -380,7 +396,7 @@ def test_sample_screen_keeps_every_dark_dwell(atms, amsua, which):
             rng, PolicyKind.PIXEL_LEVEL, max_cross_km)
         shared = geofence._SharedGeometry(elements, spec, window[0], 7200.0,
                                           policy, ground)
-        geom = geofence._SatGeometry(shared, tx)
+        geom = geofence._SatGeometry(shared, [tx])
         lines = _window_lines(geom)
         lines = lines[geofence._lines_near_tx(geom, lines)]
         lo, hi = geofence._samples_near_tx(geom, lines)
@@ -438,8 +454,8 @@ def test_sample_screen_keeps_footprint_boundary(atms):
                     + fp["semi_minor"] * np.sin(angles) * fp["u_minor"])
                 for point in (fp["center"] + edge).T:
                     lat, lon, alt = frames.ecef_to_geodetic(point)
-                    geom = geofence._SatGeometry(shared,
-                                                 GroundPoint(lat, lon, alt))
+                    geom = geofence._SatGeometry(
+                        shared, [GroundPoint(lat, lon, alt)])
                     assert geom.margins([offset],
                                         [spec.boresight_of(j)])[0] <= 0.0
                     assert geofence._lines_near_tx(geom, [line])[0]
@@ -456,7 +472,7 @@ def test_sample_screen_selects_on_example_site():
     shared = geofence._SharedGeometry(elements, spec, start, 2 * 86400.0,
                                       config.policy(),
                                       config.ground_altitude())
-    geom = geofence._SatGeometry(shared, config.transmitters()[0][1])
+    geom = geofence._SatGeometry(shared, [config.transmitters()[0][1]])
     lines = _window_lines(geom)
     lines = lines[geofence._lines_near_tx(geom, lines)]
     lo, hi = geofence._samples_near_tx(geom, lines)

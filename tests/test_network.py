@@ -47,7 +47,7 @@ def _pass_geometry(leo_tle, atms, rng, n):
     shared = geofence._SharedGeometry(
         leo_tle, atms, start, 600.0, BufferPolicy(PolicyKind.PIXEL_LEVEL, 2.0),
         0.0)
-    geom = geofence._SatGeometry(shared, GroundPoint(lat, lon))
+    geom = geofence._SatGeometry(shared, [GroundPoint(lat, lon)])
     offsets = np.sort(rng.uniform(240.0, 360.0, n))
     boresight = atms.boresight_of(rng.integers(0, atms.samples_per_scan, n))
     return geom, offsets, boresight
@@ -120,10 +120,15 @@ def test_visibility_windows_match_reference_loop(leo_tle, atms,
     one = site.shared
     geoms = {duration: geofence._SatGeometry(geofence._SharedGeometry(
         one.elements, atms, one.window_start, duration, one.policy, 0.0),
-        site.tx) for duration in (45.0, 600.0, 7215.5)}
+        site.points) for duration in (45.0, 600.0, 7215.5)}
     elevations = {}
-    monkeypatch.setattr(geofence.frames, "look_angles_from_ecef",
-                        lambda r, *args: (elevations[r.shape[1]], None, None))
+    calls = []
+
+    def look(rho, trig):
+        calls.append(rho.shape)
+        return None, None, elevations[rho.shape[2]][None, :], None, None
+
+    monkeypatch.setattr(geofence.frames, "enu_look", look)
     for trial in range(300):
         duration = float(rng.choice(list(geoms)))
         geom = geoms[duration]
@@ -135,6 +140,9 @@ def test_visibility_windows_match_reference_loop(leo_tle, atms,
         expected = _windows_reference(offsets, elevations[offsets.size],
                                       duration)
         assert geom.visibility_windows() == expected
+    # Every call took the patched elevations: one site over the grid.
+    assert len(calls) == 300
+    assert {shape[:2] for shape in calls} == {(3, 1)}
 
 
 # --- dark_intervals_many -----------------------------------------------------
@@ -267,13 +275,153 @@ def test_line_screen_does_not_depend_on_cached_lines(leo_tle, atms):
         one = geom.shared
         return geofence._SatGeometry(geofence._SharedGeometry(
             one.elements, atms, one.window_start, one.duration_s, one.policy,
-            0.0), geom.tx)
+            0.0), geom.points)
 
     alone = geofence._lines_near_tx(fresh(), lines_b)
     after = fresh()
     geofence._lines_near_tx(after, lines_a)
-    other = geofence._SatGeometry(after.shared, GroundPoint(0.0, 0.0))
+    other = geofence._SatGeometry(after.shared, [GroundPoint(0.0, 0.0)])
     assert _bits(geofence._lines_near_tx(after, lines_b)) == _bits(alone)
     assert alone.any() and not alone.all()
     geofence._lines_near_tx(other, lines_b[::-1])
     assert _bits(geofence._lines_near_tx(after, lines_b)) == _bits(alone)
+
+
+@pytest.fixture(scope="module")
+def random_network(leo_tle, atms):
+    """Sixty seeded random sites, two satellites, 40 minutes.
+
+    Most sites lie within a few hundred km of either satellite's ground
+    track, some near its sub-satellite points at the window's start and
+    end (so their visibility windows touch the window's edges), some on
+    the far side of the Earth (no pass), and four twins repeat earlier
+    sites' locations further down the list.  The order is shuffled, so
+    blocks of sites mix all kinds.
+    """
+    rng = np.random.default_rng(20261020)
+    second = replace(leo_tle, catalog_number=99002, name="SECOND",
+                     mean_anomaly=(leo_tle.mean_anomaly + 11.0) % 360.0)
+    sats = [(leo_tle, atms), (second, atms)]
+    window = (add_seconds(leo_tle.epoch, 35 * 60),
+              add_seconds(leo_tle.epoch, 75 * 60))
+    duration = 40 * 60.0
+
+    def near(elements, offset, spread):
+        lat, lon, _ = propagate(elements, add_seconds(window[0],
+                                                      offset)).geodetic
+        return GroundPoint(
+            float(np.clip(lat + rng.uniform(-spread, spread), -89.0, 89.0)),
+            lon + rng.uniform(-spread, spread),
+            float(rng.uniform(0.0, 2000.0)))
+
+    points = [near(sats[i % 2][0], rng.uniform(0.0, duration), 4.0)
+              for i in range(44)]
+    points += [near(elements, offset, 1.0) for elements, _ in sats
+               for offset in (0.0, duration)]
+    for _ in range(8):
+        p = near(leo_tle, rng.uniform(0.0, duration), 4.0)
+        points.append(GroundPoint(-p.latitude, p.longitude + 180.0))
+    points = [points[i] for i in rng.permutation(len(points))]
+    for i in range(4):
+        points.insert(12 + 12 * i, points[3 * i])
+    sites = [(f"site-{i:02d}", p) for i, p in enumerate(points)]
+    return sites, sats, window
+
+
+@pytest.mark.parametrize("kind", [PolicyKind.PIXEL_LEVEL,
+                                  PolicyKind.SCAN_LINE])
+def test_random_network_equals_one_site_at_a_time(random_network, kind,
+                                                  monkeypatch):
+    """Blocks of one and of seven sites, so every stage crosses block
+    boundaries, give every site the schedule it gets alone."""
+    sites, sats, window = random_network
+    policy = BufferPolicy(kind, 2.0, temporal_pad=0.05)
+    alone = [dark_intervals(point, sats, window, policy, tx_id=tx_id,
+                            ground_altitude=30.0)
+             for tx_id, point in sites]
+    for size in (1, 7):
+        blocks = []
+
+        def fixed(sizes, size=size):
+            blocks.append(len(sizes))
+            return [slice(i, min(i + size, len(sizes)))
+                    for i in range(0, len(sizes), size)]
+
+        monkeypatch.setattr(geofence, "_site_blocks", fixed)
+        many = dark_intervals_many(sites, sats, window, policy,
+                                   ground_altitude=30.0)
+        assert many == alone, size
+        # Each satellite blocked its elevations and its screen rows.
+        assert blocks == [len(sites)] * 4
+
+    dark = [bool(s.intervals) for s in alone]
+    assert 20 <= sum(dark) < len(sites) - 8
+    shared = geofence._SharedGeometry(sats[0][0], sats[0][1], window[0],
+                                      2400.0, policy, 30.0)
+    site, lo, hi = geofence._visibility(geofence._SatGeometry(
+        shared, [p for _, p in sites]))
+    assert np.any(lo == 0.0) and np.any(hi == 2400.0)
+    assert np.unique(site).size < len(sites) - 8
+    twins = [(i, sites.index(next(s for s in sites if s[1] == p)))
+             for i, (_, p) in enumerate(sites)]
+    twins = [(i, j) for i, j in twins if i != j]
+    assert len(twins) == 4
+    assert any(alone[i].intervals for i, _ in twins)
+    for i, j in twins:
+        assert alone[i].intervals == alone[j].intervals
+
+
+def test_batched_bisection_matches_per_site(random_network, monkeypatch):
+    """Each batch bisects every site's brackets in one call, and each
+    element gets the bits of bisecting its own site's brackets alone."""
+    sites, sats, window = random_network
+    calls = []
+
+    def recording(geom, boresight, lo, hi, dark_at_lo, site,
+                  real=geofence._bisect_boundary):
+        out = real(geom, boresight, lo, hi, dark_at_lo, site)
+        calls.append((geom, boresight, lo, hi, dark_at_lo, site, out))
+        return out
+
+    monkeypatch.setattr(geofence, "_bisect_boundary", recording)
+    dark_intervals_many(sites, sats, window,
+                        BufferPolicy(PolicyKind.PIXEL_LEVEL, 2.0))
+    monkeypatch.undo()
+    assert max(np.unique(call[5]).size for call in calls) >= 5
+    for geom, boresight, lo, hi, dark_at_lo, site, out in calls:
+        for k in np.unique(site).tolist():
+            one = geofence._SatGeometry(geom.shared, [geom.points[k]])
+            at = site == k
+            alone = geofence._bisect_boundary(one, boresight[at], lo[at],
+                                              hi[at], dark_at_lo[at])
+            assert _bits(alone) == _bits(out[at])
+
+
+def test_bisection_stops_per_element(leo_tle, atms):
+    """With a dwell of 8 BISECT_TOL_S, rounding leaves some one-dwell
+    brackets a halving short of the rest; bisected together, each still
+    gets the bits of bisecting it alone."""
+    spec = replace(atms, name="16-ms", scan_period=8 * geofence.BISECT_TOL_S
+                   * atms.samples_per_scan)
+    rng = np.random.default_rng(23)
+    site, _, _ = _pass_geometry(leo_tle, atms, rng, 1)
+    one = site.shared
+    shared = geofence._SharedGeometry(one.elements, spec, one.window_start,
+                                      one.duration_s, one.policy, 0.0)
+    geom = geofence._SatGeometry(shared, site.points)
+    # Dwell key k starts about k sample_dwells after the epoch.
+    first, last = np.floor(shared.tau(np.array([240.0, 360.0]))
+                           / spec.sample_dwell).astype(np.int64)
+    keys = rng.integers(first, last, 60)
+    lo, hi = (shared.lattice.key_tau(keys + j) - shared.base for j in (0, 1))
+    width = hi - lo
+    assert np.any(width > 8 * geofence.BISECT_TOL_S)
+    assert np.any(width <= 8 * geofence.BISECT_TOL_S)
+    boresight = spec.boresight_of(keys % spec.samples_per_scan)
+    dark = rng.uniform(size=keys.size) < 0.5
+    together = geofence._bisect_boundary(geom, boresight, lo, hi, dark)
+    for i in range(keys.size):
+        at = slice(i, i + 1)
+        alone = geofence._bisect_boundary(geom, boresight[at], lo[at],
+                                          hi[at], dark[at])
+        assert _bits(alone) == _bits(together[at]), i
