@@ -362,9 +362,11 @@ def test_random_network_equals_one_site_at_a_time(random_network, kind,
         shared, [p for _, p in sites]))
     assert np.any(lo == 0.0) and np.any(hi == 2400.0)
     assert np.unique(site).size < len(sites) - 8
-    twins = [(i, sites.index(next(s for s in sites if s[1] == p)))
-             for i, (_, p) in enumerate(sites)]
-    twins = [(i, j) for i, j in twins if i != j]
+    first, twins = {}, []
+    for i, (_, point) in enumerate(sites):
+        if point in first:
+            twins.append((first[point], i))
+        first.setdefault(point, i)
     assert len(twins) == 4
     assert any(alone[i].intervals for i, _ in twins)
     for i, j in twins:
