@@ -4,13 +4,14 @@ The engine (dark_intervals_many; dark_intervals is its one-site case)
 finds, for a network of ground transmitters against a constellation of
 (TLE, radiometer) pairs, every interval during which a (buffered) pixel
 footprint or scan-line strip subtends each transmitter.  For each
-satellite it runs four stages.  What does not depend on the site is
-computed once per satellite and window by
-_SharedGeometry(elements, spec, window_start, duration_s, policy,
-ground_altitude) and shared by every site.  The sites are held as
-columns by _SatGeometry(shared, points), and each stage runs once over
-the rows of all sites (a row names its site by index), in blocks of
-sites (_site_blocks) or rows that keep the temporaries bounded:
+satellite it runs four stages on one object, _SatGeometry(elements,
+spec, window_start, duration_s, policy, ground_altitude, points), which
+computes what does not depend on the site once for every site and holds
+the sites as columns.  Each stage runs once over the rows of all sites
+(a row names its site by index), in blocks of sites (_site_blocks) or
+rows that keep the temporaries bounded.  From the screen to the spans
+the windows stay columns, (site, w0, w1, kept dwell count), and their
+kept dwell keys one flat array, window after window:
 
 1. Prefilter.  Shared: one propagation on a COARSE_STEP_S grid.  Over
    (site, grid point): _visibility keeps, per site, the times when the
@@ -23,13 +24,15 @@ sites (_site_blocks) or rows that keep the temporaries bounded:
    transmitter for a sample to subtend it, and _samples_near_tx keeps,
    on each of those lines, the range of samples whose scan angle comes
    close enough to the transmitter's.
-3. Sample margins, a few passes at a time (_pass_batches).  Shared: one
-   state per boundary of the dwells the screens keep for any site (pixel
-   level: only those that overlap a visibility window), on the scanner's
-   own sample grid, where a dwell's end is the next dwell's start; from
-   those, footprints at the start and end of every dwell, MARGIN_CHUNK
-   samples at a time.  Over (site, dwell) rows (_dwell_dark): whether the
-   transmitter is dark at each end of the dwell.
+3. Sample margins, a few passes at a time: _pass_batches numbers each
+   window's batch, and a batch gathers its windows' rows by their
+   offsets into the kept keys.  Shared: one state per boundary of the
+   dwells the screens keep for any site (pixel level: only those that
+   overlap a visibility window), on the scanner's own sample grid, where
+   a dwell's end is the next dwell's start; from those, footprints at
+   the start and end of every dwell, MARGIN_CHUNK samples at a time.
+   Over (site, dwell) rows (_dwell_dark): whether the transmitter is
+   dark at each end of the dwell.
 4. Bisection, pixel level only: a dwell dark at one end only has its
    boundary refined to BISECT_TOL_S, well under 10 ms, in one
    _bisect_boundary call per batch over every site's brackets.
@@ -98,6 +101,10 @@ BATCH_SAMPLES = 32 * MARGIN_CHUNK
 #: < 0.04.
 _SCREEN_SLACK = 0.01
 _ACCEL_BOUND = 12.0
+
+#: brute_force_oracle evaluates a visibility window this many dt samples
+#: at a time; a run of dark samples continues across the cut.
+ORACLE_CHUNK = 200_000
 
 MAX_WINDOW_DAYS = 30.0
 
@@ -317,20 +324,27 @@ def pixels_in_box(satellite: tuple[OrbitalElements, RadiometerSpec],
                                ground_altitude)
 
 
-class _SharedGeometry:
-    """The site-independent geometry of one satellite/radiometer pair.
+class _SatGeometry:
+    """One satellite/radiometer pair over a window, and the sites it is
+    geofenced against.
 
-    Every site of a network reads the same instance: the coarse
-    propagation behind the visibility windows, the per-line state, scan
-    axis and edge reach behind the screen, and the footprints behind the
-    margins.  Offsets are seconds from the window start; the scan lattice
-    counts from the element set epoch, base seconds before the window
-    start.
+    The sites are held as columns in the style of
+    propagation.DeploymentArrays: latitude, longitude and altitude (k,),
+    their frames.site_trig and their ECEF positions tx_ecef (3, k).  Every
+    stage runs once over the rows of all sites, each row naming its site by
+    index; a one-site geometry gives the one-site views
+    (visibility_windows, margins).  The site-independent geometry is
+    computed once for every site: the coarse propagation behind the
+    visibility windows, the per-line state, scan axis and edge reach
+    behind the screen, and the footprints behind the margins.  Offsets are
+    seconds from the window start; the scan lattice counts from the
+    element set epoch, base seconds before the window start.
     """
 
     def __init__(self, elements: OrbitalElements, spec: RadiometerSpec,
                  window_start: datetime, duration_s: float,
-                 policy: BufferPolicy, ground_altitude: float):
+                 policy: BufferPolicy, ground_altitude: float,
+                 points: Sequence[GroundPoint]):
         self.elements = elements
         self.spec = spec
         self.window_start = window_start
@@ -343,6 +357,12 @@ class _SharedGeometry:
         self._lines = {"r": np.zeros((3, 0)), "up": np.zeros((3, 0)),
                        "axis": np.zeros((3, 0)), "speed": np.zeros(0),
                        "reach": np.zeros(0)}
+        self.points = points
+        self.lat = np.array([p.latitude for p in points], dtype=float)
+        self.lon = np.array([p.longitude for p in points], dtype=float)
+        self.alt = np.array([p.altitude for p in points], dtype=float)
+        self.trig = frames.site_trig(self.lat, self.lon)
+        self.tx_ecef = frames.trig_to_ecef(self.trig, self.alt)
 
     def tau(self, offsets):
         """Window offsets (s) -> scan-phase offsets from the epoch."""
@@ -411,27 +431,6 @@ class _SharedGeometry:
         at = np.searchsorted(self._line_ids, lines)
         return {key: value[..., at] for key, value in self._lines.items()}
 
-
-class _SatGeometry:
-    """The sites' view of a satellite/radiometer pair, the sites held as
-    columns in the style of propagation.DeploymentArrays: latitude,
-    longitude and altitude (k,), their frames.site_trig and their ECEF
-    positions tx_ecef (3, k).  Every stage runs once over the rows of all
-    sites, each row naming its site by index; a one-site geometry gives
-    the one-site views (visibility_windows, margins).  The
-    site-independent work lives in shared, which every site reads.
-    """
-
-    def __init__(self, shared: _SharedGeometry,
-                 points: Sequence[GroundPoint]):
-        self.shared = shared
-        self.points = points
-        self.lat = np.array([p.latitude for p in points], dtype=float)
-        self.lon = np.array([p.longitude for p in points], dtype=float)
-        self.alt = np.array([p.altitude for p in points], dtype=float)
-        self.trig = frames.site_trig(self.lat, self.lon)
-        self.tx_ecef = frames.trig_to_ecef(self.trig, self.alt)
-
     def column(self, site):
         """An index of the site arrays' last axis: site, or for a one-site
         geometry a view of its one column, which broadcasts over any rows
@@ -448,7 +447,7 @@ class _SatGeometry:
         return _margins_many(
             self, site, np.arange(offsets.size),
             np.asarray(boresight_deg, dtype=float),
-            lambda part: self.shared.states(offsets[part]))
+            lambda part: self.states(offsets[part]))
 
     def visibility_windows(self):
         """Coarse intervals (s offsets) when the satellite may be in view of
@@ -484,8 +483,7 @@ def _visibility(geom: _SatGeometry):
     HORIZON_GUARD_DEG is widened by one step on both sides, and a site's
     runs whose widened spans touch are merged.
     """
-    shared = geom.shared
-    offsets, r = shared.coarse
+    offsets, r = geom.coarse
     width = offsets.size + 2
     out = [(np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0))]
     for part in _site_blocks(np.full(geom.lat.size, offsets.size)):
@@ -501,7 +499,7 @@ def _visibility(geom: _SatGeometry):
             continue
         row = edges[::2] // width
         lo = np.maximum(0.0, offsets[edges[::2] % width] - COARSE_STEP_S)
-        hi = np.minimum(shared.duration_s,
+        hi = np.minimum(geom.duration_s,
                         offsets[edges[1::2] % width - 1] + COARSE_STEP_S)
         apart = np.flatnonzero((lo[1:] > hi[:-1]) | (row[1:] != row[:-1]))
         first = np.concatenate(([0], apart + 1))
@@ -526,7 +524,6 @@ def _margins_many(geom: _SatGeometry, site, columns, boresight_deg, states):
     _ellipse_margins call.  Footprints and margins are elementwise, so
     each row gets the bits of evaluating its sample for its site alone.
     """
-    shared = geom.shared
     out = np.empty(columns.size)
     order = np.argsort(columns, kind="stable")
     columns, site = columns[order], site[order]
@@ -536,14 +533,14 @@ def _margins_many(geom: _SatGeometry, site, columns, boresight_deg, states):
             continue
         r, v = states(slice(i, i + MARGIN_CHUNK))
         arrays = _footprint_arrays(r, v, boresight_deg[i:i + MARGIN_CHUNK],
-                                   shared.spec, shared.ground_altitude)
+                                   geom.spec, geom.ground_altitude)
         for j in range(a, b, MARGIN_CHUNK):
             rows = slice(j, min(j + MARGIN_CHUNK, b))
             at = columns[rows] - i
             out[order[rows]] = _ellipse_margins(
                 {key: arrays[key][..., at] for key in _MARGIN_FIELDS},
                 geom.tx_ecef[:, geom.column(site[rows])],
-                shared.policy.buffer_multiplier)
+                geom.policy.buffer_multiplier)
     return out
 
 
@@ -600,7 +597,7 @@ def _lines_near_tx(geom: _SatGeometry, lines: np.ndarray,
     transmitter of site[i]; site may be None for a one-site geometry.
 
     Take one state per line, at its first sample (time t0): r the
-    satellite position, v the velocity that _SharedGeometry.states returns
+    satellite position, v the velocity that _SatGeometry.states returns
     (the inertial velocity in Earth-fixed axes), a = unit(v_perp) the scan
     axis, v_perp the part of v normal to the geodetic up at r (both from
     radiometer._scan_axis, whose up is the closed-form frames.geodetic_up,
@@ -621,8 +618,8 @@ def _lines_near_tx(geom: _SatGeometry, lines: np.ndarray,
         Omega = 1.5 (n (1 + e)**2 / (1 - e**2)**1.5 + w)
 
     n the mean motion and e the eccentricity of the element set.  r, a, V
-    and (1 + s) A do not depend on the transmitter: geom.shared computes
-    them once per line for every site (_SharedGeometry.cache_lines), and
+    and (1 + s) A do not depend on the transmitter: geom computes them
+    once per line for every site (_SatGeometry.cache_lines), and
     only the terms in tx are evaluated here, row by row.  Why the bound
     holds:
 
@@ -657,14 +654,13 @@ def _lines_near_tx(geom: _SatGeometry, lines: np.ndarray,
 
     A line whose edge rays miss the Earth gets R = inf.
     """
-    shared = geom.shared
-    period = shared.spec.scan_period
+    period = geom.spec.scan_period
     site = geom.column(site)
-    line = shared.line_geometry(lines)
+    line = geom.line_geometry(lines)
     speed = line["speed"]
     to_tx = geom.tx_ecef[:, site] - line["r"]
     bound = _tx_reach(geom, line, site) + period * (
-        speed + _turn_rate(shared.elements)
+        speed + _turn_rate(geom.elements)
         * (np.linalg.norm(to_tx, axis=0) + speed * period))
     return np.abs(np.sum(line["axis"] * to_tx, axis=0)) <= bound
 
@@ -674,8 +670,8 @@ def _tx_reach(geom: _SatGeometry, line, site) -> np.ndarray:
     site (a geom.column index): how far from a footprint centre of the
     line the site's transmitter can lie with margin <= 0."""
     reach = line["reach"]
-    big_m = frames.min_curvature_radius(geom.shared.ground_altitude)
-    zeta = (np.abs(geom.alt[site] - geom.shared.ground_altitude)
+    big_m = frames.min_curvature_radius(geom.ground_altitude)
+    zeta = (np.abs(geom.alt[site] - geom.ground_altitude)
             + reach ** 2 / big_m)
     return reach + zeta
 
@@ -743,19 +739,18 @@ def _samples_near_tx(geom: _SatGeometry, lines: np.ndarray, site=None):
     degrees.  With one sample per scan theta_0 = 0, and the range is
     [0, 1) or empty.
     """
-    shared = geom.shared
-    spec, period = shared.spec, shared.spec.scan_period
+    spec, period = geom.spec, geom.spec.scan_period
     site = geom.column(site)
-    line = shared.line_geometry(lines)
+    line = geom.line_geometry(lines)
     r, up, speed = line["r"], line["up"], line["speed"]
     to_tx = geom.tx_ecef[:, site] - r
     motion = speed * period
     height = np.linalg.norm(r, axis=0) - motion
-    near = height - (frames.WGS84_A + shared.ground_altitude)
+    near = height - (frames.WGS84_A + geom.ground_altitude)
     far = np.linalg.norm(to_tx, axis=0) - motion
     rho = _tx_reach(geom, line, site)
     ok = (rho < near) & (far > 0.0)
-    frame_rate = _turn_rate(shared.elements) + speed / (
+    frame_rate = _turn_rate(geom.elements) + speed / (
         frames.min_curvature_radius(0.0) + height - frames.WGS84_A)
     delta = (np.arcsin(np.where(ok, rho, 0.0) / np.where(ok, near, 1.0))
              + period * (speed / np.where(ok, far, 1.0) + frame_rate))
@@ -772,31 +767,33 @@ def _samples_near_tx(geom: _SatGeometry, lines: np.ndarray, site=None):
 
 
 def _screen_windows(geom: _SatGeometry):
-    """Per site, (w0, w1, kept dwell keys) for each of its visibility
-    windows, keys as in _dwell_dark.
+    """(site, w0, w1, size, keys): every site's visibility windows as
+    _visibility gives them, site after site, each window's count of kept
+    dwells, and the kept dwell keys (as in _dwell_dark), window after
+    window.
 
     A window's lines are those whose spans meet it (ScanLattice.lines),
-    one row per (site, window, line).  The shared line geometry is
-    computed for the union of every site's window lines at once; then,
-    one block of sites at a time (_site_blocks), one _lines_near_tx call
-    screens the rows and one _samples_near_tx call the samples of the
-    rows it keeps.  Pixel level keeps only the dwells that overlap the
-    window.  Scan line keeps every dwell the screens keep, so a line that
-    straddles the window start stays dark.
+    one row per (site, window, line).  The line geometry is computed for
+    the union of every site's window lines at once; then, one block of
+    sites at a time (_site_blocks), one _lines_near_tx call screens the
+    rows and one _samples_near_tx call the samples of the rows it keeps.
+    Pixel level keeps only the dwells that overlap the window.  Scan line
+    keeps every dwell the screens keep, so a line that straddles the
+    window start stays dark.
     """
-    shared = geom.shared
-    lattice, base = shared.lattice, shared.base
-    n = shared.spec.samples_per_scan
-    pixel = shared.policy.kind is PolicyKind.PIXEL_LEVEL
+    lattice, base = geom.lattice, geom.base
+    n = geom.spec.samples_per_scan
+    pixel = geom.policy.kind is PolicyKind.PIXEL_LEVEL
     site, w0, w1 = _visibility(geom)
-    first, stop = lattice.line_span(shared.tau(w0), shared.tau(w1))
+    first, stop = lattice.line_span(geom.tau(w0), geom.tau(w1))
     lines = _ranges(first, stop)
     row_window = np.repeat(np.arange(site.size), stop - first)
-    shared.cache_lines(lines)
+    geom.cache_lines(lines)
     # Windows, and so rows, run site after site.
     window_of = np.searchsorted(site, np.arange(geom.lat.size + 1))
     row_of = np.searchsorted(row_window, window_of)
-    out = [[] for _ in geom.points]
+    size = np.zeros(site.size, dtype=np.int64)
+    out = [np.zeros(0, dtype=np.int64)]
     for part in _site_blocks(np.diff(row_of)):
         rows = slice(row_of[part.start], row_of[part.stop])
         keep = _lines_near_tx(geom, lines[rows], site[row_window[rows]])
@@ -808,15 +805,14 @@ def _screen_windows(geom: _SatGeometry):
             overlap = ((lattice.key_tau(keys + 1) - base > w0[window])
                        & (lattice.key_tau(keys) - base < w1[window]))
             keys, window = keys[overlap], window[overlap]
-        ids = range(window_of[part.start], window_of[part.stop])
-        for j, keys_j in zip(ids, np.split(
-                keys, np.searchsorted(window, ids[1:]))):
-            out[site[j]].append((float(w0[j]), float(w1[j]), keys_j))
-    return out
+        size += np.bincount(window, minlength=site.size)
+        out.append(keys)
+    return site, w0, w1, size, np.concatenate(out)
 
 
-def _pass_batches(sites):
-    """Group the sites' screened windows into batches.
+def _pass_batches(w0, w1, size):
+    """Group the screened windows (w0[i], w1[i]) of every site, which keep
+    size[i] dwells, into batches: one batch number per window.
 
     A pass is a maximal run of windows, across all sites, that overlap or
     touch in time.  A batch takes windows in time order and closes at the
@@ -824,23 +820,21 @@ def _pass_batches(sites):
     keys), so that footprints are built in full chunks and shared by the
     sites of each pass; it also closes within a pass at BATCH_SAMPLES, so
     that memory stays bounded by one batch rather than by the window or
-    the number of sites.  sites[k] holds site k's (w0, w1, kept dwell
-    keys) windows in time order.  Returns, per batch, (k, site k's windows
-    in the batch) for every site with a window in it.
+    the number of sites.  Windows tied in time are taken in index order
+    (np.lexsort is stable).
     """
-    batches = []
-    end = -np.inf
-    size = MARGIN_CHUNK
-    for w0, w1, k, j in sorted((w[0], w[1], k, j)
-                               for k, windows in enumerate(sites)
-                               for j, w in enumerate(windows)):
-        if (w0 > end and size >= MARGIN_CHUNK) or size >= BATCH_SAMPLES:
-            batches.append({})
-            size = 0
-        end = max(end, w1)
-        size += sites[k][j][2].size
-        batches[-1].setdefault(k, []).append(sites[k][j])
-    return [sorted(batch.items()) for batch in batches]
+    batch = np.empty(size.size, dtype=np.int64)
+    order = np.lexsort((w1, w0))
+    end, total, current = -np.inf, MARGIN_CHUNK, -1
+    for i, a, b, kept in zip(order.tolist(), w0[order].tolist(),
+                             w1[order].tolist(), size[order].tolist()):
+        if (a > end and total >= MARGIN_CHUNK) or total >= BATCH_SAMPLES:
+            current += 1
+            total = 0
+        end = max(end, b)
+        total += kept
+        batch[i] = current
+    return batch
 
 
 def _unique_ids(ids):
@@ -851,11 +845,6 @@ def _unique_ids(ids):
     """
     ids = np.sort(ids)
     return ids[np.concatenate((ids[:1] == ids[:1], ids[1:] != ids[:-1]))]
-
-
-def _concat_ids(parts):
-    """np.concatenate for integer ids that also takes no parts."""
-    return np.concatenate([np.zeros(0, dtype=np.int64), *parts])
 
 
 def _dwell_dark(geom: _SatGeometry, site, keys):
@@ -869,11 +858,10 @@ def _dwell_dark(geom: _SatGeometry, site, keys):
     gathered one chunk at a time.  Returns (dark at start, dark at end),
     boolean arrays in the order of keys.
     """
-    shared = geom.shared
     union = _unique_ids(keys)
     bounds = _unique_ids(np.concatenate((union, union + 1)))
-    r, v = shared.states(shared.lattice.key_tau(bounds) - shared.base)
-    boresight = shared.spec.boresight_of(union % shared.spec.samples_per_scan)
+    r, v = geom.states(geom.lattice.key_tau(bounds) - geom.base)
+    boresight = geom.spec.boresight_of(union % geom.spec.samples_per_scan)
     columns = np.searchsorted(union, keys)
     return tuple(
         _margins_many(geom, site, columns, boresight,
@@ -898,16 +886,18 @@ def _dark_spans(geom: _SatGeometry):
     are an exact superset of pixel-level ones.  Each site's spans come in
     the order of its own keys, batch by batch.
     """
-    shared = geom.shared
-    spec, lattice, base = shared.spec, shared.lattice, shared.base
+    spec, lattice, base = geom.spec, geom.lattice, geom.base
     n = spec.samples_per_scan
-    pixel = shared.policy.kind is PolicyKind.PIXEL_LEVEL
+    pixel = geom.policy.kind is PolicyKind.PIXEL_LEVEL
     out = [[] for _ in geom.points]
-    for group in _pass_batches(_screen_windows(geom)):
-        parts = [(k, part) for k, windows in group for _, _, part in windows]
-        keys = _concat_ids(part for _, part in parts)
-        site = np.repeat([k for k, _ in parts],
-                         [part.size for _, part in parts]).astype(np.int64)
+    owner, w0, w1, size, kept = _screen_windows(geom)
+    batch = _pass_batches(w0, w1, size)
+    start = np.cumsum(size) - size
+    for b in range(batch.max(initial=-1) + 1):
+        # The batch's windows in index order: site after site.
+        w = np.flatnonzero(batch == b)
+        keys = kept[_ranges(start[w], start[w] + size[w])]
+        site = np.repeat(owner[w], size[w])
         d0, d1 = _dwell_dark(geom, site, keys)
         dark = d0 | d1
         site, keys = site[dark], keys[dark]
@@ -1005,9 +995,8 @@ def dark_intervals_many(txs: Sequence[tuple[str, GroundPoint]],
     per_site = [[] for _ in txs]
     points = [point for _, point in txs]
     for elements, spec in sats:
-        shared = _SharedGeometry(elements, spec, start, duration, policy,
-                                 ground_altitude)
-        spans = _dark_spans(_SatGeometry(shared, points))
+        spans = _dark_spans(_SatGeometry(elements, spec, start, duration,
+                                         policy, ground_altitude, points))
         for site, site_spans in zip(per_site, spans):
             site.append((elements.satellite_id, site_spans))
     return [_finalize_schedule(site, tx_id, (start, end), policy)
@@ -1033,8 +1022,7 @@ def brute_force_oracle(tx: GroundPoint,
                        policy: BufferPolicy,
                        dt: float,
                        tx_id: str = "tx",
-                       ground_altitude: float = 0.0,
-                       chunk: int = 200_000) -> DarkSchedule:
+                       ground_altitude: float = 0.0) -> DarkSchedule:
     """Reference schedule by dense time sampling every dt seconds.
 
     Evaluates the subtension predicate exactly at each sample and assembles
@@ -1057,9 +1045,8 @@ def brute_force_oracle(tx: GroundPoint,
     duration = (end - start).total_seconds()
     per_sat = []
     for elements, spec in sats:
-        shared = _SharedGeometry(elements, spec, start, duration, policy,
-                                 ground_altitude)
-        geom = _SatGeometry(shared, [tx])
+        geom = _SatGeometry(elements, spec, start, duration, policy,
+                            ground_altitude, [tx])
         spans = []
         for w0, w1 in geom.visibility_windows():
             i0 = int(np.ceil(w0 / dt))
@@ -1075,10 +1062,10 @@ def brute_force_oracle(tx: GroundPoint,
                 # estimate midpoint-unbiased.
                 spans.append((run[0] - dt / 2.0, run[1] + dt / 2.0, run[2]))
 
-            for c0 in range(i0, i1 + 1, chunk):
-                c1 = min(c0 + chunk - 1, i1)
+            for c0 in range(i0, i1 + 1, ORACLE_CHUNK):
+                c1 = min(c0 + ORACLE_CHUNK - 1, i1)
                 offsets = np.arange(c0, c1 + 1) * dt
-                lines, idx = shared.lattice.index(shared.tau(offsets))
+                lines, idx = geom.lattice.index(geom.tau(offsets))
                 if policy.kind is PolicyKind.PIXEL_LEVEL:
                     # Each offset's margin in the pixel active at it.
                     dark = geom.margins(offsets, spec.boresight_of(idx)) <= 0.0

@@ -6,6 +6,8 @@ import multiprocessing
 import os
 import shutil
 import signal
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -951,6 +953,29 @@ def test_itu_pixels_memory_does_not_grow_with_the_window():
         pixels.append(len(footprints))
     assert pixels[1] > 2 * pixels[0] > 200
     assert peaks[1] < 1.5 * peaks[0], [f"{p / 1e6:.1f} MB" for p in peaks]
+
+
+def test_subcommands_do_not_import_numpy_ma(tmp_path):
+    """darkspaces, experiment and itu-sim on the example config, one after
+    another in a fresh interpreter, never import numpy.ma: its import
+    takes tens of ms, which is why geofence._unique_ids stands in for
+    np.unique."""
+    script = ("import sys\n"
+              "from darkspace.cli import main\n"
+              "for cmd in sys.argv[2:]:\n"
+              "    assert main([cmd, '--config', sys.argv[1],\n"
+              "                 '--out-dir', cmd]) == 0, cmd\n"
+              "    assert 'numpy.ma' not in sys.modules, cmd\n")
+    src = str(Path(darkspace.cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(EXAMPLE_CONFIG), "darkspaces",
+         "experiment", "itu-sim"], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert {p.name for p in tmp_path.iterdir()} == {
+        "darkspaces", "experiment", "itu-sim"}
 
 
 def test_darkspaces_edge_footprints_in_chunks(scenario, monkeypatch):

@@ -200,6 +200,20 @@ def test_oracle_refinement_keeps_intervals(pass_setup):
                    for f in fine.intervals)
 
 
+@pytest.mark.parametrize("policy", [PIXEL, SCANLINE],
+                         ids=["pixel", "scanline"])
+def test_oracle_joins_runs_across_chunks(pass_setup, policy, monkeypatch):
+    """Chunks of 7 samples, which cut every dark run, give the schedule
+    of one chunk per visibility window (4 minutes around the pass)."""
+    tx, sats, window = pass_setup
+    window = (window[0] + timedelta(minutes=8),
+              window[0] + timedelta(minutes=12))
+    whole = brute_force_oracle(tx, sats, window, policy, dt=0.05)
+    monkeypatch.setattr(geofence, "ORACLE_CHUNK", 7)
+    assert brute_force_oracle(tx, sats, window, policy, dt=0.05) == whole
+    assert whole.intervals
+
+
 def test_validation_errors(pass_setup, amsua, leo_tle):
     tx, sats, window = pass_setup
     with pytest.raises(EmptyConstellation):
@@ -325,7 +339,7 @@ def test_screen_matches_unscreened_engine(atms, amsua, monkeypatch):
                         lambda geom, lines, site: (
                             np.zeros(len(lines), dtype=np.int64),
                             np.full(len(lines),
-                                    geom.shared.spec.samples_per_scan)))
+                                    geom.spec.samples_per_scan)))
     unscreened = run()
     for i, (a, b) in enumerate(zip(screened, unscreened)):
         assert a == b, f"fixture {i}"
@@ -337,10 +351,10 @@ def test_screen_matches_unscreened_engine(atms, amsua, monkeypatch):
 
 def _window_lines(geom):
     """The ids of the lines that meet the site's visibility windows."""
-    shared, period = geom.shared, geom.shared.spec.scan_period
+    period = geom.spec.scan_period
     return np.concatenate([
-        np.arange(np.floor(shared.tau(w0) / period),
-                  np.floor(shared.tau(w1) / period) + 1, dtype=np.int64)
+        np.arange(np.floor(geom.tau(w0) / period),
+                  np.floor(geom.tau(w1) / period) + 1, dtype=np.int64)
         for w0, w1 in geom.visibility_windows()])
 
 
@@ -360,12 +374,11 @@ def test_screen_keeps_every_dark_line(atms, amsua, which):
         rng = np.random.default_rng(100 * which + seed)
         tx, elements, window, policy, ground = _screen_fixture(
             rng, PolicyKind.PIXEL_LEVEL, max_cross_km)
-        shared = geofence._SharedGeometry(elements, spec, window[0], 7200.0,
-                                          policy, ground)
-        geom = geofence._SatGeometry(shared, [tx])
+        geom = geofence._SatGeometry(elements, spec, window[0], 7200.0,
+                                     policy, ground, [tx])
         lines = _window_lines(geom)
         keep = geofence._lines_near_tx(geom, lines)
-        offsets = (lines[:, None] * period - shared.base + within).ravel()
+        offsets = (lines[:, None] * period - geom.base + within).ravel()
         boresight = np.tile(spec.boresight_of(idx), lines.size)
         dark = (geom.margins(offsets, boresight) <= 0.0).reshape(
             lines.size, -1).any(axis=1)
@@ -394,13 +407,12 @@ def test_sample_screen_keeps_every_dark_dwell(atms, amsua, which):
         rng = np.random.default_rng(100 * which + seed)
         tx, elements, window, policy, ground = _screen_fixture(
             rng, PolicyKind.PIXEL_LEVEL, max_cross_km)
-        shared = geofence._SharedGeometry(elements, spec, window[0], 7200.0,
-                                          policy, ground)
-        geom = geofence._SatGeometry(shared, [tx])
+        geom = geofence._SatGeometry(elements, spec, window[0], 7200.0,
+                                     policy, ground, [tx])
         lines = _window_lines(geom)
         lines = lines[geofence._lines_near_tx(geom, lines)]
         lo, hi = geofence._samples_near_tx(geom, lines)
-        offsets = (shared.lattice.tau(lines)[:, None] - shared.base
+        offsets = (geom.lattice.tau(lines)[:, None] - geom.base
                    + within).ravel()
         boresight = np.tile(spec.boresight_of(idx), lines.size)
         dark = (geom.margins(offsets, boresight) <= 0.0).reshape(
@@ -437,30 +449,34 @@ def test_sample_screen_keeps_footprint_boundary(atms):
     angles = np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False)
     for spec, buffer in specs:
         n = spec.samples_per_scan
-        shared = geofence._SharedGeometry(
-            random_leo_elements(rng), spec, EPOCH, 7200.0,
-            BufferPolicy(PolicyKind.PIXEL_LEVEL, buffer), 0.0)
-        lines = rng.choice(shared.lattice.lines(shared.base,
-                                                shared.base + 7000.0), 24)
+        satellite = (random_leo_elements(rng), spec, EPOCH, 7200.0,
+                     BufferPolicy(PolicyKind.PIXEL_LEVEL, buffer), 0.0)
+        sat = geofence._SatGeometry(*satellite, [])
+        lines = rng.choice(sat.lattice.lines(sat.base, sat.base + 7000.0),
+                           24)
         samples = rng.integers(0, n, lines.size)
+        # The twelve points around the ellipse are one geometry's sites.
+        site = np.arange(angles.size)
         for line, j in zip(lines.tolist(), samples.tolist()):
             for end in (0, 1):
-                offset = shared.lattice.tau(line, j + end) - shared.base
-                r, v = shared.states([offset])
+                offset = sat.lattice.tau(line, j + end) - sat.base
+                r, v = sat.states([offset])
                 fp = geofence._footprint_arrays(
                     r, v, [spec.boresight_of(j)], spec, 0.0)
                 edge = 0.999 * buffer * (
                     fp["semi_major"] * np.cos(angles) * fp["u_major"]
                     + fp["semi_minor"] * np.sin(angles) * fp["u_minor"])
-                for point in (fp["center"] + edge).T:
-                    lat, lon, alt = frames.ecef_to_geodetic(point)
-                    geom = geofence._SatGeometry(
-                        shared, [GroundPoint(lat, lon, alt)])
-                    assert geom.margins([offset],
-                                        [spec.boresight_of(j)])[0] <= 0.0
-                    assert geofence._lines_near_tx(geom, [line])[0]
-                    lo, hi = geofence._samples_near_tx(geom, [line])
-                    assert lo[0] <= j < hi[0], (spec.name, line, j, end)
+                geom = geofence._SatGeometry(*satellite, [
+                    GroundPoint(*frames.ecef_to_geodetic(point))
+                    for point in (fp["center"] + edge).T])
+                rows = np.full(site.size, line)
+                assert np.all(geom.margins(
+                    np.full(site.size, offset),
+                    np.full(site.size, spec.boresight_of(j)), site) <= 0.0)
+                assert np.all(geofence._lines_near_tx(geom, rows, site))
+                lo, hi = geofence._samples_near_tx(geom, rows, site)
+                assert np.all((lo <= j) & (j < hi)), (spec.name, line, j,
+                                                      end)
 
 
 def test_sample_screen_selects_on_example_site():
@@ -469,10 +485,9 @@ def test_sample_screen_selects_on_example_site():
     config = ScenarioConfig.load(EXAMPLE_CONFIG)
     elements, spec = config.satellites()[0]
     start = config.window()[0]
-    shared = geofence._SharedGeometry(elements, spec, start, 2 * 86400.0,
-                                      config.policy(),
-                                      config.ground_altitude())
-    geom = geofence._SatGeometry(shared, [config.transmitters()[0][1]])
+    geom = geofence._SatGeometry(elements, spec, start, 2 * 86400.0,
+                                 config.policy(), config.ground_altitude(),
+                                 [config.transmitters()[0][1]])
     lines = _window_lines(geom)
     lines = lines[geofence._lines_near_tx(geom, lines)]
     lo, hi = geofence._samples_near_tx(geom, lines)

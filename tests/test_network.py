@@ -44,13 +44,21 @@ def _pass_geometry(leo_tle, atms, rng, n):
     t_mark = add_seconds(leo_tle.epoch, 40 * 60)
     lat, lon, _ = propagate(leo_tle, t_mark).geodetic
     start = add_seconds(leo_tle.epoch, 35 * 60)
-    shared = geofence._SharedGeometry(
+    geom = geofence._SatGeometry(
         leo_tle, atms, start, 600.0, BufferPolicy(PolicyKind.PIXEL_LEVEL, 2.0),
-        0.0)
-    geom = geofence._SatGeometry(shared, [GroundPoint(lat, lon)])
+        0.0, [GroundPoint(lat, lon)])
     offsets = np.sort(rng.uniform(240.0, 360.0, n))
     boresight = atms.boresight_of(rng.integers(0, atms.samples_per_scan, n))
     return geom, offsets, boresight
+
+
+def _geometry(geom, points, spec=None, duration_s=None):
+    """A fresh geometry of geom's satellite and window over the given
+    sites, with another radiometer or window length if given."""
+    return geofence._SatGeometry(
+        geom.elements, spec or geom.spec, geom.window_start,
+        duration_s or geom.duration_s, geom.policy, geom.ground_altitude,
+        points)
 
 
 def test_margins_do_not_depend_on_chunk_size(leo_tle, atms, monkeypatch):
@@ -65,7 +73,7 @@ def test_margins_do_not_depend_on_chunk_size(leo_tle, atms, monkeypatch):
     for chunk, every in ((4096, 1), (7, 1), (1, 8), (4200, 1)):
         monkeypatch.setattr(geofence, "MARGIN_CHUNK", chunk)
         margins[chunk] = geom.margins(offsets[::every], boresight[::every])
-        states[chunk] = geom.shared.states(offsets[::every])
+        states[chunk] = geom.states(offsets[::every])
     for chunk, every in ((4096, 1), (7, 1), (1, 8)):
         assert _bits(margins[chunk]) == _bits(margins[4200][::every])
         for got, whole in zip(states[chunk], states[4200]):
@@ -117,10 +125,8 @@ def test_visibility_windows_match_reference_loop(leo_tle, atms,
     point (whose widened runs touch), runs at both ends and none."""
     rng = np.random.default_rng(17)
     site, _, _ = _pass_geometry(leo_tle, atms, rng, 1)
-    one = site.shared
-    geoms = {duration: geofence._SatGeometry(geofence._SharedGeometry(
-        one.elements, atms, one.window_start, duration, one.policy, 0.0),
-        site.points) for duration in (45.0, 600.0, 7215.5)}
+    geoms = {duration: _geometry(site, site.points, duration_s=duration)
+             for duration in (45.0, 600.0, 7215.5)}
     elevations = {}
     calls = []
 
@@ -132,7 +138,7 @@ def test_visibility_windows_match_reference_loop(leo_tle, atms,
     for trial in range(300):
         duration = float(rng.choice(list(geoms)))
         geom = geoms[duration]
-        offsets, _ = geom.shared.coarse
+        offsets, _ = geom.coarse
         above = rng.uniform(0.0, 1.0, offsets.size) < rng.uniform(0.0, 1.0)
         if trial % 10 == 0:
             above[:] = trial % 20 == 0
@@ -143,6 +149,63 @@ def test_visibility_windows_match_reference_loop(leo_tle, atms,
     # Every call took the patched elevations: one site over the grid.
     assert len(calls) == 300
     assert {shape[:2] for shape in calls} == {(3, 1)}
+
+
+def _batches_reference(sites):
+    """The tuple rule _pass_batches replaced: sites[k] holds site k's
+    (w0, w1, kept dwells) windows in time order; returns each batch's
+    (k, j) windows."""
+    batches = []
+    end, total = -np.inf, geofence.MARGIN_CHUNK
+    for w0, w1, k, j in sorted((w[0], w[1], k, j)
+                               for k, windows in enumerate(sites)
+                               for j, w in enumerate(windows)):
+        if ((w0 > end and total >= geofence.MARGIN_CHUNK)
+                or total >= geofence.BATCH_SAMPLES):
+            batches.append([])
+            total = 0
+        end = max(end, w1)
+        total += sites[k][j][2]
+        batches[-1].append((k, j))
+    return batches
+
+
+def test_pass_batches_match_reference_loop(monkeypatch):
+    """Random windows on a coarse grid, so that windows of different
+    sites tie in (w0, w1), with windows that keep no dwell and passes cut
+    at BATCH_SAMPLES."""
+    monkeypatch.setattr(geofence, "MARGIN_CHUNK", 20)
+    monkeypatch.setattr(geofence, "BATCH_SAMPLES", 40)
+    rng = np.random.default_rng(29)
+    ties = empty = cuts = 0
+    for _ in range(200):
+        sites = []
+        for _ in range(rng.integers(0, 8)):
+            ends = np.sort(rng.choice(12, 2 * rng.integers(0, 4),
+                                      replace=False)) * 30.0
+            sites.append([(a, b, int(rng.integers(0, 3) and
+                                     rng.integers(1, 25)))
+                          for a, b in zip(ends[::2], ends[1::2])])
+        w0, w1, size = (np.array([w[i] for windows in sites
+                                  for w in windows], dtype=dtype)
+                        for i, dtype in ((0, float), (1, float),
+                                         (2, np.int64)))
+        batch = geofence._pass_batches(w0, w1, size)
+        index = {kj: i for i, kj in enumerate(
+            (k, j) for k, windows in enumerate(sites)
+            for j in range(len(windows)))}
+        expected = np.empty(w0.size, dtype=np.int64)
+        for b, windows in enumerate(_batches_reference(sites)):
+            expected[[index[kj] for kj in windows]] = b
+        assert batch.tolist() == expected.tolist()
+        pairs = list(zip(w0.tolist(), w1.tolist()))
+        ties += len(pairs) - len(set(pairs))
+        empty += int(np.sum(size == 0))
+        order = np.lexsort((w1, w0))
+        reach = np.maximum.accumulate(w1[order])
+        cuts += int(np.sum((w0[order][1:] <= reach[:-1])
+                           & (np.diff(batch[order]) > 0)))
+    assert ties > 50 and empty > 50 and cuts > 50
 
 
 # --- dark_intervals_many -----------------------------------------------------
@@ -187,24 +250,30 @@ def test_many_equals_one_site_at_a_time(network, kind, batch, monkeypatch):
     more sites than a batch holds."""
     sites, sats, window = network
     policy = BufferPolicy(kind, 2.0, temporal_pad=0.05)
-    batches = []
+    windows, sites_in = [], []
 
-    def recording(*args, real=geofence._pass_batches):
+    def batches(*args, real=geofence._pass_batches):
         out = real(*args)
-        batches.extend(out)
+        windows.extend(np.bincount(out).tolist())
         return out
 
-    monkeypatch.setattr(geofence, "_pass_batches", recording)
+    def dwell_dark(geom, site, keys, real=geofence._dwell_dark):
+        sites_in.append(np.unique(site).size)
+        return real(geom, site, keys)
+
+    monkeypatch.setattr(geofence, "_pass_batches", batches)
+    monkeypatch.setattr(geofence, "_dwell_dark", dwell_dark)
     if batch == "one window":
         monkeypatch.setattr(geofence, "BATCH_SAMPLES", 1)
     many = dark_intervals_many(sites, sats, window, policy,
                                ground_altitude=50.0)
     monkeypatch.undo()
-    windows = [sum(len(w) for _, w in b) for b in batches]
+    # One _dwell_dark call per batch.
+    assert len(sites_in) == len(windows)
     if batch == "one window":
         assert set(windows) == {1}
     else:
-        assert max(len(b) for b in batches) >= 5
+        assert max(sites_in) >= 5
     alone = [dark_intervals(point, sats, window, policy, tx_id=tx_id,
                             ground_altitude=50.0)
              for tx_id, point in sites]
@@ -263,28 +332,24 @@ def test_many_with_no_sites(network):
 
 def test_line_screen_does_not_depend_on_cached_lines(leo_tle, atms):
     """A site's screen reads the same per-line geometry whether its lines
-    were cached alone, after other lines, or for another site."""
+    were cached alone, after other lines, or for another site (site 1 of
+    a two-site geometry)."""
     rng = np.random.default_rng(5)
     geom, _, _ = _pass_geometry(leo_tle, atms, rng, 1)
-    line0 = int(geom.shared.lattice.lines(geom.shared.tau(240.0),
-                                          geom.shared.tau(240.0))[0])
+    line0 = int(geom.lattice.lines(geom.tau(240.0), geom.tau(240.0))[0])
     lines_a = np.arange(line0, line0 + 60)
     lines_b = np.arange(line0 - 30, line0 + 120, 3)
+    first, second = (np.full(lines_b.size, k) for k in (0, 1))
 
-    def fresh():
-        one = geom.shared
-        return geofence._SatGeometry(geofence._SharedGeometry(
-            one.elements, atms, one.window_start, one.duration_s, one.policy,
-            0.0), geom.points)
-
-    alone = geofence._lines_near_tx(fresh(), lines_b)
-    after = fresh()
-    geofence._lines_near_tx(after, lines_a)
-    other = geofence._SatGeometry(after.shared, [GroundPoint(0.0, 0.0)])
-    assert _bits(geofence._lines_near_tx(after, lines_b)) == _bits(alone)
+    alone = geofence._lines_near_tx(_geometry(geom, geom.points), lines_b)
+    after = _geometry(geom, [*geom.points, GroundPoint(0.0, 0.0)])
+    geofence._lines_near_tx(after, lines_a, np.zeros(lines_a.size, int))
+    assert _bits(geofence._lines_near_tx(after, lines_b, first)) == _bits(
+        alone)
     assert alone.any() and not alone.all()
-    geofence._lines_near_tx(other, lines_b[::-1])
-    assert _bits(geofence._lines_near_tx(after, lines_b)) == _bits(alone)
+    geofence._lines_near_tx(after, lines_b[::-1], second)
+    assert _bits(geofence._lines_near_tx(after, lines_b, first)) == _bits(
+        alone)
 
 
 @pytest.fixture(scope="module")
@@ -356,10 +421,8 @@ def test_random_network_equals_one_site_at_a_time(random_network, kind,
 
     dark = [bool(s.intervals) for s in alone]
     assert 20 <= sum(dark) < len(sites) - 8
-    shared = geofence._SharedGeometry(sats[0][0], sats[0][1], window[0],
-                                      2400.0, policy, 30.0)
     site, lo, hi = geofence._visibility(geofence._SatGeometry(
-        shared, [p for _, p in sites]))
+        *sats[0], window[0], 2400.0, policy, 30.0, [p for _, p in sites]))
     assert np.any(lo == 0.0) and np.any(hi == 2400.0)
     assert np.unique(site).size < len(sites) - 8
     first, twins = {}, []
@@ -392,7 +455,7 @@ def test_batched_bisection_matches_per_site(random_network, monkeypatch):
     assert max(np.unique(call[5]).size for call in calls) >= 5
     for geom, boresight, lo, hi, dark_at_lo, site, out in calls:
         for k in np.unique(site).tolist():
-            one = geofence._SatGeometry(geom.shared, [geom.points[k]])
+            one = _geometry(geom, [geom.points[k]])
             at = site == k
             alone = geofence._bisect_boundary(one, boresight[at], lo[at],
                                               hi[at], dark_at_lo[at])
@@ -407,15 +470,12 @@ def test_bisection_stops_per_element(leo_tle, atms):
                    * atms.samples_per_scan)
     rng = np.random.default_rng(23)
     site, _, _ = _pass_geometry(leo_tle, atms, rng, 1)
-    one = site.shared
-    shared = geofence._SharedGeometry(one.elements, spec, one.window_start,
-                                      one.duration_s, one.policy, 0.0)
-    geom = geofence._SatGeometry(shared, site.points)
+    geom = _geometry(site, site.points, spec=spec)
     # Dwell key k starts about k sample_dwells after the epoch.
-    first, last = np.floor(shared.tau(np.array([240.0, 360.0]))
+    first, last = np.floor(geom.tau(np.array([240.0, 360.0]))
                            / spec.sample_dwell).astype(np.int64)
     keys = rng.integers(first, last, 60)
-    lo, hi = (shared.lattice.key_tau(keys + j) - shared.base for j in (0, 1))
+    lo, hi = (geom.lattice.key_tau(keys + j) - geom.base for j in (0, 1))
     width = hi - lo
     assert np.any(width > 8 * geofence.BISECT_TOL_S)
     assert np.any(width <= 8 * geofence.BISECT_TOL_S)
