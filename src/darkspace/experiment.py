@@ -188,9 +188,11 @@ def plan_experiment(tx: GroundPoint,
     """Plan ON pulses for every predicted pixel pass over the transmitter
     at tx, named tx_id as in dark_intervals.
 
-    Phase-locked radiometers get pixel-level pulses (default cap 0.1 s);
-    otherwise whole scan lines are used with a pulse of one scan period.
-    A max_pulse that is not > 0 raises ValueError.
+    The policy picks the mode: pixel-level pulses (default cap 0.1 s) or,
+    under a scan-line policy, whole scan lines with a pulse of one scan
+    period.  The policy defaults to pixel level for a phase-locked
+    radiometer and to scan line otherwise, buffer 2.  A max_pulse that is
+    not > 0 raises ValueError.
     Pulses whose ON/OFF pixel overlap falls below the threshold are
     discarded and counted in the diagnostics.
 
@@ -199,13 +201,14 @@ def plan_experiment(tx: GroundPoint,
     ScanSample.t a written pulse names, less than a microsecond away.
     """
     elements, spec = sat
-    if spec.phase_locked:
+    policy = policy or BufferPolicy(
+        PolicyKind.PIXEL_LEVEL if spec.phase_locked else PolicyKind.SCAN_LINE,
+        2.0)
+    if policy.kind is PolicyKind.PIXEL_LEVEL:
         mode = "pixel"
-        policy = policy or BufferPolicy(PolicyKind.PIXEL_LEVEL, 2.0)
         max_pulse = 0.1 if max_pulse is None else max_pulse
     else:
         mode = "scanline"
-        policy = policy or BufferPolicy(PolicyKind.SCAN_LINE, 2.0)
         max_pulse = spec.scan_period if max_pulse is None else max_pulse
     if not max_pulse > 0:
         raise ValueError(f"max_pulse must be > 0, got {max_pulse!r}")

@@ -162,6 +162,31 @@ def test_scanline_pulse_never_transmits_into_its_off_line(leo_tle, amsua):
         assert p.off_reference.scan_line_index not in _pulse_lines(plan, p)
 
 
+def test_scanline_policy_plans_lines_on_phase_locked(leo_tle, atms):
+    """The policy, not phase locking, picks the mode: under a scan-line
+    policy an ATMS plan pulses whole dark lines, aimed at sample 0, and
+    excludes every sample of each line a pulse touches."""
+    t_mark = add_seconds(leo_tle.epoch, 40 * 60)
+    lat, lon, _ = propagate(leo_tle, t_mark).geodetic
+    tx = GroundPoint(lat, lon, 20.0)
+    window = (add_seconds(leo_tle.epoch, 35 * 60),
+              add_seconds(leo_tle.epoch, 45 * 60))
+    policy = BufferPolicy(PolicyKind.SCAN_LINE, 2.0)
+    plan = plan_experiment(tx, (leo_tle, atms), window, policy=policy)
+    assert plan.mode == "scanline"
+    dark = {iv.scan_line_index for iv in dark_intervals(
+        tx, [(leo_tle, atms)], window, policy).intervals}
+    assert plan.pulses
+    for p in plan.pulses:
+        assert p.target.scan_line_index in dark
+        assert p.target.sample_index == p.off_reference.sample_index == 0
+        assert p.duration <= atms.scan_period + 1e-6
+    assert {(r.scan_line_index, r.sample_index)
+            for r in exclusion_records(plan)} == {
+        (line, i) for p in plan.pulses for line in _pulse_lines(plan, p)
+        for i in range(atms.samples_per_scan)}
+
+
 def test_pairing_same_radiometer(plan, atms):
     samples = []
     for p in plan.pulses:
