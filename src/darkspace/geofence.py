@@ -874,9 +874,9 @@ def _dwell_dark(geom: _SatGeometry, site, keys):
 def _dark_spans(geom: _SatGeometry):
     """Dark (start, end, line) spans in window offsets, one list per site.
 
-    Both policies take one path: per batch (_pass_batches), gather the
-    kept dwells of every site (_screen_windows) as rows (site, key), make
-    one _dwell_dark call, and read the spans off the flags.  Pixel level:
+    Both policies take one path: per batch (_pass_batches), gather its
+    windows' kept dwells (_screen_windows) by window offset as rows (site,
+    key), make one _dwell_dark call, and read the spans off the flags.  Pixel level:
     a dwell dark at both ends is dark throughout, and one dark at one end
     only is dark up to or from its margin's crossing, found by one
     _bisect_boundary call per batch over every site's brackets, which

@@ -183,20 +183,20 @@ def test_pass_batches_match_reference_loop(monkeypatch):
         for _ in range(rng.integers(0, 8)):
             ends = np.sort(rng.choice(12, 2 * rng.integers(0, 4),
                                       replace=False)) * 30.0
-            sites.append([(a, b, int(rng.integers(0, 3) and
-                                     rng.integers(1, 25)))
+            # A third of the windows keep no dwell.
+            sites.append([(a, b, int(rng.integers(1, 25))
+                           if rng.integers(0, 3) else 0)
                           for a, b in zip(ends[::2], ends[1::2])])
-        w0, w1, size = (np.array([w[i] for windows in sites
-                                  for w in windows], dtype=dtype)
-                        for i, dtype in ((0, float), (1, float),
-                                         (2, np.int64)))
+        # Window i is site k's window j, site after site.
+        kj = [(k, j) for k, windows in enumerate(sites)
+              for j in range(len(windows))]
+        w0 = np.array([sites[k][j][0] for k, j in kj], dtype=float)
+        w1 = np.array([sites[k][j][1] for k, j in kj], dtype=float)
+        size = np.array([sites[k][j][2] for k, j in kj], dtype=np.int64)
         batch = geofence._pass_batches(w0, w1, size)
-        index = {kj: i for i, kj in enumerate(
-            (k, j) for k, windows in enumerate(sites)
-            for j in range(len(windows)))}
         expected = np.empty(w0.size, dtype=np.int64)
         for b, windows in enumerate(_batches_reference(sites)):
-            expected[[index[kj] for kj in windows]] = b
+            expected[[kj.index(w) for w in windows]] = b
         assert batch.tolist() == expected.tolist()
         pairs = list(zip(w0.tolist(), w1.tolist()))
         ties += len(pairs) - len(set(pairs))
