@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
@@ -18,15 +17,10 @@ from .config import ScenarioConfig
 from .errors import ComputeError, ConfigError, DarkspaceError
 from .experiment import clearance_band, exclusion_records, plan_experiment, \
     safety_audit
-# dark_intervals, propagate_many and footprints_batch are not called here,
-# but bench/tracing.py patches them under this module's name, so they stay
-# importable from darkspace.cli.
-from .geofence import (availability, dark_intervals,  # noqa: F401
-                       dark_intervals_many, footprints_batch, pixels_in_box,
+from .geofence import (availability, dark_intervals_many, pixels_in_box,
                        write_schedule_csv, write_schedule_jsonl)
 from .linkbudget import evaluate, fspl_db, required_tx_power, total_loss_db
-from .orbit import (GroundPoint, load_tle_file,  # noqa: F401
-                    propagate_many, state_from_geodetic, topocentric)
+from .orbit import GroundPoint, frames, load_tle_file
 from .output import write_csv, write_json
 from .propagation import (InterferenceSample, PathModel, TransmitterKind,
                           aggregate_interference, compliance,
@@ -34,6 +28,12 @@ from .propagation import (InterferenceSample, PathModel, TransmitterKind,
                           write_deployment_jsonl,
                           write_interference_grid_csv)
 from .timeutil import iso_utc
+
+# dark_intervals, footprints_batch and propagate_many are not called here,
+# but bench/tracing.py patches them under this module's name, so they stay
+# importable from darkspace.cli.
+from .geofence import dark_intervals, footprints_batch  # noqa: F401
+from .orbit import propagate_many  # noqa: F401
 
 
 def _out_dir(args) -> Path:
@@ -124,23 +124,23 @@ def cmd_linkbudget(args) -> int:
 
     sat_node = geometry["satellite"]
     gnd_node = geometry["ground"]
-    # Fixed-geometry evaluation needs a nominal instant only.
-    t = (config.window()[0] if "window" in config.data
-         else datetime(2000, 1, 1, tzinfo=timezone.utc))
-    sat = state_from_geodetic(t, sat_node["lat"], sat_node["lon"],
-                              sat_node["alt_km"] * 1000.0)
+    # The look angles depend on the two positions only, not on an instant.
+    sat = frames.geodetic_to_ecef(sat_node["lat"], sat_node["lon"],
+                                  sat_node["alt_km"] * 1000.0)
     ground = GroundPoint(gnd_node["lat"], gnd_node["lon"], gnd_node["alt_m"])
-    look = topocentric(sat, ground)
-    if look.elevation <= 0:
+    look = frames.look_angles_from_ecef(sat, ground.ecef(), ground.latitude,
+                                        ground.longitude)
+    elevation, azimuth, slant_range = (float(x) for x in look)
+    if elevation <= 0:
         raise ComputeError("geometry puts the satellite below the horizon")
 
     atmosphere = config.atmosphere("linkbudget")
-    atm_db = (float(atmosphere.loss_db(look.elevation))
+    atm_db = (float(atmosphere.loss_db(elevation))
               if atmosphere is not None else 0.0)
     # Regression fixtures may pin stated loss components instead of the
     # geometry-derived ones.
     fspl_value = (geometry["fspl_db"] if geometry["fspl_db"] is not None
-                  else float(fspl_db(look.slant_range, frequency)))
+                  else float(fspl_db(slant_range, frequency)))
     if geometry["atmosphere_db"] is not None:
         atm_db = geometry["atmosphere_db"]
     chain = total_loss_db(
@@ -155,9 +155,9 @@ def cmd_linkbudget(args) -> int:
                       p_h2o_noise_multiplier=params["p_h2o_noise_multiplier"])
     write_json(out / "linkbudget.json", prov, {
         "geometry": args.geometry,
-        "elevation_deg": look.elevation,
-        "azimuth_deg": look.azimuth,
-        "slant_range_m": look.slant_range,
+        "elevation_deg": elevation,
+        "azimuth_deg": azimuth,
+        "slant_range_m": slant_range,
         "frequency_hz": frequency,
         "bandwidth_hz": bandwidth,
         "loss": {

@@ -70,13 +70,17 @@ class FlashlightPlan:
     pulses: tuple
     max_pulse: float
     overlap_threshold: float
-    mode: str
     diagnostics: dict
     checklist: tuple = REGULATORY_CHECKLIST
 
     @property
     def satellite_id(self) -> str:
         return self.elements.satellite_id
+
+    @property
+    def mode(self) -> str:
+        """The policy's kind, "pixel" or "scanline"."""
+        return self.policy.kind.value
 
 
 @dataclass(frozen=True)
@@ -161,7 +165,7 @@ def ellipse_overlap_fraction(fp_on, fp_off, n_radial: int = 24,
     return float(np.mean(margins <= 0.0))
 
 
-def _contaminated(plan_mode: str, lattice: ScanLattice,
+def _contaminated(kind: PolicyKind, lattice: ScanLattice,
                   on_start: datetime, on_end: datetime):
     """(line, sample) keys of every dwell an ON pulse contaminates.
 
@@ -171,7 +175,7 @@ def _contaminated(plan_mode: str, lattice: ScanLattice,
     """
     lines, samples = lattice.dwells(lattice.offset(on_start),
                                     lattice.offset(on_end))
-    if plan_mode == "scanline":
+    if kind is PolicyKind.SCAN_LINE:
         return [(line, i) for line in dict.fromkeys(lines.tolist())
                 for i in range(lattice.spec.samples_per_scan)]
     return list(zip(lines.tolist(), samples.tolist()))
@@ -204,12 +208,9 @@ def plan_experiment(tx: GroundPoint,
     policy = policy or BufferPolicy(
         PolicyKind.PIXEL_LEVEL if spec.phase_locked else PolicyKind.SCAN_LINE,
         2.0)
-    if policy.kind is PolicyKind.PIXEL_LEVEL:
-        mode = "pixel"
-        max_pulse = 0.1 if max_pulse is None else max_pulse
-    else:
-        mode = "scanline"
-        max_pulse = spec.scan_period if max_pulse is None else max_pulse
+    pixel = policy.kind is PolicyKind.PIXEL_LEVEL
+    if max_pulse is None:
+        max_pulse = 0.1 if pixel else spec.scan_period
     if not max_pulse > 0:
         raise ValueError(f"max_pulse must be > 0, got {max_pulse!r}")
 
@@ -223,7 +224,7 @@ def plan_experiment(tx: GroundPoint,
     for iv in schedule.intervals:
         on_end = min(iv.end, add_seconds(iv.start, max_pulse))
         mid = add_seconds(iv.start, (on_end - iv.start).total_seconds() / 2)
-        line, sample = (lattice.index(lattice.offset(mid)) if mode == "pixel"
+        line, sample = (lattice.index(lattice.offset(mid)) if pixel
                         else (iv.scan_line_index, 0))
         passes.append((iv.start, on_end, int(line), int(sample)))
     # Every ON dwell and its OFF reference, one line later, footprinted in
@@ -242,8 +243,8 @@ def plan_experiment(tx: GroundPoint,
     contaminated = set()
     reserved_off = set()
     for at, (on_start, on_end, line, sample) in enumerate(passes):
-        dwells = _contaminated(mode, lattice, on_start, on_end)
-        off_keys = ({(line + 1, sample)} if mode == "pixel" else
+        dwells = _contaminated(policy.kind, lattice, on_start, on_end)
+        off_keys = ({(line + 1, sample)} if pixel else
                     {(line + 1, i) for i in range(n)})
 
         # The OFF reference is only valid if the flashlight is silent while
@@ -278,7 +279,6 @@ def plan_experiment(tx: GroundPoint,
         pulses=tuple(pulses),
         max_pulse=max_pulse,
         overlap_threshold=overlap_threshold,
-        mode=mode,
         diagnostics={
             "passes_considered": len(schedule.intervals),
             "discarded_overlap": discarded_overlap,
@@ -394,12 +394,13 @@ def exclusion_records(plan: FlashlightPlan) -> list[ExclusionRecord]:
     starts, both counted from the epoch.
     """
     lattice = ScanLattice(plan.spec, plan.elements.epoch)
-    reason = ("rf-flashlight ON (scan-line mode)" if plan.mode == "scanline"
-              else "rf-flashlight ON")
+    kind = plan.policy.kind
+    reason = ("rf-flashlight ON (scan-line mode)"
+              if kind is PolicyKind.SCAN_LINE else "rf-flashlight ON")
     records = []
     seen = set()
     for pulse in plan.pulses:
-        for key in _contaminated(plan.mode, lattice, pulse.on_start,
+        for key in _contaminated(kind, lattice, pulse.on_start,
                                  pulse.on_end):
             if key in seen:
                 continue

@@ -19,15 +19,14 @@ kept dwell keys one flat array, window after window:
    below the horizon cannot subtend anything).
 2. Screen.  Shared: one state, geodetic up, scan axis and edge-footprint
    reach (edge_footprints) per scan line, for the union of the sites'
-   window lines.  Over (site, window, line) rows: _lines_near_tx keeps
-   the lines whose scan plane passes close enough to the site's
-   transmitter for a sample to subtend it, and _samples_near_tx keeps,
-   on each of those lines, the range of samples whose scan angle comes
-   close enough to the transmitter's.
+   window lines.  Over (site, window, line) rows: _dwells_near_tx keeps,
+   on each line whose scan plane passes close enough to the site's
+   transmitter for a sample to subtend it, the range of samples whose
+   scan angle comes close enough to the transmitter's.
 3. Sample margins, a few passes at a time: _pass_batches numbers each
    window's batch, and a batch gathers its windows' rows by their
    offsets into the kept keys.  Shared: one state per boundary of the
-   dwells the screens keep for any site (pixel level: only those that
+   dwells the screen keeps for any site (pixel level: only those that
    overlap a visibility window), on the scanner's own sample grid, where
    a dwell's end is the next dwell's start; from those, footprints at
    the start and end of every dwell, MARGIN_CHUNK samples at a time.
@@ -41,15 +40,16 @@ Both policies share one path through stages 3 and 4 (_dark_spans).
 Padding, merging and attribution (_finalize_schedule) run per site.
 Propagation, frames, screens and footprints are elementwise in the rows,
 so a site's schedule does not depend on which other sites share the work
-or a block.  _SatGeometry.visibility_windows and _SatGeometry.margins are
-the one-site views of stages 1 and 3.  Every state comes from
-inertial_states, which the flashlight planner and itu-sim's pixel search
-(pixels_in_box) call as well.  The pixel search screens scan lines by
-their edge_footprints too, with the same slack (_SCREEN_SLACK) and motion
-bound (_speed_bound) as _lines_near_tx.
+or a block.  Every call names a site by its index, one per row;
+_SatGeometry.visibility_windows is the one-site view of stage 1, and
+_SatGeometry.margins evaluates stage 3's margins at any instants.  Every
+state comes from inertial_states, which the flashlight planner and
+itu-sim's pixel search (pixels_in_box) call as well.  The pixel search
+screens scan lines by their edge_footprints too, with the same slack
+(_SCREEN_SLACK) and motion bound (_speed_bound) as _dwells_near_tx.
 
 brute_force_oracle implements the same subtension predicate by dense time
-sampling, without either screen, one site at a time; it is the reference
+sampling, without the screen, one site at a time; it is the reference
 semantics the engine is tested against.
 """
 from __future__ import annotations
@@ -77,7 +77,7 @@ from .timeutil import add_seconds, ensure_utc, iso_utc, minutes_since
 #: and a large enough multiplier inflates an edge footprint past the
 #: transmitter's horizon: the margin predicate then holds at times the
 #: prefilter drops, and the engine and the oracle both miss them.  The
-#: screen's near-side argument (_lines_near_tx) relies on the same windows.
+#: screen's near-side argument (_dwells_near_tx) relies on the same windows.
 COARSE_STEP_S = 30.0
 HORIZON_GUARD_DEG = -2.0
 
@@ -94,7 +94,7 @@ MARGIN_CHUNK = 4096
 #: this bounds them to about 10 MB however many sites share a pass.
 BATCH_SAMPLES = 32 * MARGIN_CHUNK
 
-#: Line screens (_lines_near_tx, pixels_in_box): relative allowance on a
+#: Line screens (_dwells_near_tx, pixels_in_box): relative allowance on a
 #: line's edge reach for how the altitude changes it within one scan
 #: period, and a bound on the Earth-fixed acceleration of a LEO satellite
 #: (m/s^2): gravity, 9.8, plus Coriolis, 2 w |v| < 1.2, plus centrifugal,
@@ -332,13 +332,13 @@ class _SatGeometry:
     propagation.DeploymentArrays: latitude, longitude and altitude (k,),
     their frames.site_trig and their ECEF positions tx_ecef (3, k).  Every
     stage runs once over the rows of all sites, each row naming its site by
-    index; a one-site geometry gives the one-site views
-    (visibility_windows, margins).  The site-independent geometry is
-    computed once for every site: the coarse propagation behind the
-    visibility windows, the per-line state, scan axis and edge reach
-    behind the screen, and the footprints behind the margins.  Offsets are
-    seconds from the window start; the scan lattice counts from the
-    element set epoch, base seconds before the window start.
+    index; a one-site geometry gives the one-site view visibility_windows.
+    The site-independent geometry is computed once for every site: the
+    coarse propagation behind the visibility windows, the per-line state,
+    scan axis and edge reach behind the screen, and the footprints behind
+    the margins.  Offsets are seconds from the window start; the scan
+    lattice counts from the element set epoch, base seconds before the
+    window start.
     """
 
     def __init__(self, elements: OrbitalElements, spec: RadiometerSpec,
@@ -386,7 +386,7 @@ class _SatGeometry:
 
         Per line, at its first sample: the position r, the geodetic up and
         the scan axis, the speed bound V and the edge reach (1 + s) A of
-        _lines_near_tx, from the line's edge_footprints.
+        _dwells_near_tx, from the line's edge_footprints.
 
         The incremental, sorted cache stays although every caller passes
         the union of its lines once.  The sorted copy is allocated late,
@@ -431,19 +431,10 @@ class _SatGeometry:
         at = np.searchsorted(self._line_ids, lines)
         return {key: value[..., at] for key, value in self._lines.items()}
 
-    def column(self, site):
-        """An index of the site arrays' last axis: site, or for a one-site
-        geometry a view of its one column, which broadcasts over any rows
-        (so site may be None there)."""
-        return slice(None) if self.lat.size == 1 else site
-
-    def margins(self, offsets, boresight_deg, site=None):
+    def margins(self, offsets, boresight_deg, site):
         """Inflated-ellipse margin of site[i] in sample i, each sample
-        propagated at its own offset; site may be None for a one-site
-        geometry."""
+        propagated at its own offset."""
         offsets = np.asarray(offsets, dtype=float)
-        if site is None:
-            site = np.zeros(offsets.size, dtype=np.int64)
         return _margins_many(
             self, site, np.arange(offsets.size),
             np.asarray(boresight_deg, dtype=float),
@@ -539,7 +530,7 @@ def _margins_many(geom: _SatGeometry, site, columns, boresight_deg, states):
             at = columns[rows] - i
             out[order[rows]] = _ellipse_margins(
                 {key: arrays[key][..., at] for key in _MARGIN_FIELDS},
-                geom.tx_ecef[:, geom.column(site[rows])],
+                geom.tx_ecef[:, site[rows]],
                 geom.policy.buffer_multiplier)
     return out
 
@@ -562,9 +553,8 @@ def _merge_spans(spans, gap: float = 0.0):
 
 def _bisect_boundary(geom: _SatGeometry, boresight: np.ndarray,
                      lo: np.ndarray, hi: np.ndarray,
-                     dark_at_lo: np.ndarray, site=None) -> np.ndarray:
-    """Locate the margin zero crossing of site[i] inside (lo[i], hi[i]);
-    site may be None for a one-site geometry.
+                     dark_at_lo: np.ndarray, site: np.ndarray) -> np.ndarray:
+    """Locate the margin zero crossing of site[i] inside (lo[i], hi[i]).
 
     dark_at_lo says which end of the bracket is inside the subtension
     region; the returned offsets are accurate to BISECT_TOL_S.  Each
@@ -581,8 +571,7 @@ def _bisect_boundary(geom: _SatGeometry, boresight: np.ndarray,
     while active.size:
         a_lo, a_hi = lo[active], hi[active]
         mid = 0.5 * (a_lo + a_hi)
-        dark_mid = geom.margins(mid, boresight[active],
-                                None if site is None else site[active]) <= 0.0
+        dark_mid = geom.margins(mid, boresight[active], site[active]) <= 0.0
         # When lo is dark the boundary sits where dark ends.
         go_right = dark_mid == dark_at_lo[active]
         lo[active] = np.where(go_right, mid, a_lo)
@@ -591,37 +580,51 @@ def _bisect_boundary(geom: _SatGeometry, boresight: np.ndarray,
     return 0.5 * (lo + hi)
 
 
-def _lines_near_tx(geom: _SatGeometry, lines: np.ndarray,
-                   site=None) -> np.ndarray:
-    """Keep-mask: True for each scan line lines[i] that can subtend the
-    transmitter of site[i]; site may be None for a one-site geometry.
+def _turn_rate(elements: OrbitalElements) -> float:
+    """Omega of _dwells_near_tx, a bound on the turn rate of the scan axis
+    (rad/s)."""
+    mean_motion = elements.mean_motion * 2.0 * np.pi / 86400.0
+    ecc = elements.eccentricity
+    return 1.5 * (mean_motion * (1.0 + ecc) ** 2 / (1.0 - ecc ** 2) ** 1.5
+                  + frames.OMEGA_EARTH)
+
+
+def _dwells_near_tx(geom: _SatGeometry, lines: np.ndarray, site: np.ndarray):
+    """Per row i, the range lo <= j < hi of the samples of scan line
+    lines[i] that can subtend the transmitter of site[i]: empty (hi = lo)
+    where the line's scan plane passes too far from the transmitter (the
+    line bound), else the samples whose scan angle comes close enough to
+    the transmitter's (the sample bound).
 
     Take one state per line, at its first sample (time t0): r the
     satellite position, v the velocity that _SatGeometry.states returns
-    (the inertial velocity in Earth-fixed axes), a = unit(v_perp) the scan
-    axis, v_perp the part of v normal to the geodetic up at r (both from
-    radiometer._scan_axis, whose up is the closed-form frames.geodetic_up,
-    and about which _footprint_arrays rotates every boresight), tx the
-    transmitter and T the scan period.  A sample of the line can have
-    margin <= 0 only if
+    (the inertial velocity in Earth-fixed axes), u the geodetic up at r
+    (nadir = -u), a = unit(v_perp) the scan axis, v_perp the part of v
+    normal to u (both from radiometer._scan_axis, whose up is the
+    closed-form frames.geodetic_up, and about which _footprint_arrays
+    rotates every boresight), tx the transmitter, w = tx - r its offset and
+    T the scan period.  With A = buffer_multiplier * the larger semi_major
+    of the two edge samples, s = _SCREEN_SLACK, V = _speed_bound =
+    |v| + w_E |r| + G T (w_E the Earth's rotation rate, G =
+    _ACCEL_BOUND), M = B'**2 / A' the smallest radius of curvature of the
+    ground-altitude ellipsoid (semi-axes A', B') and
 
-        |a . (tx - r)| <= R = (1 + s) A + zeta
-                              + T (V + Omega (|tx - r| + V T))
-
-    with A = buffer_multiplier * the larger semi_major of the two edge
-    samples, s = _SCREEN_SLACK, V = _speed_bound = |v| + w |r| + G T (w
-    the Earth's rotation rate, G = _ACCEL_BOUND), M = B'**2 / A' the
-    smallest radius of curvature of the ground-altitude ellipsoid
-    (semi-axes A', B') and
-
+        rho   = (1 + s) A + zeta
         zeta  = |h_tx - h_ground| + ((1 + s) A)**2 / M
-        Omega = 1.5 (n (1 + e)**2 / (1 - e**2)**1.5 + w)
+        Omega = 1.5 (n (1 + e)**2 / (1 - e**2)**1.5 + w_E)
 
-    n the mean motion and e the eccentricity of the element set.  r, a, V
-    and (1 + s) A do not depend on the transmitter: geom computes them
-    once per line for every site (_SatGeometry.cache_lines), and
-    only the terms in tx are evaluated here, row by row.  Why the bound
-    holds:
+    (n the mean motion and e the eccentricity of the element set), rho
+    bounds how far from a footprint centre of the line the transmitter can
+    lie with margin <= 0.  r, u, a, V and (1 + s) A do not depend on the
+    transmitter: geom computes them once per line for every site
+    (_SatGeometry.cache_lines), and only the terms in tx are evaluated
+    here, row by row; w and rho once for both bounds.
+
+    Line bound.  A sample of the line can have margin <= 0 only if
+
+        |a . w| <= R = rho + T (V + Omega (|w| + V T)).
+
+    Why:
 
     - Every boresight is nadir rotated about a, and a is orthogonal to
       nadir, so every footprint centre c(t) lies in the scan plane through
@@ -633,8 +636,8 @@ def _lines_near_tx(geom: _SatGeometry, lines: np.ndarray,
     - zeta bounds the offset of tx from that tangent plane along the
       surface normal at c.  The ellipsoid's curvature is at most 1 / M, so
       the ball of radius M tangent inside it at c lies inside it, and a
-      surface point a tangent distance rho <= (1 + s) A from c lies at
-      most M - sqrt(M**2 - rho**2) <= rho**2 / M below the plane; tx sits
+      surface point a tangent distance rho' <= (1 + s) A from c lies at
+      most M - sqrt(M**2 - rho'**2) <= rho'**2 / M below the plane; tx sits
       |h_tx - h_ground| off that surface.  This holds on the near side of
       the Earth only (the point where the normal line meets the surface
       first); a transmitter on the far side has the same tangent-plane
@@ -645,65 +648,24 @@ def _lines_near_tx(geom: _SatGeometry, lines: np.ndarray,
       about 2,500 km.
     - The last term bounds how far the plane moves and turns within one
       scan period, through the last sample's end at t0 + T.  The
-      Earth-fixed velocity is at most |v| + w |r| at t0 and changes by at
-      most G per second (gravity plus Coriolis and centrifugal terms), so
-      V bounds the speed and |tx - r| + V T the distance over the line.
+      Earth-fixed velocity is at most |v| + w_E |r| at t0 and changes by
+      at most G per second (gravity plus Coriolis and centrifugal terms),
+      so V bounds the speed and |w| + V T the distance over the line.
       The scan axis turns no faster than the velocity direction of a
       Keplerian orbit at perigee plus the Earth's rotation; Omega adds
       half of that again for perturbations and the projection off nadir.
 
-    A line whose edge rays miss the Earth gets R = inf.
-    """
-    period = geom.spec.scan_period
-    site = geom.column(site)
-    line = geom.line_geometry(lines)
-    speed = line["speed"]
-    to_tx = geom.tx_ecef[:, site] - line["r"]
-    bound = _tx_reach(geom, line, site) + period * (
-        speed + _turn_rate(geom.elements)
-        * (np.linalg.norm(to_tx, axis=0) + speed * period))
-    return np.abs(np.sum(line["axis"] * to_tx, axis=0)) <= bound
-
-
-def _tx_reach(geom: _SatGeometry, line, site) -> np.ndarray:
-    """(1 + s) A + zeta of _lines_near_tx, per row of line_geometry and
-    site (a geom.column index): how far from a footprint centre of the
-    line the site's transmitter can lie with margin <= 0."""
-    reach = line["reach"]
-    big_m = frames.min_curvature_radius(geom.ground_altitude)
-    zeta = (np.abs(geom.alt[site] - geom.ground_altitude)
-            + reach ** 2 / big_m)
-    return reach + zeta
-
-
-def _turn_rate(elements: OrbitalElements) -> float:
-    """Omega of _lines_near_tx, a bound on the turn rate of the scan axis
-    (rad/s)."""
-    mean_motion = elements.mean_motion * 2.0 * np.pi / 86400.0
-    ecc = elements.eccentricity
-    return 1.5 * (mean_motion * (1.0 + ecc) ** 2 / (1.0 - ecc ** 2) ** 1.5
-                  + frames.OMEGA_EARTH)
-
-
-def _samples_near_tx(geom: _SatGeometry, lines: np.ndarray, site=None):
-    """Per row i, the range lo <= j < hi of the samples of line lines[i]
-    that can subtend the transmitter of site[i] (site may be None for a
-    one-site geometry): the per-sample screen behind _lines_near_tx.
-
-    Take the line's state at its first sample (time t0) as _lines_near_tx
-    does: r, the geodetic up u (nadir = -u), the scan axis a, V and
-    rho = _tx_reach = (1 + s) A + zeta; T is the scan period and w the
-    transmitter's offset tx - r.  Sample j's boresight is
-    _rotate(nadir, a, theta_j) = cos(theta_j) nadir + sin(theta_j)
-    (a x nadir), since a is orthogonal to nadir, so the transmitter's
-    angle in the scan plane, in the same sense, is
+    Sample bound.  Sample j's boresight is _rotate(nadir, a, theta_j) =
+    cos(theta_j) nadir + sin(theta_j) (a x nadir), since a is orthogonal
+    to nadir, so the transmitter's angle in the scan plane, in the same
+    sense, is
 
         psi = atan2((a x nadir) . w, nadir . w).
 
     The line keeps the samples with |psi - theta_j| <= Delta, and
     boresight_of is linear in j, so they form one range.  With M0 the
-    smallest radius of curvature of the WGS-84 ellipsoid, Omega =
-    _turn_rate, A' = WGS84_A + ground altitude and
+    smallest radius of curvature of the WGS-84 ellipsoid, A' = WGS84_A +
+    ground altitude and
 
         L      = |r| - A' - V T
         D      = |w| - V T
@@ -716,7 +678,7 @@ def _samples_near_tx(geom: _SatGeometry, lines: np.ndarray, site=None):
 
     - Angle at the satellite.  margin <= 0 puts tx within rho of the
       footprint centre c (in the tangent plane at c within (1 + s) A, off
-      it by at most zeta, as in _lines_near_tx).  c - r(t) lies along the
+      it by at most zeta, as in the line bound).  c - r(t) lies along the
       boresight d_j(t), and |c - r(t)| >= |r(t)| - A' >= L, because c is
       on the ground-altitude ellipsoid and the satellite moves at most
       V T.  So w(t) and d_j(t) are at most asin(rho / L) apart.
@@ -727,30 +689,36 @@ def _samples_near_tx(geom: _SatGeometry, lines: np.ndarray, site=None):
       nadir plus that of a.  Geodetic up turns at most |dr/dt| over the
       radius of curvature of the surface at the point's height, which is
       at least M0 plus the height, and the height is at least
-      |r(t)| - WGS84_A; a turns at most Omega (see _lines_near_tx).  So
+      |r(t)| - WGS84_A; a turns at most Omega (see the line bound).  So
       d_j(t) is within T Omega' of d_j.
     - So w and d_j are less than Delta apart, and when Delta < 90 degrees
       the projection of w into the scan plane is too: for an in-plane
       unit vector d, tan of the in-plane angle between w and d is at most
       tan of the angle itself.
 
-    Every sample is kept where the bound does not apply: rho >= L (a line
-    whose edge rays miss the Earth has rho = inf), D <= 0, or Delta >= 90
-    degrees.  With one sample per scan theta_0 = 0, and the range is
-    [0, 1) or empty.
+    Every sample of a line that passes the line bound is kept where the
+    sample bound does not apply: rho >= L, D <= 0, or Delta >= 90
+    degrees.  A line whose edge rays miss the Earth gets rho = inf, so it
+    passes the line bound and keeps every sample.  With one sample per
+    scan theta_0 = 0, and the range is [0, 1) or empty.
     """
     spec, period = geom.spec, geom.spec.scan_period
-    site = geom.column(site)
     line = geom.line_geometry(lines)
-    r, up, speed = line["r"], line["up"], line["speed"]
+    r, up, speed, reach = line["r"], line["up"], line["speed"], line["reach"]
     to_tx = geom.tx_ecef[:, site] - r
+    distance = np.linalg.norm(to_tx, axis=0)
     motion = speed * period
+    rho = reach + (np.abs(geom.alt[site] - geom.ground_altitude)
+                   + reach ** 2 / frames.min_curvature_radius(
+                       geom.ground_altitude))
+    turn = _turn_rate(geom.elements)
+    in_plane = (np.abs(np.sum(line["axis"] * to_tx, axis=0))
+                <= rho + period * (speed + turn * (distance + motion)))
     height = np.linalg.norm(r, axis=0) - motion
     near = height - (frames.WGS84_A + geom.ground_altitude)
-    far = np.linalg.norm(to_tx, axis=0) - motion
-    rho = _tx_reach(geom, line, site)
+    far = distance - motion
     ok = (rho < near) & (far > 0.0)
-    frame_rate = _turn_rate(geom.elements) + speed / (
+    frame_rate = turn + speed / (
         frames.min_curvature_radius(0.0) + height - frames.WGS84_A)
     delta = (np.arcsin(np.where(ok, rho, 0.0) / np.where(ok, near, 1.0))
              + period * (speed / np.where(ok, far, 1.0) + frame_rate))
@@ -763,7 +731,7 @@ def _samples_near_tx(geom: _SatGeometry, lines: np.ndarray, site=None):
     step = 2.0 * spec.scan_half_angle / max(n - 1, 1)
     lo = np.clip(np.ceil((psi - delta - first) / step), 0, n)
     hi = np.clip(np.floor((psi + delta - first) / step) + 1, lo, n)
-    return lo.astype(np.int64), hi.astype(np.int64)
+    return lo.astype(np.int64), np.where(in_plane, hi, lo).astype(np.int64)
 
 
 def _screen_windows(geom: _SatGeometry):
@@ -775,11 +743,10 @@ def _screen_windows(geom: _SatGeometry):
     A window's lines are those whose spans meet it (ScanLattice.lines),
     one row per (site, window, line).  The line geometry is computed for
     the union of every site's window lines at once; then, one block of
-    sites at a time (_site_blocks), one _lines_near_tx call screens the
-    rows and one _samples_near_tx call the samples of the rows it keeps.
-    Pixel level keeps only the dwells that overlap the window.  Scan line
-    keeps every dwell the screens keep, so a line that straddles the
-    window start stays dark.
+    sites at a time (_site_blocks), one _dwells_near_tx call screens the
+    rows' lines and their samples.  Pixel level keeps only the dwells that
+    overlap the window.  Scan line keeps every dwell the screen keeps, so
+    a line that straddles the window start stays dark.
     """
     lattice, base = geom.lattice, geom.base
     n = geom.spec.samples_per_scan
@@ -796,10 +763,9 @@ def _screen_windows(geom: _SatGeometry):
     out = [np.zeros(0, dtype=np.int64)]
     for part in _site_blocks(np.diff(row_of)):
         rows = slice(row_of[part.start], row_of[part.stop])
-        keep = _lines_near_tx(geom, lines[rows], site[row_window[rows]])
-        kept, window = lines[rows][keep], row_window[rows][keep]
-        lo, hi = _samples_near_tx(geom, kept, site[window])
-        keys = _ranges(kept * n + lo, kept * n + hi)
+        window = row_window[rows]
+        lo, hi = _dwells_near_tx(geom, lines[rows], site[window])
+        keys = _ranges(lines[rows] * n + lo, lines[rows] * n + hi)
         window = np.repeat(window, hi - lo)
         if pixel:
             overlap = ((lattice.key_tau(keys + 1) - base > w0[window])
@@ -881,8 +847,8 @@ def _dark_spans(geom: _SatGeometry):
     only is dark up to or from its margin's crossing, found by one
     _bisect_boundary call per batch over every site's brackets, which
     gives each the bits of a call of its own.  Scan line: a line is dark,
-    whole, when any of its kept dwells is dark at either end; the screens
-    drop only dwells whose margin stays above 0, so scan-line schedules
+    whole, when any of its kept dwells is dark at either end; the screen
+    drops only dwells whose margin stays above 0, so scan-line schedules
     are an exact superset of pixel-level ones.  Each site's spans come in
     the order of its own keys, batch by batch.
     """
@@ -918,7 +884,7 @@ def _dark_spans(geom: _SatGeometry):
             if np.any(one):
                 cross = _bisect_boundary(
                     geom, spec.boresight_of(keys[one] % n), s[one], e[one],
-                    dark_at_lo=d0[one], site=site[one])
+                    d0[one], site[one])
                 e[one] = np.where(d0[one], cross, e[one])
                 s[one] = np.where(d0[one], s[one], cross)
             spans = zip(s.tolist(), e.tolist(), (keys // n).tolist())
@@ -1032,12 +998,12 @@ def brute_force_oracle(tx: GroundPoint,
     Cost is O(window / dt); intervals shorter than dt can be missed, so
     tests must choose dt well below the expected interval durations.
 
-    The oracle uses neither of the engine's screens (_lines_near_tx,
-    _samples_near_tx): it evaluates every dt sample of every visibility
-    window, and in scan-line mode every dwell of every line it meets.  It
-    does share the horizon prefilter (_visibility, through
-    visibility_windows), _footprint_arrays and _ellipse_margins with the
-    engine, so engine and oracle agree on a defect in those.
+    The oracle does not use the engine's screen (_dwells_near_tx): it
+    evaluates every dt sample of every visibility window, and in scan-line
+    mode every dwell of every line it meets, each row for site 0 of its
+    one-site geometry.  It does share the horizon prefilter (_visibility,
+    through visibility_windows), _footprint_arrays and _ellipse_margins
+    with the engine, so engine and oracle agree on a defect in those.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -1068,7 +1034,9 @@ def brute_force_oracle(tx: GroundPoint,
                 lines, idx = geom.lattice.index(geom.tau(offsets))
                 if policy.kind is PolicyKind.PIXEL_LEVEL:
                     # Each offset's margin in the pixel active at it.
-                    dark = geom.margins(offsets, spec.boresight_of(idx)) <= 0.0
+                    dark = geom.margins(
+                        offsets, spec.boresight_of(idx),
+                        np.zeros(offsets.size, dtype=np.int64)) <= 0.0
                 else:
                     # A line is dark when any of its dwells is dark at
                     # either end.

@@ -386,6 +386,28 @@ def test_linkbudget_atmosphere_table_with_comments(tmp_path):
     assert a == b
 
 
+@pytest.mark.parametrize("window", [
+    {"start": "not-a-time", "end": "2023-04-25T05:30:00Z"}, None,
+], ids=["bad-start", "null"])
+def test_linkbudget_does_not_read_window(tmp_path, window):
+    """linkbudget evaluates a fixed geometry at no instant, so a malformed
+    window, which it never reads, leaves the example's payload as it is."""
+    config = json.loads(EXAMPLE_CONFIG.read_text())
+    config["satellites"][0]["tle"] = str(EXAMPLE_CONFIG.parent
+                                         / config["satellites"][0]["tle"])
+    config["window"] = window
+    bad = tmp_path / "window.json"
+    bad.write_text(json.dumps(config))
+    assert main(["linkbudget", "--config", str(bad), "--out-dir",
+                 str(tmp_path / "a")]) == 0
+    assert main(["linkbudget", "--config", str(EXAMPLE_CONFIG), "--out-dir",
+                 str(tmp_path / "b")]) == 0
+    a, b = (json.loads((tmp_path / d / "linkbudget.json").read_text())
+            for d in "ab")
+    assert a.pop("provenance") != b.pop("provenance")
+    assert a == b
+
+
 def test_unknown_config_key(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"satellite": []}))

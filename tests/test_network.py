@@ -72,7 +72,8 @@ def test_margins_do_not_depend_on_chunk_size(leo_tle, atms, monkeypatch):
     margins, states = {}, {}
     for chunk, every in ((4096, 1), (7, 1), (1, 8), (4200, 1)):
         monkeypatch.setattr(geofence, "MARGIN_CHUNK", chunk)
-        margins[chunk] = geom.margins(offsets[::every], boresight[::every])
+        margins[chunk] = geom.margins(offsets[::every], boresight[::every],
+                                      np.zeros(offsets[::every].size, int))
         states[chunk] = geom.states(offsets[::every])
     for chunk, every in ((4096, 1), (7, 1), (1, 8)):
         assert _bits(margins[chunk]) == _bits(margins[4200][::every])
@@ -341,14 +342,16 @@ def test_line_screen_does_not_depend_on_cached_lines(leo_tle, atms):
     lines_b = np.arange(line0 - 30, line0 + 120, 3)
     first, second = (np.full(lines_b.size, k) for k in (0, 1))
 
-    alone = geofence._lines_near_tx(_geometry(geom, geom.points), lines_b)
+    alone = geofence._dwells_near_tx(_geometry(geom, geom.points), lines_b,
+                                     first)
     after = _geometry(geom, [*geom.points, GroundPoint(0.0, 0.0)])
-    geofence._lines_near_tx(after, lines_a, np.zeros(lines_a.size, int))
-    assert _bits(geofence._lines_near_tx(after, lines_b, first)) == _bits(
+    geofence._dwells_near_tx(after, lines_a, np.zeros(lines_a.size, int))
+    assert _bits(geofence._dwells_near_tx(after, lines_b, first)) == _bits(
         alone)
-    assert alone.any() and not alone.all()
-    geofence._lines_near_tx(after, lines_b[::-1], second)
-    assert _bits(geofence._lines_near_tx(after, lines_b, first)) == _bits(
+    kept = alone[1] > alone[0]
+    assert kept.any() and not kept.all()
+    geofence._dwells_near_tx(after, lines_b[::-1], second)
+    assert _bits(geofence._dwells_near_tx(after, lines_b, first)) == _bits(
         alone)
 
 
@@ -458,7 +461,8 @@ def test_batched_bisection_matches_per_site(random_network, monkeypatch):
             one = _geometry(geom, [geom.points[k]])
             at = site == k
             alone = geofence._bisect_boundary(one, boresight[at], lo[at],
-                                              hi[at], dark_at_lo[at])
+                                              hi[at], dark_at_lo[at],
+                                              np.zeros(at.sum(), int))
             assert _bits(alone) == _bits(out[at])
 
 
@@ -481,9 +485,10 @@ def test_bisection_stops_per_element(leo_tle, atms):
     assert np.any(width <= 8 * geofence.BISECT_TOL_S)
     boresight = spec.boresight_of(keys % spec.samples_per_scan)
     dark = rng.uniform(size=keys.size) < 0.5
-    together = geofence._bisect_boundary(geom, boresight, lo, hi, dark)
+    index = np.zeros(keys.size, int)
+    together = geofence._bisect_boundary(geom, boresight, lo, hi, dark, index)
     for i in range(keys.size):
         at = slice(i, i + 1)
         alone = geofence._bisect_boundary(geom, boresight[at], lo[at],
-                                          hi[at], dark[at])
+                                          hi[at], dark[at], index[at])
         assert _bits(alone) == _bits(together[at]), i
