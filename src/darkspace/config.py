@@ -82,6 +82,16 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _text(value) -> str:
+    """value, which must be a non-empty string of printable characters
+    (no control character, such as a carriage return, that a CSV reader
+    would take for a line end)."""
+    if not isinstance(value, str) or not value or not value.isprintable():
+        raise ValueError(
+            f"expected a non-empty printable string, got {value!r}")
+    return value
+
+
 def _scenario(value) -> str:
     if value not in SCENARIOS:
         raise ValueError(f"expected one of {sorted(SCENARIOS)}, got {value!r}")
@@ -270,7 +280,7 @@ class ScenarioConfig:
             if not height >= 0:
                 raise ConfigError(f"{key}.antenna_height_m: must be >= 0, "
                                   f"got {height!r}")
-            tx_id = str(entry.get("id", f"tx{i}"))
+            tx_id = _typed(entry, f"{key}.id", _text, f"tx{i}")
             if tx_id in first_of:
                 raise ConfigError(
                     f"{key}.id: {tx_id!r} is already the id of "
@@ -357,7 +367,8 @@ class ScenarioConfig:
     def linkbudget_geometry(self, name: str) -> dict:
         """The typed numbers of a geometry: its _GEOMETRY_FIELDS (None
         when absent) and a dict per point of _GEOMETRY_POINTS."""
-        geoms = self._require("linkbudget", "geometries")
+        geoms = _object(self._require("linkbudget", "geometries"),
+                        "linkbudget.geometries")
         where = f"linkbudget.geometries.{name}"
         if name not in geoms:
             raise ConfigError(f"{where}: no such geometry; available: "
@@ -383,7 +394,7 @@ class ScenarioConfig:
                                self._existing_path, None)}
 
     def experiment_params(self) -> dict:
-        node = self.data.get("experiment", {})
+        node = _object(self.data.get("experiment", {}), "experiment")
         if "damage_threshold_dbm" not in node:
             raise ConfigError(
                 "missing config key: experiment.damage_threshold_dbm "

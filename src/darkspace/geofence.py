@@ -17,12 +17,14 @@ kept dwell keys one flat array, window after window:
    (site, grid point): _visibility keeps, per site, the times when the
    satellite is above HORIZON_GUARD_DEG at the transmitter (a satellite
    below the horizon cannot subtend anything).
-2. Screen.  Shared: one state, geodetic up, scan axis and edge-footprint
-   reach (edge_footprints) per scan line, for the union of the sites'
-   window lines.  Over (site, window, line) rows: _dwells_near_tx keeps,
-   on each line whose scan plane passes close enough to the site's
-   transmitter for a sample to subtend it, the range of samples whose
-   scan angle comes close enough to the transmitter's.
+2. Screen.  Shared: one table (_SatGeometry.line_geometry) of the state,
+   geodetic up, scan axis and edge-footprint reach (edge_footprints) of
+   each distinct line of the sites' windows, computed once and dropped
+   after the screen.  Over (site, window, line) rows, each gathering its
+   line's column of the table: _dwells_near_tx keeps, on each line whose
+   scan plane passes close enough to the site's transmitter for a sample
+   to subtend it, the range of samples whose scan angle comes close
+   enough to the transmitter's.
 3. Sample margins, a few passes at a time: _pass_batches numbers each
    window's batch, and a batch gathers its windows' rows by their
    offsets into the kept keys.  Shared: one state per boundary of the
@@ -353,10 +355,6 @@ class _SatGeometry:
         self.ground_altitude = ground_altitude
         self.lattice = ScanLattice(spec, elements.epoch)
         self.base = self.lattice.offset(window_start)
-        self._line_ids = np.zeros(0, dtype=np.int64)
-        self._lines = {"r": np.zeros((3, 0)), "up": np.zeros((3, 0)),
-                       "axis": np.zeros((3, 0)), "speed": np.zeros(0),
-                       "reach": np.zeros(0)}
         self.points = points
         self.lat = np.array([p.latitude for p in points], dtype=float)
         self.lon = np.array([p.longitude for p in points], dtype=float)
@@ -381,55 +379,21 @@ class _SatGeometry:
                              self.duration_s)
         return offsets, self.states(offsets)[0]
 
-    def cache_lines(self, lines) -> None:
-        """Compute the screen geometry of the lines not yet cached.
-
-        Per line, at its first sample: the position r, the geodetic up and
-        the scan axis, the speed bound V and the edge reach (1 + s) A of
-        _dwells_near_tx, from the line's edge_footprints.
-
-        The incremental, sorted cache stays although every caller passes
-        the union of its lines once.  The sorted copy is allocated late,
-        above the line stage's freed temporaries, so glibc mostly does not
-        trim the top of the heap between the MARGIN_CHUNK pieces of the
-        margin stage and fault it back in.  How often it does depends on
-        the heap layout, which in a fresh process moves with the length of
-        argv[0].  Over 12 such lengths (2-day ATMS darkspaces, bench seeds
-        0 and 7, 2 vCPUs, 2 runs each, with the sample screen) the margin
-        stage (_dwell_dark) took a median of 49 and 44 minor faults (22 to
-        824); keeping the first computed arrays as they are gave
-        byte-identical schedules but a median of 2.2 k and 2.1 k (1.7 k to
-        4.1 k).
-        """
-        new = _unique_ids(np.asarray(lines, dtype=np.int64))
-        if self._line_ids.size:
-            at = np.minimum(np.searchsorted(self._line_ids, new),
-                            self._line_ids.size - 1)
-            new = new[self._line_ids[at] != new]
-        if new.size == 0:
-            return
-        r, v = self.states(self.lattice.tau(new) - self.base)
+    def line_geometry(self, lines) -> dict:
+        """The screen geometry of each of the given scan lines, one column
+        per line: at the line's first sample, the position r, the geodetic
+        up and the scan axis, the speed bound V and the edge reach
+        (1 + s) A of _dwells_near_tx, from the line's edge_footprints.
+        Columns are elementwise: a line passed twice is computed twice."""
+        r, v = self.states(self.lattice.tau(lines) - self.base)
         up, axis = _scan_axis(r, v)
         _, semi_major, miss = edge_footprints(r, v, self.spec,
                                               self.ground_altitude)
         reach = ((1.0 + _SCREEN_SLACK) * self.policy.buffer_multiplier
                  * semi_major.max(axis=1))
-        reach = np.where(miss.any(axis=1), np.inf, reach)
-        speed = _speed_bound(r, v, self.spec.scan_period)
-        computed = {"r": r, "up": up, "axis": axis, "speed": speed,
-                    "reach": reach}
-        ids = np.concatenate((self._line_ids, new))
-        order = np.argsort(ids)
-        self._line_ids = ids[order]
-        self._lines = {key: np.concatenate((self._lines[key], value),
-                                           axis=-1)[..., order]
-                       for key, value in computed.items()}
-
-    def line_geometry(self, lines) -> dict:
-        """The screen geometry of each of the given lines (cache_lines)."""
-        self.cache_lines(lines)
-        at = np.searchsorted(self._line_ids, lines)
-        return {key: value[..., at] for key, value in self._lines.items()}
+        return {"r": r, "up": up, "axis": axis,
+                "speed": _speed_bound(r, v, self.spec.scan_period),
+                "reach": np.where(miss.any(axis=1), np.inf, reach)}
 
     def margins(self, offsets, boresight_deg, site):
         """Inflated-ellipse margin of site[i] in sample i, each sample
@@ -589,12 +553,13 @@ def _turn_rate(elements: OrbitalElements) -> float:
                   + frames.OMEGA_EARTH)
 
 
-def _dwells_near_tx(geom: _SatGeometry, lines: np.ndarray, site: np.ndarray):
-    """Per row i, the range lo <= j < hi of the samples of scan line
-    lines[i] that can subtend the transmitter of site[i]: empty (hi = lo)
-    where the line's scan plane passes too far from the transmitter (the
-    line bound), else the samples whose scan angle comes close enough to
-    the transmitter's (the sample bound).
+def _dwells_near_tx(geom: _SatGeometry, line: dict, site: np.ndarray):
+    """Per row i, the range lo <= j < hi of the samples of row i's scan
+    line, whose geometry is column i of line (_SatGeometry.line_geometry),
+    that can subtend the transmitter of site[i]: empty (hi = lo) where the
+    line's scan plane passes too far from the transmitter (the line bound),
+    else the samples whose scan angle comes close enough to the
+    transmitter's (the sample bound).
 
     Take one state per line, at its first sample (time t0): r the
     satellite position, v the velocity that _SatGeometry.states returns
@@ -616,9 +581,9 @@ def _dwells_near_tx(geom: _SatGeometry, lines: np.ndarray, site: np.ndarray):
     (n the mean motion and e the eccentricity of the element set), rho
     bounds how far from a footprint centre of the line the transmitter can
     lie with margin <= 0.  r, u, a, V and (1 + s) A do not depend on the
-    transmitter: geom computes them once per line for every site
-    (_SatGeometry.cache_lines), and only the terms in tx are evaluated
-    here, row by row; w and rho once for both bounds.
+    transmitter: _SatGeometry.line_geometry computes them once per line
+    for every site, and only the terms in tx are evaluated here, row by
+    row; w and rho once for both bounds.
 
     Line bound.  A sample of the line can have margin <= 0 only if
 
@@ -703,7 +668,6 @@ def _dwells_near_tx(geom: _SatGeometry, lines: np.ndarray, site: np.ndarray):
     scan theta_0 = 0, and the range is [0, 1) or empty.
     """
     spec, period = geom.spec, geom.spec.scan_period
-    line = geom.line_geometry(lines)
     r, up, speed, reach = line["r"], line["up"], line["speed"], line["reach"]
     to_tx = geom.tx_ecef[:, site] - r
     distance = np.linalg.norm(to_tx, axis=0)
@@ -741,9 +705,10 @@ def _screen_windows(geom: _SatGeometry):
     window.
 
     A window's lines are those whose spans meet it (ScanLattice.lines),
-    one row per (site, window, line).  The line geometry is computed for
-    the union of every site's window lines at once; then, one block of
-    sites at a time (_site_blocks), one _dwells_near_tx call screens the
+    one row per (site, window, line).  One line_geometry call computes the
+    geometry of the union of every site's window lines, once per line;
+    then, one block of sites at a time (_site_blocks), the rows gather
+    their lines' columns of it, and one _dwells_near_tx call screens the
     rows' lines and their samples.  Pixel level keeps only the dwells that
     overlap the window.  Scan line keeps every dwell the screen keeps, so
     a line that straddles the window start stays dark.
@@ -755,7 +720,8 @@ def _screen_windows(geom: _SatGeometry):
     first, stop = lattice.line_span(geom.tau(w0), geom.tau(w1))
     lines = _ranges(first, stop)
     row_window = np.repeat(np.arange(site.size), stop - first)
-    geom.cache_lines(lines)
+    union = _unique_ids(lines)
+    table = geom.line_geometry(union)
     # Windows, and so rows, run site after site.
     window_of = np.searchsorted(site, np.arange(geom.lat.size + 1))
     row_of = np.searchsorted(row_window, window_of)
@@ -764,7 +730,10 @@ def _screen_windows(geom: _SatGeometry):
     for part in _site_blocks(np.diff(row_of)):
         rows = slice(row_of[part.start], row_of[part.stop])
         window = row_window[rows]
-        lo, hi = _dwells_near_tx(geom, lines[rows], site[window])
+        at = np.searchsorted(union, lines[rows])
+        lo, hi = _dwells_near_tx(
+            geom, {key: value[..., at] for key, value in table.items()},
+            site[window])
         keys = _ranges(lines[rows] * n + lo, lines[rows] * n + hi)
         window = np.repeat(window, hi - lo)
         if pixel:

@@ -4,16 +4,21 @@ Files are UTF-8 with "\\n" line ends and lead with the run's provenance
 dict: a CSV as "# key=value" lines in key order before its header, a JSONL
 as a {"provenance": ...} record, a JSON document as its "provenance" key,
 indented by 2.  JSON keys are sorted.  A CSV cell is str() of its value, so
-a caller that formats a number ("-inf", fixed places) passes the string.
-A table with provenance None has no provenance lines.
+a caller that formats a number ("-inf", fixed places) passes the string,
+quoted (csv.writer's minimal quoting) only where it holds a comma, a double
+quote or a newline.  A table with provenance None has no provenance lines.
 """
+import csv
 import json
 from itertools import chain
 
 
-def _write(path, lines) -> None:
+def _write(path, lines, rows=()) -> None:
+    """The lines, each ended by "\n", then the rows as CSV records."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(line + "\n" for line in lines)
+        csv.writer(fh, lineterminator="\n").writerows(
+            map(str, row) for row in rows)
 
 
 def write_json(path, provenance: dict, payload: dict) -> None:
@@ -22,9 +27,8 @@ def write_json(path, provenance: dict, payload: dict) -> None:
 
 
 def write_csv(path, provenance, fields, rows) -> None:
-    _write(path, chain(
-        (f"# {key}={provenance[key]}" for key in sorted(provenance or ())),
-        [",".join(fields)], (",".join(map(str, row)) for row in rows)))
+    _write(path, (f"# {key}={provenance[key]}"
+                  for key in sorted(provenance or ())), chain([fields], rows))
 
 
 def write_jsonl(path, provenance, fields, rows) -> None:

@@ -1,4 +1,5 @@
 """End-to-end CLI: subcommands, exit codes, file formats, determinism."""
+import csv
 import functools
 import hashlib
 import json
@@ -560,7 +561,14 @@ def test_bad_transmitter_field_fails(scenario, capsys, command, key, value):
     ("itu-sim", "itu.deployment.bbox", [80.0, 95.0, -122.5, -120.5]),
     ("itu-sim", "itu.deployment.bbox", [-95.0, -80.0, -122.5, -120.5]),
     ("itu-sim", "itu.deployment.bbox", [39.8, 41.8, -190.0, -120.5]),
-    ("itu-sim", "itu.deployment.bbox", [39.8, 41.8, -122.5, 240.0])],
+    ("itu-sim", "itu.deployment.bbox", [39.8, 41.8, -122.5, 240.0]),
+    ("darkspaces", "transmitters[0].id", None),
+    ("darkspaces", "transmitters[0].id", ["a", "b"]),
+    ("experiment", "transmitters[0].id", ""),
+    ("darkspaces", "transmitters[0].id", "hat\rcreek"),
+    ("experiment", "experiment", None),
+    ("linkbudget", "linkbudget.geometries", None),
+    ("linkbudget", "linkbudget.geometries", ["default"])],
     ids=["null-seed", "null-ground-altitude", "text-ground-altitude",
          "null-itu-gamma", "text-itu-max-pixels", "null-bbox-entry",
          "short-bbox", "null-center-frequency", "text-emission-bandwidth",
@@ -587,7 +595,10 @@ def test_bad_transmitter_field_fails(scenario, capsys, command, key, value):
          "fractional-clearance-n", "boolean-clearance-n", "fractional-seed",
          "boolean-seed", "bbox-latitude-above-90",
          "bbox-latitude-below-minus-90", "bbox-lon-min-below-minus-180",
-         "bbox-longitude-span-above-360"])
+         "bbox-longitude-span-above-360", "null-transmitter-id",
+         "list-transmitter-id", "empty-transmitter-id",
+         "carriage-return-transmitter-id", "null-experiment",
+         "null-geometries", "list-geometries"])
 def test_unconvertible_config_value_fails(tmp_path, capsys, command, key,
                                           value):
     """A typed value of the example config that does not convert, is not
@@ -1203,6 +1214,38 @@ def test_duplicate_transmitter_ids_fail(scenario, capsys, first, second):
     err = capsys.readouterr().err
     assert "transmitters[0]" in err and "transmitters[1]" in err
     assert not any(out.glob("*"))
+
+
+def test_csv_cells_keep_their_rows(tmp_path):
+    """A transmitter id and a satellite name that hold a comma or a double
+    quote are quoted where written, so every data row of schedule.csv,
+    pulses.csv and exclusions.csv reads back with csv.reader as the
+    fields of its header, with the id and the name whole."""
+    tx_id, name = 'hat,creek "fl"', "NOAA 21, JPSS-2"
+    tle = tmp_path / "named.tle"
+    tle.write_text(f"{name}\n"
+                   + (EXAMPLE_CONFIG.parent / "noaa21_like.tle").read_text())
+    config = json.loads(EXAMPLE_CONFIG.read_text())
+    config["satellites"][0]["tle"] = str(tle)
+    config["transmitters"][0]["id"] = tx_id
+    path = tmp_path / "named.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    for command in ("darkspaces", "experiment"):
+        assert main([command, "--config", str(path), "--out-dir",
+                     str(out)]) == 0
+    for table, cells in (("schedule.csv", {"tx_id": tx_id,
+                                           "satellite_id": name}),
+                         ("pulses.csv", {"tx_id": tx_id,
+                                         "satellite_id": name}),
+                         ("exclusions.csv", {"satellite_id": name})):
+        with open(out / table, newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(
+                line for line in fh if not line.startswith("#"))
+        assert rows, table
+        for row in rows:
+            assert len(row) == len(header), (table, row)
+            assert {key: row[header.index(key)] for key in cells} == cells
 
 
 @pytest.mark.parametrize("command", ["darkspaces", "experiment"])

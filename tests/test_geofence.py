@@ -333,9 +333,9 @@ def test_screen_matches_unscreened_engine(atms, amsua, monkeypatch):
 
     screened = run()
     monkeypatch.setattr(geofence, "_dwells_near_tx",
-                        lambda geom, lines, site: (
-                            np.zeros(len(lines), dtype=np.int64),
-                            np.full(len(lines),
+                        lambda geom, line, site: (
+                            np.zeros(len(site), dtype=np.int64),
+                            np.full(len(site),
                                     geom.spec.samples_per_scan)))
     unscreened = run()
     for i, (a, b) in enumerate(zip(screened, unscreened)):
@@ -360,6 +360,11 @@ def _site0(size):
     return np.zeros(size, dtype=np.int64)
 
 
+def _screen(geom, lines, site):
+    """_dwells_near_tx of row i: line lines[i] for site site[i]."""
+    return geofence._dwells_near_tx(geom, geom.line_geometry(lines), site)
+
+
 @pytest.mark.parametrize("which", [0, 1, 2])
 def test_screen_keeps_every_dark_line(atms, amsua, which):
     """Every sample with margin <= 0, at instants spread over its dwell,
@@ -379,7 +384,7 @@ def test_screen_keeps_every_dark_line(atms, amsua, which):
         geom = geofence._SatGeometry(elements, spec, window[0], 7200.0,
                                      policy, ground, [tx])
         lines = _window_lines(geom)
-        lo, hi = geofence._dwells_near_tx(geom, lines, _site0(lines.size))
+        lo, hi = _screen(geom, lines, _site0(lines.size))
         keep = hi > lo
         offsets = (lines[:, None] * period - geom.base + within).ravel()
         boresight = np.tile(spec.boresight_of(idx), lines.size)
@@ -413,7 +418,7 @@ def test_sample_screen_keeps_every_dark_dwell(atms, amsua, which):
         geom = geofence._SatGeometry(elements, spec, window[0], 7200.0,
                                      policy, ground, [tx])
         lines = _window_lines(geom)
-        lo, hi = geofence._dwells_near_tx(geom, lines, _site0(lines.size))
+        lo, hi = _screen(geom, lines, _site0(lines.size))
         lines, lo, hi = lines[hi > lo], lo[hi > lo], hi[hi > lo]
         offsets = (geom.lattice.tau(lines)[:, None] - geom.base
                    + within).ravel()
@@ -476,7 +481,7 @@ def test_sample_screen_keeps_footprint_boundary(atms):
                 assert np.all(geom.margins(
                     np.full(site.size, offset),
                     np.full(site.size, spec.boresight_of(j)), site) <= 0.0)
-                lo, hi = geofence._dwells_near_tx(geom, rows, site)
+                lo, hi = _screen(geom, rows, site)
                 assert np.all((lo <= j) & (j < hi)), (spec.name, line, j,
                                                       end)
 
@@ -495,7 +500,7 @@ def test_sample_screen_selects_on_example_site():
                                  config.policy(), config.ground_altitude(),
                                  [config.transmitters()[0][1]])
     lines = _window_lines(geom)
-    lo, hi = geofence._dwells_near_tx(geom, lines, _site0(lines.size))
+    lo, hi = _screen(geom, lines, _site0(lines.size))
     kept = np.count_nonzero(hi > lo)
     assert 100 < kept < 0.25 * lines.size
     assert np.sum(hi - lo) < 0.3 * kept * spec.samples_per_scan

@@ -331,28 +331,31 @@ def test_many_with_no_sites(network):
                                BufferPolicy(PolicyKind.PIXEL_LEVEL)) == []
 
 
-def test_line_screen_does_not_depend_on_cached_lines(leo_tle, atms):
-    """A site's screen reads the same per-line geometry whether its lines
-    were cached alone, after other lines, or for another site (site 1 of
-    a two-site geometry)."""
+def test_screen_does_not_depend_on_the_shared_table(leo_tle, atms):
+    """A site's screen bits do not depend on the other lines or sites that
+    share the line table: rows that gather their lines from a table of
+    more lines of a two-site geometry, screened beside the other site's
+    rows, equal the rows of a one-site geometry screened from a table of
+    their own lines."""
     rng = np.random.default_rng(5)
     geom, _, _ = _pass_geometry(leo_tle, atms, rng, 1)
     line0 = int(geom.lattice.lines(geom.tau(240.0), geom.tau(240.0))[0])
     lines_a = np.arange(line0, line0 + 60)
     lines_b = np.arange(line0 - 30, line0 + 120, 3)
-    first, second = (np.full(lines_b.size, k) for k in (0, 1))
 
-    alone = geofence._dwells_near_tx(_geometry(geom, geom.points), lines_b,
-                                     first)
-    after = _geometry(geom, [*geom.points, GroundPoint(0.0, 0.0)])
-    geofence._dwells_near_tx(after, lines_a, np.zeros(lines_a.size, int))
-    assert _bits(geofence._dwells_near_tx(after, lines_b, first)) == _bits(
-        alone)
+    alone = geofence._dwells_near_tx(geom, geom.line_geometry(lines_b),
+                                     np.zeros(lines_b.size, int))
     kept = alone[1] > alone[0]
     assert kept.any() and not kept.all()
-    geofence._dwells_near_tx(after, lines_b[::-1], second)
-    assert _bits(geofence._dwells_near_tx(after, lines_b, first)) == _bits(
-        alone)
+    two = _geometry(geom, [*geom.points, GroundPoint(0.0, 0.0)])
+    union = np.union1d(lines_a, lines_b)
+    table = two.line_geometry(union)
+    rows = np.concatenate((lines_b[::-1], lines_b))
+    site = np.repeat([1, 0], lines_b.size)
+    at = np.searchsorted(union, rows)
+    lo, hi = geofence._dwells_near_tx(
+        two, {key: value[..., at] for key, value in table.items()}, site)
+    assert _bits((lo[site == 0], hi[site == 0])) == _bits(alone)
 
 
 @pytest.fixture(scope="module")
@@ -401,14 +404,22 @@ def random_network(leo_tle, atms):
 def test_random_network_equals_one_site_at_a_time(random_network, kind,
                                                   monkeypatch):
     """Blocks of one and of seven sites, so every stage crosses block
-    boundaries, give every site the schedule it gets alone."""
+    boundaries, give every site the schedule it gets alone, and each
+    satellite computes its screen's line table once for all blocks."""
     sites, sats, window = random_network
     policy = BufferPolicy(kind, 2.0, temporal_pad=0.05)
     alone = [dark_intervals(point, sats, window, policy, tx_id=tx_id,
                             ground_altitude=30.0)
              for tx_id, point in sites]
+    tables = []
+
+    def counting(*args, real=geofence.edge_footprints):
+        tables.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(geofence, "edge_footprints", counting)
     for size in (1, 7):
-        blocks = []
+        blocks, tables[:] = [], []
 
         def fixed(sizes, size=size):
             blocks.append(len(sizes))
@@ -419,8 +430,10 @@ def test_random_network_equals_one_site_at_a_time(random_network, kind,
         many = dark_intervals_many(sites, sats, window, policy,
                                    ground_altitude=30.0)
         assert many == alone, size
-        # Each satellite blocked its elevations and its screen rows.
+        # Each satellite blocked its elevations and its screen rows, and
+        # built one line table for all its blocks.
         assert blocks == [len(sites)] * 4
+        assert len(tables) == len(sats)
 
     dark = [bool(s.intervals) for s in alone]
     assert 20 <= sum(dark) < len(sites) - 8
