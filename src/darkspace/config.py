@@ -112,7 +112,9 @@ _ITU_FIELDS = (
     ("quantile", _ranged(_finite, lambda q: 0 < q <= 1, "in (0, 1]"), 0.9999),
     ("area_km2", _POSITIVE, 2.0e6),
     ("max_pixels", _ranged(_integer, lambda n: n >= 1, ">= 1"), 2000),
-    ("two_ray_floor_db", _finite, -60.0))
+    # The two-ray gain never exceeds 20 log10(1 + |G|) <= 6.02 dB, so a
+    # floor above 0 dB would replace the model instead of clamping its nulls.
+    ("two_ray_floor_db", _ranged(_finite, lambda f: f <= 0.0, "<= 0"), -60.0))
 _EXPERIMENT_FIELDS = (
     ("overlap_threshold", _ranged(_finite, lambda f: 0 <= f <= 1,
                                   "in [0, 1]"), 0.5),

@@ -434,7 +434,9 @@ class SweepGeometry:
 
     order = np.argsort(lat, kind="stable") holds the deployment index of
     each sweep position; equal latitudes keep deployment order, so the
-    order is the same on every machine.  In that order: lon,
+    order is the same on every machine.  It is sorted without the stable
+    sort unless two latitudes are equal (-0.0 and 0.0 among them): with
+    distinct values the sorted order is unique.  In that order: lon,
     ground_ecef and antenna_ecef (rows x, y, z of each ground point and
     antenna) and trig (the rows of frames.site_trig), the columns read
     for every emitter near a pixel.  The rest is read in the
@@ -447,7 +449,9 @@ class SweepGeometry:
     """
 
     def __init__(self, deployment: DeploymentArrays):
-        self.order = np.argsort(deployment.lat, kind="stable")
+        self.order = np.argsort(deployment.lat)
+        if np.any(np.diff(deployment.lat[self.order]) == 0.0):
+            self.order = np.argsort(deployment.lat, kind="stable")
         self.lon = deployment.lon[self.order]
         n = len(self.order)
         self.ground_ecef, self.antenna_ecef, self.trig = (
@@ -667,10 +671,20 @@ def compliance(samples, threshold: float = -200.0, quantile: float = 0.9999,
 
 _JSONL_CHUNK = 1 << 14
 
+#: "%06d" pads the indices below this one.
+_ID_PAD = 10 ** 6
+
+
+def _numpy_json(values) -> bytes:
+    """orjson's text of a numpy array, brackets included."""
+    # (Imported here, so only the writer pays its start-up.)
+    import orjson
+    return orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)
+
 
 def _json_texts(column):
-    """JSON text of each value, as json.dumps writes it; a single str when
-    the whole (non-empty) column holds one value, bit for bit.
+    """JSON text of each value, as json.dumps writes it, encoded; a single
+    bytes when the whole (non-empty) column holds one value, bit for bit.
 
     A float column is formatted by one orjson call (shortest round-trip
     digits, as repr), whose text equals json.dumps for ±0 and every
@@ -680,21 +694,43 @@ def _json_texts(column):
     """
     if isinstance(column, list):
         if len(set(column)) == 1:
-            return encode_basestring_ascii(column[0])
-        return list(map(encode_basestring_ascii, column))
+            return encode_basestring_ascii(column[0]).encode()
+        return [text.encode() for text in map(encode_basestring_ascii,
+                                              column)]
     bits = column.view(np.int64)
     if np.all(bits == bits[0]):
-        return json.dumps(float(column[0]))
-    # (Imported here, so only the writer pays its start-up.)
-    import orjson
+        return json.dumps(float(column[0])).encode()
     column = np.ascontiguousarray(column)
-    texts = orjson.dumps(column, option=orjson.OPT_SERIALIZE_NUMPY)[
-        1:-1].decode().split(",")
+    texts = _numpy_json(column)[1:-1].split(b",")
     size = np.abs(column)
     for i in np.flatnonzero(~((size >= 1e-4) & (size < 1e16))
                             & (column != 0.0)):
-        texts[i] = json.dumps(float(column[i]))
+        texts[i] = json.dumps(float(column[i])).encode()
     return texts
+
+
+def _id_digits(lo: int, hi: int) -> list:
+    """b"%06d" % i for each i in range(lo, hi), 0 <= lo < hi, from one
+    orjson call on each side of _ID_PAD: below it, the text of
+    _ID_PAD + i is "1" and then the six padded digits of i."""
+    if lo < _ID_PAD < hi:
+        return _id_digits(lo, _ID_PAD) + _id_digits(_ID_PAD, hi)
+    if hi <= _ID_PAD:
+        return _numpy_json(np.arange(lo, hi) + _ID_PAD)[2:-1].split(b",1")
+    return _numpy_json(np.arange(lo, hi))[1:-1].split(b",")
+
+
+def _json_pieces(column, lo: int, hi: int) -> list:
+    """The JSON texts of column[lo:hi] as literal text (bytes) and
+    per-emitter texts (a list of bytes) in turn.  A GeneratedIds chunk
+    lies in one run: its prefix, JSON-escaped, is literal text, and only
+    the digits are per emitter (digits never need escaping)."""
+    if not isinstance(column, GeneratedIds):
+        return [_json_texts(column[lo:hi])]
+    k = bisect_right(column._ends, lo) - 1
+    start = column._ends[k]
+    return [encode_basestring_ascii(column._prefixes[k])[:-1].encode(),
+            _id_digits(lo - start, hi - start), b'"']
 
 
 def write_deployment_jsonl(deployment: DeploymentArrays, path) -> None:
@@ -702,30 +738,39 @@ def write_deployment_jsonl(deployment: DeploymentArrays, path) -> None:
 
     Each line equals json.dumps(record, sort_keys=True), the record keyed
     as _RECORD_FIELDS says.  Columns are formatted _JSONL_CHUNK emitters
-    at a time, so memory does not grow with the file.  Within a chunk, a
-    column that holds one value joins the literal text around it; the
-    record is then literal runs and per-emitter columns in turn,
-    interleaved into one list and joined.
+    at a time, so memory does not grow with the file, and a chunk of
+    GeneratedIds lies in one run (one emitter class).  Within a chunk, a
+    column that holds one value joins the literal text around it, and so
+    does a generated id's escaped prefix; in a generated deployment the
+    kind and antenna height are constant within a class, so per emitter
+    only the id's digits, the EIRP, the latitude and the longitude are
+    formatted.  The record is then literal runs and per-emitter texts in
+    turn, interleaved into one list of bytes and joined.
     """
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for lo in range(0, len(deployment), _JSONL_CHUNK):
-            hi = min(lo + _JSONL_CHUNK, len(deployment))
-            pieces, literal = [], "{"
+    n = len(deployment)
+    cuts = set(range(0, n, _JSONL_CHUNK))
+    if isinstance(deployment.ids, GeneratedIds):
+        cuts.update(deployment.ids._ends)
+    cuts = sorted(cut for cut in cuts if cut < n) + [n]
+    with open(path, "wb") as fh:
+        for lo, hi in zip(cuts, cuts[1:]):
+            pieces, literal = [], b"{"
             for i, (key, column, _) in enumerate(_RECORD_FIELDS):
-                literal += f'{", " if i else ""}"{key}": '
-                texts = _json_texts(getattr(deployment, column)[lo:hi])
-                if isinstance(texts, str):
-                    literal += texts
-                else:
-                    pieces += [literal, texts]
-                    literal = ""
-            pieces.append(literal + "}\n")
+                literal += f'{", " if i else ""}"{key}": '.encode()
+                for texts in _json_pieces(getattr(deployment, column), lo,
+                                          hi):
+                    if isinstance(texts, bytes):
+                        literal += texts
+                    else:
+                        pieces += [literal, texts]
+                        literal = b""
+            pieces.append(literal + b"}\n")
             step = len(pieces)
             flat = [None] * ((hi - lo) * step)
             for j, piece in enumerate(pieces):
-                flat[j::step] = ([piece] * (hi - lo) if isinstance(piece, str)
-                                 else piece)
-            fh.write("".join(flat))
+                flat[j::step] = ([piece] * (hi - lo)
+                                 if isinstance(piece, bytes) else piece)
+            fh.write(b"".join(flat))
 
 
 def read_deployment_jsonl(path) -> DeploymentArrays:

@@ -552,6 +552,7 @@ def test_bad_transmitter_field_fails(scenario, capsys, command, key, value):
     ("experiment", "experiment.clearance_n", -3),
     ("itu-sim", "itu.gamma", -1.5),
     ("itu-sim", "itu.gamma", 1.0000001),
+    ("itu-sim", "itu.two_ray_floor_db", 10.0),
     ("itu-sim", "itu.max_pixels", 1.5),
     ("itu-sim", "itu.max_pixels", True),
     ("experiment", "experiment.clearance_n", 2.7),
@@ -591,6 +592,7 @@ def test_bad_transmitter_field_fails(scenario, capsys, command, key, value):
          "overlap-threshold-above-one", "quantile-above-one",
          "zero-quantile", "negative-area", "negative-clearance-n",
          "itu-gamma-below-minus-one", "itu-gamma-above-one",
+         "positive-two-ray-floor",
          "fractional-max-pixels", "boolean-max-pixels",
          "fractional-clearance-n", "boolean-clearance-n", "fractional-seed",
          "boolean-seed", "bbox-latitude-above-90",

@@ -350,7 +350,7 @@ _EDGE_FLOATS = [
 def _texts_of(column):
     """_json_texts of column, one text per value."""
     texts = propagation._json_texts(column)
-    return [texts] * len(column) if isinstance(texts, str) else texts
+    return [texts] * len(column) if isinstance(texts, bytes) else texts
 
 
 @settings(max_examples=300, deadline=None)
@@ -362,7 +362,8 @@ def test_json_texts_match_json_dumps(values, read_only):
     from_records builds it, formats as json.dumps formats each value."""
     column = (np.frombuffer(array("d", values), dtype=float) if read_only
               else np.array(values, dtype=float))
-    assert _texts_of(column) == [json.dumps(v) for v in column.tolist()]
+    assert _texts_of(column) == [json.dumps(v).encode()
+                                 for v in column.tolist()]
 
 
 def test_deployment_jsonl_edge_floats_match_json_dumps(tmp_path):
@@ -387,6 +388,66 @@ def test_deployment_jsonl_spans_chunks(tmp_path, monkeypatch):
     assert len(ref) > 7
     assert path.read_text() == _jsonl(ref)
     assert read_deployment_jsonl(path) == dep
+
+
+def test_id_digits_cross_the_padding_edge():
+    """The id digits are "%06d" of each index, padded below 10**6 and not
+    from it, in one call across the edge and on each side of it."""
+    for lo, hi in ((999_990, 1_000_011), (0, 3), (999_999, 1_000_000),
+                   (1_000_000, 1_000_002), (12_345_678, 12_345_680)):
+        assert propagation._id_digits(lo, hi) == [
+            b"%06d" % i for i in range(lo, hi)]
+
+
+def _lines_of(dep):
+    """json.dumps(record, sort_keys=True) of each emitter's record, read
+    from the columns (the ids by index)."""
+    def value(column, i):
+        values = getattr(dep, column)
+        return values[i] if column in ("ids", "kinds") else float(values[i])
+    return [json.dumps({key: value(column, i)
+                        for key, column, _ in propagation._RECORD_FIELDS},
+                       sort_keys=True) for i in range(len(dep))]
+
+
+@pytest.mark.parametrize("chunk", [7, 1 << 14])
+def test_generated_jsonl_lines_match_json_dumps(tmp_path, monkeypatch,
+                                                chunk):
+    """Each line of a generated deployment equals json.dumps of its
+    record: its scenario name needs escaping (quote, backslash,
+    non-ASCII), an empty class comes first, between and last, and chunks
+    of 7 cross each class boundary or one chunk holds every class."""
+    from darkspace.propagation import EmitterClass
+    monkeypatch.setattr(propagation, "_JSONL_CHUNK", chunk)
+    empty = EmitterClass(TransmitterKind.IAB, 0.0, -22.0)
+    classes = (empty, EmitterClass(TransmitterKind.GNB, 1.0, -25.0, 3.0, 15.0),
+               empty, EmitterClass(TransmitterKind.UE, 2.0, -35.0, 4.0, 1.5),
+               EmitterClass(TransmitterKind.FLASHLIGHT, 0.5, -20.0), empty)
+    dep = generate_deployment('q"\\é', GeoBox(39.9, 40.0, -105.1, -105.0),
+                              seed=8, classes=classes)
+    counts = [dep.kinds.count(kind.value) for kind in (
+        TransmitterKind.GNB, TransmitterKind.UE, TransmitterKind.FLASHLIGHT)]
+    assert min(counts) >= 8 and TransmitterKind.IAB.value not in dep.kinds
+    assert dep.ids[0] == 'q"\\é-gNB-000000'
+    path = tmp_path / "dep.jsonl"
+    write_deployment_jsonl(dep, path)
+    assert path.read_text(encoding="utf-8").splitlines() == _lines_of(dep)
+    assert read_deployment_jsonl(path) == dep
+
+
+def test_record_jsonl_lines_match_json_dumps(tmp_path, monkeypatch):
+    """A deployment read from records, its ids a list, writes each line as
+    json.dumps of its record, across chunks."""
+    monkeypatch.setattr(propagation, "_JSONL_CHUNK", 7)
+    records = [dict(_tx(i, 40.0 + 1e-3 * i, -105.0, eirp=-20.0 - i % 3),
+                    id=f"site \"{i}\" é", kind=("gNB", "UE")[i % 5 // 4])
+               for i in range(20)]
+    dep = _dep(records)
+    path = tmp_path / "dep.jsonl"
+    write_deployment_jsonl(dep, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines == _lines_of(dep) == [json.dumps(r, sort_keys=True)
+                                       for r in records]
 
 
 _GOOD_LINE = json.dumps(_tx(0, 40.0, -105.0))
@@ -631,6 +692,21 @@ def test_sweep_order_is_the_stable_latitude_order(lats):
     assert np.array_equal(geometry.ground_ecef, frames.geodetic_to_ecef(
         arrays.lat[order], arrays.lon[order], 0.0))
     assert arrays.build_geometry() is geometry
+
+
+def test_sweep_order_is_stable_for_many_ties():
+    """Read latitudes with many ties, signed zeros among them, take the
+    stable order; a generated deployment's distinct latitudes take the
+    same order as the stable sort too."""
+    lats = np.random.default_rng(3).choice([-0.0, 0.0, 1.5, -2.0], 2000)
+    tied = _columns(lats, np.zeros(len(lats)))
+    assert np.array_equal(tied.build_geometry().order,
+                          np.argsort(tied.lat, kind="stable"))
+    dep = generate_deployment("suburban", GeoBox(39.5, 40.5, -106.0, -104.0),
+                              seed=3)
+    assert len(np.unique(dep.lat)) == len(dep) > 10_000
+    assert np.array_equal(dep.build_geometry().order,
+                          np.argsort(dep.lat, kind="stable"))
 
 
 @settings(max_examples=60, deadline=None)
