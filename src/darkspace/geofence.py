@@ -4,7 +4,7 @@ The engine (dark_intervals_many; dark_intervals is its one-site case)
 finds, for a network of ground transmitters against a constellation of
 (TLE, radiometer) pairs, every interval during which a (buffered) pixel
 footprint or scan-line strip subtends each transmitter.  For each
-satellite it runs four stages on one object, _SatGeometry(elements,
+satellite it runs the stages below on one object, _SatGeometry(elements,
 spec, window_start, duration_s, policy, ground_altitude, points), which
 computes what does not depend on the site once for every site and holds
 the sites as columns.  Each stage runs once over the rows of all sites
@@ -19,16 +19,22 @@ kept dwell keys one flat array, window after window:
    below the horizon cannot subtend anything).
 2. Screen.  Shared: one table (_SatGeometry.line_geometry) of the state,
    geodetic up, scan axis and edge-footprint reach (edge_footprints) of
-   each distinct line of the sites' windows, computed once and dropped
-   after the screen.  Over (site, window, line) rows, each gathering its
-   line's column of the table: _dwells_near_tx keeps, on each line whose
-   scan plane passes close enough to the site's transmitter for a sample
-   to subtend it, the range of samples whose scan angle comes close
-   enough to the transmitter's.
+   each distinct line of the sites' windows and of the line after each,
+   computed once and dropped after the screen.  Over (site, window, line)
+   rows, each gathering its line's column of the table: _dwells_near_tx
+   keeps, on each line whose scan plane passes close enough to the site's
+   transmitter for a sample to subtend it, the range of samples whose
+   scan angle comes close enough to the transmitter's.
+2b. Dwell bound.  Shared: the footprint reach of each sample that any
+   site keeps on a line, at the line's first sample and at the next
+   line's (_reach_ratios), once per dwell for every site.  Over (site,
+   dwell) rows (_dwells_in_reach): whether the transmitter lies close
+   enough to the dwell's own boresight for its footprint to reach it
+   within the scan period.
 3. Sample margins, a few passes at a time: _pass_batches numbers each
    window's batch, and a batch gathers its windows' rows by their
    offsets into the kept keys.  Shared: one state per boundary of the
-   dwells the screen keeps for any site (pixel level: only those that
+   dwells the screens keep for any site (pixel level: only those that
    overlap a visibility window), on the scanner's own sample grid, where
    a dwell's end is the next dwell's start; from those, footprints at
    the start and end of every dwell, MARGIN_CHUNK samples at a time.
@@ -51,7 +57,7 @@ screens scan lines by their edge_footprints too, with the same slack
 (_SCREEN_SLACK) and motion bound (_speed_bound) as _dwells_near_tx.
 
 brute_force_oracle implements the same subtension predicate by dense time
-sampling, without the screen, one site at a time; it is the reference
+sampling, without the screens, one site at a time; it is the reference
 semantics the engine is tested against.
 """
 from __future__ import annotations
@@ -79,7 +85,8 @@ from .timeutil import add_seconds, ensure_utc, iso_utc, minutes_since
 #: and a large enough multiplier inflates an edge footprint past the
 #: transmitter's horizon: the margin predicate then holds at times the
 #: prefilter drops, and the engine and the oracle both miss them.  The
-#: screen's near-side argument (_dwells_near_tx) relies on the same windows.
+#: screens' near-side argument (_dwells_near_tx, _dwells_in_reach) relies
+#: on the same windows.
 COARSE_STEP_S = 30.0
 HORIZON_GUARD_DEG = -2.0
 
@@ -381,17 +388,18 @@ class _SatGeometry:
 
     def line_geometry(self, lines) -> dict:
         """The screen geometry of each of the given scan lines, one column
-        per line: at the line's first sample, the position r, the geodetic
-        up and the scan axis, the speed bound V and the edge reach
-        (1 + s) A of _dwells_near_tx, from the line's edge_footprints.
-        Columns are elementwise: a line passed twice is computed twice."""
+        per line: at the line's first sample, the position r, the inertial
+        velocity v, the geodetic up and the scan axis, the speed bound V and
+        the edge reach (1 + s) A of _dwells_near_tx, from the line's
+        edge_footprints.  Columns are elementwise: a line passed twice is
+        computed twice."""
         r, v = self.states(self.lattice.tau(lines) - self.base)
         up, axis = _scan_axis(r, v)
         _, semi_major, miss = edge_footprints(r, v, self.spec,
                                               self.ground_altitude)
         reach = ((1.0 + _SCREEN_SLACK) * self.policy.buffer_multiplier
                  * semi_major.max(axis=1))
-        return {"r": r, "up": up, "axis": axis,
+        return {"r": r, "v": v, "up": up, "axis": axis,
                 "speed": _speed_bound(r, v, self.spec.scan_period),
                 "reach": np.where(miss.any(axis=1), np.inf, reach)}
 
@@ -427,6 +435,18 @@ def _site_blocks(sizes):
     if len(sizes) > first:
         blocks.append(slice(first, len(sizes)))
     return blocks
+
+
+def _key_chunks(counts):
+    """Slices of consecutive rows, in order, cut after each row at which
+    the running count of keys (counts[i] for row i) reaches a multiple of
+    4 * MARGIN_CHUNK, so a chunk holds at most that many keys and one
+    row's."""
+    total = np.cumsum(counts)
+    cuts = np.searchsorted(total, np.arange(
+        4 * MARGIN_CHUNK, total[-1] if total.size else 0, 4 * MARGIN_CHUNK))
+    bounds = _unique_ids(np.concatenate(([0], cuts + 1, [total.size])))
+    return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def _visibility(geom: _SatGeometry):
@@ -556,10 +576,12 @@ def _turn_rate(elements: OrbitalElements) -> float:
 def _dwells_near_tx(geom: _SatGeometry, line: dict, site: np.ndarray):
     """Per row i, the range lo <= j < hi of the samples of row i's scan
     line, whose geometry is column i of line (_SatGeometry.line_geometry),
-    that can subtend the transmitter of site[i]: empty (hi = lo) where the
-    line's scan plane passes too far from the transmitter (the line bound),
-    else the samples whose scan angle comes close enough to the
-    transmitter's (the sample bound).
+    that can subtend the transmitter of site[i]: empty (lo = hi = 0) where
+    the line's scan plane passes too far from the transmitter (the line
+    bound), else the samples whose scan angle comes close enough to the
+    transmitter's (the sample bound), which is evaluated only on the rows
+    that pass the line bound.  _dwells_in_reach then tightens the sample
+    bound dwell by dwell.
 
     Take one state per line, at its first sample (time t0): r the
     satellite position, v the velocity that _SatGeometry.states returns
@@ -668,34 +690,159 @@ def _dwells_near_tx(geom: _SatGeometry, line: dict, site: np.ndarray):
     scan theta_0 = 0, and the range is [0, 1) or empty.
     """
     spec, period = geom.spec, geom.spec.scan_period
-    r, up, speed, reach = line["r"], line["up"], line["speed"], line["reach"]
-    to_tx = geom.tx_ecef[:, site] - r
+    speed, reach = line["speed"], line["reach"]
+    to_tx = geom.tx_ecef[:, site] - line["r"]
     distance = np.linalg.norm(to_tx, axis=0)
-    motion = speed * period
     rho = reach + (np.abs(geom.alt[site] - geom.ground_altitude)
                    + reach ** 2 / frames.min_curvature_radius(
                        geom.ground_altitude))
-    turn = _turn_rate(geom.elements)
     in_plane = (np.abs(np.sum(line["axis"] * to_tx, axis=0))
-                <= rho + period * (speed + turn * (distance + motion)))
-    height = np.linalg.norm(r, axis=0) - motion
-    near = height - (frames.WGS84_A + geom.ground_altitude)
-    far = distance - motion
+                <= rho + period * (speed + _turn_rate(geom.elements)
+                                   * (distance + speed * period)))
+    i = np.flatnonzero(in_plane)
+    line = {key: line[key][..., i] for key in ("r", "up", "axis", "speed")}
+    to_tx, rho = to_tx[:, i], rho[i]
+    near, far, drift = _sample_drift(geom, line, distance[i])
     ok = (rho < near) & (far > 0.0)
-    frame_rate = turn + speed / (
-        frames.min_curvature_radius(0.0) + height - frames.WGS84_A)
     delta = (np.arcsin(np.where(ok, rho, 0.0) / np.where(ok, near, 1.0))
-             + period * (speed / np.where(ok, far, 1.0) + frame_rate))
+             + drift)
     delta = np.where(ok & (delta < 0.5 * np.pi), np.degrees(delta), np.inf)
+    up = line["up"]
     across = frames._cross(up, line["axis"])
     psi = np.degrees(np.arctan2(np.sum(across * to_tx, axis=0),
                                 -np.sum(up * to_tx, axis=0)))
     n = spec.samples_per_scan
     first = float(spec.boresight_of(0))
     step = 2.0 * spec.scan_half_angle / max(n - 1, 1)
-    lo = np.clip(np.ceil((psi - delta - first) / step), 0, n)
-    hi = np.clip(np.floor((psi + delta - first) / step) + 1, lo, n)
-    return lo.astype(np.int64), np.where(in_plane, hi, lo).astype(np.int64)
+    lo, hi = np.zeros((2, site.size), dtype=np.int64)
+    lo[i] = np.clip(np.ceil((psi - delta - first) / step), 0, n)
+    hi[i] = np.clip(np.floor((psi + delta - first) / step) + 1, lo[i], n)
+    return lo, hi
+
+
+def _sample_drift(geom: _SatGeometry, line: dict, distance):
+    """(L, D, T (V / D + Omega')) of the sample bound of _dwells_near_tx,
+    one per row: line holds the rows' line_geometry columns r and speed,
+    and distance their |w|.  The last is meaningless where D <= 0."""
+    period, speed = geom.spec.scan_period, line["speed"]
+    motion = speed * period
+    height = np.linalg.norm(line["r"], axis=0) - motion
+    far = distance - motion
+    frame_rate = _turn_rate(geom.elements) + speed / (
+        frames.min_curvature_radius(0.0) + height - frames.WGS84_A)
+    return (height - (frames.WGS84_A + geom.ground_altitude), far,
+            period * (speed / np.where(far > 0.0, far, 1.0) + frame_rate))
+
+
+def _reach_ratios(geom: _SatGeometry, line: dict, at, samples):
+    """rho_j / L_j of _dwells_in_reach for sample samples[i] from the state
+    (r, v) of column at[i] of line (line_geometry), inf where the
+    footprint's rays miss.  Gathered and footprinted MARGIN_CHUNK at a
+    time, so the kernel's temporaries stay bounded."""
+    boresight = geom.spec.boresight_of(samples)
+    curvature = frames.min_curvature_radius(geom.ground_altitude)
+    ratio = np.empty(samples.size)
+    for i in range(0, samples.size, MARGIN_CHUNK):
+        part = slice(i, i + MARGIN_CHUNK)
+        r = line["r"][:, at[part]]
+        fp = _footprint_arrays(r, line["v"][:, at[part]], boresight[part],
+                               geom.spec, geom.ground_altitude)
+        slant = np.where(fp["miss"], 1.0,
+                         np.linalg.norm(fp["center"] - r, axis=0))
+        reach = ((1.0 + _SCREEN_SLACK) * geom.policy.buffer_multiplier
+                 * fp["semi_major"])
+        ratio[part] = np.where(fp["miss"], np.inf,
+                               (reach + reach ** 2 / curvature) / slant)
+    return ratio
+
+
+def _dwells_in_reach(geom: _SatGeometry, line: dict, site, dwell: dict):
+    """Per dwell row k, whether the transmitter can lie in the buffered
+    footprint of the row's sample at some instant of its scan line (the
+    dwell bound): False only where that margin stays above 0 over the
+    whole scan period.
+
+    Dwell row k is sample j = dwell["sample"][k] on (site, line) row
+    i = dwell["row"][k], whose line geometry is column i of line (the
+    line_geometry columns r, up, axis and speed, at the line's first
+    sample, time t0) and whose transmitter is that of site[i].  In the
+    notation of _dwells_near_tx (w = tx - r, nadir, a, T, s, V, D, L,
+    Omega', M and the buffer multiplier m), with h = |h_tx - h_ground|,
+    c_j(t) and a_j(t) the centre and semi_major of sample j's footprint
+    from the state at t, and
+
+        R_j(t)   = (1 + s) m a_j(t)
+        rho_j(t) = R_j(t) + R_j(t)**2 / M
+        L_j(t)   = |c_j(t) - r(t)|
+        q_j      = max(rho_j(t0) / L_j(t0), rho_j(t0 + T) / L_j(t0 + T))
+        Delta_j  = asin((1 + s) q_j + h / L) + T (V / D + Omega'),
+
+    the row is dropped when the angle at the satellite between w and the
+    boresight d_j = cos(theta_j) nadir + sin(theta_j) (a x nadir), the
+    direction of c_j(t0) - r, exceeds Delta_j.  This is the sample bound
+    of _dwells_near_tx with the dwell's own reach and range in place of
+    the line's edge reach and nadir distance; the w-motion and frame-turn
+    terms are the same.  dwell["ratio"][k] is q_j (inf where a footprint
+    misses): _screen_windows reads both ends from _reach_ratios, the end
+    t0 + T at the next line's first sample, once per dwell for every site.
+    Why, at any t in [t0, t0 + T]:
+
+    - Reach.  margin <= 0 puts tx within m a_j(t) of c_j(t) in the tangent
+      plane at c_j(t), and off that plane by at most
+      h + (m a_j(t))**2 / M (zeta of _dwells_near_tx, on the near side
+      that the visibility windows guarantee), so
+      |tx - c_j(t)| <= rho_j(t) + h.
+    - Continuity.  Claim: rho_j(t) / L_j(t) <= (1 + s) q_j.  The
+      footprint's axes grow with its slant range, and within one scan
+      period the view changes smoothly and almost linearly in t
+      (altitude, incidence, position along the track), so the ratio
+      stays within a small part of s of the larger of its two ends.
+      test_dwell_reach_continuity measures the rise over accepted specs
+      and eccentric orbits.  One end alone would not do: at grazing scan
+      angles on an orbit of eccentricity 0.08 the ratio rose 1.3 % over
+      a 6 s scan period.
+    - Range.  L_j(t) >= |r(t)| - A' >= L, since c_j(t) lies on the
+      ground-altitude ellipsoid (as in _dwells_near_tx), so
+      h / L_j(t) <= h / L.  h does not grow with the range, so it takes
+      this bound rather than the ratio's.
+    - Angle at the satellite.  c_j(t) - r(t) lies along the boresight
+      d_j(t), because the kernel centres the footprint on the boresight's
+      ground hit, and |tx - c_j(t)| / L_j(t) <= (1 + s) q_j + h / L, so
+      w(t) and d_j(t) are at most asin((1 + s) q_j + h / L) apart.
+    - Motion of w and turn of the frame, as in the sample bound of
+      _dwells_near_tx: w(t) is within T V / D of w, and d_j(t) within
+      T Omega' of d_j.
+    - So w and d_j are at most Delta_j apart.  A dropped row has margin
+      > 0 at every instant of [t0, t0 + T], its dwell's interior
+      included, so a check of dwell interiors needs only the kept rows.
+      A footprint centred off the boresight must re-check the claim that
+      c_j(t) - r(t) lies along d_j(t).
+
+    A row is kept where the bound does not apply: (1 + s) q_j + h / L
+    >= 1, L <= 0, D <= 0, Delta_j >= 90 degrees, or a footprint that
+    misses.
+    """
+    to_tx = geom.tx_ecef[:, site] - line["r"]
+    distance = np.linalg.norm(to_tx, axis=0)
+    near, far, drift = _sample_drift(geom, line, distance)
+    ok = (near > 0.0) & (far > 0.0)
+    height = np.where(ok, np.abs(geom.alt[site] - geom.ground_altitude)
+                      / np.where(ok, near, 1.0), np.inf)
+    up = line["up"]
+    # w's direction cosines on nadir and on a x nadir.
+    on_nadir = -np.sum(up * to_tx, axis=0) / distance
+    on_across = np.sum(frames._cross(up, line["axis"]) * to_tx,
+                       axis=0) / distance
+    theta = np.radians(geom.spec.boresight_of(
+        np.arange(geom.spec.samples_per_scan)))
+    row, sample = dwell["row"], dwell["sample"]
+    angle = np.arccos(np.clip(on_nadir[row] * np.cos(theta)[sample]
+                              + on_across[row] * np.sin(theta)[sample],
+                              -1.0, 1.0))
+    ratio = (1.0 + _SCREEN_SLACK) * dwell["ratio"] + height[row]
+    ok = ratio < 1.0
+    delta = np.arcsin(np.where(ok, ratio, 0.0)) + drift[row]
+    return ~ok | (delta >= 0.5 * np.pi) | (angle <= delta)
 
 
 def _screen_windows(geom: _SatGeometry):
@@ -709,9 +856,16 @@ def _screen_windows(geom: _SatGeometry):
     geometry of the union of every site's window lines, once per line;
     then, one block of sites at a time (_site_blocks), the rows gather
     their lines' columns of it, and one _dwells_near_tx call screens the
-    rows' lines and their samples.  Pixel level keeps only the dwells that
-    overlap the window.  Scan line keeps every dwell the screen keeps, so
-    a line that straddles the window start stays dark.
+    rows' lines and their samples.  The table also holds the line after
+    each window line, whose first sample ends it.  Stage 2b (the dwell
+    bound): once for every site, _reach_ratios footprints each sample of
+    the hull of the ranges that any site keeps on a line or on the line
+    before it, at the line's first sample; then, _key_chunks of the kept
+    (site, window, line) rows at a time, their (site, dwell) rows read
+    the ratios of both ends of their line for one _dwells_in_reach call.
+    Pixel level keeps only the dwells that overlap the window, before the
+    dwell bound.  Scan line keeps every dwell the screens keep, so a line
+    that straddles the window start stays dark.
     """
     lattice, base = geom.lattice, geom.base
     n = geom.spec.samples_per_scan
@@ -720,27 +874,56 @@ def _screen_windows(geom: _SatGeometry):
     first, stop = lattice.line_span(geom.tau(w0), geom.tau(w1))
     lines = _ranges(first, stop)
     row_window = np.repeat(np.arange(site.size), stop - first)
-    union = _unique_ids(lines)
+    # Each window line and the next, whose first sample ends the line.
+    union = _unique_ids(np.concatenate((lines, lines + 1)))
     table = geom.line_geometry(union)
     # Windows, and so rows, run site after site.
     window_of = np.searchsorted(site, np.arange(geom.lat.size + 1))
     row_of = np.searchsorted(row_window, window_of)
-    size = np.zeros(site.size, dtype=np.int64)
-    out = [np.zeros(0, dtype=np.int64)]
+    # Each block's kept rows, and per line of the union the hull
+    # [hull_lo, hull_hi) of the samples any site keeps on it or on the
+    # line before (at + 1 is the next line's column).
+    blocks = [(np.zeros(0, dtype=np.int64),) * 4]
+    hull_lo = np.full(union.size, n, dtype=np.int64)
+    hull_hi = np.zeros(union.size, dtype=np.int64)
     for part in _site_blocks(np.diff(row_of)):
         rows = slice(row_of[part.start], row_of[part.stop])
         window = row_window[rows]
         at = np.searchsorted(union, lines[rows])
         lo, hi = _dwells_near_tx(
-            geom, {key: value[..., at] for key, value in table.items()},
+            geom, {key: table[key][..., at]
+                   for key in ("r", "up", "axis", "speed", "reach")},
             site[window])
-        keys = _ranges(lines[rows] * n + lo, lines[rows] * n + hi)
-        window = np.repeat(window, hi - lo)
+        kept = hi > lo
+        blocks.append((window[kept], at[kept], lo[kept], hi[kept]))
+        for column in (at[kept], at[kept] + 1):
+            np.minimum.at(hull_lo, column, lo[kept])
+            np.maximum.at(hull_hi, column, hi[kept])
+    # Hull sample j of union column u is at hull index start[u] + j.
+    count = np.maximum(hull_hi - hull_lo, 0)
+    start = np.cumsum(count) - count - hull_lo
+    ratio = _reach_ratios(geom, table, np.repeat(np.arange(union.size), count),
+                          _ranges(hull_lo, hull_lo + count))
+    size = np.zeros(site.size, dtype=np.int64)
+    out = [np.zeros(0, dtype=np.int64)]
+    rows = tuple(np.concatenate(column) for column in zip(*blocks))
+    for part in _key_chunks(rows[3] - rows[2]):
+        window, at, lo, hi = (column[part] for column in rows)
+        row, sample = np.repeat(np.arange(at.size), hi - lo), _ranges(lo, hi)
+        keys = union[at][row] * n + sample
         if pixel:
-            overlap = ((lattice.key_tau(keys + 1) - base > w0[window])
-                       & (lattice.key_tau(keys) - base < w1[window]))
-            keys, window = keys[overlap], window[overlap]
-        size += np.bincount(window, minlength=site.size)
+            overlap = ((lattice.key_tau(keys + 1) - base > w0[window[row]])
+                       & (lattice.key_tau(keys) - base < w1[window[row]]))
+            keys, row, sample = keys[overlap], row[overlap], sample[overlap]
+        kept = _dwells_in_reach(
+            geom, {key: table[key][..., at]
+                   for key in ("r", "up", "axis", "speed")},
+            site[window],
+            {"row": row, "sample": sample,
+             "ratio": np.maximum(ratio[start[at][row] + sample],
+                                 ratio[start[at + 1][row] + sample])})
+        keys, row = keys[kept], row[kept]
+        size += np.bincount(window[row], minlength=site.size)
         out.append(keys)
     return site, w0, w1, size, np.concatenate(out)
 
@@ -967,12 +1150,13 @@ def brute_force_oracle(tx: GroundPoint,
     Cost is O(window / dt); intervals shorter than dt can be missed, so
     tests must choose dt well below the expected interval durations.
 
-    The oracle does not use the engine's screen (_dwells_near_tx): it
-    evaluates every dt sample of every visibility window, and in scan-line
-    mode every dwell of every line it meets, each row for site 0 of its
-    one-site geometry.  It does share the horizon prefilter (_visibility,
-    through visibility_windows), _footprint_arrays and _ellipse_margins
-    with the engine, so engine and oracle agree on a defect in those.
+    The oracle does not use the engine's screens (_dwells_near_tx,
+    _dwells_in_reach): it evaluates every dt sample of every visibility
+    window, and in scan-line mode every dwell of every line it meets, each
+    row for site 0 of its one-site geometry.  It does share the horizon
+    prefilter (_visibility, through visibility_windows), _footprint_arrays
+    and _ellipse_margins with the engine, so engine and oracle agree on a
+    defect in those.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")

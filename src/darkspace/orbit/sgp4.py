@@ -57,6 +57,37 @@ def _signed_mod(x, modulus):
     return np.where(x >= 0.0, x % modulus, -((-x) % modulus))
 
 
+def _kepler(u, axnl, aynl):
+    """(sin E, cos E) for arrays of one shape, E solving Kepler's equation
+    u = E - axnl sin E + aynl cos E.
+
+    Ten Newton steps from E = u, with the reference implementation's
+    0.95 rad correction clamp; ten always converge for near-Earth
+    eccentricities.  An element stops at the first step that leaves E
+    unchanged (eo1 + tem5 == eo1) and keeps that step's sin and cos:
+    every later step would repeat them, so the result has the bits of all
+    ten steps, however the times are batched.  (E starts at u >= 0 and a
+    sum is -0.0 only when both terms are, so == never hides a change of
+    the sign of a zero.)
+    """
+    shape = np.shape(u)
+    u, axnl, aynl = (np.ravel(x) for x in np.broadcast_arrays(u, axnl, aynl))
+    sineo1, coseo1 = np.empty(u.size), np.empty(u.size)
+    active, eo1 = np.arange(u.size), u.astype(float)
+    for _ in range(10):
+        sineo1[active] = sine = np.sin(eo1)
+        coseo1[active] = cose = np.cos(eo1)
+        tem5 = 1.0 - cose * axnl - sine * aynl
+        tem5 = (u - aynl * cose + axnl * sine - eo1) / tem5
+        tem5 = np.clip(tem5, -0.95, 0.95)
+        moved = eo1 + tem5 != eo1
+        active, u, axnl, aynl, eo1 = (
+            x[moved] for x in (active, u, axnl, aynl, eo1 + tem5))
+        if not active.size:
+            break
+    return sineo1.reshape(shape), coseo1.reshape(shape)
+
+
 class SGP4Model:
     """Initialised SGP4 constants for one element set.
 
@@ -286,21 +317,8 @@ class SGP4Model:
         aynl = ep * np.sin(argpp) + temp * self.aycof
         xl = mp + argpp + nodep + temp * self.xlcof * axnl
 
-        # Kepler's equation; a fixed ten Newton steps with the reference
-        # implementation's 0.95 rad correction clamp.  Ten steps always
-        # converge for near-Earth eccentricities and keep the evaluation
-        # independent of how times are batched.
         u = (xl - nodep) % TWOPI
-        eo1 = np.array(u, dtype=float, copy=True)
-        sineo1 = np.sin(eo1)
-        coseo1 = np.cos(eo1)
-        for _ in range(10):
-            sineo1 = np.sin(eo1)
-            coseo1 = np.cos(eo1)
-            tem5 = 1.0 - coseo1 * axnl - sineo1 * aynl
-            tem5 = (u - aynl * coseo1 + axnl * sineo1 - eo1) / tem5
-            tem5 = np.clip(tem5, -0.95, 0.95)
-            eo1 = eo1 + tem5
+        sineo1, coseo1 = _kepler(u, axnl, aynl)
 
         # Short-period preliminary quantities.
         ecose = axnl * coseo1 + aynl * sineo1

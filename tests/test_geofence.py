@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from darkspace import geofence
 from darkspace.config import ScenarioConfig
@@ -308,7 +310,8 @@ def _screen_fixture(rng, kind, max_cross_km):
 
 def test_screen_matches_unscreened_engine(atms, amsua, monkeypatch):
     """The screened engine equals the engine that keeps every sample of
-    every scan line."""
+    every scan line: both screens, _dwells_near_tx and _dwells_in_reach,
+    switched off."""
     rng = np.random.default_rng(20231018)
     specs = _screen_specs(atms, amsua)
     fixtures = [_screen_fixture(rng, (PolicyKind.PIXEL_LEVEL,
@@ -337,6 +340,9 @@ def test_screen_matches_unscreened_engine(atms, amsua, monkeypatch):
                             np.zeros(len(site), dtype=np.int64),
                             np.full(len(site),
                                     geom.spec.samples_per_scan)))
+    monkeypatch.setattr(geofence, "_dwells_in_reach",
+                        lambda geom, line, site, dwell: np.ones(
+                            len(dwell["row"]), dtype=bool))
     unscreened = run()
     for i, (a, b) in enumerate(zip(screened, unscreened)):
         assert a == b, f"fixture {i}"
@@ -504,3 +510,153 @@ def test_sample_screen_selects_on_example_site():
     kept = np.count_nonzero(hi > lo)
     assert 100 < kept < 0.25 * lines.size
     assert np.sum(hi - lo) < 0.3 * kept * spec.samples_per_scan
+
+
+# --- dwell bound (_dwells_in_reach) --------------------------------------
+
+
+def _dwell_screen(geom, lines, samples, site):
+    """_dwells_in_reach of row i: sample samples[i] of line lines[i] for
+    site site[i], its ratio read at both ends of the line as
+    _screen_windows reads it."""
+    k = lines.size
+    table = geom.line_geometry(np.concatenate((lines, lines + 1)))
+    ratio = geofence._reach_ratios(geom, table, np.arange(2 * k),
+                                   np.tile(samples, 2))
+    return geofence._dwells_in_reach(
+        geom, {key: value[..., :k] for key, value in table.items()}, site,
+        {"row": np.arange(k), "sample": samples,
+         "ratio": np.maximum(ratio[:k], ratio[k:])})
+
+
+@pytest.mark.parametrize("kind", [PolicyKind.PIXEL_LEVEL,
+                                  PolicyKind.SCAN_LINE],
+                         ids=["pixel", "scanline"])
+@pytest.mark.parametrize("which", [0, 1, 2])
+def test_dwell_bound_keeps_every_dark_dwell(atms, amsua, which, kind,
+                                            monkeypatch):
+    """Every dwell that _dwells_near_tx keeps and that has margin <= 0 at
+    one of the instants spread over it (the oracle's predicate) survives
+    the dwell bound, which on ATMS keeps under a fifth of the dwells
+    _dwells_near_tx keeps."""
+    spec, max_cross_km = _screen_specs(atms, amsua)[which]
+    steps = max(2, int(np.ceil(spec.sample_dwell / 0.05)))
+    frac = np.arange(steps + 1) / steps
+    n_dark = n_kept = n_candidates = 0
+    for seed in range(4):
+        rng = np.random.default_rng(300 + 10 * which + seed)
+        tx, elements, window, policy, ground = _screen_fixture(
+            rng, kind, max_cross_km)
+        geom = geofence._SatGeometry(elements, spec, window[0], 7200.0,
+                                     policy, ground, [tx])
+        kept = geofence._screen_windows(geom)[4]
+        with monkeypatch.context() as patch:
+            patch.setattr(geofence, "_dwells_in_reach",
+                          lambda geom, line, site, dwell: np.ones(
+                              len(dwell["row"]), dtype=bool))
+            candidates = geofence._screen_windows(geom)[4]
+        assert np.all(np.isin(kept, candidates))
+        offsets = (geom.lattice.key_tau(candidates)[:, None] - geom.base
+                   + frac * spec.sample_dwell).ravel()
+        boresight = np.repeat(
+            spec.boresight_of(candidates % spec.samples_per_scan), frac.size)
+        dark = (geom.margins(offsets, boresight, _site0(offsets.size))
+                <= 0.0).reshape(candidates.size, -1).any(axis=1)
+        assert np.all(np.isin(candidates[dark], kept)), seed
+        n_dark += int(dark.sum())
+        n_kept += kept.size
+        n_candidates += candidates.size
+    assert n_dark > 0
+    if which == 0:
+        assert n_kept < 0.2 * n_candidates
+
+
+def test_dwell_bound_keeps_footprint_boundary(atms):
+    """A transmitter just inside a buffered footprint at the start, the
+    middle or the end of its dwell is kept by the dwell bound.
+
+    On the one-sample scanners the footprint moves along the track by
+    more than its own size within the dwell, so the motion terms carry
+    the bound.  At the end of a 1 s dwell near the perigee of an orbit of
+    eccentricity 0.08, the point ahead of the footprint needs about 0.78
+    of the bound's motion term."""
+    specs = [
+        (atms, 2.0, 0.0),
+        (replace(atms, name="wide-nadir", samples_per_scan=1,
+                 scan_period=1.0, beamwidth_3db=6.0), 1.0, 0.0),
+        (replace(atms, name="long-dwell", samples_per_scan=1,
+                 scan_period=8.0, beamwidth_3db=1.0), 1.0, 0.0),
+        (replace(atms, name="long-line", samples_per_scan=3,
+                 scan_period=10.0, beamwidth_3db=0.5), 1.0, 0.08),
+        (replace(atms, name="perigee", samples_per_scan=1,
+                 scan_period=1.0, beamwidth_3db=2.2), 1.0, 0.08),
+    ]
+    rng = np.random.default_rng(27)
+    angles = np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False)
+    site = np.arange(angles.size)
+    for spec, buffer, ecc in specs:
+        n = spec.samples_per_scan
+        elements = replace(random_leo_elements(rng), eccentricity=ecc,
+                           mean_motion=14.2, arg_perigee=0.0,
+                           mean_anomaly=350.0)
+        satellite = (elements, spec, EPOCH, 7200.0,
+                     BufferPolicy(PolicyKind.PIXEL_LEVEL, buffer), 0.0)
+        sat = geofence._SatGeometry(*satellite, [])
+        # Lines over the ten minutes around perigee and over the window.
+        lines = np.concatenate((
+            rng.choice(sat.lattice.lines(sat.base, sat.base + 600.0), 8),
+            rng.choice(sat.lattice.lines(sat.base, sat.base + 7000.0), 8)))
+        samples = rng.integers(0, n, lines.size)
+        for line, j in zip(lines.tolist(), samples.tolist()):
+            for end in (0.0, 0.5, 1.0):
+                offset = sat.lattice.tau(line, j + end) - sat.base
+                r, v = sat.states([offset])
+                fp = geofence._footprint_arrays(
+                    r, v, [spec.boresight_of(j)], spec, 0.0)
+                edge = 0.999 * buffer * (
+                    fp["semi_major"] * np.cos(angles) * fp["u_major"]
+                    + fp["semi_minor"] * np.sin(angles) * fp["u_minor"])
+                geom = geofence._SatGeometry(*satellite, [
+                    GroundPoint(*frames.ecef_to_geodetic(point))
+                    for point in (fp["center"] + edge).T])
+                assert np.all(geom.margins(
+                    np.full(site.size, offset),
+                    np.full(site.size, spec.boresight_of(j)), site) <= 0.0)
+                kept = _dwell_screen(geom, np.full(site.size, line),
+                                     np.full(site.size, j), site)
+                assert kept.all(), (spec.name, line, j, end)
+
+
+@settings(max_examples=100, deadline=None)
+@given(samples=st.integers(1, 128), period=st.floats(0.5, 10.0),
+       beam=st.floats(0.5, 6.0), buffer=st.floats(1.0, 8.0),
+       ecc=st.floats(0.0, 0.08), ground=st.floats(-100.0, 2000.0),
+       seed=st.integers(0, 2 ** 32 - 1), where=st.floats(0.0, 1.0),
+       edge=st.sampled_from([None, 0, -1]))
+def test_dwell_reach_continuity(samples, period, beam, buffer, ecc, ground,
+                                seed, where, edge):
+    """The continuity claim of _dwells_in_reach: within one scan period,
+    rho_j / L_j rises above the larger of its values at the line's first
+    sample and the next line's by at most s / 10, over accepted specs and
+    eccentric orbits (the scan edges are drawn a third of the time each).
+    """
+    rng = np.random.default_rng(seed)
+    spec = replace(load_preset("atms"), samples_per_scan=samples,
+                   scan_period=period, beamwidth_3db=beam)
+    elements = replace(random_leo_elements(rng), eccentricity=ecc,
+                       mean_motion=float(rng.uniform(13.8, 14.3)))
+    geom = geofence._SatGeometry(elements, spec, EPOCH, 7200.0,
+                                 BufferPolicy(PolicyKind.PIXEL_LEVEL, buffer),
+                                 ground, [])
+    line = int(np.floor((geom.base + where * 7000.0) / period))
+    j = int(rng.integers(0, samples)) if edge is None else edge % samples
+    offsets = (geom.lattice.tau(line) - geom.base
+               + np.linspace(0.0, period, 33))
+    r, v = geom.states(offsets)
+    ratio = geofence._reach_ratios(geom, {"r": r, "v": v},
+                                   np.arange(offsets.size),
+                                   np.full(offsets.size, j))
+    assume(np.all(np.isfinite(ratio))
+           and (1.0 + geofence._SCREEN_SLACK) * ratio.max() < 1.0)
+    ends = max(ratio[0], ratio[-1])
+    assert ratio.max() <= (1.0 + geofence._SCREEN_SLACK / 10.0) * ends

@@ -3,9 +3,12 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from darkspace.errors import DeepSpaceUnsupported, PropagationError
-from darkspace.orbit import parse_tle
+from darkspace.orbit import parse_tle, sgp4
 from darkspace.orbit.sgp4 import SGP4Model, TWOPI, gstime
 from darkspace.timeutil import MINUTES_PER_DAY, julian_date
 
@@ -102,3 +105,58 @@ def test_gstime_range():
     g = gstime(jd)
     assert 0.0 <= g < TWOPI
     assert gstime(np.array([jd, jd + 0.5])).shape == (2,)
+
+
+def _kepler_ten_steps(u, axnl, aynl):
+    """The reference implementation's Kepler solve: always ten Newton
+    steps, each with the 0.95 rad correction clamp."""
+    eo1 = np.array(u, dtype=float, copy=True)
+    sineo1, coseo1 = np.sin(eo1), np.cos(eo1)
+    for _ in range(10):
+        sineo1 = np.sin(eo1)
+        coseo1 = np.cos(eo1)
+        tem5 = 1.0 - coseo1 * axnl - sineo1 * aynl
+        tem5 = (u - aynl * coseo1 + axnl * sineo1 - eo1) / tem5
+        tem5 = np.clip(tem5, -0.95, 0.95)
+        eo1 = eo1 + tem5
+    return sineo1, coseo1
+
+
+def _bits(*arrays):
+    return [np.asarray(a).tobytes() for a in arrays]
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 64), seed=st.integers(0, 2 ** 32 - 1),
+       ecc=st.floats(0.0, 0.9))
+def test_kepler_has_the_bits_of_ten_steps(n, seed, ecc):
+    """Stopping each element once a step leaves E unchanged gives the bits
+    of all ten steps, for eccentricities far past near-Earth ones."""
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(0.0, TWOPI, n)
+    u[rng.random(n) < 0.1] = 0.0
+    e = ecc * rng.random(n)
+    angle = rng.uniform(0.0, TWOPI, n)
+    axnl, aynl = e * np.cos(angle), e * np.sin(angle)
+    assert _bits(*sgp4._kepler(u, axnl, aynl)) == _bits(
+        *_kepler_ten_steps(u, axnl, aynl))
+    assert _bits(*sgp4._kepler(u[0], axnl[0], aynl[0])) == _bits(
+        *_kepler_ten_steps(u[0], axnl[0], aynl[0]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(times=hnp.arrays(float, st.integers(1, 300),
+                        elements=st.floats(-5 * 1440.0, 25 * 1440.0)))
+def test_propagation_has_the_bits_of_ten_kepler_steps(leo_tle, times):
+    """Positions and velocities from -5 to 25 days, batched and one time
+    at a time, are those of the ten-step Kepler solve."""
+    model = _model(leo_tle)
+    r, v = model.position_velocity(times)
+    r0, v0 = model.position_velocity(times[0])
+    real = sgp4._kepler
+    try:
+        sgp4._kepler = _kepler_ten_steps
+        assert _bits(r, v) == _bits(*model.position_velocity(times))
+        assert _bits(r0, v0) == _bits(*model.position_velocity(times[0]))
+    finally:
+        sgp4._kepler = real
