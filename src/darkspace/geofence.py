@@ -8,10 +8,10 @@ satellite it runs the stages below on one object, _SatGeometry(elements,
 spec, window_start, duration_s, policy, ground_altitude, points), which
 computes what does not depend on the site once for every site and holds
 the sites as columns.  Each stage runs once over the rows of all sites
-(a row names its site by index), in blocks of sites (_site_blocks) or
-rows that keep the temporaries bounded.  From the screen to the spans
-the windows stay columns, (site, w0, w1, kept dwell count), and their
-kept dwell keys one flat array, window after window:
+(a row names its site by index), in blocks of rows (_chunks: of sites,
+windows or kept lines) that keep the temporaries bounded.  From the
+screen to the spans the windows stay columns, (site, w0, w1, kept dwell
+count), and their kept dwell keys one flat array, window after window:
 
 1. Prefilter.  Shared: one propagation on a COARSE_STEP_S grid.  Over
    (site, grid point): _visibility keeps, per site, the times when the
@@ -21,10 +21,11 @@ kept dwell keys one flat array, window after window:
    geodetic up, scan axis and edge-footprint reach (edge_footprints) of
    each distinct line of the sites' windows and of the line after each,
    computed once and dropped after the screen.  Over (site, window, line)
-   rows, each gathering its line's column of the table: _dwells_near_tx
-   keeps, on each line whose scan plane passes close enough to the site's
-   transmitter for a sample to subtend it, the range of samples whose
-   scan angle comes close enough to the transmitter's.
+   rows, built one block of windows at a time, each gathering its line's
+   column of the table and the larger reach of its line and the next:
+   _dwells_near_tx keeps, on each line whose scan plane passes close
+   enough to the site's transmitter for a sample to subtend it, the range
+   of samples whose scan angle comes close enough to the transmitter's.
 2b. Dwell bound.  Shared: the footprint reach of each sample that any
    site keeps on a line, at the line's first sample and at the next
    line's (_reach_ratios), once per dwell for every site.  Over (site,
@@ -53,8 +54,9 @@ _SatGeometry.visibility_windows is the one-site view of stage 1, and
 _SatGeometry.margins evaluates stage 3's margins at any instants.  Every
 state comes from inertial_states, which the flashlight planner and
 itu-sim's pixel search (pixels_in_box) call as well.  The pixel search
-screens scan lines by their edge_footprints too, with the same slack
-(_SCREEN_SLACK) and motion bound (_speed_bound) as _dwells_near_tx.
+screens scan lines by their edge_footprints too, at both ends of each
+line, with the same slack (_SCREEN_SLACK) and motion bound (_speed_bound)
+as _dwells_near_tx.
 
 brute_force_oracle implements the same subtension predicate by dense time
 sampling, without the screens, one site at a time; it is the reference
@@ -104,10 +106,10 @@ MARGIN_CHUNK = 4096
 BATCH_SAMPLES = 32 * MARGIN_CHUNK
 
 #: Line screens (_dwells_near_tx, pixels_in_box): relative allowance on a
-#: line's edge reach for how the altitude changes it within one scan
-#: period, and a bound on the Earth-fixed acceleration of a LEO satellite
-#: (m/s^2): gravity, 9.8, plus Coriolis, 2 w |v| < 1.2, plus centrifugal,
-#: < 0.04.
+#: line's edge reach for how far it rises within one scan period above
+#: the larger of its values at the period's two ends, and a bound on the
+#: Earth-fixed acceleration of a LEO satellite (m/s^2): gravity, 9.8, plus
+#: Coriolis, 2 w |v| < 1.2, plus centrifugal, < 0.04.
 _SCREEN_SLACK = 0.01
 _ACCEL_BOUND = 12.0
 
@@ -246,20 +248,23 @@ def pixels_in_box(satellite: tuple[OrbitalElements, RadiometerSpec],
     Only scan lines within swath reach of the box are footprinted.  Take
     one state per line, at its first sample: G the ground point beneath
     the satellite, c_first and c_last the footprint centres of the line's
-    edge samples, V = _speed_bound, T the scan period.  Every footprint
-    centre c of the line then satisfies
+    edge samples, E = max(|c_first - G|, |c_last - G|), E' the same at the
+    next line's first state, V = _speed_bound, T the scan period.  Every
+    footprint centre c of the line then satisfies
 
-        |c - G| <= rho = (1 + s) max(|c_first - G|, |c_last - G|) + V T
+        |c - G| <= rho = (1 + s) max(E, E') + V T
 
     with s = _SCREEN_SLACK, because at one state the centre moves away
     from G monotonically with |boresight| (the scan plane cuts the
     ellipsoid in a convex curve); the line's last sample starts less than
     T later, in which time the satellite moves at most V T and G, its
     nearest point on the convex ground-altitude surface, no farther; and
-    the edge reach changes by far less than s of itself.  On that surface
-    a chord rho reaches at most dlat in latitude and dlon in longitude
-    (frames.surface_reach_deg), so a line can only have a centre in the
-    box when G's geodetic latitude and longitude satisfy
+    s covers the edge reach's rise within those T seconds above the
+    larger of its two ends (one end alone may be exceeded by more than s
+    on an eccentric orbit).  On that surface a chord rho reaches at most
+    dlat in latitude and dlon in longitude (frames.surface_reach_deg), so
+    a line can only have a centre in the box when G's geodetic latitude
+    and longitude satisfy
 
         lat_min - dlat <= lat_G <= lat_max + dlat
         |lon_G - lon_mid| <= (lon_max - lon_min) / 2 + dlon
@@ -269,13 +274,14 @@ def pixels_in_box(satellite: tuple[OrbitalElements, RadiometerSpec],
     test has no sample centred in the box, and footprints do not depend on
     which other samples are computed with them, so the pixels, the stride
     and their bits are those of footprinting every sample of the window.
-    For the same reason the window's lines are screened 4 * MARGIN_CHUNK
-    at a time, keeping only the kept lines' ids, and the kept lines are
-    propagated and footprinted about MARGIN_CHUNK samples at a time,
-    keeping only the in-box samples' dwell keys (line * samples_per_scan
-    + sample); the strided selection is propagated again.  Memory grows
-    by 8 bytes per kept line and per in-box sample, not by the states and
-    footprints of every line or sample of the window.
+    For the same reason the window's lines are screened 4 * MARGIN_CHUNK at
+    a time, with the line after the chunk for its last line's E', keeping
+    only the kept lines' ids, and the kept lines are propagated and
+    footprinted about MARGIN_CHUNK samples at a time, keeping only the
+    in-box samples' dwell keys (line * samples_per_scan + sample); the
+    strided selection is propagated again.  Memory grows by 8 bytes per kept
+    line and per in-box sample, not by the states and footprints of every
+    line or sample of the window.
     """
     elements, spec = satellite
     start, end = window
@@ -285,28 +291,30 @@ def pixels_in_box(satellite: tuple[OrbitalElements, RadiometerSpec],
     period, n = spec.scan_period, spec.samples_per_scan
 
     first, stop = (int(i) for i in lattice.line_span(base, base + duration))
-    # The epoch guard of inertial_states, over the whole window at once.
+    # The epoch guard of inertial_states, over every line the screen
+    # propagates at once: the window's and the one after its last.
     _check_epoch_offset(elements, minutes_since(start, elements.epoch)
-                        + (lattice.tau(np.array([first, stop - 1])) - base)
+                        + (lattice.tau(np.array([first, stop])) - base)
                         / 60.0)
     kept = [np.zeros(0, dtype=np.int64)]
     for i in range(first, stop, 4 * MARGIN_CHUNK):
-        line_ids = np.arange(i, min(i + 4 * MARGIN_CHUNK, stop))
+        line_ids = np.arange(i, min(i + 4 * MARGIN_CHUNK, stop) + 1)
         r, v = inertial_states(elements, start, lattice.tau(line_ids) - base)
         center, _, miss = edge_footprints(r, v, spec, ground_altitude)
         lat, lon, _ = frames.ecef_to_geodetic(r)
         ground = frames.geodetic_to_ecef(lat, lon, ground_altitude)
         reach = np.linalg.norm(center - ground[:, :, None], axis=0)
         reach = np.where(miss.any(axis=1), np.inf, reach.max(axis=1))
+        reach = np.maximum(reach, np.append(reach[1:], np.inf))
         rho = ((1.0 + _SCREEN_SLACK) * reach
                + _speed_bound(r, v, period) * period)
         dlat, dlon = frames.surface_reach_deg(rho, bbox.lat_min,
                                               bbox.lat_max, ground_altitude)
         lon_off = np.abs(frames.wrap_longitude(
             lon - 0.5 * (bbox.lon_min + bbox.lon_max)))
-        kept.append(line_ids[
-            (lat >= bbox.lat_min - dlat) & (lat <= bbox.lat_max + dlat)
-            & (lon_off <= 0.5 * (bbox.lon_max - bbox.lon_min) + dlon)])
+        near = ((lat >= bbox.lat_min - dlat) & (lat <= bbox.lat_max + dlat)
+                & (lon_off <= 0.5 * (bbox.lon_max - bbox.lon_min) + dlon))
+        kept.append(line_ids[:-1][near[:-1]])
     line_ids = np.concatenate(kept)
 
     keys = [np.zeros(0, dtype=np.int64)]
@@ -390,8 +398,9 @@ class _SatGeometry:
         """The screen geometry of each of the given scan lines, one column
         per line: at the line's first sample, the position r, the inertial
         velocity v, the geodetic up and the scan axis, the speed bound V and
-        the edge reach (1 + s) A of _dwells_near_tx, from the line's
-        edge_footprints.  Columns are elementwise: a line passed twice is
+        the edge reach (1 + s) m max(semi_major) of the line's
+        edge_footprints (_dwells_near_tx reads the larger of a line's and
+        the next line's).  Columns are elementwise: a line passed twice is
         computed twice."""
         r, v = self.states(self.lattice.tau(lines) - self.base)
         up, axis = _scan_axis(r, v)
@@ -419,33 +428,19 @@ class _SatGeometry:
         return list(zip(lo.tolist(), hi.tolist()))
 
 
-def _site_blocks(sizes):
-    """Slices of consecutive sites, in order, whose rows (sizes[k] for site
-    k) sum to at most MARGIN_CHUNK, so each stage's temporaries stay as
-    small as one site's however many sites there are; a site with more
-    rows makes a block of its own.  4 * MARGIN_CHUNK rows raised the peak
-    RSS of a 25-site, 12-hour AMSU-A darkspaces run by 0.9 MB, at the
-    same speed."""
-    blocks, first, total = [], 0, 0
-    for k, size in enumerate(np.asarray(sizes).tolist()):
-        if total + size > MARGIN_CHUNK and k > first:
-            blocks.append(slice(first, k))
-            first, total = k, 0
-        total += size
-    if len(sizes) > first:
-        blocks.append(slice(first, len(sizes)))
-    return blocks
-
-
-def _key_chunks(counts):
-    """Slices of consecutive rows, in order, cut after each row at which
-    the running count of keys (counts[i] for row i) reaches a multiple of
-    4 * MARGIN_CHUNK, so a chunk holds at most that many keys and one
-    row's."""
+def _chunks(counts, limit):
+    """Non-empty slices of consecutive rows, in order, that cover every row
+    once: cut after each row at which the running count (counts[i] for row
+    i) reaches or passes a multiple of limit, and before each row of more
+    than limit, so a chunk's count is at most limit plus its last row's,
+    and a row of more than limit is a chunk of its own.  The stages are
+    elementwise in their rows, so the cuts bound the temporaries and change
+    no result."""
     total = np.cumsum(counts)
     cuts = np.searchsorted(total, np.arange(
-        4 * MARGIN_CHUNK, total[-1] if total.size else 0, 4 * MARGIN_CHUNK))
-    bounds = _unique_ids(np.concatenate(([0], cuts + 1, [total.size])))
+        limit, total[-1] if total.size else 0, limit))
+    bounds = _unique_ids(np.concatenate(
+        ([0], cuts + 1, np.flatnonzero(counts > limit), [total.size])))
     return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
@@ -453,15 +448,15 @@ def _visibility(geom: _SatGeometry):
     """(site, lo, hi): every site's coarse windows (s offsets) when the
     satellite may be in view, site after site, each site's in time order.
 
-    One frames.enu_look per block of sites over (site, coarse point)
-    gives the elevations; each run of a site's grid points above
-    HORIZON_GUARD_DEG is widened by one step on both sides, and a site's
-    runs whose widened spans touch are merged.
+    One frames.enu_look per block of sites (_chunks of MARGIN_CHUNK
+    (site, coarse point) rows) gives the elevations; each run of a site's
+    grid points above HORIZON_GUARD_DEG is widened by one step on both
+    sides, and a site's runs whose widened spans touch are merged.
     """
     offsets, r = geom.coarse
     width = offsets.size + 2
     out = [(np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0))]
-    for part in _site_blocks(np.full(geom.lat.size, offsets.size)):
+    for part in _chunks(np.full(geom.lat.size, offsets.size), MARGIN_CHUNK):
         rho = r[:, None, :] - geom.tx_ecef[:, part, None]
         _, _, el, _, _ = frames.enu_look(
             rho, [t[part, None] for t in geom.trig])
@@ -590,8 +585,9 @@ def _dwells_near_tx(geom: _SatGeometry, line: dict, site: np.ndarray):
     normal to u (both from radiometer._scan_axis, whose up is the
     closed-form frames.geodetic_up, and about which _footprint_arrays
     rotates every boresight), tx the transmitter, w = tx - r its offset and
-    T the scan period.  With A = buffer_multiplier * the larger semi_major
-    of the two edge samples, s = _SCREEN_SLACK, V = _speed_bound =
+    T the scan period.  With A = buffer_multiplier * the largest semi_major
+    of the two edge samples here and at the next line's first sample
+    (line["reach"] is (1 + s) A), s = _SCREEN_SLACK, V = _speed_bound =
     |v| + w_E |r| + G T (w_E the Earth's rotation rate, G =
     _ACCEL_BOUND), M = B'**2 / A' the smallest radius of curvature of the
     ground-altitude ellipsoid (semi-axes A', B') and
@@ -602,10 +598,10 @@ def _dwells_near_tx(geom: _SatGeometry, line: dict, site: np.ndarray):
 
     (n the mean motion and e the eccentricity of the element set), rho
     bounds how far from a footprint centre of the line the transmitter can
-    lie with margin <= 0.  r, u, a, V and (1 + s) A do not depend on the
-    transmitter: _SatGeometry.line_geometry computes them once per line
-    for every site, and only the terms in tx are evaluated here, row by
-    row; w and rho once for both bounds.
+    lie with margin <= 0.  r, u, a, V and each end's (1 + s) A do not
+    depend on the transmitter: _SatGeometry.line_geometry computes them
+    once per line for every site, and only the terms in tx are evaluated
+    here, row by row; w and rho once for both bounds.
 
     Line bound.  A sample of the line can have margin <= 0 only if
 
@@ -618,8 +614,9 @@ def _dwells_near_tx(geom: _SatGeometry, line: dict, site: np.ndarray):
       r(t) with normal a(t): a(t) . (tx - r(t)) = a(t) . (tx - c(t)).
     - margin <= 0 puts tx - c within m * semi_major of c in the tangent
       plane at c (m the buffer multiplier, the minor axis is shorter).
-      semi_major is largest at the scan edges; s covers how it changes
-      within one scan period as the altitude changes.
+      semi_major is largest at the scan edges; s covers only its rise
+      within the scan period above the larger of its two ends (one end
+      alone may be exceeded by more than s on an eccentric orbit).
     - zeta bounds the offset of tx from that tangent plane along the
       surface normal at c.  The ellipsoid's curvature is at most 1 / M, so
       the ball of radius M tangent inside it at c lies inside it, and a
@@ -853,47 +850,43 @@ def _screen_windows(geom: _SatGeometry):
 
     A window's lines are those whose spans meet it (ScanLattice.lines),
     one row per (site, window, line).  One line_geometry call computes the
-    geometry of the union of every site's window lines, once per line;
-    then, one block of sites at a time (_site_blocks), the rows gather
-    their lines' columns of it, and one _dwells_near_tx call screens the
-    rows' lines and their samples.  The table also holds the line after
-    each window line, whose first sample ends it.  Stage 2b (the dwell
+    geometry of the union of every window's lines and of the line after
+    each, whose first sample ends it, once per line.  Then, one block of
+    windows at a time (_chunks of MARGIN_CHUNK rows), the block builds its
+    rows, which gather their lines' columns of the table, with the larger
+    reach of the line's and the next line's, for one _dwells_near_tx call
+    that screens the rows' lines and their samples.  Stage 2b (the dwell
     bound): once for every site, _reach_ratios footprints each sample of
     the hull of the ranges that any site keeps on a line or on the line
-    before it, at the line's first sample; then, _key_chunks of the kept
-    (site, window, line) rows at a time, their (site, dwell) rows read
-    the ratios of both ends of their line for one _dwells_in_reach call.
-    Pixel level keeps only the dwells that overlap the window, before the
-    dwell bound.  Scan line keeps every dwell the screens keep, so a line
-    that straddles the window start stays dark.
+    before it, at the line's first sample; then, block by block, _chunks
+    of the block's kept rows at a time hold at most 4 * MARGIN_CHUNK dwell
+    keys and one row's, and their (site, dwell) rows read the ratios of
+    both ends of their line for one _dwells_in_reach call.  Pixel level
+    keeps only the dwells that overlap the window, before the dwell bound.
+    Scan line keeps every dwell the screens keep, so a line that straddles
+    the window start stays dark.
     """
     lattice, base = geom.lattice, geom.base
     n = geom.spec.samples_per_scan
     pixel = geom.policy.kind is PolicyKind.PIXEL_LEVEL
     site, w0, w1 = _visibility(geom)
     first, stop = lattice.line_span(geom.tau(w0), geom.tau(w1))
-    lines = _ranges(first, stop)
-    row_window = np.repeat(np.arange(site.size), stop - first)
-    # Each window line and the next, whose first sample ends the line.
-    union = _unique_ids(np.concatenate((lines, lines + 1)))
+    union = _unique_ids(_ranges(first, stop + 1))
     table = geom.line_geometry(union)
-    # Windows, and so rows, run site after site.
-    window_of = np.searchsorted(site, np.arange(geom.lat.size + 1))
-    row_of = np.searchsorted(row_window, window_of)
     # Each block's kept rows, and per line of the union the hull
     # [hull_lo, hull_hi) of the samples any site keeps on it or on the
     # line before (at + 1 is the next line's column).
-    blocks = [(np.zeros(0, dtype=np.int64),) * 4]
+    blocks = []
     hull_lo = np.full(union.size, n, dtype=np.int64)
     hull_hi = np.zeros(union.size, dtype=np.int64)
-    for part in _site_blocks(np.diff(row_of)):
-        rows = slice(row_of[part.start], row_of[part.stop])
-        window = row_window[rows]
-        at = np.searchsorted(union, lines[rows])
-        lo, hi = _dwells_near_tx(
-            geom, {key: table[key][..., at]
-                   for key in ("r", "up", "axis", "speed", "reach")},
-            site[window])
+    for part in _chunks(stop - first, MARGIN_CHUNK):
+        window = np.repeat(np.arange(part.start, part.stop),
+                           stop[part] - first[part])
+        at = np.searchsorted(union, _ranges(first[part], stop[part]))
+        line = {key: table[key][..., at]
+                for key in ("r", "up", "axis", "speed")}
+        line["reach"] = np.maximum(table["reach"][at], table["reach"][at + 1])
+        lo, hi = _dwells_near_tx(geom, line, site[window])
         kept = hi > lo
         blocks.append((window[kept], at[kept], lo[kept], hi[kept]))
         for column in (at[kept], at[kept] + 1):
@@ -906,25 +899,28 @@ def _screen_windows(geom: _SatGeometry):
                           _ranges(hull_lo, hull_lo + count))
     size = np.zeros(site.size, dtype=np.int64)
     out = [np.zeros(0, dtype=np.int64)]
-    rows = tuple(np.concatenate(column) for column in zip(*blocks))
-    for part in _key_chunks(rows[3] - rows[2]):
-        window, at, lo, hi = (column[part] for column in rows)
-        row, sample = np.repeat(np.arange(at.size), hi - lo), _ranges(lo, hi)
-        keys = union[at][row] * n + sample
-        if pixel:
-            overlap = ((lattice.key_tau(keys + 1) - base > w0[window[row]])
-                       & (lattice.key_tau(keys) - base < w1[window[row]]))
-            keys, row, sample = keys[overlap], row[overlap], sample[overlap]
-        kept = _dwells_in_reach(
-            geom, {key: table[key][..., at]
-                   for key in ("r", "up", "axis", "speed")},
-            site[window],
-            {"row": row, "sample": sample,
-             "ratio": np.maximum(ratio[start[at][row] + sample],
-                                 ratio[start[at + 1][row] + sample])})
-        keys, row = keys[kept], row[kept]
-        size += np.bincount(window[row], minlength=site.size)
-        out.append(keys)
+    for block in blocks:
+        for part in _chunks(block[3] - block[2], 4 * MARGIN_CHUNK):
+            window, at, lo, hi = (column[part] for column in block)
+            row = np.repeat(np.arange(at.size), hi - lo)
+            sample = _ranges(lo, hi)
+            keys = union[at][row] * n + sample
+            if pixel:
+                overlap = (
+                    (lattice.key_tau(keys + 1) - base > w0[window[row]])
+                    & (lattice.key_tau(keys) - base < w1[window[row]]))
+                keys, row = keys[overlap], row[overlap]
+                sample = sample[overlap]
+            kept = _dwells_in_reach(
+                geom, {key: table[key][..., at]
+                       for key in ("r", "up", "axis", "speed")},
+                site[window],
+                {"row": row, "sample": sample,
+                 "ratio": np.maximum(ratio[start[at][row] + sample],
+                                     ratio[start[at + 1][row] + sample])})
+            keys, row = keys[kept], row[kept]
+            size += np.bincount(window[row], minlength=site.size)
+            out.append(keys)
     return site, w0, w1, size, np.concatenate(out)
 
 

@@ -660,3 +660,59 @@ def test_dwell_reach_continuity(samples, period, beam, buffer, ecc, ground,
            and (1.0 + geofence._SCREEN_SLACK) * ratio.max() < 1.0)
     ends = max(ratio[0], ratio[-1])
     assert ratio.max() <= (1.0 + geofence._SCREEN_SLACK / 10.0) * ends
+
+
+def test_screen_reach_bounds_the_line_period(monkeypatch):
+    """The edge reach that _screen_windows hands _dwells_near_tx bounds
+    buffer_multiplier * the larger edge semi_major of the row's line at 9
+    instants across its scan period, on accepted specs and eccentric
+    orbits.  The reach at the line's first sample alone fell short of it
+    by up to 1.7 % on these fixtures, more than _SCREEN_SLACK."""
+    rng = np.random.default_rng(0)
+    atms = load_preset("atms")
+    window = (EPOCH, add_seconds(EPOCH, 7200.0))
+    real_table = geofence._SatGeometry.line_geometry
+    real_screen = geofence._dwells_near_tx
+    tables, rows = [], []
+
+    def table(self, lines):
+        out = real_table(self, lines)
+        tables.append(dict(zip(out["r"][0].tolist(), lines.tolist())))
+        return out
+
+    def screen(geom, line, site):
+        rows.append((line["r"][0], line["reach"]))
+        return real_screen(geom, line, site)
+
+    monkeypatch.setattr(geofence._SatGeometry, "line_geometry", table)
+    monkeypatch.setattr(geofence, "_dwells_near_tx", screen)
+    checked = 0
+    for _ in range(100):
+        spec = replace(atms, samples_per_scan=int(rng.integers(1, 129)),
+                       scan_period=float(rng.uniform(0.5, 10.0)),
+                       beamwidth_3db=float(rng.uniform(0.5, 6.0)))
+        elements = replace(random_leo_elements(rng, 91000),
+                           eccentricity=float(rng.uniform(0.0, 0.08)),
+                           mean_motion=float(rng.uniform(13.8, 14.3)))
+        tx = transmitter_near_track(rng, elements, window, 1600.0)
+        buffer = float(rng.uniform(1.0, 8.0))
+        ground = float(rng.uniform(-100.0, 2000.0))
+        geom = geofence._SatGeometry(
+            elements, spec, EPOCH, 7200.0,
+            BufferPolicy(PolicyKind.PIXEL_LEVEL, buffer), ground, [tx])
+        tables[:], rows[:] = [], []
+        geofence._screen_windows(geom)
+        if not rows:
+            continue
+        (line_of,) = tables
+        lines = np.array([line_of[x] for r, _ in rows for x in r.tolist()])
+        reach = np.concatenate([reach for _, reach in rows])
+        offsets = (geom.lattice.tau(lines)[:, None] - geom.base
+                   + np.linspace(0.0, spec.scan_period, 9)).ravel()
+        _, semi_major, miss = geofence.edge_footprints(
+            *geom.states(offsets), spec, ground)
+        need = buffer * semi_major.max(axis=1).reshape(lines.size, 9)
+        hit = ~miss.any(axis=1).reshape(lines.size, 9).any(axis=1)
+        assert np.all(reach[hit] >= need[hit].max(axis=1)), (spec, elements)
+        checked += hit.sum()
+    assert checked > 20_000

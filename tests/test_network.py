@@ -1,12 +1,17 @@
 """One engine for a network of transmitters: dark_intervals_many equals
 dark_intervals site by site, and the elementwise arithmetic that lets sites
 share propagation and footprints is bit for bit independent of batching."""
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from darkspace import geofence
+from darkspace.config import ScenarioConfig
 from darkspace.geofence import dark_intervals, dark_intervals_many
 from darkspace.orbit import GroundPoint, frames, propagate, propagate_many
 from darkspace.radiometer import BufferPolicy, PolicyKind, _cross
@@ -209,6 +214,30 @@ def test_pass_batches_match_reference_loop(monkeypatch):
     assert ties > 50 and empty > 50 and cuts > 50
 
 
+@settings(max_examples=300, deadline=None)
+@given(counts=st.lists(st.integers(0, 60), max_size=40),
+       limit=st.integers(1, 50))
+@example(counts=[], limit=5)
+@example(counts=[0, 0, 0], limit=5)
+@example(counts=[1, 30, 1], limit=5)
+def test_chunks_cover_every_row_once(counts, limit):
+    """_chunks, the one chunk rule of the prefilter and the screen: its
+    chunks cover every row once, in order; none is empty; each holds at
+    most limit plus its last row's count; a row of more than limit stands
+    alone; and there are no more chunks than the limit needs."""
+    counts = np.array(counts, dtype=np.int64)
+    chunks = geofence._chunks(counts, limit)
+    assert [i for part in chunks for i in range(part.start, part.stop)] \
+        == list(range(counts.size))
+    assert all(part.stop > part.start for part in chunks)
+    for part in chunks:
+        assert counts[part].sum() <= limit + counts[part.stop - 1]
+    for i in np.flatnonzero(counts > limit).tolist():
+        assert slice(i, i + 1) in chunks
+    needed = -(-int(counts.sum()) // limit) + int(np.sum(counts > limit))
+    assert len(chunks) <= max(needed, min(counts.size, 1))
+
+
 # --- dark_intervals_many -----------------------------------------------------
 
 
@@ -331,6 +360,38 @@ def test_many_with_no_sites(network):
                                BufferPolicy(PolicyKind.PIXEL_LEVEL)) == []
 
 
+def test_many_site_memory_per_site():
+    """The engine's traced peak grows by at most 75 kB per added site.
+    The probe layout (ROADMAP "Many sites"): sites uniform in the example
+    itu box at altitude 0, the example ATMS satellite, 1 day from the
+    example window's start, pixel policy at buffer 2, at 30 and at 300
+    sites.  Building every site's screen rows before the first block, and
+    copying all kept rows once more, measured 92 kB per site."""
+    config = ScenarioConfig.load(Path(__file__).parent.parent / "configs"
+                                 / "example_scenario.json")
+    box = config.itu_deployment()["bbox"]
+    start = config.window()[0]
+    window = (start, add_seconds(start, 86400.0))
+    peaks = []
+    for k in (30, 300):
+        rng = np.random.default_rng(0)
+        sites = [(f"site-{i}", GroundPoint(float(lat), float(lon), 0.0))
+                 for i, (lat, lon) in enumerate(zip(
+                     rng.uniform(box.lat_min, box.lat_max, k),
+                     rng.uniform(box.lon_min, box.lon_max, k)))]
+        tracemalloc.start()
+        try:
+            schedules = dark_intervals_many(
+                sites, config.satellites(), window,
+                BufferPolicy(PolicyKind.PIXEL_LEVEL, 2.0))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert sum(bool(s.intervals) for s in schedules) > 0.9 * k
+    per_site = (peaks[1] - peaks[0]) / 270
+    assert per_site <= 75e3, f"{per_site / 1e3:.1f} kB per site"
+
+
 def test_screen_does_not_depend_on_the_shared_table(leo_tle, atms):
     """A site's screen bits do not depend on the other lines or sites that
     share the line table: rows that gather their lines from a table of
@@ -403,9 +464,10 @@ def random_network(leo_tle, atms):
                                   PolicyKind.SCAN_LINE])
 def test_random_network_equals_one_site_at_a_time(random_network, kind,
                                                   monkeypatch):
-    """Blocks of one and of seven sites, so every stage crosses block
-    boundaries, give every site the schedule it gets alone, and each
-    satellite computes its screen's line table once for all blocks."""
+    """Chunks of one and of seven rows (sites in the prefilter, windows and
+    kept lines in the screen), so every stage crosses block boundaries,
+    give every site the schedule it gets alone, and each satellite
+    computes its screen's line table once for all blocks."""
     sites, sats, window = random_network
     policy = BufferPolicy(kind, 2.0, temporal_pad=0.05)
     alone = [dark_intervals(point, sats, window, policy, tx_id=tx_id,
@@ -419,20 +481,29 @@ def test_random_network_equals_one_site_at_a_time(random_network, kind,
 
     monkeypatch.setattr(geofence, "edge_footprints", counting)
     for size in (1, 7):
-        blocks, tables[:] = [], []
+        calls, tables[:] = [], []
 
-        def fixed(sizes, size=size):
-            blocks.append(len(sizes))
-            return [slice(i, min(i + size, len(sizes)))
-                    for i in range(0, len(sizes), size)]
+        def fixed(counts, limit, size=size):
+            calls.append((len(counts), limit))
+            return [slice(i, min(i + size, len(counts)))
+                    for i in range(0, len(counts), size)]
 
-        monkeypatch.setattr(geofence, "_site_blocks", fixed)
+        monkeypatch.setattr(geofence, "_chunks", fixed)
         many = dark_intervals_many(sites, sats, window, policy,
                                    ground_altitude=30.0)
         assert many == alone, size
-        # Each satellite blocked its elevations and its screen rows, and
-        # built one line table for all its blocks.
-        assert blocks == [len(sites)] * 4
+        # Each satellite chunked its sites' elevations, its windows' screen
+        # rows and then each block's kept rows, and built one line table
+        # for all its blocks.
+        blocked = [i for i, (_, limit) in enumerate(calls)
+                   if limit == geofence.MARGIN_CHUNK]
+        assert [calls[i][0] for i in blocked[::2]] == [len(sites)] * len(sats)
+        windows = [calls[i][0] for i in blocked[1::2]]
+        assert min(windows) > size
+        assert len(calls) == 2 * len(sats) + sum(-(-w // size)
+                                                 for w in windows)
+        assert max(rows for rows, limit in calls
+                   if limit == 4 * geofence.MARGIN_CHUNK) > size
         assert len(tables) == len(sats)
 
     dark = [bool(s.intervals) for s in alone]
